@@ -6,7 +6,7 @@
    timestamp, O(n) invalidation. *)
 
 type entry = {
-  key : string;
+  key : Cq.Query.t;  (* alpha-normalised query *)
   result : Answer.result;
   reads : string list;  (* stored predicates the rewritings mention *)
   mutable prev : entry option;  (* towards the most recently used *)
@@ -16,9 +16,9 @@ type entry = {
 type t = {
   catalog : Catalog.t;
   capacity : int;
-  table : (string, entry) Hashtbl.t;
+  table : (Cq.Query.t, entry) Hashtbl.t;
   (* pred -> (key -> entry): which live entries read each predicate. *)
-  by_pred : (string, (string, entry) Hashtbl.t) Hashtbl.t;
+  by_pred : (string, (Cq.Query.t, entry) Hashtbl.t) Hashtbl.t;
   mutable mru : entry option;
   mutable lru : entry option;
   mutable hit_count : int;
@@ -49,7 +49,8 @@ let create ?(capacity = 64) catalog () =
   }
 
 (* Alpha-normalised key: queries equal up to variable renaming share an
-   entry. *)
+   entry. The key is the renamed query itself, so constants compare by
+   type and value ([Int 1] and [Str "1"] are different queries). *)
 let key_of (q : Cq.Query.t) =
   let mapping = Hashtbl.create 8 in
   let rename = function
@@ -66,9 +67,7 @@ let key_of (q : Cq.Query.t) =
     | Cq.Term.Const _ as c -> c
   in
   let head = Cq.Atom.map_terms rename q.Cq.Query.head in
-  let body = List.map (Cq.Atom.map_terms rename) q.Cq.Query.body in
-  Cq.Atom.to_string head ^ ":-"
-  ^ String.concat "," (List.map Cq.Atom.to_string body)
+  Cq.Query.make head (List.map (Cq.Atom.map_terms rename) q.Cq.Query.body)
 
 let reads_of (result : Answer.result) =
   List.concat_map Cq.Query.body_preds result.Answer.outcome.Reformulate.rewritings

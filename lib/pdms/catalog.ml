@@ -2,23 +2,25 @@ type mapping_id = int
 
 type t = {
   mutable peers : Peer.t list;
-  mutable storage : Storage_desc.t list;
   mutable mappings : (mapping_id * Peer_mapping.t) list;
   mutable next_id : mapping_id;
-  (* Derived, rebuilt on mutation: *)
-  mutable rules : (string * (mapping_id option * Cq.Query.t)) list;
-  mutable views_cache : (mapping_id option * Cq.Query.t) list;
+  (* Reformulation artifacts, extended by each add with the new
+     mapping's or description's own: GAV rules by head predicate, oldest
+     mapping first; LAV views, storage descriptions newest first, then
+     mapping views oldest first. Lookups only read them, so concurrent
+     reformulations over one catalog never race. *)
+  rules : (string, (mapping_id option * Cq.Query.t) list) Hashtbl.t;
+  mutable views : (mapping_id option * Cq.Query.t) list;
   stored : (string, unit) Hashtbl.t;
 }
 
 let create () =
   {
     peers = [];
-    storage = [];
     mappings = [];
     next_id = 0;
-    rules = [];
-    views_cache = [];
+    rules = Hashtbl.create 64;
+    views = [];
     stored = Hashtbl.create 16;
   }
 
@@ -66,18 +68,6 @@ let artifacts_of_mapping (id, mapping) =
       in
       (rules, views)
 
-let rebuild t =
-  let rules, views =
-    List.fold_left
-      (fun (rules, views) m ->
-        let r, v = artifacts_of_mapping m in
-        (r @ rules, v @ views))
-      ([], []) t.mappings
-  in
-  let storage_views = List.map (fun d -> (None, d.Storage_desc.view)) t.storage in
-  t.rules <- rules;
-  t.views_cache <- storage_views @ views
-
 let add_peer t peer =
   if List.exists (fun p -> String.equal (Peer.name p) (Peer.name peer)) t.peers
   then invalid_arg ("Catalog.add_peer: duplicate peer " ^ Peer.name peer);
@@ -92,9 +82,8 @@ let peer t name =
 let peers t = List.rev t.peers
 
 let add_storage t desc =
-  t.storage <- desc :: t.storage;
   Hashtbl.replace t.stored (Storage_desc.stored_pred desc) ();
-  rebuild t
+  t.views <- (None, desc.Storage_desc.view) :: t.views
 
 let store_identity t peer ~rel =
   let attrs = List.assoc rel (Peer.schema peer) in
@@ -111,7 +100,14 @@ let add_mapping t mapping =
   let id = t.next_id in
   t.next_id <- id + 1;
   t.mappings <- (id, mapping) :: t.mappings;
-  rebuild t;
+  let rules, views = artifacts_of_mapping (id, mapping) in
+  List.iter
+    (fun (pred, rule) ->
+      let known = Option.value ~default:[] (Hashtbl.find_opt t.rules pred) in
+      Hashtbl.replace t.rules pred (known @ [ rule ]))
+    rules;
+  (* Mapping views go last; the append copies the list's spine only. *)
+  t.views <- t.views @ views;
   id
 
 let mappings t = List.rev t.mappings
@@ -119,14 +115,9 @@ let mapping_count t = List.length t.mappings
 
 let is_stored t pred = Hashtbl.mem t.stored pred
 
-let rules_for t pred =
-  List.filter_map
-    (fun (p, rule) -> if String.equal p pred then Some rule else None)
-    t.rules
-
-let has_rules t pred = List.exists (fun (p, _) -> String.equal p pred) t.rules
-
-let views t = t.views_cache
+let rules_for t pred = Option.value ~default:[] (Hashtbl.find_opt t.rules pred)
+let has_rules t pred = Hashtbl.mem t.rules pred
+let views t = t.views
 
 let global_db t =
   let db = Relalg.Database.create () in

@@ -8,7 +8,10 @@ let split_prefix line prefix =
 
 (* One row value, already stripped of surrounding whitespace.  Single
    quotes force string interpretation (e.g. the course id '6.830');
-   inside quotes, [''] is a literal quote. *)
+   inside quotes, [''] is a literal quote and a backslash escapes a
+   newline ([\n]), a carriage return ([\r]) or itself ([\\]), so a
+   value never spills onto the next line.  Any other backslash is
+   literal. *)
 let parse_value v =
   let n = String.length v in
   if n >= 2 && v.[0] = '\'' && v.[n - 1] = '\'' then begin
@@ -17,14 +20,21 @@ let parse_value v =
     let b = Buffer.create m in
     let i = ref 0 in
     while !i < m do
-      if inner.[!i] = '\'' && !i + 1 < m && inner.[!i + 1] = '\'' then begin
-        Buffer.add_char b '\'';
-        i := !i + 2
-      end
-      else begin
-        Buffer.add_char b inner.[!i];
-        incr i
-      end
+      (* NUL stands for "no next character": it starts no escape. *)
+      let next = if !i + 1 < m then inner.[!i + 1] else '\000' in
+      match (inner.[!i], next) with
+      | ('\'' as c), '\'' | ('\\' as c), '\\' ->
+          Buffer.add_char b c;
+          i := !i + 2
+      | '\\', 'n' ->
+          Buffer.add_char b '\n';
+          i := !i + 2
+      | '\\', 'r' ->
+          Buffer.add_char b '\r';
+          i := !i + 2
+      | c, _ ->
+          Buffer.add_char b c;
+          incr i
     done;
     Relalg.Value.Str (Buffer.contents b)
   end
@@ -64,9 +74,10 @@ let split_row s =
 (* Inverse of [parse_value] under the row scanner: a string value is
    single-quoted whenever writing it bare would re-parse differently —
    it looks numeric/boolean (Str "6.830", Str "42"), contains the '|'
-   column separator, carries leading/trailing whitespace the field
-   strip would eat, or starts/ends with a quote the scanner would
-   misread.  Interior quotes double under quoting. *)
+   column separator or a line break, carries leading/trailing
+   whitespace the field strip would eat, or starts/ends with a quote
+   the scanner would misread.  Under quoting, interior quotes double
+   and line breaks and backslashes are escaped. *)
 let render_value v =
   match v with
   | Relalg.Value.Str s ->
@@ -74,7 +85,7 @@ let render_value v =
       let needs_quoting =
         n > 0
         && (s <> strip s
-           || String.contains s '|'
+           || String.exists (fun c -> c = '|' || c = '\n' || c = '\r') s
            || s.[0] = '\''
            || s.[n - 1] = '\''
            || (match Relalg.Value.of_string s with
@@ -85,21 +96,18 @@ let render_value v =
         let b = Buffer.create (n + 2) in
         Buffer.add_char b '\'';
         String.iter
-          (fun c ->
-            if c = '\'' then Buffer.add_string b "''" else Buffer.add_char b c)
+          (function
+            | '\'' -> Buffer.add_string b "''"
+            | '\\' -> Buffer.add_string b "\\\\"
+            | '\n' -> Buffer.add_string b "\\n"
+            | '\r' -> Buffer.add_string b "\\r"
+            | c -> Buffer.add_char b c)
           s;
         Buffer.add_char b '\'';
         Buffer.contents b
       end
       else s
-  | Relalg.Value.Float f ->
-      (* [Value.to_string] uses ["%g"], which renders 2.0 as "2" — an
-         int on re-parse — and truncates to 6 significant digits.  Keep
-         a decimal point and enough digits to reproduce the float. *)
-      if Float.is_integer f && Float.abs f < 1e16 then Printf.sprintf "%.1f" f
-      else
-        let s = Printf.sprintf "%.15g" f in
-        if float_of_string s = f then s else Printf.sprintf "%.17g" f
+  | Relalg.Value.Float f -> Relalg.Value.float_literal f
   | v -> Relalg.Value.to_string v
 
 type pending_mapping = {

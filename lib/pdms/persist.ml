@@ -51,9 +51,9 @@ let replay_records db ~after records =
     (Ok 0) records
 
 let recover_catalog ~dir records =
-  match Storage.Snapshot.load_latest ~dir with
-  | None -> Error (dir ^ ": no valid snapshot to recover from")
-  | Some (snap_seq, payload) -> (
+  match Storage.Snapshot.latest ~dir with
+  | Error msg -> Error (dir ^ ": " ^ msg)
+  | Ok (snap_seq, payload) -> (
       match Pdms_file.parse payload with
       | Error msg -> Error (dir ^ ": snapshot does not parse: " ^ msg)
       | Ok catalog -> (

@@ -10,7 +10,8 @@
     machinery (Kwindex/Stats/Cache patching) behave exactly as before
     the restart.  A torn WAL tail (crash mid-append) is discarded; a
     missing or corrupt newest snapshot falls back to the next older
-    one.
+    one, but a snapshot of another format stops recovery with an error
+    (see {!Storage.Snapshot}): the directory must be re-initialised.
 
     Mutations flow in through {!apply} (or any caller passing {!tee} to
     {!Updategram.apply} / {!Propagate.push}): the effective delta is

@@ -20,13 +20,9 @@ let distinct_tuples views =
   let seen = Hashtbl.create 64 in
   List.concat_map View_maintenance.tuples views
   |> List.filter (fun tuple ->
-         let key =
-           String.concat "\x00"
-             (Array.to_list (Array.map Relalg.Value.to_string tuple))
-         in
-         if Hashtbl.mem seen key then false
+         if Hashtbl.mem seen tuple then false
          else begin
-           Hashtbl.replace seen key ();
+           Hashtbl.replace seen tuple ();
            true
          end)
 

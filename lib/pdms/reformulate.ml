@@ -58,8 +58,10 @@ let canon_name i = if i < 256 then canon_names.(i) else "v" ^ string_of_int i
 
 (* Alpha-normalise the node: rename variables in first-occurrence order,
    then sort (atom, history) pairs by the rendered atom. Returns the
-   atoms-only key plus the tag vector in that order. All rendering goes
-   through one scratch [Buffer] — the seed built the key from repeated
+   atoms-only key plus the tag vector in that order. Constants render
+   type-exactly ({!Relalg.Value.add_key}), so goals differing only in a
+   constant's type keep distinct keys. All rendering goes through one
+   scratch [Buffer] — the seed built the key from repeated
    [Atom.to_string] + [String.concat] allocations. *)
 let canonical node =
   let mapping = Hashtbl.create 16 in
@@ -82,8 +84,7 @@ let canonical node =
         | Term.Var x -> Buffer.add_string buf (canon_var x)
         | Term.Const v ->
             Buffer.add_char buf '\'';
-            Buffer.add_string buf (Relalg.Value.to_string v);
-            Buffer.add_char buf '\'')
+            Relalg.Value.add_key buf v)
       a.Atom.args;
     Buffer.add_char buf ')'
   in
@@ -137,14 +138,13 @@ let expand_tagged ~fresh node (atom, hist) extra (rule : Query.t) =
       Some { head = Subst.apply_atom mgu node.head; body }
 
 (* Drop repeated body atoms, keeping the first occurrence in order.
-   Hash-set membership on the rendered atom — the seed's [List.exists]
+   Hash-set membership on the atom itself — the seed's [List.exists]
    over the seen-prefix was quadratic in body length. *)
 let dedupe_body node =
   let seen = Hashtbl.create 16 in
   let body =
     List.filter
-      (fun (a, _) ->
-        let key = Atom.to_string a in
+      (fun ((key : Atom.t), _) ->
         if Hashtbl.mem seen key then false
         else begin
           Hashtbl.replace seen key ();

@@ -6,14 +6,10 @@ type t = {
   view : Query.t;
   db : Relalg.Database.t;
   exec : Exec.t;
-  (* rendered head tuple -> (derivation count, the tuple itself) *)
-  counts : (string, int * Relalg.Relation.tuple) Hashtbl.t;
+  (* head tuple -> derivation count *)
+  counts : (Relalg.Relation.tuple, int) Hashtbl.t;
   mutable delta_bindings : int;
 }
-
-let render tuple =
-  String.concat "\x00"
-    (Array.to_list (Array.map Relalg.Value.to_string tuple))
 
 let head_tuple (view : Query.t) resolve =
   Array.of_list
@@ -29,11 +25,9 @@ let resolve_with (b : Relalg.Value.t Smap.t) = function
   | Term.Var x -> Smap.find_opt x b
 
 let bump counts tuple delta =
-  let key = render tuple in
-  let current = match Hashtbl.find_opt counts key with Some (c, _) -> c | None -> 0 in
-  let next = current + delta in
-  if next <= 0 then Hashtbl.remove counts key
-  else Hashtbl.replace counts key (next, tuple)
+  let next = Option.value ~default:0 (Hashtbl.find_opt counts tuple) + delta in
+  if next <= 0 then Hashtbl.remove counts tuple
+  else Hashtbl.replace counts tuple next
 
 let recompute_counts t =
   Hashtbl.reset t.counts;
@@ -49,7 +43,7 @@ let create ?(exec = Exec.default) db view =
   t
 
 let query t = t.view
-let tuples t = Hashtbl.fold (fun _ (_, tuple) acc -> tuple :: acc) t.counts []
+let tuples t = Hashtbl.fold (fun tuple _ acc -> tuple :: acc) t.counts []
 let cardinality t = Hashtbl.length t.counts
 
 (* Substitution grounding one body atom to a concrete tuple. *)
@@ -96,12 +90,7 @@ let derivations_using t rel tuple =
                       | Term.Var _ -> acc)
                     b (Subst.bindings subst)
                 in
-                let key =
-                  String.concat ";"
-                    (List.map
-                       (fun (x, v) -> x ^ "=" ^ Relalg.Value.to_string v)
-                       (Smap.bindings full))
-                in
+                let key = Smap.bindings full in
                 if not (Hashtbl.mem seen key) then begin
                   Hashtbl.replace seen key ();
                   results := full :: !results

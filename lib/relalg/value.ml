@@ -22,6 +22,26 @@ let to_string = function
 
 let pp fmt v = Format.pp_print_string fmt (to_string v)
 
+(* [to_string]'s ["%g"] renders 2.0 as "2" (an int on re-parse) and
+   keeps 6 significant digits: keep a decimal point and enough digits
+   to reproduce the float. *)
+let float_literal f =
+  if Float.is_integer f && Float.abs f < 1e16 then Printf.sprintf "%.1f" f
+  else
+    let s = Printf.sprintf "%.15g" f in
+    if float_of_string s = f then s else Printf.sprintf "%.17g" f
+
+let add_key buf = function
+  | Null -> Buffer.add_char buf 'n'
+  | Bool b -> Buffer.add_string buf (if b then "bt" else "bf")
+  | Int i ->
+      Buffer.add_char buf 'i';
+      Buffer.add_string buf (string_of_int i)
+  | Float f -> Printf.bprintf buf "f%h" f
+  | Str s ->
+      Printf.bprintf buf "s%d:" (String.length s);
+      Buffer.add_string buf s
+
 let of_string s =
   match int_of_string_opt s with
   | Some i -> Int i

@@ -35,7 +35,7 @@ let bucket_for (q : Query.t) views (g : Atom.t) =
     views
 
 let rewrite ?(max_candidates = 200_000) ~views (q : Query.t) =
-  let views = Cover.prepare_views views in
+  let views = Cover.prepare_views ~query:q views in
   let body = Array.of_list q.Query.body in
   let n = Array.length body in
   let buckets = Array.init n (fun i -> bucket_for q views body.(i)) in

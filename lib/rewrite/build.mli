@@ -8,14 +8,19 @@
 type piece = {
   view : Cq.Query.t;  (** freshened view (head predicate = view name) *)
   state : Cover.state;
-  covered : int list;  (** indices of covered query subgoals *)
-  covered_qvars : string list;
-      (** query variables occurring in the covered subgoals *)
+  images : (string * Cq.Term.t) list;
+      (** the query variables occurring in the covered subgoals, sorted,
+          each with its {!Cover.image} under [state] *)
+  equated : (string * string list) list;
+      (** query variables the rewriting must equate, because [state]
+          maps them to one distinguished view variable: each group as
+          its first member and the rest *)
 }
 
 val piece : view:Cq.Query.t -> state:Cover.state -> covered:int list
   -> query:Cq.Query.t -> piece
-(** Computes [covered_qvars] from the query body. *)
+(** The piece covering subgoals [covered] (indices into [query]'s body);
+    computes [images] and [equated]. *)
 
 val assemble : fresh:(unit -> string) -> Cq.Query.t -> piece list -> Cq.Query.t option
 (** [assemble ~fresh q pieces] builds the rewriting, or [None] when the

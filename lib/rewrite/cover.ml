@@ -4,8 +4,23 @@ type state = Subst.t
 
 let empty = Subst.empty
 
-let prepare_views views =
-  List.mapi (fun i v -> Query.freshen ~suffix:(Printf.sprintf "~v%d" i) v) views
+(* A view none of whose body predicates occurs in [query] matches no
+   subgoal, so it is dropped before the (allocating) freshening. The
+   survivors keep the suffix of their position in the full list. *)
+let prepare_views ~query views =
+  let preds = Query.body_preds query in
+  let relevant (v : Query.t) =
+    List.exists
+      (fun (b : Atom.t) -> List.exists (String.equal b.Atom.pred) preds)
+      v.Query.body
+  in
+  let rec go i = function
+    | [] -> []
+    | v :: rest when relevant v ->
+        Query.freshen ~suffix:(Printf.sprintf "~v%d" i) v :: go (i + 1) rest
+    | _ :: rest -> go (i + 1) rest
+  in
+  go 0 views
 
 let distinguished (view : Query.t) v = Query.is_distinguished view v
 

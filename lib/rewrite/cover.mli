@@ -11,9 +11,11 @@ type state = Cq.Subst.t
 
 val empty : state
 
-val prepare_views : Cq.Query.t list -> Cq.Query.t list
-(** Freshen each view with a unique suffix so its variables cannot
-    collide with query variables or other views'. *)
+val prepare_views : query:Cq.Query.t -> Cq.Query.t list -> Cq.Query.t list
+(** The views sharing a body predicate with [query], each freshened with
+    a suffix unique to its position in the input list, so its variables
+    cannot collide with query variables or other views'. A dropped view
+    could cover no subgoal of [query]. *)
 
 val match_subgoal :
   view:Cq.Query.t -> state -> Cq.Atom.t -> Cq.Atom.t -> state option

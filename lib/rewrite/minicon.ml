@@ -6,20 +6,22 @@ type stats = {
   rewritings_produced : int;
 }
 
-type mcd = { view : Query.t; state : Cover.state; covered : int list }
-
 module Iset = Set.Make (Int)
 
-(* All MCDs of [view] for query [q]. Each MCD starts from one (subgoal,
-   view-atom) seed and is closed under the forced-coverage rule: a query
-   variable mapped to an existential view variable drags every subgoal
-   mentioning it into the MCD. *)
-let mcds_of_view (q : Query.t) view =
-  let body = Array.of_list q.Query.body in
+(* An MCD as the combine step uses it: its assembly piece and the set of
+   subgoals it covers. *)
+type mcd = { piece : Build.piece; cover : Iset.t }
+
+(* All MCDs of [view] for query [q], whose body atoms and their
+   variables are [body] and [body_vars]. Each MCD starts from one
+   (subgoal, view-atom) seed and is closed under the forced-coverage
+   rule: a query variable mapped to an existential view variable drags
+   every subgoal mentioning it into the MCD. *)
+let mcds_of_view (q : Query.t) ~body ~body_vars view =
   let n = Array.length body in
   let head_vars = Query.head_vars q in
   let subgoals_with x =
-    List.filter (fun j -> List.mem x (Atom.vars body.(j))) (List.init n Fun.id)
+    List.filter (fun j -> List.mem x body_vars.(j)) (List.init n Fun.id)
   in
   let results = ref [] in
   (* Returns the subgoals forced by the variables of subgoal [j], or None
@@ -35,7 +37,7 @@ let mcds_of_view (q : Query.t) view =
               if List.mem x head_vars then None
               else Some (subgoals_with x @ forced)
             else Some forced)
-      (Some []) (Atom.vars body.(j))
+      (Some []) body_vars.(j)
   in
   let rec close st covered = function
     | [] -> results := (st, covered) :: !results
@@ -55,14 +57,11 @@ let mcds_of_view (q : Query.t) view =
   for i = 0 to n - 1 do
     close Cover.empty Iset.empty [ i ]
   done;
+  (* Structural key: the covered subgoals plus every binding resolved
+     to its final term (constants compare by type and value). *)
   let canonical (st, covered) =
-    let bindings =
-      List.map
-        (fun (x, t) -> x ^ "=" ^ Term.to_string (Subst.walk st t))
-        (Subst.bindings st)
-    in
-    String.concat ";" (List.map string_of_int (Iset.elements covered))
-    ^ "|" ^ String.concat "," bindings
+    ( Iset.elements covered,
+      List.map (fun (x, t) -> (x, Subst.walk st t)) (Subst.bindings st) )
   in
   let seen = Hashtbl.create 16 in
   List.filter_map
@@ -71,13 +70,18 @@ let mcds_of_view (q : Query.t) view =
       if Hashtbl.mem seen key then None
       else begin
         Hashtbl.replace seen key ();
-        Some { view; state = st; covered = Iset.elements covered }
+        let piece =
+          Build.piece ~view ~state:st ~covered:(Iset.elements covered) ~query:q
+        in
+        Some { piece; cover = covered }
       end)
     !results
 
 let rewrite ~views (q : Query.t) =
-  let views = Cover.prepare_views views in
-  let mcds = List.concat_map (mcds_of_view q) views in
+  let views = Cover.prepare_views ~query:q views in
+  let body = Array.of_list q.Query.body in
+  let body_vars = Array.map Atom.vars body in
+  let mcds = List.concat_map (mcds_of_view q ~body ~body_vars) views in
   let n = Query.size q in
   let full = Iset.of_list (List.init n Fun.id) in
   let counter = ref 0 in
@@ -91,12 +95,7 @@ let rewrite ~views (q : Query.t) =
   let rec combine covered chosen =
     if Iset.equal covered full then begin
       incr combinations;
-      let pieces =
-        List.rev_map
-          (fun m -> Build.piece ~view:m.view ~state:m.state ~covered:m.covered ~query:q)
-          chosen
-      in
-      match Build.assemble ~fresh q pieces with
+      match Build.assemble ~fresh q (List.rev chosen) with
       | Some r -> rewritings := Minimize.remove_duplicate_atoms r :: !rewritings
       | None -> ()
     end
@@ -104,14 +103,14 @@ let rewrite ~views (q : Query.t) =
       let j = Iset.min_elt (Iset.diff full covered) in
       List.iter
         (fun m ->
-          let mset = Iset.of_list m.covered in
-          if Iset.mem j mset && Iset.is_empty (Iset.inter mset covered) then
-            combine (Iset.union covered mset) (m :: chosen))
+          if Iset.mem j m.cover && Iset.disjoint m.cover covered then
+            combine (Iset.union covered m.cover) (m.piece :: chosen))
         mcds
   in
   if n > 0 then combine Iset.empty [];
-  (* Syntactic dedupe on sorted bodies, hash-set backed: first
-     occurrence wins, linear in the number of rewritings. *)
+  (* Syntactic dedupe on sorted bodies, hash-set backed on the queries
+     themselves: first occurrence wins, linear in the number of
+     rewritings. *)
   let normalize (r : Query.t) =
     { r with Query.body = List.sort Atom.compare r.Query.body }
   in
@@ -119,7 +118,7 @@ let rewrite ~views (q : Query.t) =
   let deduped =
     List.filter
       (fun r ->
-        let nkey = Query.to_string (normalize r) in
+        let nkey = normalize r in
         if Hashtbl.mem seen_rewriting nkey then false
         else begin
           Hashtbl.replace seen_rewriting nkey ();

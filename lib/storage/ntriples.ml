@@ -38,12 +38,44 @@ let unescape s =
   go 0;
   Buffer.contents buf
 
+(* Objects carry their type: a string is a plain literal, any other
+   value a literal with a datatype IRI. On import an unmarked literal
+   stays a string, so ["5."] or ["\n6"] come back as they went out. *)
+let xsd = "http://www.w3.org/2001/XMLSchema#"
+let int_type = xsd ^ "integer"
+let float_type = xsd ^ "double"
+let bool_type = xsd ^ "boolean"
+let null_type = "http://www.w3.org/1999/02/22-rdf-syntax-ns#nil"
+
+let render_object (v : Relalg.Value.t) =
+  let typed lexical iri = Printf.sprintf "\"%s\"^^<%s>" lexical iri in
+  match v with
+  | Str s -> Printf.sprintf "\"%s\"" (escape s)
+  | Int i -> typed (string_of_int i) int_type
+  | Float f -> typed (Relalg.Value.float_literal f) float_type
+  | Bool b -> typed (string_of_bool b) bool_type
+  | Null -> typed "" null_type
+
+let typed_object lexical iri : (Relalg.Value.t, string) result =
+  let parsed of_string make =
+    match of_string lexical with
+    | Some x -> Ok (make x)
+    | None -> Error ("bad " ^ iri ^ " literal")
+  in
+  if iri = int_type then parsed int_of_string_opt (fun i -> Relalg.Value.Int i)
+  else if iri = float_type then
+    parsed float_of_string_opt (fun f -> Relalg.Value.Float f)
+  else if iri = bool_type then
+    parsed bool_of_string_opt (fun b -> Relalg.Value.Bool b)
+  else if iri = null_type && lexical = "" then Ok Relalg.Value.Null
+  else Error ("unknown datatype <" ^ iri ^ ">")
+
 let render_line (tr : Triple_store.triple) =
   let prov = tr.Triple_store.prov in
-  Printf.sprintf "<%s> <%s> \"%s\" . # <%s> %d%s"
+  Printf.sprintf "<%s> <%s> %s . # <%s> %d%s"
     (escape tr.Triple_store.subj)
     (escape tr.Triple_store.pred)
-    (escape (Relalg.Value.to_string tr.Triple_store.obj))
+    (render_object tr.Triple_store.obj)
     (escape prov.Provenance.source_url)
     prov.Provenance.timestamp
     (match prov.Provenance.author with None -> "" | Some a -> " " ^ escape a)
@@ -83,7 +115,14 @@ let parse_line line =
   let i = skip_ws line i in
   let* pred, i = delimited line i '<' '>' in
   let i = skip_ws line i in
-  let* obj, i = delimited line i '"' '"' in
+  let* lexical, i = delimited line i '"' '"' in
+  let* obj, i =
+    if i + 1 < String.length line && line.[i] = '^' && line.[i + 1] = '^' then
+      let* iri, i = delimited line (i + 2) '<' '>' in
+      let* obj = typed_object lexical iri in
+      Ok (obj, i)
+    else Ok (Relalg.Value.Str lexical, i)
+  in
   let i = skip_ws line i in
   let* i =
     if i < String.length line && line.[i] = '.' then Ok (i + 1)
@@ -109,11 +148,7 @@ let parse_line line =
         | None -> Error "bad timestamp")
     | [] -> Error "missing timestamp"
   in
-  Ok
-    ( subj,
-      pred,
-      Relalg.Value.of_string obj,
-      Provenance.make ?author ~source_url ~timestamp () )
+  Ok (subj, pred, obj, Provenance.make ?author ~source_url ~timestamp ())
 
 let import text =
   let store = Triple_store.create () in

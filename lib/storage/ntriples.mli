@@ -5,9 +5,13 @@
 
     {v
     <u/alice#person0> <phone> "206-543-1695" . # <http://u/alice> 3 bob
+    <u/alice#person0> <age> "41"^^<http://www.w3.org/2001/XMLSchema#integer> . # <http://u/alice> 3
     v}
 
-    (source URL, timestamp, optional author). *)
+    (source URL, timestamp, optional author). A string object is a plain
+    literal; an int, float or bool carries an XSD datatype IRI
+    ([integer], [double], [boolean]) and a null the IRI [rdf:nil], so
+    every value imports with the type it was exported with. *)
 
 val export : Triple_store.t -> string
 (** One line per triple, deterministic order. *)

@@ -1,4 +1,10 @@
-let magic = "REVERE-SNAP 1\n"
+(* The magic line names the format version. Version 2 payloads escape
+   line breaks and backslashes inside quoted row values, so a version 1
+   payload could read back different bytes: other versions are refused,
+   never parsed. *)
+let version = 2
+let magic_prefix = "REVERE-SNAP "
+let magic = Printf.sprintf "%s%d\n" magic_prefix version
 
 let m_snapshots = Obs.Metrics.counter "pdms.wal.snapshots"
 
@@ -36,7 +42,21 @@ let write ~dir ~seq payload =
   Obs.Metrics.incr m_snapshots;
   path
 
-let load path =
+(* Why a file does not load: [Corrupt] ones are skipped by recovery,
+   [Unsupported] ones stop it. *)
+type failure = Corrupt of string | Unsupported of string
+
+(* The version a [REVERE-SNAP <n>] magic line names, if [s] has one. *)
+let version_of s =
+  if String.starts_with ~prefix:magic_prefix s then
+    match String.index_opt s '\n' with
+    | Some eol ->
+        let start = String.length magic_prefix in
+        int_of_string_opt (String.sub s start (eol - start))
+    | None -> None
+  else None
+
+let decode path =
   let s =
     let ic = open_in_bin path in
     Fun.protect
@@ -45,11 +65,20 @@ let load path =
   in
   let mlen = String.length magic in
   if String.length s < mlen || String.sub s 0 mlen <> magic then
-    Error (path ^ ": not a snapshot file (bad magic line)")
+    match version_of s with
+    | Some v when v <> version ->
+        Error
+          (Unsupported
+             (Printf.sprintf
+                "%s: snapshot format %d is not readable (this build reads \
+                 format %d); re-initialise the data directory"
+                path v version))
+    | Some _ | None ->
+        Error (Corrupt (path ^ ": not a snapshot file (bad magic line)"))
   else
     match Codec.read_frame s mlen with
-    | Codec.End -> Error (path ^ ": empty snapshot")
-    | Codec.Torn why -> Error (path ^ ": " ^ why)
+    | Codec.End -> Error (Corrupt (path ^ ": empty snapshot"))
+    | Codec.Torn why -> Error (Corrupt (path ^ ": " ^ why))
     | Codec.Frame (payload, _) -> (
         match
           let r = Codec.reader payload in
@@ -58,7 +87,10 @@ let load path =
           (seq, body)
         with
         | v -> Ok v
-        | exception Codec.Corrupt why -> Error (path ^ ": " ^ why))
+        | exception Codec.Corrupt why -> Error (Corrupt (path ^ ": " ^ why)))
+
+let load path =
+  Result.map_error (function Corrupt msg | Unsupported msg -> msg) (decode path)
 
 let list ~dir =
   (if Sys.file_exists dir then Sys.readdir dir else [||])
@@ -69,10 +101,15 @@ let list ~dir =
          | None -> None)
   |> List.sort (fun (a, _) (b, _) -> compare b a)
 
-let load_latest ~dir =
+let latest ~dir =
   let rec go = function
-    | [] -> None
+    | [] -> Error "no valid snapshot to recover from"
     | (_, path) :: rest -> (
-        match load path with Ok (seq, payload) -> Some (seq, payload) | Error _ -> go rest)
+        match decode path with
+        | Ok v -> Ok v
+        | Error (Unsupported msg) -> Error msg
+        | Error (Corrupt _) -> go rest)
   in
   go (list ~dir)
+
+let load_latest ~dir = Result.to_option (latest ~dir)

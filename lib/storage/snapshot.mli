@@ -15,20 +15,32 @@
     CRC and a corrupt newest snapshot silently falls back to the next
     older one.
 
+    The magic line names the format version ([REVERE-SNAP 2]). Format 2
+    escapes line breaks and backslashes inside quoted row values, which
+    format 1 wrote verbatim, so a format 1 payload could recover
+    different bytes. A snapshot of any other format is refused with an
+    error naming it, never skipped: recovery does not fall back past
+    it, and a directory written in format 1 must be re-initialised.
+
     Bumps [pdms.wal.snapshots] per snapshot written. *)
 
 val write : dir:string -> seq:int -> string -> string
 (** [write ~dir ~seq payload] checkpoints [payload] as covering WAL
     records [<= seq]; returns the path written. *)
 
-val load_latest : dir:string -> (int * string) option
+val latest : dir:string -> (int * string, string) result
 (** The newest snapshot (by covered sequence) that passes its checksum,
-    as [(seq, payload)]; [None] if the directory holds no valid
-    snapshot. *)
+    as [(seq, payload)]. [Error] if the directory holds no valid
+    snapshot, or if the search meets a snapshot of another format
+    before a valid one. *)
+
+val load_latest : dir:string -> (int * string) option
+(** {!latest} without the reason. *)
 
 val list : dir:string -> (int * string) list
 (** All snapshot files as [(seq, path)], newest first, without
     validating their contents. *)
 
 val load : string -> (int * string, string) result
-(** Decode one snapshot file as [(seq, payload)]. *)
+(** Decode one snapshot file as [(seq, payload)]; a snapshot of another
+    format is an [Error]. *)

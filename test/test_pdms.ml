@@ -1369,7 +1369,11 @@ let gen_roundtrippable_value =
           oneofl
             [ "a | b"; " padded "; "\ttab"; "trailing "; "'quoted'"; "''";
               "mid'quote"; "'"; "null" ];
-          string_size ~gen:(char_range ' ' '~') (int_bound 15) ]
+          (* line breaks and the backslash that escapes them *)
+          oneofl [ "line1\nline2"; "\r\n"; "cr\rhere"; "a\\nb"; "ends\\" ];
+          string_size
+            ~gen:(frequency [ (8, char_range ' ' '~'); (1, oneofl [ '\n'; '\r' ]) ])
+            (int_bound 15) ]
     in
     oneof
       [ map (fun b -> Relalg.Value.Bool b) bool;
@@ -1383,7 +1387,10 @@ let prop_pdms_value_roundtrip =
     (QCheck.make gen_roundtrippable_value
        ~print:(fun v -> P.Pdms_file.render_value v))
     (fun v ->
-      Relalg.Value.equal (P.Pdms_file.parse_value (P.Pdms_file.render_value v)) v)
+      let rendered = P.Pdms_file.render_value v in
+      (* The format is line-oriented: a value must stay on its row. *)
+      (not (String.contains rendered '\n' || String.contains rendered '\r'))
+      && Relalg.Value.equal (P.Pdms_file.parse_value rendered) v)
 
 (* Catalog-level: rows whose values used to be mangled (numeric-looking
    course codes, pipes, padding) must survive render -> parse. *)
@@ -1976,6 +1983,314 @@ let test_placement_greedy_improves () =
   check_b "replicated" true
     (List.length (List.assoc "calendar" placed) >= 2)
 
+(* ------------------------------------------------------------------ *)
+(* Constants of different types: [Str "1"], [Int 1] and [Float 1.] all
+   render as 1 through Value.to_string, but they are different values
+   and no dedupe, memo or cache key may merge them. *)
+
+(* Peer p with relation r(a, b), stored, holding [rows]. *)
+let typed_catalog rows =
+  let catalog = P.Catalog.create () in
+  let p = P.Peer.create ~name:"p" ~schema:[ ("r", [ "a"; "b" ]) ] in
+  P.Catalog.add_peer catalog p;
+  let stored = P.Catalog.store_identity catalog p ~rel:"r" in
+  List.iter (insert stored) rows;
+  (catalog, p)
+
+let cardinality = Relalg.Relation.cardinality
+
+let test_typed_body_dedupe () =
+  let catalog, p = typed_catalog [ [| vs "a"; vs "1" |] ] in
+  let body pred =
+    [ atom pred [ v "X"; Term.str "1" ]; atom pred [ v "X"; Term.int 1 ] ]
+  in
+  let query = q (atom "q" [ v "X" ]) (body "p.r") in
+  let direct = q (atom "q" [ v "X" ]) (body (P.Peer.stored_pred p "r")) in
+  let expected = cardinality (Eval.run (P.Catalog.global_db catalog) direct) in
+  check_i "no row holds both '1' and 1" 0 expected;
+  check_i "answer agrees with direct evaluation" expected
+    (cardinality (P.Answer.answer catalog query).P.Answer.answers)
+
+let test_typed_goal_memo () =
+  (* u.c(X) unfolds into u.d(X, '1') and into u.d(X, 1): two pending
+     goals equal but for a constant's type, both to be expanded. *)
+  let catalog = P.Catalog.create () in
+  let u = P.Peer.create ~name:"u" ~schema:[ ("c", [ "a" ]); ("d", [ "a"; "b" ]) ] in
+  let m = P.Peer.create ~name:"m" ~schema:[ ("s", [ "a"; "b" ]) ] in
+  P.Catalog.add_peer catalog u;
+  P.Catalog.add_peer catalog m;
+  let stored = P.Catalog.store_identity catalog m ~rel:"s" in
+  List.iter (insert stored) [ [| vs "a"; vs "1" |]; [| vs "b"; vi 1 |] ];
+  let define head body =
+    ignore
+      (P.Catalog.add_mapping catalog (P.Peer_mapping.definitional (q head body)))
+  in
+  define (atom "u.c" [ v "X" ]) [ atom "u.d" [ v "X"; Term.str "1" ] ];
+  define (atom "u.c" [ v "X" ]) [ atom "u.d" [ v "X"; Term.int 1 ] ];
+  define (atom "u.d" [ v "X"; v "Y" ]) [ atom "m.s" [ v "X"; v "Y" ] ];
+  let result =
+    P.Answer.answer catalog (q (atom "q" [ v "X" ]) [ atom "u.c" [ v "X" ] ])
+  in
+  check_i "one rewriting per constant" 2
+    (List.length result.P.Answer.outcome.P.Reformulate.rewritings);
+  check_b "a through '1', b through 1" true
+    (P.Answer.answers_list result = [ [ "a" ]; [ "b" ] ])
+
+let test_cache_typed_keys () =
+  let catalog, p = typed_catalog [ [| vs "a"; vs "1" |] ] in
+  let cache = P.Cache.create catalog () in
+  let query c = q (atom "q" [ v "X" ]) [ P.Peer.atom p "r" [ v "X"; c ] ] in
+  check_i "Int query finds nothing" 0
+    (cardinality (P.Cache.answer cache (query (Term.int 1))).P.Answer.answers);
+  check_i "Str query gets its own entry" 1
+    (cardinality (P.Cache.answer cache (query (Term.str "1"))).P.Answer.answers);
+  check_i "two misses" 2 (P.Cache.misses cache);
+  check_i "as a fresh answer" 1
+    (cardinality (P.Answer.answer catalog (query (Term.str "1"))).P.Answer.answers)
+
+let test_view_maintenance_typed_tuples () =
+  let db = Relalg.Database.create () in
+  let r = Relalg.Database.create_relation db "r" [ "a"; "b" ] in
+  List.iter (insert r) [ [| vs "a"; vs "1" |]; [| vs "b"; vi 1 |] ];
+  let vm =
+    P.View_maintenance.create db
+      (q (atom "vw" [ v "Y" ]) [ atom "r" [ v "X"; v "Y" ] ])
+  in
+  check_i "'1' and 1 are two tuples" 2 (P.View_maintenance.cardinality vm)
+
+let test_view_maintenance_typed_derivations () =
+  (* Over (a, '1') and (a, 1), vw(a) has four derivations; deleting
+     (a, '1') must retract the three that use it, each counted once
+     though they differ only in a constant's type. *)
+  let db = Relalg.Database.create () in
+  let r = Relalg.Database.create_relation db "r" [ "a"; "b" ] in
+  List.iter (insert r) [ [| vs "a"; vs "1" |]; [| vs "a"; vi 1 |] ];
+  let view =
+    q (atom "vw" [ v "X" ]) [ atom "r" [ v "X"; v "Y" ]; atom "r" [ v "X"; v "Z" ] ]
+  in
+  let vm = P.View_maintenance.create db view in
+  let delete row =
+    P.View_maintenance.apply vm (P.Updategram.make ~rel:"r" ~deletes:[ row ] ())
+  in
+  delete [| vs "a"; vs "1" |];
+  check_i "(a, 1) still derives a" 1 (P.View_maintenance.cardinality vm);
+  delete [| vs "a"; vi 1 |];
+  check_i "empty relation, empty view" 0 (P.View_maintenance.cardinality vm);
+  check_i "agrees with evaluation" (cardinality (Eval.run db view))
+    (P.View_maintenance.cardinality vm)
+
+let test_propagate_typed_tuples () =
+  let catalog, p = typed_catalog [ [| vs "a"; vs "1" |]; [| vs "b"; vi 1 |] ] in
+  let prop = P.Propagate.create catalog in
+  check_i "'1' and 1 are two tuples" 2
+    (P.Propagate.materialise prop ~name:"typed" ~at:"p"
+       (q (atom "q" [ v "Y" ]) [ P.Peer.atom p "r" [ v "X"; v "Y" ] ]));
+  check_i "and stay two" 2 (P.Propagate.cardinality prop ~name:"typed")
+
+(* A value with a line break must not split its row in the snapshot. *)
+let test_persist_line_break_values () =
+  let catalog, p = typed_catalog [] in
+  let dir = temp_dir () in
+  P.Persist.init ~dir catalog;
+  let t = P.Persist.open_dir_exn dir in
+  let rel = P.Peer.stored_pred p "r" in
+  let row = [| vs "line1\nline2"; vs "cr\rand \\n" |] in
+  P.Persist.apply ~sync:true t (P.Updategram.make ~rel ~inserts:[ row ] ());
+  ignore (P.Persist.snapshot t);
+  P.Persist.close t;
+  match P.Persist.open_dir dir with
+  | Error msg -> Alcotest.fail msg
+  | Ok t' ->
+      let stored = Relalg.Database.find (P.Persist.db t') rel in
+      check_b "the row survives snapshot and reopen" true
+        (Relalg.Relation.tuples stored = [ row ]);
+      P.Persist.close t'
+
+(* A data directory whose snapshot is in format 1 (quoted values
+   unescaped) is refused by name: recovery and fsck both fail rather
+   than read it with format 2's escapes. *)
+let test_persist_refuses_format_1 () =
+  let catalog, _ = typed_catalog [ [| vs "'a\\nb'"; vs "1" |] ] in
+  let dir = temp_dir () in
+  P.Persist.init ~dir catalog;
+  let snap = Filename.concat dir "snapshot-0.snap" in
+  let s = read_file snap in
+  let magic = "REVERE-SNAP 2\n" in
+  check_b "written as format 2" true
+    (String.sub s 0 (String.length magic) = magic);
+  write_file snap
+    ("REVERE-SNAP 1\n"
+    ^ String.sub s (String.length magic) (String.length s - String.length magic));
+  let contains s sub =
+    let n = String.length sub in
+    let rec go i =
+      i + n <= String.length s && (String.sub s i n = sub || go (i + 1))
+    in
+    go 0
+  in
+  (match P.Persist.open_dir dir with
+  | Ok _ -> Alcotest.fail "a format 1 directory must not recover"
+  | Error msg ->
+      check_b ("open_dir names the format: " ^ msg) true
+        (contains msg "snapshot format 1"));
+  let r = P.Persist.fsck dir in
+  check_b "fsck fails" false (P.Persist.fsck_ok r);
+  check_b "fsck names the format" true
+    (List.exists (fun e -> contains e "snapshot format 1") r.P.Persist.errors)
+
+(* ------------------------------------------------------------------ *)
+(* Reformulation output pinned byte for byte: every rewriting's
+   rendering in order, then the stats line, digested per catalog. The
+   relevance filter, the catalog's rule index and the structural dedupe
+   keys only skip work, so these digests must never move with them. *)
+
+let reformulation_digest catalog queries =
+  let b = Buffer.create 4096 in
+  List.iter
+    (fun query ->
+      let o = P.Reformulate.reformulate catalog query in
+      List.iter
+        (fun r ->
+          Buffer.add_string b (Query.to_string r);
+          Buffer.add_char b '\n')
+        o.P.Reformulate.rewritings;
+      Buffer.add_string b
+        (Format.asprintf "%a\n" P.Reformulate.pp_stats o.P.Reformulate.stats))
+    queries;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let generated_join_catalog kind ~graph_seed ~n =
+  let topology = P.Topology.generate ~prng:(Util.Prng.create graph_seed) kind ~n in
+  let g =
+    Workload.Peers_gen.generate (Util.Prng.create 7) ~topology ~tuples_per_peer:4
+      ~with_join:true ()
+  in
+  ( g.Workload.Peers_gen.catalog,
+    List.init n (fun at -> Workload.Peers_gen.join_query g ~at) )
+
+let test_reformulation_identity () =
+  let d =
+    Workload.University.build_delearning (Util.Prng.create 7) ~courses_per_peer:2
+  in
+  let university_queries =
+    List.concat_map
+      (fun (_, peer) ->
+        [ Workload.University.course_query peer;
+          Workload.University.course_instructor_query peer ])
+      d.Workload.University.peers
+  in
+  let check name (catalog, queries) digest =
+    Alcotest.(check string) name digest (reformulation_digest catalog queries)
+  in
+  check "six universities" (d.Workload.University.catalog, university_queries)
+    "3879196f4bb84a75baac95ceca0ce742";
+  check "Mesh-1, 10 peers"
+    (generated_join_catalog (P.Topology.Mesh 1) ~graph_seed:1101 ~n:10)
+    "dc13f4ee2c5eb22cd111aafc3e30cc36";
+  check "binary tree, 12 peers"
+    (generated_join_catalog P.Topology.Binary_tree ~graph_seed:1102 ~n:12)
+    "6ff37c3611e0eed12f28fcf08b702d9d"
+
+(* The catalog's rule index and view list, derived from scratch: GAV
+   rules (oldest mapping first) and LAV views (storage descriptions
+   newest first, then each mapping's, oldest mapping first and the
+   reversed direction before the forward one). The reference for the
+   incrementally maintained artifacts. *)
+let reference_artifacts ~storage ~mappings =
+  let pred id rev = Printf.sprintf "~map%d%s" id (if rev then "r" else "") in
+  let retarget pred (r : Query.t) =
+    { r with Query.head = { r.Query.head with Atom.pred } }
+  in
+  let of_mapping (id, mapping) =
+    match mapping with
+    | P.Peer_mapping.Definitional rule ->
+        ([ (rule.Query.head.Atom.pred, (Some id, rule)) ], [])
+    | P.Peer_mapping.Glav g ->
+        let directions =
+          (false, g)
+          ::
+          (match (g.Rewrite.Glav.kind, Rewrite.Glav.reversed g) with
+          | Rewrite.Glav.Equality, Some rg -> [ (true, rg) ]
+          | _ -> [])
+        in
+        let artifact rev side = (Some id, retarget (pred id rev) side) in
+        ( List.map
+            (fun (rev, g) -> (pred id rev, artifact rev g.Rewrite.Glav.lhs))
+            directions,
+          List.rev_map (fun (rev, g) -> artifact rev g.Rewrite.Glav.rhs) directions )
+  in
+  let parts = List.map of_mapping mappings in
+  ( List.concat_map fst parts,
+    List.map (fun d -> (None, d.P.Storage_desc.view)) storage
+    @ List.concat_map snd parts )
+
+let gen_catalog_ops =
+  QCheck.Gen.(
+    list_size (int_bound 24)
+      (quad (int_bound 3) (int_bound 3) (int_bound 3) (oneofl [ "a"; "b" ])))
+
+let prop_catalog_incremental_matches_rebuild =
+  QCheck.Test.make ~name:"incremental rules and views = from-scratch derivation"
+    ~count:200
+    (QCheck.make gen_catalog_ops)
+    (fun ops ->
+      let catalog = P.Catalog.create () in
+      let peers =
+        Array.init 4 (fun i ->
+            let peer =
+              P.Peer.create ~name:(Printf.sprintf "p%d" i)
+                ~schema:[ ("a", [ "x"; "y" ]); ("b", [ "x"; "y" ]) ]
+            in
+            P.Catalog.add_peer catalog peer;
+            peer)
+      in
+      let side peer rel =
+        q (atom "m" [ v "X"; v "Y" ]) [ P.Peer.atom peer rel [ v "X"; v "Y" ] ]
+      in
+      (* Storage descriptions newest first, as the reference wants. *)
+      let storage = ref [] in
+      List.iter
+        (fun (op, i, j, rel) ->
+          let pi = peers.(i) and pj = peers.(j) in
+          match op with
+          | 0 ->
+              ignore (P.Catalog.store_identity catalog pi ~rel);
+              storage := P.Storage_desc.identity pi ~rel :: !storage
+          | 1 ->
+              ignore
+                (P.Catalog.add_mapping catalog
+                   (P.Peer_mapping.equality ~lhs:(side pi rel) ~rhs:(side pj rel)))
+          | 2 ->
+              ignore
+                (P.Catalog.add_mapping catalog
+                   (P.Peer_mapping.inclusion ~lhs:(side pi rel) ~rhs:(side pj "a")))
+          | _ ->
+              ignore
+                (P.Catalog.add_mapping catalog
+                   (P.Peer_mapping.definitional
+                      (q (P.Peer.atom pj rel [ v "X"; v "Y" ])
+                         [ P.Peer.atom pi "b" [ v "X"; v "Y" ] ]))))
+        ops;
+      let rules, views =
+        reference_artifacts ~storage:!storage ~mappings:(P.Catalog.mappings catalog)
+      in
+      let preds =
+        "nowhere"
+        :: List.map fst rules
+        @ List.concat_map
+            (fun peer -> [ P.Peer.name peer ^ ".a"; P.Peer.name peer ^ ".b" ])
+            (Array.to_list peers)
+      in
+      P.Catalog.views catalog = views
+      && List.for_all
+           (fun pred ->
+             let expected =
+               List.filter_map (fun (p, r) -> if p = pred then Some r else None) rules
+             in
+             P.Catalog.rules_for catalog pred = expected
+             && P.Catalog.has_rules catalog pred = (expected <> []))
+           preds)
+
 let () =
   let qc = List.map QCheck_alcotest.to_alcotest in
   Alcotest.run "pdms"
@@ -1994,7 +2309,14 @@ let () =
          Alcotest.test_case "no-pruning agrees" `Quick test_no_pruning_terminates_and_agrees;
          Alcotest.test_case "projection mapping" `Quick test_projection_mapping;
          Alcotest.test_case "storage description selection" `Quick
-           test_storage_description_selection ]);
+           test_storage_description_selection;
+         Alcotest.test_case "body dedupe keeps constant types" `Quick
+           test_typed_body_dedupe;
+         Alcotest.test_case "goal memo keeps constant types" `Quick
+           test_typed_goal_memo;
+         Alcotest.test_case "rewritings pinned on three catalogs" `Quick
+           test_reformulation_identity ]);
+      ("catalog", qc [ prop_catalog_incremental_matches_rebuild ]);
       ("topology",
        [ Alcotest.test_case "shapes" `Quick test_topology_shapes ]);
       ("network",
@@ -2009,7 +2331,11 @@ let () =
          Alcotest.test_case "compose" `Quick test_updategram_compose ]
        @ qc [ prop_updategram_log_replay ]);
       ("view-maintenance",
-       [ Alcotest.test_case "basic" `Quick test_view_maintenance_basic ]
+       [ Alcotest.test_case "basic" `Quick test_view_maintenance_basic;
+         Alcotest.test_case "constant types kept apart" `Quick
+           test_view_maintenance_typed_tuples;
+         Alcotest.test_case "derivations keep constant types" `Quick
+           test_view_maintenance_typed_derivations ]
        @ qc [ prop_view_maintenance_matches_recompute ]);
       ("keyword",
        [ Alcotest.test_case "cross-peer search" `Quick test_keyword_search;
@@ -2043,7 +2369,9 @@ let () =
          Alcotest.test_case "invalidate exact" `Quick
            test_cache_invalidate_exact;
          Alcotest.test_case "delta probe keeps unaffected entries" `Quick
-           test_cache_delta_probe ]
+           test_cache_delta_probe;
+         Alcotest.test_case "constant types get separate entries" `Quick
+           test_cache_typed_keys ]
        @ qc [ prop_cache_lru_reference_model ]);
       ("datalog-reference",
        [ Alcotest.test_case "inclusion chain agreement" `Quick
@@ -2060,14 +2388,20 @@ let () =
          Alcotest.test_case "fsck detects damage" `Quick
            test_persist_fsck_detects_damage;
          Alcotest.test_case "kill-point sweep" `Quick
-           test_persist_kill_point_sweep ]
+           test_persist_kill_point_sweep;
+         Alcotest.test_case "line breaks in values" `Quick
+           test_persist_line_break_values;
+         Alcotest.test_case "persist refuses format 1" `Quick
+           test_persist_refuses_format_1 ]
        @ qc [ prop_persist_crash_recovery ]);
       ("propagate",
        [ Alcotest.test_case "remote replica" `Quick test_propagate_to_remote_replica;
          Alcotest.test_case "multiple replicas" `Quick
            test_propagate_multiple_replicas_consistent;
          Alcotest.test_case "lag and reconcile" `Quick
-           test_propagate_lag_and_reconcile ]);
+           test_propagate_lag_and_reconcile;
+         Alcotest.test_case "constant types kept apart" `Quick
+           test_propagate_typed_tuples ]);
       ("placement",
        [ Alcotest.test_case "greedy improves" `Quick test_placement_greedy_improves ]);
       ("parallel",

@@ -277,6 +277,66 @@ let prop_minicon_complete_with_identity_views =
       let got = union_answers (view_db db views) rewritings in
       got = expected)
 
+(* Constants of different types render alike through Value.to_string
+   ([Str "1"] and [Int 1] are both 1) but are different values: MCDs,
+   and the rewritings built from them, that differ only in a constant's
+   type must all survive MiniCon's dedupes. *)
+let test_minicon_keeps_constant_types () =
+  let view =
+    q (atom "w" [ v "A" ])
+      [ atom "r" [ v "A"; s "1" ]; atom "r" [ v "A"; Term.int 1 ] ]
+  in
+  let query = q (atom "q" [ v "X"; v "Y" ]) [ atom "r" [ v "X"; v "Y" ] ] in
+  let rewritings, stats = Minicon.rewrite ~views:[ view ] query in
+  check_i "one MCD per view atom" 2 stats.Minicon.mcds_formed;
+  check_i "one rewriting per constant" 2 stats.Minicon.rewritings_produced;
+  let heads =
+    List.map (fun (r : Query.t) -> List.nth r.Query.head.Atom.args 1) rewritings
+  in
+  check_b "Y bound to '1' and to 1" true
+    (List.sort Term.compare heads = List.sort Term.compare [ s "1"; Term.int 1 ])
+
+(* A view sharing no predicate with the query forms no MCD, so adding
+   such views changes nothing: not the rewritings, their fresh names or
+   their order, and not the stats. *)
+let prop_minicon_ignores_unrelated_views =
+  QCheck.Test.make ~name:"views over other predicates change nothing" ~count:100
+    (QCheck.make QCheck.Gen.(int_bound 100_000) ~print:string_of_int)
+    (fun seed ->
+      let prng = Util.Prng.create seed in
+      let pool = [| "A"; "B"; "C" |] in
+      let rand_var () = v (Util.Prng.pick_arr prng pool) in
+      let rand_view name preds =
+        let body =
+          List.init (1 + Util.Prng.int prng 2) (fun _ ->
+              atom (Util.Prng.pick_arr prng preds) [ rand_var (); rand_var () ])
+        in
+        q (atom name (List.map v (List.concat_map Atom.vars body))) body
+      in
+      let views =
+        List.init 3 (fun k -> rand_view (Printf.sprintf "w%d" k) [| "r"; "s" |])
+      in
+      let unrelated =
+        List.init 3 (fun k -> rand_view (Printf.sprintf "u%d" k) [| "t"; "u" |])
+      in
+      (* Unrelated views before, between and after the others, so every
+         related view sits at a different position than alone. *)
+      let mixed =
+        List.concat (List.map2 (fun u w -> [ u; w ]) unrelated views) @ unrelated
+      in
+      let body =
+        List.init (1 + Util.Prng.int prng 3) (fun _ ->
+            atom (if Util.Prng.bool prng then "r" else "s")
+              [ v (Util.Prng.pick_arr prng [| "X"; "Y"; "Z" |]);
+                v (Util.Prng.pick_arr prng [| "X"; "Y"; "Z" |]) ])
+      in
+      let query =
+        q (atom "q" [ v (List.hd (List.concat_map Atom.vars body)) ]) body
+      in
+      let render (rs, st) = (List.map Query.to_string rs, st) in
+      render (Minicon.rewrite ~views query)
+      = render (Minicon.rewrite ~views:mixed query))
+
 (* ------------------------------------------------------------------ *)
 (* Glav *)
 
@@ -312,7 +372,10 @@ let () =
            test_minicon_distinguished_head_var_required;
          Alcotest.test_case "constant in query" `Quick test_minicon_constant_in_query;
          Alcotest.test_case "constant in view" `Quick test_minicon_constant_in_view;
-         Alcotest.test_case "multiple rewritings" `Quick test_minicon_multiple_rewritings ]);
+         Alcotest.test_case "multiple rewritings" `Quick
+           test_minicon_multiple_rewritings;
+         Alcotest.test_case "constant types kept apart" `Quick
+           test_minicon_keeps_constant_types ]);
       ("bucket",
        [ Alcotest.test_case "agrees on simple case" `Quick test_bucket_agrees_on_simple_case;
          Alcotest.test_case "rejects invalid combos" `Quick
@@ -324,4 +387,5 @@ let () =
       ("properties",
        qc
          [ prop_minicon_sound_random; prop_minicon_bucket_equivalent;
-           prop_minicon_complete_with_identity_views ]) ]
+           prop_minicon_complete_with_identity_views;
+           prop_minicon_ignores_unrelated_views ]) ]

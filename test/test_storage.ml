@@ -138,6 +138,46 @@ let test_ntriples_roundtrip () =
       check_i "timestamp" 9 tr.Storage.Triple_store.prov.Storage.Provenance.timestamp
   | _ -> Alcotest.fail "tricky triple lost")
 
+(* Objects keep their type: a string is a plain literal, anything else
+   carries a datatype IRI, so numeric-looking strings stay strings. *)
+let test_ntriples_typed_objects () =
+  let objects =
+    Relalg.Value.
+      [ Str "5."; Str "\n6"; Int 5; Float 5.; Float 0.1; Bool true; Null ]
+  in
+  let t = Storage.Triple_store.create () in
+  List.iteri
+    (fun i obj ->
+      Storage.Triple_store.add t ~subj:(Printf.sprintf "s%d" i) ~pred:"p" ~obj
+        ~prov:(prov "http://x" 1))
+    objects;
+  let text = Storage.Ntriples.export t in
+  let xsd = "http://www.w3.org/2001/XMLSchema#" in
+  Alcotest.(check string)
+    "rendering"
+    (String.concat ""
+       [ "<s0> <p> \"5.\" . # <http://x> 1\n";
+         "<s1> <p> \"\\n6\" . # <http://x> 1\n";
+         "<s2> <p> \"5\"^^<" ^ xsd ^ "integer> . # <http://x> 1\n";
+         "<s3> <p> \"5.0\"^^<" ^ xsd ^ "double> . # <http://x> 1\n";
+         "<s4> <p> \"0.1\"^^<" ^ xsd ^ "double> . # <http://x> 1\n";
+         "<s5> <p> \"true\"^^<" ^ xsd ^ "boolean> . # <http://x> 1\n";
+         "<s6> <p> \"\"^^<http://www.w3.org/1999/02/22-rdf-syntax-ns#nil> . # \
+          <http://x> 1\n" ])
+    text;
+  let t' = Storage.Ntriples.import_exn text in
+  List.iteri
+    (fun i obj ->
+      match Storage.Triple_store.select ~subj:(Printf.sprintf "s%d" i) t' with
+      | [ tr ] ->
+          check_b (Relalg.Value.to_string obj) true
+            (Relalg.Value.compare tr.Storage.Triple_store.obj obj = 0)
+      | _ -> Alcotest.fail "triple lost")
+    objects;
+  check_b "unknown datatype rejected" true
+    (Result.is_error
+       (Storage.Ntriples.import "<s> <p> \"1\"^^<http://x/nope> . # <http://x> 1"))
+
 let test_ntriples_import_errors () =
   check_b "garbage rejected" true
     (Result.is_error (Storage.Ntriples.import "not a triple"));
@@ -443,7 +483,7 @@ let test_snapshot_roundtrip_and_fallback () =
   | _ -> Alcotest.fail "latest should be seq 7");
   (* Corrupt the newest: recovery falls back to the next older one. *)
   let oc = open_out_gen [ Open_wronly; Open_binary ] 0 p2 in
-  seek_out oc (String.length "REVERE-SNAP 1\n" + 9);
+  seek_out oc (String.length "REVERE-SNAP 2\n" + 9);
   output_string oc "XXXX";
   close_out oc;
   (match Storage.Snapshot.load_latest ~dir with
@@ -455,6 +495,48 @@ let test_snapshot_roundtrip_and_fallback () =
   match Storage.Snapshot.load_latest ~dir with
   | Some (3, _) -> ()
   | _ -> Alcotest.fail "torn newest must fall back"
+
+(* A snapshot of another format is refused by name: recovery must not
+   skip it and fall back to an older snapshot, since a format 1 payload
+   can read back different bytes. *)
+let read_file path =
+  let ic = open_in_bin path in
+  Fun.protect
+    ~finally:(fun () -> close_in_noerr ic)
+    (fun () -> really_input_string ic (in_channel_length ic))
+
+let contains s sub =
+  let n = String.length sub in
+  let rec go i =
+    i + n <= String.length s && (String.sub s i n = sub || go (i + 1))
+  in
+  go 0
+
+let test_snapshot_refuses_other_formats () =
+  let dir = temp_dir () in
+  ignore (Storage.Snapshot.write ~dir ~seq:3 "state at three");
+  let p7 = Storage.Snapshot.write ~dir ~seq:7 "state at seven" in
+  let s = read_file p7 in
+  let magic = "REVERE-SNAP 2\n" in
+  check_b "written as format 2" true
+    (String.sub s 0 (String.length magic) = magic);
+  let oc = open_out_bin p7 in
+  output_string oc
+    ("REVERE-SNAP 1\n"
+    ^ String.sub s (String.length magic) (String.length s - String.length magic));
+  close_out oc;
+  let names_format_1 msg =
+    check_b ("error names the format: " ^ msg) true
+      (contains msg "snapshot format 1")
+  in
+  (match Storage.Snapshot.load p7 with
+  | Ok _ -> Alcotest.fail "a format 1 snapshot must not load"
+  | Error msg -> names_format_1 msg);
+  (match Storage.Snapshot.latest ~dir with
+  | Ok _ -> Alcotest.fail "recovery must not fall back past format 1"
+  | Error msg -> names_format_1 msg);
+  check_b "load_latest finds nothing" true
+    (Storage.Snapshot.load_latest ~dir = None)
 
 (* Property: N-Triples export/import round-trips arbitrary strings —
    the '>' and '\r' escaping regression. *)
@@ -568,7 +650,8 @@ let () =
       ("provenance", [ Alcotest.test_case "scope" `Quick test_provenance_scope ]);
       ("ntriples",
        [ Alcotest.test_case "roundtrip" `Quick test_ntriples_roundtrip;
-         Alcotest.test_case "import errors" `Quick test_ntriples_import_errors ]);
+         Alcotest.test_case "import errors" `Quick test_ntriples_import_errors;
+         Alcotest.test_case "typed objects" `Quick test_ntriples_typed_objects ]);
       ("properties",
        List.map QCheck_alcotest.to_alcotest
          [ prop_bgp_reference; prop_codec_delta_roundtrip;
@@ -585,7 +668,9 @@ let () =
          Alcotest.test_case "reserve" `Quick test_wal_reserve ]);
       ("snapshot",
        [ Alcotest.test_case "round-trip and fallback" `Quick
-           test_snapshot_roundtrip_and_fallback ]);
+           test_snapshot_roundtrip_and_fallback;
+         Alcotest.test_case "snapshot refuses other formats" `Quick
+           test_snapshot_refuses_other_formats ]);
       ("relation_store",
        [ Alcotest.test_case "log and events" `Quick test_relation_store_log_and_events;
          Alcotest.test_case "declare conflict" `Quick test_relation_store_declare_conflict;
