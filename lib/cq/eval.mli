@@ -1,39 +1,28 @@
 (** Evaluation of conjunctive queries over a database.
 
-    The evaluator performs index-assisted nested-loop joins with a
-    greedy, statistics-aware atom ordering: each step picks the atom
-    with the lowest estimated extension count (cardinality scaled by
-    1/distinct for every bound position, via the {!Relalg.Stats}
-    cache). Missing relations are treated as empty (a PDMS peer may
-    reference relations it stores no data for); an atom whose arity
-    disagrees with its stored relation also yields no bindings, and
-    bumps the [cq.eval.arity_mismatch] counter so the schema bug shows
-    up in metrics instead of vanishing as an empty answer. *)
+    Each query runs as a one-path {!Plan}: its body is ordered greedily
+    by estimated extension count (cardinality scaled by 1/distinct for
+    every bound position, via the {!Relalg.Stats} cache), compiled into
+    slot instructions, and joined by index-assisted nested loops over
+    one mutable environment. Missing relations are treated as empty (a
+    PDMS peer may reference relations it stores no data for); an atom
+    whose arity disagrees with its stored relation also yields no
+    bindings, and bumps the [cq.eval.arity_mismatch] counter so the
+    schema bug shows up in metrics instead of vanishing as an empty
+    answer. *)
 
 module Smap : Map.S with type key = string
 
 type binding = Relalg.Value.t Smap.t
 
-val resolve : binding -> Term.t -> Relalg.Value.t option
-(** The value a term denotes under a binding: [Some] for constants and
-    bound variables, [None] for unbound variables. *)
-
-val order_atoms : Relalg.Database.t -> Query.t -> Atom.t list
-(** The greedy stats-aware join order the evaluator would use for the
-    query's body — deterministic (ties break towards more bound
-    positions, then body order). Exposed for {!Plan}. *)
-
-val match_atom : Relalg.Database.t -> binding -> Atom.t -> binding list
-(** All extensions of one binding across one atom, in the relation's
-    candidate order. Exposed for {!Plan}'s trie walk. *)
-
 val run_bindings : Relalg.Database.t -> Query.t -> binding list
-(** All satisfying assignments of the body variables. *)
+(** All satisfying assignments of the body variables, in evaluation
+    order. *)
 
 val add_distinct : Relalg.Relation.t -> Relalg.Relation.tuple -> unit
 (** Set-semantics append into a dedup accumulator: a {!Relalg.Relation.mem}
     guard in front of a singleton {!Relalg.Relation.apply}. Exposed for
-    {!Plan} and the layers merging sharded partial answers. *)
+    the layers merging sharded partial answers. *)
 
 val run : Relalg.Database.t -> Query.t -> Relalg.Relation.t
 (** Distinct head tuples. Raises [Invalid_argument] on unsafe queries. *)

@@ -1,15 +1,20 @@
-(* Prefix-trie batch evaluation of a rewriting union. See plan.mli for
-   the contract; the shape notes that matter for correctness:
+(* Prefix-trie evaluation of conjunctive queries, one query or a whole
+   rewriting union. See plan.mli for the contract; the shape notes that
+   matter for correctness:
 
    - Every query is exactly one root-to-leaf path (its stats-ordered,
      alpha-normalised body), so each query lives entirely under one
      top-level branch. Sharding the walk across branches therefore
      partitions the queries, and per-branch results merged in branch
      order reproduce the sequential outcome for any [jobs].
-   - Per-query pre-dedup counts are binding counts at the query's emit
-     node, which equal |Eval.run_bindings q| because both use the same
-     [Eval.order_atoms] order and counting is invariant under the
-     alpha-renaming. *)
+   - Alpha-normalisation numbers variables by first occurrence along
+     the path, and variable [p<i>] lives in slot [i] of the walk's
+     environment. So the slots bound above a node are fixed by its path
+     (exactly [0 .. n - 1] for some [n]), and each atom compiles once,
+     at build, into instructions over slots.
+   - Per-query pre-dedup counts are assignment counts at the query's
+     emit point; a single query evaluated alone ({!of_query}) is a
+     one-path plan, so the counts agree by construction. *)
 
 let m_builds = Obs.Metrics.counter "cq.plan.builds"
 let m_nodes = Obs.Metrics.counter "cq.plan.nodes"
@@ -18,16 +23,167 @@ let m_reused = Obs.Metrics.counter "cq.plan.bindings_reused"
 let m_duplicates = Obs.Metrics.counter "cq.plan.duplicate_queries"
 let h_depth = Obs.Metrics.histogram "cq.plan.depth"
 
-type emit = { query : int; head : Term.t array }
+(* An atom whose arity disagrees with its stored relation matches
+   nothing; the counter makes that schema bug visible in any metrics
+   dump rather than only as an empty answer. Bumped once per visit of
+   the atom, like the other cq.* counters — the global Metrics switch
+   gates the cost. *)
+let m_arity_mismatch = Obs.Metrics.counter "cq.eval.arity_mismatch"
+
+(* Greedy stats-aware join order: repeatedly pick the atom with the
+   lowest estimated extension count — relation cardinality scaled by
+   the selectivity (1/distinct) of every already-determined position —
+   breaking ties towards more bound positions and then towards the
+   earlier atom, so the order is deterministic. Statistics come from
+   the per-[(uid, version)] cache in {!Relalg.Stats}, so repeated
+   planning over an unchanged database never rescans a relation.
+
+   This runs once per rewriting of a union (thousands of times per
+   answered query), so it works over dense arrays: variables are
+   interned into slots by linear scan (bodies are small), boundness is
+   a [bool array] read, and per-atom statistics are resolved exactly
+   once up front. *)
+let order_atoms db (q : Query.t) =
+  match q.Query.body with
+  | ([] | [ _ ]) as body -> body
+  | body ->
+      let atoms = Array.of_list body in
+      let n = Array.length atoms in
+      (* Intern variables into dense slots; constants map to -1 (always
+         determined). *)
+      let var_names = ref (Array.make 8 "") in
+      let nvars = ref 0 in
+      let slot x =
+        let names = !var_names in
+        let rec find i =
+          if i >= !nvars then begin
+            if !nvars >= Array.length names then begin
+              let bigger = Array.make (2 * Array.length names) "" in
+              Array.blit names 0 bigger 0 !nvars;
+              var_names := bigger
+            end;
+            !var_names.(!nvars) <- x;
+            Stdlib.incr nvars;
+            !nvars - 1
+          end
+          else if String.equal names.(i) x then i
+          else find (i + 1)
+        in
+        find 0
+      in
+      let arg_slots =
+        Array.map
+          (fun (a : Atom.t) ->
+            Array.of_list
+              (List.map
+                 (function Term.Const _ -> -1 | Term.Var x -> slot x)
+                 a.Atom.args))
+          atoms
+      in
+      let stats =
+        Array.map
+          (fun (a : Atom.t) ->
+            Option.map Relalg.Stats.of_relation
+              (Relalg.Database.find_opt db a.Atom.pred))
+          atoms
+      in
+      let bound = Array.make (max 1 !nvars) false in
+      let used = Array.make n false in
+      let order = Array.make n 0 in
+      for round = 0 to n - 1 do
+        let best = ref (-1) in
+        let best_est = ref infinity in
+        let best_bound = ref (-1) in
+        for i = 0 to n - 1 do
+          if not used.(i) then begin
+            let slots = arg_slots.(i) in
+            let bcount = ref 0 in
+            let est =
+              match stats.(i) with
+              | None ->
+                  (* Missing relation: empty, cheapest possible — but
+                     still count determined positions for the tie. *)
+                  Array.iter
+                    (fun s -> if s < 0 || bound.(s) then Stdlib.incr bcount)
+                    slots;
+                  0.0
+              | Some st ->
+                  let est = ref (float_of_int st.Relalg.Stats.cardinality) in
+                  Array.iteri
+                    (fun j s ->
+                      if s < 0 || bound.(s) then begin
+                        Stdlib.incr bcount;
+                        est := !est *. Relalg.Stats.selectivity st j
+                      end)
+                    slots;
+                  !est
+            in
+            (* Lower estimate wins; ties fall to higher boundness, then
+               to the earlier atom (strict [<] / [>] keeps the first
+               minimum). *)
+            if est < !best_est || (est = !best_est && !bcount > !best_bound)
+            then begin
+              best := i;
+              best_est := est;
+              best_bound := !bcount
+            end
+          end
+        done;
+        let i = !best in
+        used.(i) <- true;
+        order.(round) <- i;
+        Array.iter (fun s -> if s >= 0 then bound.(s) <- true) arg_slots.(i)
+      done;
+      List.init n (fun round -> atoms.(order.(round)))
+
+let head_schema (q : Query.t) =
+  let seen = Hashtbl.create 8 in
+  let attrs =
+    List.mapi
+      (fun i t ->
+        match t with
+        | Term.Var x when not (Hashtbl.mem seen x) ->
+            Hashtbl.replace seen x ();
+            x
+        | Term.Var _ | Term.Const _ -> Printf.sprintf "col%d" i)
+      q.Query.head.Atom.args
+  in
+  Relalg.Schema.make q.Query.head.Atom.pred attrs
+
+let add_distinct out row =
+  if not (Relalg.Relation.mem out row) then
+    Relalg.Relation.apply out (Relalg.Relation.Delta.add row)
+
+(* One argument position of a compiled atom. *)
+type arg =
+  | Const of Relalg.Value.t  (* filter: the column equals the constant *)
+  | Bound of int  (* filter: the column equals a slot bound above *)
+  | Bind of int  (* first occurrence: write the column into the slot *)
+  | Same of int  (* repeat within this atom: the column equals the slot *)
+
+type head_term =
+  | Slot of int
+  | Value of Relalg.Value.t
+  | Unbound of string  (* a head variable the body never binds: the error *)
+
+type emit = {
+  query : int;
+  head : head_term array;
+  vars : string array;  (* the query's own variable names, by slot *)
+}
 
 type node = {
-  atom : Atom.t;
+  id : int;  (* dense over the trie's atom nodes; the root is -1 *)
+  pred : string;
+  args : arg array;
+  probe : int array;  (* the [Const] and [Bound] columns, ascending *)
+  bound : int;  (* slots bound once this node's atom matched *)
   depth : int;
   children_by_key : (Atom.t, node) Hashtbl.t;
       (* keyed on the alpha-normalised atom itself (structural hash and
          equality) — rendering string keys dominated build time *)
-  mutable children : node list;  (* reverse insertion order until [build] finalises *)
-  mutable emits : emit list;  (* reverse insertion order until [build] finalises *)
+  mutable children : node list;  (* reverse insertion order until [compile] finalises *)
+  mutable emits : emit list;  (* reverse insertion order until [compile] finalises *)
   mutable through : int;  (* queries whose path passes through this node *)
 }
 
@@ -43,6 +199,7 @@ type t = {
   queries : Query.t array;
   root : node;  (* pseudo-node: children are the top-level branches,
                    emits are the empty-body queries *)
+  slots : int;  (* environment size: the most variables of any query *)
   stats : build_stats;
 }
 
@@ -55,9 +212,19 @@ let stats t = t.stats
 let canon_names = Array.init 256 (fun i -> "p" ^ string_of_int i)
 let canon_name i = if i < 256 then canon_names.(i) else "p" ^ string_of_int i
 
-let mk_node atom depth =
+let mk_node ~id ~depth ~bound pred args =
+  let probe = ref [] in
+  for col = Array.length args - 1 downto 0 do
+    match args.(col) with
+    | Const _ | Bound _ -> probe := col :: !probe
+    | Bind _ | Same _ -> ()
+  done;
   {
-    atom;
+    id;
+    pred;
+    args;
+    probe = Array.of_list !probe;
+    bound;
     depth;
     children_by_key = Hashtbl.create 4;
     children = [];
@@ -65,19 +232,52 @@ let mk_node atom depth =
     through = 0;
   }
 
-let head_equal a b =
-  Array.length a = Array.length b && Array.for_all2 Term.equal a b
+(* Compile [atom] (whose variables [slot_of] numbers) below a node that
+   bound slots [0 .. bound - 1]; also returns the slots bound after it.
+   This atom's first occurrences are the next slots in column order, so
+   a variable numbered past the ones it has bound so far is new here,
+   and any other is a repeat. *)
+let compile_atom ~bound slot_of (atom : Atom.t) =
+  let next = ref bound in
+  let args =
+    Array.of_list
+      (List.map
+         (function
+           | Term.Const v -> Const v
+           | Term.Var x ->
+               let s = slot_of x in
+               if s < bound then Bound s
+               else if s = !next then begin
+                 incr next;
+                 Bind s
+               end
+               else Same s)
+         atom.Atom.args)
+  in
+  (args, !next)
 
-let build ?(trace = Obs.Trace.null) db qs =
-  Obs.Trace.span trace "plan" @@ fun () ->
+let head_term_equal a b =
+  match (a, b) with
+  | Slot i, Slot j -> i = j
+  | Value u, Value v -> Relalg.Value.equal u v
+  | Unbound x, Unbound y -> String.equal x y
+  | (Slot _ | Value _ | Unbound _), _ -> false
+
+let head_equal a b =
+  Array.length a = Array.length b && Array.for_all2 head_term_equal a b
+
+(* Fold the queries into a trie; records no metrics. [caller] names the
+   entry point in the error an unsafe head raises. *)
+let compile ~caller db qs =
   let queries = Array.of_list qs in
-  let root = mk_node (Atom.make "" []) 0 in
+  let root = mk_node ~id:(-1) ~depth:0 ~bound:0 "" [||] in
   let nodes = ref 0 in
+  let slots = ref 0 in
   let max_depth = ref 0 in
   let duplicates = ref 0 in
   Array.iteri
     (fun qi q ->
-      let ordered = Eval.order_atoms db q in
+      let ordered = order_atoms db q in
       (* Alpha-normalise over the ordered body: variables renamed by
          first occurrence, so alpha-equivalent prefixes hash to the
          same trie children and collapse onto one path. The mapping is
@@ -110,42 +310,53 @@ let build ?(trace = Obs.Trace.null) db qs =
               Term.Var (canon_name (!nvars - 1))
             end
       in
-      let catoms = List.map (Atom.map_terms canon_term) ordered in
+      let catoms =
+        List.map (fun atom -> (atom, Atom.map_terms canon_term atom)) ordered
+      in
+      if !nvars > !slots then slots := !nvars;
       (* Head vars map through the body's renaming only: a head var
-         absent from the body (unsafe query) is left as-is, so emitting
-         raises exactly like [Eval.run] would. *)
-      let chead =
+         absent from the body (unsafe query) compiles to its error. *)
+      let head =
         Array.of_list
           (List.map
-             (fun t ->
-               match t with
-               | Term.Const _ -> t
-               | Term.Var x ->
+             (function
+               | Term.Const v -> Value v
+               | Term.Var x as t ->
                    let i = find_mapped x in
-                   if i >= 0 then Term.Var (canon_name i) else t)
+                   if i >= 0 then Slot i
+                   else
+                     Unbound
+                       (caller ^ ": unsafe query, unbound head term "
+                      ^ Term.to_string t))
              q.Query.head.Atom.args)
       in
       let tip =
         List.fold_left
-          (fun parent atom ->
-            match Hashtbl.find_opt parent.children_by_key atom with
+          (fun parent (atom, key) ->
+            match Hashtbl.find_opt parent.children_by_key key with
             | Some n ->
                 n.through <- n.through + 1;
                 n
             | None ->
-                let n = mk_node atom (parent.depth + 1) in
+                let args, bound =
+                  compile_atom ~bound:parent.bound find_mapped atom
+                in
+                let n =
+                  mk_node ~id:!nodes ~depth:(parent.depth + 1) ~bound
+                    atom.Atom.pred args
+                in
                 n.through <- 1;
                 incr nodes;
-                Hashtbl.replace parent.children_by_key atom n;
+                Hashtbl.replace parent.children_by_key key n;
                 parent.children <- n :: parent.children;
                 n)
           root catoms
       in
       if tip.depth > !max_depth then max_depth := tip.depth;
-      Obs.Metrics.observe h_depth (float_of_int tip.depth);
-      if List.exists (fun e -> head_equal e.head chead) tip.emits then
+      if List.exists (fun e -> head_equal e.head head) tip.emits then
         incr duplicates;
-      tip.emits <- { query = qi; head = chead } :: tip.emits)
+      tip.emits <-
+        { query = qi; head; vars = Array.sub !orig_names 0 !nvars } :: tip.emits)
     queries;
   (* Finalise: restore insertion order so walks are deterministic. *)
   let shared = ref 0 in
@@ -165,6 +376,22 @@ let build ?(trace = Obs.Trace.null) db qs =
       max_depth = !max_depth;
     }
   in
+  { queries; root; slots = !slots; stats }
+
+let rec iter_nodes f n =
+  f n;
+  List.iter (iter_nodes f) n.children
+
+let build ?(trace = Obs.Trace.null) db qs =
+  Obs.Trace.span trace "plan" @@ fun () ->
+  let t = compile ~caller:"Plan" db qs in
+  let stats = t.stats in
+  iter_nodes
+    (fun n ->
+      List.iter
+        (fun _ -> Obs.Metrics.observe h_depth (float_of_int n.depth))
+        n.emits)
+    t.root;
   Obs.Metrics.incr m_builds;
   Obs.Metrics.add m_nodes stats.nodes;
   Obs.Metrics.add m_shared stats.shared_prefix_atoms;
@@ -174,57 +401,141 @@ let build ?(trace = Obs.Trace.null) db qs =
   Obs.Trace.attr_i trace "shared_prefix_atoms" stats.shared_prefix_atoms;
   Obs.Trace.attr_i trace "duplicate_queries" stats.duplicate_queries;
   Obs.Trace.attr_i trace "max_depth" stats.max_depth;
-  { queries; root; stats }
+  t
 
-let head_tuple (e : emit) (b : Eval.binding) =
-  Array.map
-    (fun t ->
-      match Eval.resolve b t with
-      | Some v -> v
-      | None ->
-          invalid_arg
-            ("Plan: unsafe query, unbound head term " ^ Term.to_string t))
-    e.head
+let of_query db q = compile ~caller:"Eval.run" db [ q ]
 
-(* Depth-first walk of one subtree. [emit_fn] receives every (emit,
-   binding) pair in deterministic order: at each extension, emits
-   before children, children in insertion order. [reused] accumulates
-   the bindings a shared node saved — each of its extension bindings
-   would have been recomputed once more per additional query through
-   the node. *)
-let rec walk db emit_fn reused n b =
-  match Eval.match_atom db b n.atom with
+(* ------------------------------------------------------------------ *)
+(* The walk *)
+
+(* What a node's atom reads, resolved once per run. *)
+type source = Missing | Mismatched | Rel of Relalg.Relation.t
+
+let resolve db t =
+  let sources = Array.make t.stats.nodes Missing in
+  iter_nodes
+    (fun n ->
+      if n.id >= 0 then
+        sources.(n.id) <-
+          (match Relalg.Database.find_opt db n.pred with
+          | None -> Missing
+          | Some rel ->
+              if
+                Array.length n.args
+                = Relalg.Schema.arity (Relalg.Relation.schema rel)
+              then Rel rel
+              else Mismatched))
+    t.root;
+  sources
+
+type walk = {
+  env : Relalg.Value.t array;
+  sources : source array;
+  emit : emit -> Relalg.Value.t array -> unit;
+  mutable reused : int;
+      (* the bindings shared nodes saved: each extension of a node
+         would have been recomputed once more per additional query
+         through it *)
+}
+
+let probe_value env = function
+  | Const v -> v
+  | Bound s | Bind s | Same s -> env.(s)
+
+(* The same index calls, in the same order, as a per-binding probe of
+   every determined position: a scan, one posting list, or the
+   intersection of the two most selective. *)
+let candidates rel n env =
+  match n.probe with
+  | [||] -> Relalg.Relation.tuples rel
+  | [| col |] -> Relalg.Relation.find_by rel col (probe_value env n.args.(col))
+  | cols ->
+      Relalg.Relation.find_by_bound rel
+        (Array.fold_right
+           (fun col acc -> (col, probe_value env n.args.(col)) :: acc)
+           cols [])
+
+(* Does [row] match from column [i] on? Writes this atom's slots on the
+   way; a failed row leaves them for the next candidate to overwrite. *)
+let rec matches args env (row : Relalg.Relation.tuple) i =
+  i >= Array.length args
+  || (match args.(i) with
+     | Const v -> Relalg.Value.equal v row.(i)
+     | Bound s | Same s -> Relalg.Value.equal env.(s) row.(i)
+     | Bind s ->
+         env.(s) <- row.(i);
+         true)
+     && matches args env row (i + 1)
+
+(* Depth-first: at each extension, emits before children, children in
+   insertion order. *)
+let rec visit w n =
+  match w.sources.(n.id) with
+  | Missing -> ()
+  | Mismatched -> Obs.Metrics.incr m_arity_mismatch
+  | Rel rel -> extend w n (candidates rel n w.env)
+
+and extend w n = function
   | [] -> ()
-  | extensions ->
-      if n.through > 1 then
-        reused := !reused + (List.length extensions * (n.through - 1));
-      List.iter
-        (fun b' ->
-          List.iter (fun e -> emit_fn e b') n.emits;
-          List.iter (fun child -> walk db emit_fn reused child b') n.children)
-        extensions
+  | row :: rows ->
+      if matches n.args w.env row 0 then begin
+        w.reused <- w.reused + (n.through - 1);
+        emit_all w n.emits;
+        visit_all w n.children
+      end;
+      extend w n rows
+
+and emit_all w = function
+  | [] -> ()
+  | e :: es ->
+      w.emit e w.env;
+      emit_all w es
+
+and visit_all w = function
+  | [] -> ()
+  | n :: ns ->
+      visit w n;
+      visit_all w ns
+
+(* Walk [branches] in one fresh environment; returns the bindings
+   reused. *)
+let walk t sources emit branches =
+  let w =
+    { env = Array.make t.slots Relalg.Value.Null; sources; emit; reused = 0 }
+  in
+  visit_all w branches;
+  w.reused
+
+let head_value env = function
+  | Slot s -> env.(s)
+  | Value v -> v
+  | Unbound msg -> invalid_arg msg
+
+(* A loop rather than [Array.map], so an emit allocates its tuple and
+   no closure. *)
+let head_tuple e env =
+  let tuple = Array.make (Array.length e.head) Relalg.Value.Null in
+  for i = 0 to Array.length e.head - 1 do
+    tuple.(i) <- head_value env e.head.(i)
+  done;
+  tuple
 
 let run_union_into ?(jobs = 1) ?(trace = Obs.Trace.null) out db t =
   Obs.Trace.span trace "trie_eval" @@ fun () ->
+  let sources = resolve db t in
   let nq = Array.length t.queries in
   let counts = Array.make nq 0 in
-  let emit_into rel counts e b =
-    let tuple = head_tuple e b in
+  let emit_into rel counts e env =
+    let tuple = head_tuple e env in
     counts.(e.query) <- counts.(e.query) + 1;
-    Eval.add_distinct rel tuple
+    add_distinct rel tuple
   in
-  (* Empty-body queries emit once from the empty binding, before any
-     branch runs (same position in both the sequential and parallel
-     orders). *)
-  List.iter (fun e -> emit_into out counts e Eval.Smap.empty) t.root.emits;
+  (* Empty-body queries emit once, with no bindings, before any branch
+     runs (same position in both the sequential and parallel orders). *)
+  List.iter (fun e -> emit_into out counts e [||]) t.root.emits;
   let reused =
-    if jobs <= 1 || List.length t.root.children < 2 then begin
-      let reused = ref 0 in
-      List.iter
-        (fun branch -> walk db (emit_into out counts) reused branch Eval.Smap.empty)
-        t.root.children;
-      !reused
-    end
+    if jobs <= 1 || List.length t.root.children < 2 then
+      walk t sources (emit_into out counts) t.root.children
     else begin
       (* One partial relation per top-level branch, merged in branch
          order through the shared accumulator's dedup set. Each query
@@ -236,14 +547,13 @@ let run_union_into ?(jobs = 1) ?(trace = Obs.Trace.null) out db t =
           (fun branch ->
             let partial = Relalg.Relation.create (Relalg.Relation.schema out) in
             let local = Array.make nq 0 in
-            let reused = ref 0 in
-            walk db (emit_into partial local) reused branch Eval.Smap.empty;
-            (partial, local, !reused))
+            let reused = walk t sources (emit_into partial local) [ branch ] in
+            (partial, local, reused))
           t.root.children
       in
       List.fold_left
         (fun acc (partial, local, r) ->
-          Relalg.Relation.iter (Eval.add_distinct out) partial;
+          Relalg.Relation.iter (add_distinct out) partial;
           Array.iteri (fun i n -> counts.(i) <- counts.(i) + n) local;
           acc + r)
         0 partials
@@ -259,31 +569,22 @@ let run_union_into ?(jobs = 1) ?(trace = Obs.Trace.null) out db t =
 
 let run_each ?(jobs = 1) ?(trace = Obs.Trace.null) db t =
   Obs.Trace.span trace "trie_eval" @@ fun () ->
-  let nq = Array.length t.queries in
+  let sources = resolve db t in
   let outs =
-    Array.init nq (fun i ->
-        Relalg.Relation.create (Eval.head_schema t.queries.(i)))
+    Array.map (fun q -> Relalg.Relation.create (head_schema q)) t.queries
   in
-  let emit_fn e b = Eval.add_distinct outs.(e.query) (head_tuple e b) in
-  List.iter (fun e -> emit_fn e Eval.Smap.empty) t.root.emits;
+  let emit e env = add_distinct outs.(e.query) (head_tuple e env) in
+  List.iter (fun e -> emit e [||]) t.root.emits;
   let reused =
-    if jobs <= 1 || List.length t.root.children < 2 then begin
-      let reused = ref 0 in
-      List.iter
-        (fun branch -> walk db emit_fn reused branch Eval.Smap.empty)
-        t.root.children;
-      !reused
-    end
+    if jobs <= 1 || List.length t.root.children < 2 then
+      walk t sources emit t.root.children
     else
       (* Each query's relation is written by exactly one branch (one
          path per query), so branches write disjoint slots of [outs];
          Pool.map's joins publish them to the caller. *)
       List.fold_left ( + ) 0
         (Util.Pool.map jobs
-           (fun branch ->
-             let reused = ref 0 in
-             walk db emit_fn reused branch Eval.Smap.empty;
-             !reused)
+           (fun branch -> walk t sources emit [ branch ])
            t.root.children)
   in
   Obs.Metrics.add m_reused reused;
@@ -291,3 +592,8 @@ let run_each ?(jobs = 1) ?(trace = Obs.Trace.null) db t =
   Obs.Trace.attr_i trace "branches" (List.length t.root.children);
   Obs.Trace.attr_i trace "bindings_reused" reused;
   Array.to_list outs
+
+let iter_assignments db t f =
+  let emit e env = f e.vars env in
+  List.iter (fun e -> emit e [||]) t.root.emits;
+  ignore (walk t (resolve db t) emit t.root.children : int)

@@ -1,6 +1,11 @@
 type tuple = Value.t array
 
-let tuple_equal a b = Array.length a = Array.length b && Array.for_all2 Value.equal a b
+(* A loop rather than [Array.for_all2], whose inner closure would be
+   allocated on every bucket comparison of every membership probe. *)
+let rec equal_from (a : tuple) (b : tuple) i =
+  i >= Array.length a || (Value.equal a.(i) b.(i) && equal_from a b (i + 1))
+
+let tuple_equal a b = Array.length a = Array.length b && equal_from a b 0
 
 (* Hash consistent with [tuple_equal]: Value.equal is structural, so a
    fold over Value.hash agrees on equal tuples. *)
@@ -13,6 +18,8 @@ module Tset = Hashtbl.Make (struct
   let equal = tuple_equal
   let hash = tuple_hash
 end)
+
+module Vtbl = Hashtbl.Make (Value)
 
 module Delta = struct
   type t = { adds : tuple list; dels : tuple list }
@@ -69,9 +76,10 @@ type t = {
   mutable rows_list : (int * tuple list) option;
   (* Multiplicity per distinct tuple: O(1) [mem]. *)
   members : int Tset.t;
-  (* col -> (value -> tuples). Built lazily, then maintained
-     incrementally on insert; dropped wholesale on delete/clear. *)
-  mutable indexes : (int, (Value.t, tuple list) Hashtbl.t) Hashtbl.t;
+  (* By column: value -> tuples, newest first. Built lazily, then
+     maintained incrementally on insert; dropped wholesale on
+     delete/clear. *)
+  indexes : tuple list Vtbl.t option array;
   (* Retained effective deltas, oldest first in [log_front], newest
      first in [log_back] (two-stack queue).  Each entry is
      [(version after applying, delta)].  [log_floor] is the oldest
@@ -103,7 +111,7 @@ let create schema =
     count = 0;
     rows_list = None;
     members = Tset.create 16;
-    indexes = Hashtbl.create 4;
+    indexes = Array.make (Schema.arity schema) None;
     log_front = [];
     log_back = [];
     log_entries = 0;
@@ -117,19 +125,22 @@ let version t = t.version
 let cardinality t = t.count
 let delta_floor t = t.log_floor
 
-let drop_indexes t =
-  if Hashtbl.length t.indexes > 0 then t.indexes <- Hashtbl.create 4
+let drop_indexes t = Array.fill t.indexes 0 (Array.length t.indexes) None
 
-let check_arity what t row =
-  if Array.length row <> Schema.arity t.schema then
-    invalid_arg
-      (Printf.sprintf "Relation.%s: arity mismatch for %s (got %d, want %d)"
-         what (Schema.name t.schema) (Array.length row)
-         (Schema.arity t.schema))
+let rec check_arity what t = function
+  | [] -> ()
+  | row :: rows ->
+      if Array.length row <> Schema.arity t.schema then
+        invalid_arg
+          (Printf.sprintf "Relation.%s: arity mismatch for %s (got %d, want %d)"
+             what (Schema.name t.schema) (Array.length row)
+             (Schema.arity t.schema));
+      check_arity what t rows
 
-let index_push idx key row =
-  let existing = Option.value ~default:[] (Hashtbl.find_opt idx key) in
-  Hashtbl.replace idx key (row :: existing)
+let lookup idx key =
+  match Vtbl.find idx key with rows -> rows | exception Not_found -> []
+
+let index_push idx key row = Vtbl.replace idx key (row :: lookup idx key)
 
 let grow t =
   let cap = Array.length t.rows_arr in
@@ -145,10 +156,21 @@ let append_row t row =
   t.rows_arr.(t.count_slots) <- row;
   t.count_slots <- t.count_slots + 1;
   t.count <- t.count + 1;
-  Tset.replace t.members row
-    (1 + Option.value ~default:0 (Tset.find_opt t.members row));
+  (match Tset.find t.members row with
+  | m -> Tset.replace t.members row (m + 1)
+  | exception Not_found -> Tset.add t.members row 1);
   (* Live indexes absorb the row instead of being invalidated. *)
-  Hashtbl.iter (fun col idx -> index_push idx row.(col) row) t.indexes
+  for col = 0 to Array.length t.indexes - 1 do
+    match t.indexes.(col) with
+    | Some idx -> index_push idx row.(col) row
+    | None -> ()
+  done
+
+let rec append_rows t = function
+  | [] -> ()
+  | row :: rows ->
+      append_row t row;
+      append_rows t rows
 
 let mem t row = Tset.mem t.members row
 
@@ -216,15 +238,18 @@ let log_push t entry tuples =
   done
 
 let apply t (d : Delta.t) =
-  List.iter (check_arity "apply (del)" t) d.Delta.dels;
-  List.iter (check_arity "apply (add)" t) d.Delta.adds;
-  let dels = remove_rows t d.Delta.dels in
-  List.iter (append_row t) d.Delta.adds;
-  if not (dels = [] && d.Delta.adds = []) then begin
-    t.version <- t.version + 1;
-    let eff = { Delta.adds = d.Delta.adds; dels } in
-    log_push t (t.version, eff) (Delta.size eff)
-  end
+  check_arity "apply (del)" t d.Delta.dels;
+  check_arity "apply (add)" t d.Delta.adds;
+  (* Most deltas only add: skip the removal pass and its table. *)
+  let dels = match d.Delta.dels with [] -> [] | dels -> remove_rows t dels in
+  append_rows t d.Delta.adds;
+  match (dels, d.Delta.adds) with
+  | [], [] -> ()
+  | _ ->
+      t.version <- t.version + 1;
+      (* An add-only delta is its own effective delta. *)
+      let eff = if dels == d.Delta.dels then d else { d with Delta.dels } in
+      log_push t (t.version, eff) (Delta.size eff)
 
 let deltas_since t since =
   if since = t.version then Some []
@@ -262,25 +287,22 @@ let fold f init t =
   !acc
 
 let build_index t col =
-  let idx = Hashtbl.create (max 16 t.count) in
+  let idx = Vtbl.create (max 16 t.count) in
   (* Newest-first within each bucket, as incremental [index_push]
      maintains it. *)
   for i = 0 to t.count_slots - 1 do
     let row = t.rows_arr.(i) in
     index_push idx row.(col) row
   done;
-  Hashtbl.replace t.indexes col idx;
+  t.indexes.(col) <- Some idx;
   idx
 
 let find_by t col v =
   if col < 0 || col >= Schema.arity t.schema then
     invalid_arg "Relation.find_by: column out of range";
-  let idx =
-    match Hashtbl.find_opt t.indexes col with
-    | Some idx -> idx
-    | None -> build_index t col
-  in
-  Option.value ~default:[] (Hashtbl.find_opt idx v)
+  match t.indexes.(col) with
+  | Some idx -> lookup idx v
+  | None -> lookup (build_index t col) v
 
 let find_by_bound t bound =
   match bound with
@@ -297,7 +319,7 @@ let find_by_bound t bound =
       let sorted =
         List.sort
           (fun (_, a) (_, b) ->
-            compare (List.length a) (List.length b))
+            Int.compare (List.length a) (List.length b))
           postings
       in
       (match sorted with
@@ -307,7 +329,7 @@ let find_by_bound t bound =
 
 let freeze t =
   for col = 0 to Schema.arity t.schema - 1 do
-    if not (Hashtbl.mem t.indexes col) then ignore (build_index t col)
+    if Option.is_none t.indexes.(col) then ignore (build_index t col)
   done
 
 let of_tuples schema rows =

@@ -3,7 +3,18 @@ type t = Null | Bool of bool | Int of int | Float of float | Str of string
 type ty = Tnull | Tbool | Tint | Tfloat | Tstr
 
 let compare (a : t) (b : t) = Stdlib.compare a b
-let equal (a : t) (b : t) = Stdlib.compare a b = 0
+
+(* [compare a b = 0] without the polymorphic call: [Float.compare]
+   keeps its float order, so [nan] equals [nan] and [0.] equals [-0.]. *)
+let equal (a : t) (b : t) =
+  match (a, b) with
+  | Null, Null -> true
+  | Bool x, Bool y -> Bool.equal x y
+  | Int x, Int y -> Int.equal x y
+  | Float x, Float y -> Float.compare x y = 0
+  | Str x, Str y -> String.equal x y
+  | (Null | Bool _ | Int _ | Float _ | Str _), _ -> false
+
 let hash (v : t) = Hashtbl.hash v
 
 let type_of = function

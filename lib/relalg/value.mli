@@ -7,8 +7,15 @@ type t = Null | Bool of bool | Int of int | Float of float | Str of string
 type ty = Tnull | Tbool | Tint | Tfloat | Tstr
 
 val compare : t -> t -> int
+
 val equal : t -> t -> bool
+(** [compare a b = 0]: values of different constructors differ ([Int 1],
+    [Float 1.] and [Str "1"] are three values), [nan] equals [nan] and
+    [0.] equals [-0.]. *)
+
 val hash : t -> int
+(** Equal values hash alike. *)
+
 val type_of : t -> ty
 val to_string : t -> string
 val pp : Format.formatter -> t -> unit

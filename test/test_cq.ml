@@ -612,6 +612,184 @@ let prop_plan_matches_per_rewriting =
       in
       check_jobs 1 && check_jobs 3)
 
+(* ------------------------------------------------------------------ *)
+(* An independent oracle for the join engine: nested loops over
+   Relation.tuples in body order, association-list bindings, and
+   [Value.compare _ _ = 0] as equality. Eval and Plan run the same
+   compiled steps, so comparing them with each other cannot catch a bug
+   they share; this evaluator takes nothing from either. *)
+
+let value_eq a b = Relalg.Value.compare a b = 0
+
+(* Extend [b] across [args] against [row], if the row matches. *)
+let rec oracle_extend b row i = function
+  | [] -> Some b
+  | Term.Const c :: args ->
+      if value_eq c row.(i) then oracle_extend b row (i + 1) args else None
+  | Term.Var x :: args -> (
+      match List.assoc_opt x b with
+      | Some v ->
+          if value_eq v row.(i) then oracle_extend b row (i + 1) args else None
+      | None -> oracle_extend ((x, row.(i)) :: b) row (i + 1) args)
+
+(* Every satisfying assignment, as a bag: a missing relation or an
+   atom of the wrong arity has no matching rows. *)
+let oracle_assignments db (query : Query.t) =
+  List.fold_left
+    (fun bindings (a : Atom.t) ->
+      match Relalg.Database.find_opt db a.Atom.pred with
+      | None -> []
+      | Some rel ->
+          let rows = Relalg.Relation.tuples rel in
+          List.concat_map
+            (fun b ->
+              List.filter_map
+                (fun row ->
+                  if Array.length row <> Atom.arity a then None
+                  else oracle_extend b row 0 a.Atom.args)
+                rows)
+            bindings)
+    [ [] ] query.Query.body
+
+let oracle_head (query : Query.t) b =
+  Array.of_list
+    (List.map
+       (function Term.Const v -> v | Term.Var x -> List.assoc x b)
+       query.Query.head.Atom.args)
+
+let compare_tuples a b =
+  List.compare Relalg.Value.compare (Array.to_list a) (Array.to_list b)
+
+let tuple_set rows = List.sort_uniq compare_tuples rows
+
+(* [rel] holds exactly [expected], each tuple once. *)
+let holds expected rel =
+  let rows = Relalg.Relation.tuples rel in
+  List.length rows = List.length expected
+  && List.equal (fun a b -> compare_tuples a b = 0) (tuple_set rows) expected
+
+(* Values one column mixes: [Int 1], [Float 1.] and [Str "1"] are three
+   values, [nan] equals [nan] and [0.] equals [-0.]. *)
+let tricky = Relalg.Value.[ Int 1; Float 1.; Str "1"; Float nan; Float (-0.) ]
+let gen_value = QCheck.Gen.oneofl (Relalg.Value.[ Int 0; Float 0.; Null ] @ tricky)
+
+(* r/2 always holds every tricky value in its first column; t/1 and
+   u/3 are random. "nosuch" is missing. *)
+let gen_oracle_db =
+  QCheck.Gen.(
+    quad
+      (list_repeat (List.length tricky) gen_value)
+      (list_size (int_bound 6) (pair gen_value gen_value))
+      (list_size (int_bound 4) gen_value)
+      (list_size (int_bound 6) (triple gen_value gen_value gen_value))
+    >|= fun (seconds, rs, ts, us) ->
+    let db = Relalg.Database.create () in
+    let r = Relalg.Database.create_relation db "r" [ "a"; "b" ] in
+    let t = Relalg.Database.create_relation db "t" [ "a" ] in
+    let u = Relalg.Database.create_relation db "u" [ "a"; "b"; "c" ] in
+    List.iter2 (fun a b -> insert r [| a; b |]) tricky seconds;
+    List.iter (fun (a, b) -> insert r [| a; b |]) rs;
+    List.iter (fun a -> insert t [| a |]) ts;
+    List.iter (fun (a, b, c) -> insert u [| a; b; c |]) us;
+    db)
+
+(* Three variables, so repeats inside an atom and across atoms are
+   common; constants from the same values as the data. *)
+let gen_oracle_term =
+  QCheck.Gen.(
+    frequency
+      [ (3, map (fun i -> Term.v (Printf.sprintf "V%d" i)) (int_bound 2));
+        (1, map Term.c gen_value) ])
+
+let gen_oracle_atom =
+  QCheck.Gen.(
+    let t = gen_oracle_term in
+    frequency
+      [ (4, map2 (fun a b -> atom "r" [ a; b ]) t t);
+        (2, map (fun a -> atom "t" [ a ]) t);
+        (2, map3 (fun a b c -> atom "u" [ a; b; c ]) t t t);
+        (1, map (fun a -> atom "nosuch" [ a ]) t);
+        (* arity disagrees with the stored relation *)
+        (1, map (fun a -> atom "r" [ a ]) t);
+        (1, map3 (fun a b c -> atom "r" [ a; b; c ]) t t t);
+        (1, map2 (fun a b -> atom "t" [ a; b ]) t t) ])
+
+(* A safe query with a head of [arity] terms; bodies may be empty. *)
+let gen_oracle_query arity =
+  QCheck.Gen.(
+    list_size (int_bound 3) gen_oracle_atom >>= fun body ->
+    let vars = List.sort_uniq String.compare (List.concat_map Atom.vars body) in
+    let gen_head_term =
+      if vars = [] then map Term.c gen_value
+      else
+        frequency [ (3, map Term.v (oneofl vars)); (1, map Term.c gen_value) ]
+    in
+    list_repeat arity gen_head_term >|= fun head -> q (atom "ans" head) body)
+
+let rename_vars (query : Query.t) =
+  let rename =
+    Atom.map_terms (function Term.Var x -> Term.Var ("W" ^ x) | t -> t)
+  in
+  Query.make (rename query.Query.head) (List.map rename query.Query.body)
+
+(* A union with a duplicated and an alpha-equivalent member. *)
+let gen_oracle_union =
+  QCheck.Gen.(
+    int_bound 2 >>= fun arity ->
+    list_size (int_range 1 4) (gen_oracle_query arity) >>= fun qs ->
+    pair (oneofl qs) (oneofl qs) >|= fun (dup, alpha) ->
+    qs @ [ dup; rename_vars alpha ])
+
+let prop_engine_matches_oracle =
+  QCheck.Test.make ~name:"join engine = nested-loop oracle" ~count:300
+    (QCheck.make
+       ~print:(fun (_, qs) -> String.concat "\n" (List.map Query.to_string qs))
+       QCheck.Gen.(pair gen_oracle_db gen_oracle_union))
+    (fun (db, qs) ->
+      let mismatches () =
+        Obs.Metrics.counter_value (Obs.Metrics.snapshot ()) "cq.eval.arity_mismatch"
+      in
+      let before = mismatches () in
+      let assignments = List.map (oracle_assignments db) qs in
+      let counts = List.map List.length assignments in
+      let each =
+        List.map2 (fun qq bs -> tuple_set (List.map (oracle_head qq) bs)) qs
+          assignments
+      in
+      let union = tuple_set (List.concat each) in
+      let fresh () = Relalg.Relation.create (Eval.head_schema (List.hd qs)) in
+      let eval_ok =
+        List.for_all2 (fun qq e -> holds e (Eval.run db qq)) qs each
+        && List.map (fun qq -> Eval.run_union_into (fresh ()) db [ qq ]) qs = counts
+        &&
+        let out = fresh () in
+        Eval.run_union_into out db qs = List.fold_left ( + ) 0 counts
+        && holds union out
+      in
+      let plan_ok jobs =
+        if jobs > 1 then Relalg.Database.freeze db;
+        let plan = Plan.build db qs in
+        let out = fresh () in
+        Plan.run_union_into ~jobs out db plan = counts
+        && holds union out
+        && List.for_all2 holds each (Plan.run_each ~jobs db plan)
+      in
+      (* A body of wrong-arity atoms only visits one of them first. *)
+      let mismatched (a : Atom.t) =
+        match Relalg.Database.find_opt db a.Atom.pred with
+        | Some rel ->
+            Atom.arity a <> Relalg.Schema.arity (Relalg.Relation.schema rel)
+        | None -> false
+      in
+      let lone_mismatch =
+        List.exists
+          (fun (qq : Query.t) ->
+            qq.Query.body <> [] && List.for_all mismatched qq.Query.body)
+          qs
+      in
+      eval_ok && plan_ok 1 && plan_ok 3
+      && ((not lone_mismatch) || mismatches () > before))
+
 let () =
   let qc = List.map QCheck_alcotest.to_alcotest in
   Alcotest.run "cq"
@@ -665,7 +843,7 @@ let () =
            test_plan_bindings_reused_counter;
          Alcotest.test_case "arity mismatch counter" `Quick
            test_arity_mismatch_counter ]
-       @ qc [ prop_plan_matches_per_rewriting ]);
+       @ qc [ prop_plan_matches_per_rewriting; prop_engine_matches_oracle ]);
       ("properties",
        qc
          [ prop_containment_sound; prop_minimize_preserves_answers;

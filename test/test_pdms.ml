@@ -2159,11 +2159,11 @@ let reformulation_digest catalog queries =
     queries;
   Digest.to_hex (Digest.string (Buffer.contents b))
 
-let generated_join_catalog kind ~graph_seed ~n =
+let generated_join_catalog ?(tuples = 4) kind ~graph_seed ~n =
   let topology = P.Topology.generate ~prng:(Util.Prng.create graph_seed) kind ~n in
   let g =
-    Workload.Peers_gen.generate (Util.Prng.create 7) ~topology ~tuples_per_peer:4
-      ~with_join:true ()
+    Workload.Peers_gen.generate (Util.Prng.create 7) ~topology
+      ~tuples_per_peer:tuples ~with_join:true ()
   in
   ( g.Workload.Peers_gen.catalog,
     List.init n (fun at -> Workload.Peers_gen.join_query g ~at) )
@@ -2190,6 +2190,77 @@ let test_reformulation_identity () =
   check "binary tree, 12 peers"
     (generated_join_catalog P.Topology.Binary_tree ~graph_seed:1102 ~n:12)
     "6ff37c3611e0eed12f28fcf08b702d9d"
+
+(* Answer rows pinned in insertion order. The answer-set tests compare
+   sorted rows; these digests also pin the order in which rows reach
+   the accumulator, for Answer.answer and for a fault-free
+   Distributed.execute, plus the trie's per-query counts and its
+   cq.plan.bindings_reused delta. A join engine may change how it finds
+   bindings but not which it finds, in what order, or how it counts
+   them, so these digests must never move with it. *)
+
+let answer_order_digest catalog queries =
+  let b = Buffer.create 4096 in
+  let add_rows rel =
+    List.iter
+      (fun row ->
+        Array.iter (Relalg.Value.add_key b) row;
+        Buffer.add_char b '\n')
+      (Relalg.Relation.tuples rel)
+  in
+  let network = P.Distributed.network_of_catalog catalog ~latency_ms:15. in
+  let reused () =
+    Obs.Metrics.counter_value (Obs.Metrics.snapshot ()) "cq.plan.bindings_reused"
+  in
+  List.iter
+    (fun (query, at) ->
+      add_rows (P.Answer.answer catalog query).P.Answer.answers;
+      Buffer.add_string b "--\n";
+      add_rows (P.Distributed.execute catalog network ~at query).P.Distributed.answers;
+      match (P.Reformulate.reformulate catalog query).P.Reformulate.rewritings with
+      | [] -> Buffer.add_string b "no rewritings\n"
+      | q0 :: _ as rewritings ->
+          let db = P.Catalog.global_db catalog in
+          let plan = Plan.build db rewritings in
+          let out = Relalg.Relation.create (Eval.head_schema q0) in
+          let before = reused () in
+          let counts = Plan.run_union_into out db plan in
+          Printf.bprintf b "counts %s reused %d\n"
+            (String.concat "," (List.map string_of_int counts))
+            (reused () - before))
+    queries;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let test_answer_order_identity () =
+  let d =
+    Workload.University.build_delearning (Util.Prng.create 7) ~courses_per_peer:4
+  in
+  let university_queries =
+    List.concat_map
+      (fun (name, peer) ->
+        [ (Workload.University.course_query peer, name);
+          (Workload.University.course_instructor_query peer, name) ])
+      d.Workload.University.peers
+  in
+  (* The queries posed at the first [asked] peers (Peers_gen names peer
+     [i] "p<i>"). *)
+  let generated ~tuples ~asked kind ~graph_seed ~n =
+    let catalog, queries = generated_join_catalog ~tuples kind ~graph_seed ~n in
+    ( catalog,
+      List.filteri (fun at _ -> at < asked)
+        (List.mapi (fun at q -> (q, Printf.sprintf "p%d" at)) queries) )
+  in
+  let check name (catalog, queries) digest =
+    Alcotest.(check string) name digest (answer_order_digest catalog queries)
+  in
+  check "six universities" (d.Workload.University.catalog, university_queries)
+    "cf145ec83cf514e3efed327df9d63fbf";
+  check "Mesh-1, 10 peers"
+    (generated ~tuples:24 ~asked:4 (P.Topology.Mesh 1) ~graph_seed:1101 ~n:10)
+    "d0de3c91d227b442f05a276e45f95196";
+  check "binary tree, 12 peers"
+    (generated ~tuples:40 ~asked:6 P.Topology.Binary_tree ~graph_seed:1102 ~n:12)
+    "fa02156b3fbd086cb39db94f16943342"
 
 (* The catalog's rule index and view list, derived from scratch: GAV
    rules (oldest mapping first) and LAV views (storage descriptions
@@ -2315,7 +2386,9 @@ let () =
          Alcotest.test_case "goal memo keeps constant types" `Quick
            test_typed_goal_memo;
          Alcotest.test_case "rewritings pinned on three catalogs" `Quick
-           test_reformulation_identity ]);
+           test_reformulation_identity;
+         Alcotest.test_case "answer rows pinned on three catalogs" `Quick
+           test_answer_order_identity ]);
       ("catalog", qc [ prop_catalog_incremental_matches_rebuild ]);
       ("topology",
        [ Alcotest.test_case "shapes" `Quick test_topology_shapes ]);

@@ -252,6 +252,39 @@ let prop_find_by_equals_filter =
       in
       via_index = via_scan)
 
+(* Values where equality is subtle: [Int 1], [Float 1.] and [Str "1"]
+   are three values, [nan] equals [nan], [0.] equals [-0.]. Drawn with
+   replacement from a small pool so equal pairs are common. *)
+let gen_value =
+  QCheck.Gen.(
+    frequency
+      [ ( 4,
+          oneofl
+            Value.
+              [ Null; Bool true; Bool false; Int 0; Int 1; Float 1.;
+                Str "1"; Float nan; Float (-.nan); Float 0.; Float (-0.);
+                Float infinity; Str ""; Str "a" ] );
+        (1, map (fun i -> Value.Int i) small_signed_int);
+        (1, map (fun f -> Value.Float f) float);
+        (1, map (fun s -> Value.Str s) (string_size ~gen:printable (int_bound 3)))
+      ])
+
+let print_value = function
+  | Value.Null -> "Null"
+  | Value.Bool b -> Printf.sprintf "Bool %b" b
+  | Value.Int i -> Printf.sprintf "Int %d" i
+  | Value.Float f -> Printf.sprintf "Float %h" f
+  | Value.Str s -> Printf.sprintf "Str %S" s
+
+let prop_value_equal_agrees =
+  QCheck.Test.make ~name:"Value.equal = (compare = 0) and implies equal hashes"
+    ~count:2000
+    (QCheck.make ~print:QCheck.Print.(pair print_value print_value)
+       QCheck.Gen.(pair gen_value gen_value))
+    (fun (a, b) ->
+      Value.equal a b = (Value.compare a b = 0)
+      && ((not (Value.equal a b)) || Value.hash a = Value.hash b))
+
 let prop_union_commutative =
   QCheck.Test.make ~name:"union commutative (as sets)" ~count:200
     QCheck.(pair small_rel_gen small_rel_gen)
@@ -420,6 +453,7 @@ let () =
            test_stats_distinct_and_cache ]);
       ("properties",
        qc
-         [ prop_find_by_equals_filter; prop_union_commutative;
+         [ prop_value_equal_agrees; prop_find_by_equals_filter;
+           prop_union_commutative;
            prop_join_subset_of_product; prop_diff_disjoint;
            prop_stats_patch_equals_rescan ]) ]
