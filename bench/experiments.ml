@@ -1287,7 +1287,8 @@ let e16 () =
 
 (* ------------------------------------------------------------------ *)
 (* E17: shared-prefix batch evaluation — the Cq.Plan trie against
-   per-rewriting union evaluation, on the Fig. 2 topology sweep. The
+   per-rewriting union evaluation (Reference.per_rewriting_union, from
+   test/reference), on the Fig. 2 topology sweep. The
    three-atom chain query unfolds to one rewriting per peer triple, so
    sibling rewritings that differ only in their last atom share the
    whole two-atom course-instr join as a trie prefix, and the trie
@@ -1326,7 +1327,6 @@ let e17_configs ~repeats configs () =
          or reuses the other's index builds. *)
       let db = Pdms.Catalog.global_db_snapshot g.Workload.Peers_gen.catalog in
       Relalg.Database.freeze db;
-      let nobatch_exec = Pdms.Exec.make ~batch:false () in
       let best f =
         let rec go best_ms last = function
           | 0 -> (best_ms, Option.get last)
@@ -1337,7 +1337,7 @@ let e17_configs ~repeats configs () =
         go infinity None (max 1 repeats)
       in
       let nobatch_ms, nobatch_out =
-        best (fun () -> Pdms.Answer.eval_union ~exec:nobatch_exec db rewritings)
+        best (fun () -> Reference.per_rewriting_union db rewritings)
       in
       let before = Obs.Metrics.snapshot () in
       let batch_ms, batch_out =
@@ -1354,7 +1354,7 @@ let e17_configs ~repeats configs () =
       let reused = delta "cq.plan.bindings_reused" in
       if e17_rows batch_out <> e17_rows nobatch_out then begin
         Printf.printf
-          "E17 FAILED: batch answers differ from --no-batch at %s n=%d\n"
+          "E17 FAILED: batch answers differ from per-rewriting at %s n=%d\n"
           topo_name n;
         exit 1
       end;
@@ -1400,8 +1400,9 @@ let e17 () =
       ("mesh2", Pdms.Topology.Mesh 2, 48, 48, Some 2.0) ]
     ()
 
-(* E18: inverted-index keyword search — Kwindex vs --no-index brute
-   force over generated peer workloads. Repeated (warm) searches are
+(* E18: inverted-index keyword search — Kwindex vs brute force
+   (Reference.keyword_search, from test/reference) over generated peer
+   workloads. Repeated (warm) searches are
    the regime the index targets: index entries, the merged df corpus,
    and per-tuple norms are all version-guarded caches, so a warm query
    touches only its tokens' postings, while the brute path rebuilds the
@@ -1421,7 +1422,7 @@ let e18_hits hits =
 
 let e18_configs ~repeats ~queries:nq configs () =
   header "E18"
-    "inverted-index keyword search: Kwindex vs --no-index (warm repeated \
+    "inverted-index keyword search: Kwindex vs brute force (warm repeated \
      queries, jobs=1)";
   let table =
     T.create
@@ -1449,17 +1450,13 @@ let e18_configs ~repeats ~queries:nq configs () =
       List.iter
         (fun query ->
           let reference =
-            e18_hits
-              (Pdms.Keyword.search
-                 ~exec:(Pdms.Exec.make ~index:false ())
-                 catalog query)
+            e18_hits (Reference.keyword_search catalog query)
           in
           List.iter
             (fun jobs ->
               let brute =
                 e18_hits
-                  (Pdms.Keyword.search
-                     ~exec:(Pdms.Exec.make ~index:false ~jobs ())
+                  (Reference.keyword_search ~exec:(Pdms.Exec.make ~jobs ())
                      catalog query)
               in
               let indexed =
@@ -1476,10 +1473,8 @@ let e18_configs ~repeats ~queries:nq configs () =
               end)
             jobs_list)
         queries;
-      let run exec =
-        List.iter
-          (fun query -> ignore (Pdms.Keyword.search ~exec catalog query))
-          queries
+      let run search =
+        List.iter (fun query -> ignore (search query)) queries
       in
       let best f =
         let rec go best_ms = function
@@ -1491,10 +1486,10 @@ let e18_configs ~repeats ~queries:nq configs () =
         go infinity (max 1 repeats)
       in
       let brute_ms =
-        best (fun () -> run (Pdms.Exec.make ~index:false ()))
+        best (fun () -> run (Reference.keyword_search catalog))
       in
       let before = Obs.Metrics.snapshot () in
-      let indexed_ms = best (fun () -> run Pdms.Exec.default) in
+      let indexed_ms = best (fun () -> run (Pdms.Keyword.search catalog)) in
       let after = Obs.Metrics.snapshot () in
       (* Per query-batch repeat. *)
       let delta name =
@@ -1543,19 +1538,21 @@ let e18 () =
 
 (* ------------------------------------------------------------------ *)
 (* E19: live updates — delta-patched maintenance of the inverted index,
-   statistics and result caches vs the --no-incremental version-guarded
-   rebuild discipline.  Each round pushes a small updategram through
-   Updategram.apply and then brings the derived structures current: the
-   touched relation's index entry (Kwindex patches its postings vs a
-   full reindex), Stats.of_relation (delta fold vs rescan), and a
-   cached answer whose pinned constant can never unify with the changed
-   tuples (the delta probe keeps the entry; the baseline drops it and
-   pays a full re-answer every round).  Both modes replay the identical
-   update stream on identically generated worlds.  Guards: search hit
-   lists and query answers byte-identical between the modes for jobs in
-   {1,2,4}, zero pdms.delta.rebuild_fallbacks in the incremental runs,
-   and a minimum speedup at the config's guard point (exit 1
-   otherwise). *)
+   statistics and result caches vs rebuilding them from scratch.  Each
+   round pushes a small updategram through Updategram.apply and then
+   brings the derived structures current: the touched relation's index
+   entry (Kwindex patches its postings vs Kwindex.reset and a full
+   reindex), its statistics (Stats.of_relation's delta fold vs
+   Reference.stats_scan's rescan), and a cached answer whose pinned
+   constant can never unify with the changed tuples (the delta probe
+   keeps the entry; the baseline drops every reader with an empty
+   updategram and pays a full re-answer every round).  Both modes
+   replay the identical update stream on identically generated worlds.
+   Guards: search hit lists and query answers byte-identical between
+   the modes for jobs in {1,2,4} (the rebuild pass resets the index
+   before every search), zero pdms.delta.rebuild_fallbacks in the
+   incremental runs, and a minimum speedup at the config's guard point
+   (exit 1 otherwise). *)
 
 let e19_world n tuples_per_peer =
   let prng = Util.Prng.create (1900 + n + tuples_per_peer) in
@@ -1601,7 +1598,7 @@ let e19_fallbacks () =
 let e19_configs ~rounds configs () =
   header "E19"
     "live updates: delta-patched index/stats/cache maintenance vs \
-     --no-incremental version-guarded rebuild (round-robin updategrams)";
+     rebuild from scratch (round-robin updategrams)";
   let table =
     T.create
       [ "peers"; "tuples"; "rounds"; "patched"; "stats_patched";
@@ -1611,53 +1608,57 @@ let e19_configs ~rounds configs () =
     (fun (n, tuples_per_peer, min_speedup) ->
       (* A fresh world per mode and pass: identical seeds give identical
          catalogs, so the streams are comparable tuple for tuple. *)
-      let fresh incremental =
+      let fresh () =
         Pdms.Kwindex.reset ();
         Relalg.Stats.reset_cache ();
         let g, queries, pinned = e19_world n tuples_per_peer in
         let catalog = g.Workload.Peers_gen.catalog in
         let db = Pdms.Catalog.global_db catalog in
         let names = List.sort String.compare (Relalg.Database.names db) in
-        let exec = Pdms.Exec.make ~incremental () in
         let cache = Pdms.Cache.create catalog () in
         (* Warm every derived structure to the pre-update state. *)
-        List.iter (fun q -> ignore (Pdms.Keyword.search ~exec catalog q)) queries;
+        List.iter (fun q -> ignore (Pdms.Keyword.search catalog q)) queries;
         List.iter
           (fun nm ->
-            ignore
-              (Relalg.Stats.of_relation ~incremental
-                 (Relalg.Database.find db nm)))
+            ignore (Relalg.Stats.of_relation (Relalg.Database.find db nm)))
           names;
-        ignore (Pdms.Cache.answer ~exec cache pinned);
-        (queries, pinned, catalog, db, names, exec, cache)
+        ignore (Pdms.Cache.answer cache pinned);
+        (queries, pinned, catalog, db, names, cache)
       in
       (* One maintenance round: apply the gram, then bring every derived
          structure current for the touched relation.  This is the timed
          unit — query *serving* (probing, corpus merge, ranking) costs
          the same in both modes and is exercised untimed below. *)
-      let round (_, pinned, _, db, names, exec, cache) i =
+      let round (_, pinned, _, db, names, cache) ~incremental i =
         let u = e19_gram db names i in
-        let rel = Relalg.Database.find db u.Pdms.Updategram.rel in
-        Pdms.Updategram.apply ~exec db u;
-        ignore (Pdms.Cache.invalidate ~exec cache u);
-        ignore
-          (Pdms.Kwindex.get ~incremental:exec.Pdms.Exec.incremental
-             ~rel_name:u.Pdms.Updategram.rel rel);
-        ignore
-          (Relalg.Stats.of_relation ~incremental:exec.Pdms.Exec.incremental
-             rel);
-        ignore (Pdms.Cache.answer ~exec cache pinned)
+        let rel_name = u.Pdms.Updategram.rel in
+        let rel = Relalg.Database.find db rel_name in
+        Pdms.Updategram.apply db u;
+        if incremental then begin
+          ignore (Pdms.Cache.invalidate cache u);
+          ignore (Pdms.Kwindex.get ~rel_name rel);
+          ignore (Relalg.Stats.of_relation rel)
+        end
+        else begin
+          let wildcard = Pdms.Updategram.make ~rel:rel_name () in
+          ignore (Pdms.Cache.invalidate cache wildcard);
+          Pdms.Kwindex.reset ();
+          ignore (Pdms.Kwindex.get ~rel_name rel);
+          ignore (Reference.stats_scan rel)
+        end;
+        ignore (Pdms.Cache.answer cache pinned)
       in
       (* Byte-identity pass: replay the stream in both modes, transcribing
          rendered hits (jobs in {1,2,4}) and query answers every round. *)
-      let transcript incremental =
-        let (queries, _, catalog, _, _, _, _) as world = fresh incremental in
+      let transcript ~incremental =
+        let (queries, _, catalog, _, _, _) as world = fresh () in
         let acc = ref [] in
         for i = 0 to min rounds 8 - 1 do
-          round world i;
+          round world ~incremental i;
           List.iter
             (fun jobs ->
-              let e = Pdms.Exec.make ~incremental ~jobs () in
+              if not incremental then Pdms.Kwindex.reset ();
+              let e = Pdms.Exec.make ~jobs () in
               let hits =
                 Pdms.Keyword.search ~limit:10 ~exec:e catalog
                   (List.nth queries (i mod List.length queries))
@@ -1674,7 +1675,7 @@ let e19_configs ~rounds configs () =
           in
           List.iter
             (fun jobs ->
-              let e = Pdms.Exec.make ~incremental ~jobs () in
+              let e = Pdms.Exec.make ~jobs () in
               let answers =
                 Pdms.Answer.answers_list (Pdms.Answer.answer ~exec:e catalog aq)
               in
@@ -1685,9 +1686,9 @@ let e19_configs ~rounds configs () =
         !acc
       in
       let fb0 = e19_fallbacks () in
-      let t_incr = transcript true in
+      let t_incr = transcript ~incremental:true in
       let fb_identity = e19_fallbacks () - fb0 in
-      let t_rebuild = transcript false in
+      let t_rebuild = transcript ~incremental:false in
       if t_incr <> t_rebuild then begin
         Printf.printf
           "E19 FAILED: incremental and rebuild transcripts differ (peers=%d)\n"
@@ -1695,20 +1696,20 @@ let e19_configs ~rounds configs () =
         exit 1
       end;
       (* Timing pass. *)
-      let timed incremental =
-        let world = fresh incremental in
+      let timed ~incremental =
+        let world = fresh () in
         let ms, () =
           wall_ms (fun () ->
               for i = 0 to rounds - 1 do
-                round world i
+                round world ~incremental i
               done)
         in
         ms
       in
-      let rebuild_ms = timed false in
+      let rebuild_ms = timed ~incremental:false in
       let fb1 = e19_fallbacks () in
       let before = Obs.Metrics.snapshot () in
-      let incremental_ms = timed true in
+      let incremental_ms = timed ~incremental:true in
       let after = Obs.Metrics.snapshot () in
       let fb_timed = e19_fallbacks () - fb1 in
       if fb_identity + fb_timed > 0 then begin
@@ -1774,7 +1775,6 @@ let e20_configs ~rounds ~suffixes configs () =
   header "E20"
     "durability: WAL append overhead on the E19 maintenance sweep, and \
      recovery time vs WAL suffix length";
-  let exec = Pdms.Exec.make ~incremental:true () in
   (* One E19-style maintenance round, with the gram applied through
      [apply_gram] — the only difference between the modes is whether
      that call tees the effective delta into the WAL first. *)
@@ -1782,22 +1782,19 @@ let e20_configs ~rounds ~suffixes configs () =
     let u = e19_gram db names i in
     let rel = Relalg.Database.find db u.Pdms.Updategram.rel in
     apply_gram u;
-    ignore (Pdms.Cache.invalidate ~exec cache u);
-    ignore
-      (Pdms.Kwindex.get ~incremental:true ~rel_name:u.Pdms.Updategram.rel rel);
-    ignore (Relalg.Stats.of_relation ~incremental:true rel);
-    ignore (Pdms.Cache.answer ~exec cache (pinned : Cq.Query.t));
+    ignore (Pdms.Cache.invalidate cache u);
+    ignore (Pdms.Kwindex.get ~rel_name:u.Pdms.Updategram.rel rel);
+    ignore (Relalg.Stats.of_relation rel);
+    ignore (Pdms.Cache.answer cache (pinned : Cq.Query.t));
     ignore (catalog : Pdms.Catalog.t)
   in
   let warm catalog db queries pinned cache names =
-    List.iter (fun q -> ignore (Pdms.Keyword.search ~exec catalog q)) queries;
+    List.iter (fun q -> ignore (Pdms.Keyword.search catalog q)) queries;
     List.iter
       (fun nm ->
-        ignore
-          (Relalg.Stats.of_relation ~incremental:true
-             (Relalg.Database.find db nm)))
+        ignore (Relalg.Stats.of_relation (Relalg.Database.find db nm)))
       names;
-    ignore (Pdms.Cache.answer ~exec cache pinned)
+    ignore (Pdms.Cache.answer cache pinned)
   in
   let table =
     T.create
@@ -1819,7 +1816,7 @@ let e20_configs ~rounds ~suffixes configs () =
         wall_ms (fun () ->
             for i = 0 to rounds - 1 do
               round
-                (fun u -> Pdms.Updategram.apply ~exec db u)
+                (fun u -> Pdms.Updategram.apply db u)
                 catalog db names cache pinned i
             done)
       in
@@ -1840,7 +1837,7 @@ let e20_configs ~rounds ~suffixes configs () =
         wall_ms (fun () ->
             for i = 0 to rounds - 1 do
               round
-                (fun u -> Pdms.Persist.apply ~exec t u)
+                (fun u -> Pdms.Persist.apply t u)
                 catalog2 db2 names2 cache2 pinned2 i
             done)
       in

@@ -1,6 +1,6 @@
 (* Benchmark harness entry point.
 
-   dune exec bench/main.exe              -- run every experiment (E1-E18)
+   dune exec bench/main.exe              -- run every experiment (E1-E20)
    dune exec bench/main.exe -- e4 e5     -- run a subset
    dune exec bench/main.exe -- smoke     -- tiny smoke run (@bench-smoke)
    dune exec bench/main.exe -- bechamel  -- Bechamel micro-benchmarks

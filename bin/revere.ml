@@ -13,9 +13,9 @@
      revere distributed FILE QUERY --at P peer-based execution plan
 
    The last three share the execution-context flags: -j/--jobs plus the
-   on/off pairs --[no-]batch, --[no-]index, --[no-]incremental,
-   --[no-]pruning, --[no-]trace and --[no-]metrics (see [exec_term]
-   below). Schema files use the format of Corpus.Schema_parser. *)
+   on/off pairs --[no-]pruning, --[no-]trace and --[no-]metrics (see
+   [exec_term] below). Schema files use the format of
+   Corpus.Schema_parser. *)
 
 open Cmdliner
 
@@ -275,7 +275,7 @@ let onoff name ~default ~on ~off =
           (false, info [ "no-" ^ name ] ~doc:off);
         ])
 
-let make_cli_exec jobs pruning batch index incremental trace metrics =
+let make_cli_exec jobs pruning trace metrics =
   let pruning =
     if pruning then Pdms.Exec.default_pruning else Pdms.Exec.no_pruning
   in
@@ -284,9 +284,7 @@ let make_cli_exec jobs pruning batch index incremental trace metrics =
     match sink with Some s -> Obs.Trace.create s | None -> Obs.Trace.null
   in
   {
-    exec =
-      Pdms.Exec.make ~jobs ~pruning ~batch ~index ~incremental ~trace:trace_t
-        ();
+    exec = Pdms.Exec.make ~jobs ~pruning ~trace:trace_t ();
     sink;
     show_metrics = metrics;
   }
@@ -308,33 +306,6 @@ let exec_term =
         "Ablation mode: every reformulation pruning heuristic off, low depth \
          cap."
   in
-  let batch =
-    onoff "batch" ~default:true
-      ~on:
-        "Evaluate the rewriting union through the shared-prefix Cq.Plan trie."
-      ~off:
-        "Evaluate every rewriting independently instead of through the \
-         shared-prefix Cq.Plan trie. A/B escape hatch: the answer set is \
-         identical either way."
-  in
-  let index =
-    onoff "index" ~default:true
-      ~on:"Answer keyword searches through the Kwindex inverted index."
-      ~off:
-        "Answer keyword searches by brute-force scoring of every tuple. A/B \
-         escape hatch: the hit list is byte-identical either way."
-  in
-  let incremental =
-    onoff "incremental" ~default:true
-      ~on:
-        "Maintain derived structures (inverted index, statistics, caches, \
-         replicas) by patching them from the deltas retained in each \
-         relation's update log."
-      ~off:
-        "Rebuild derived structures from scratch whenever a base relation \
-         changes. A/B escape hatch: search hits and query answers are \
-         byte-identical either way."
-  in
   let trace =
     onoff "trace" ~default:false
       ~on:
@@ -348,9 +319,7 @@ let exec_term =
         "Print the Obs.Metrics counters accumulated by the run to stderr."
       ~off:"Do not print the counter snapshot."
   in
-  Term.(
-    const make_cli_exec $ jobs $ pruning $ batch $ index $ incremental
-    $ trace $ metrics)
+  Term.(const make_cli_exec $ jobs $ pruning $ trace $ metrics)
 
 let report_cli_exec cli =
   (match cli.sink with

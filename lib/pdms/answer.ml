@@ -22,56 +22,20 @@ let eval_union ?(exec = Exec.default) db = function
       let jobs = exec.Exec.jobs in
       let trace = exec.Exec.trace in
       Obs.Trace.span trace "eval" @@ fun () ->
-      (* Each branch evaluates one rewriting at a time so the per-rewriting
-         pre-dedup tuple counts come back; they are |run_bindings q| per
-         query, so identical for every [jobs] — and for the batch trie,
-         whose emit-node binding counts equal |run_bindings q| too. *)
+      (* A single rewriting runs on Cq.Eval; a union is one shared-prefix
+         trie, walked once with [jobs] sharding its top-level branches.
+         Either way the per-rewriting pre-dedup tuple counts are
+         |run_bindings q| per query, so identical for every [jobs]. *)
       let out, per_rewriting =
-        if exec.Exec.batch && List.length qs >= 2 then begin
-          (* Batch path: one shared-prefix trie over the whole union,
-             walked once; [jobs] shards across top-level branches. *)
-          if jobs > 1 then Relalg.Database.freeze db;
-          let plan = Cq.Plan.build ~trace db qs in
-          let out = Relalg.Relation.create (Cq.Eval.head_schema q0) in
-          let counts = Cq.Plan.run_union_into ~jobs ~trace out db plan in
-          (out, counts)
-        end
-        else if jobs <= 1 || List.length qs < 2 then begin
-          let out = Relalg.Relation.create (Cq.Eval.head_schema q0) in
-          let counts =
-            List.map (fun q -> Cq.Eval.run_union_into out db [ q ]) qs
-          in
-          (out, counts)
-        end
-        else begin
-          (* Parallel path. Pre-build every index so worker domains never
-             mutate the shared database; each shard evaluates into its own
-             partial relation, and partials are merged through one shared
-             hash-backed dedup set. Shards are contiguous and merged in
-             order, so the answer set is identical to the sequential one. *)
-          Relalg.Database.freeze db;
-          let shards = Util.Pool.chunk jobs qs in
-          let partials =
-            Util.Pool.map (List.length shards)
-              (fun shard ->
-                let partial =
-                  Relalg.Relation.create (Cq.Eval.head_schema q0)
-                in
-                let counts =
-                  List.map
-                    (fun q -> Cq.Eval.run_union_into partial db [ q ])
-                    shard
-                in
-                (partial, counts))
-              shards
-          in
-          let out = Relalg.Relation.create (Cq.Eval.head_schema q0) in
-          List.iter
-            (fun (partial, _) ->
-              Relalg.Relation.iter (Cq.Eval.add_distinct out) partial)
-            partials;
-          (out, List.concat_map snd partials)
-        end
+        match qs with
+        | [ q ] ->
+            let out = Relalg.Relation.create (Cq.Eval.head_schema q) in
+            (out, [ Cq.Eval.run_union_into out db [ q ] ])
+        | _ ->
+            if jobs > 1 then Relalg.Database.freeze db;
+            let plan = Cq.Plan.build ~trace db qs in
+            let out = Relalg.Relation.create (Cq.Eval.head_schema q0) in
+            (out, Cq.Plan.run_union_into ~jobs ~trace out db plan)
       in
       let tuples = List.fold_left ( + ) 0 per_rewriting in
       let answers = Relalg.Relation.cardinality out in
@@ -85,7 +49,6 @@ let eval_union ?(exec = Exec.default) db = function
       end;
       Obs.Trace.attr_i trace "rewritings" (List.length qs);
       Obs.Trace.attr_i trace "jobs" jobs;
-      Obs.Trace.attr_b trace "batch" (exec.Exec.batch && List.length qs >= 2);
       Obs.Trace.attr_i trace "tuples" tuples;
       Obs.Trace.attr_i trace "answers" answers;
       Obs.Trace.attr_i trace "dedup_dropped" (tuples - answers);

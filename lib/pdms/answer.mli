@@ -13,22 +13,26 @@ val answer : ?exec:Exec.t -> Catalog.t -> Cq.Query.t -> result
 (** [exec] ({!Exec.default} when omitted) carries pruning, the domain
     count and the observability hooks. [exec.jobs > 1] parallelises both
     the reformulation's final subsumption sweep
-    ({!Reformulate.reformulate}) and the union evaluation: shards of
-    rewritings are evaluated over a frozen snapshot of the global
-    database and merged through a shared dedup set. The rewriting list
-    and the answer {e set} are identical for every [exec.jobs]. Opens an
-    ["answer"] span on [exec.trace] with ["reformulate"] (and its
-    ["sweep"]) and ["eval"] children; records [pdms.answer.*] metrics
-    when [exec.metrics] is set. *)
+    ({!Reformulate.reformulate}) and the union evaluation, which walks
+    the rewritings' shared-prefix trie over a frozen snapshot of the
+    global database with the trie's top-level branches sharded across
+    domains (see {!eval_union}). The rewriting list and the answer
+    {e set} are identical for every [exec.jobs]. Opens an ["answer"]
+    span on [exec.trace] with ["reformulate"] (and its ["sweep"]) and
+    ["eval"] children; records [pdms.answer.*] metrics when
+    [exec.metrics] is set. *)
 
 val eval_union :
   ?exec:Exec.t -> Relalg.Database.t -> Cq.Query.t list -> Relalg.Relation.t
-(** Evaluate a union of rewritings over [db], optionally in parallel.
-    With [exec.jobs > 1] the database is frozen
-    ({!Relalg.Database.freeze}) and must not be mutated concurrently.
-    Raises on an empty list. Opens an ["eval"] span and records
-    [pdms.eval.*] metrics (per-rewriting pre-dedup tuple counts and the
-    union dedup rate — both independent of [exec.jobs]). *)
+(** Evaluate a union of rewritings over [db]. A single rewriting runs
+    on {!Cq.Eval}; two or more are compiled into one {!Cq.Plan}
+    shared-prefix trie and walked once, with [exec.jobs > 1] sharding
+    the walk across the trie's top-level branches. In that case the
+    database is frozen ({!Relalg.Database.freeze}) and must not be
+    mutated concurrently. Raises on an empty list. Opens an ["eval"]
+    span (with ["plan"] and ["trie_eval"] children for a union) and
+    records [pdms.eval.*] metrics (per-rewriting pre-dedup tuple counts
+    and the union dedup rate — both independent of [exec.jobs]). *)
 
 val answers_list : result -> string list list
 (** Answer tuples rendered as strings, sorted lexicographically with

@@ -199,8 +199,8 @@ let invalidate ?(exec = Exec.default) t (u : Updategram.t) =
       let victims, kept =
         (* An empty updategram carries no tuples to probe against: it is
            a wildcard "this relation changed somehow" signal and drops
-           every reader, as does the non-incremental baseline. *)
-        if exec.Exec.incremental && changed <> [] then
+           every reader. *)
+        if changed <> [] then
           Hashtbl.fold
             (fun _ e (vs, ks) ->
               if entry_affected u.Updategram.rel changed e then (e :: vs, ks)

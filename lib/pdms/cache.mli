@@ -24,15 +24,13 @@ val invalidate : ?exec:Exec.t -> t -> Updategram.t -> int
     this O(affected entries), independent of cache size. Call this when
     applying updates to any peer's stored data.
 
-    With [exec.incremental] (the default) the updategram is {e probed}
-    against each candidate entry first: an entry survives when no body
-    atom over the touched relation unifies with any changed tuple
-    (constants must match, repeated variables must bind consistently) —
-    its answers are provably unaffected.  Survivors count into
-    [pdms.delta.cache_kept]; [~exec:(Exec.with_incremental false)]
-    restores the drop-every-reader baseline.  An {e empty} updategram
-    carries nothing to probe and acts as a wildcard: every reader of
-    the relation is dropped in both modes. *)
+    The updategram is {e probed} against each candidate entry first:
+    an entry survives when no body atom over the touched relation
+    unifies with any changed tuple (constants must match, repeated
+    variables must bind consistently) — its answers are provably
+    unaffected.  Survivors count into [pdms.delta.cache_kept] when
+    [exec.metrics].  An {e empty} updategram carries nothing to probe
+    and acts as a wildcard: every reader of the relation is dropped. *)
 
 val invalidate_all : t -> unit
 

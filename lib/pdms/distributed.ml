@@ -173,28 +173,19 @@ let execute ?(exec = Exec.default) catalog network ~at query =
   let db = Catalog.global_db catalog in
   (* Evaluate each rewriting exactly once; the result feeds both the
      ship-size estimate and the final union. Site planning needs one
-     answer relation per rewriting, so the batch path runs the trie in
+     answer relation per rewriting, so a union runs the trie in
      [run_each] mode — shared prefixes are still computed once. *)
   let results =
     Obs.Trace.span trace "eval" @@ fun () ->
     let jobs = exec.Exec.jobs in
     Obs.Trace.attr_i trace "jobs" jobs;
     Obs.Trace.attr_i trace "rewritings" (List.length rewritings);
-    Obs.Trace.attr_b trace "batch"
-      (exec.Exec.batch && List.length rewritings >= 2);
-    if exec.Exec.batch && List.length rewritings >= 2 then begin
-      if jobs > 1 then Relalg.Database.freeze db;
-      let plan = Cq.Plan.build ~trace db rewritings in
-      Cq.Plan.run_each ~jobs ~trace db plan
-    end
-    else if jobs <= 1 || List.length rewritings < 2 then
-      List.map (Cq.Eval.run db) rewritings
-    else begin
-      Relalg.Database.freeze db;
-      let shards = Util.Pool.chunk jobs rewritings in
-      Util.Pool.map (List.length shards) (List.map (Cq.Eval.run db)) shards
-      |> List.concat
-    end
+    match rewritings with
+    | [] | [ _ ] -> List.map (Cq.Eval.run db) rewritings
+    | _ ->
+        if jobs > 1 then Relalg.Database.freeze db;
+        let plan = Cq.Plan.build ~trace db rewritings in
+        Cq.Plan.run_each ~jobs ~trace db plan
   in
   let planned, candidates_total =
     Obs.Trace.span trace "plan" @@ fun () ->

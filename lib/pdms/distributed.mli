@@ -57,9 +57,12 @@ val execute :
     With no injected faults the answer set is identical to
     {!Answer.answer}'s and [report.complete] is [true].
 
+    Two or more rewritings are evaluated as one {!Cq.Plan} shared-prefix
+    trie in per-query mode ({!Cq.Plan.run_each}), so shared joins run
+    once while each rewriting still gets its own answer relation.
     [exec.jobs] parallelises the reformulation's final subsumption sweep
-    and the per-rewriting evaluation; rewritings, plans, costs and retry
-    schedules are unaffected (transfers are sequential with a
+    and the trie walk; rewritings, plans, costs and retry schedules are
+    unaffected (transfers are sequential with a
     constant-seeded jitter stream). Opens a ["distributed.execute"] span
     (children ["reformulate"], ["eval"], ["plan"], ["transfer"]) and
     records [pdms.distributed.*] metrics — chosen vs. rejected candidate

@@ -54,9 +54,6 @@ type t = {
   jobs : int;
   pruning : pruning;
   retry : retry;
-  batch : bool;
-  index : bool;
-  incremental : bool;
   trace : Obs.Trace.t;
   metrics : bool;
 }
@@ -66,22 +63,15 @@ let default =
     jobs = 1;
     pruning = default_pruning;
     retry = default_retry;
-    batch = true;
-    index = true;
-    incremental = true;
     trace = Obs.Trace.null;
     metrics = true;
   }
 
 let make ?(jobs = 1) ?(pruning = default_pruning) ?(retry = default_retry)
-    ?(batch = true) ?(index = true) ?(incremental = true)
     ?(trace = Obs.Trace.null) ?(metrics = true) () =
-  { jobs; pruning; retry; batch; index; incremental; trace; metrics }
+  { jobs; pruning; retry; trace; metrics }
 
 let with_jobs jobs = { default with jobs }
 let with_pruning pruning = { default with pruning }
 let with_retry retry = { default with retry }
-let with_batch batch = { default with batch }
-let with_index index = { default with index }
-let with_incremental incremental = { default with incremental }
 let with_trace trace = { default with trace }

@@ -5,7 +5,11 @@
     [Exec.t] record threaded through {!Answer}, {!Reformulate},
     {!Distributed}, {!Keyword}, {!Cache} and {!Propagate}.  Callers that
     don't care pass nothing and get {!default}; callers that do build one
-    context and reuse it across calls. *)
+    context and reuse it across calls.  No field selects an algorithm:
+    answering, keyword search and delta maintenance each have one
+    implementation, and results never depend on the context beyond
+    pruning (which rewritings reformulation keeps) and retry (which
+    transfers survive a fault). *)
 
 (** Reformulation pruning heuristics (Section 3.1.1), individually
     switchable for the ablation benchmark.  The record lives here so
@@ -75,24 +79,6 @@ type t = {
   retry : retry;
       (** retry/timeout/backoff policy for simulated network sends
           (used by {!Distributed.execute}) *)
-  batch : bool;
-      (** evaluate the rewriting union through the shared-prefix trie
-          of {!Cq.Plan} (default [true]); [false] evaluates every
-          rewriting independently — the [--no-batch] A/B escape hatch.
-          The answer set is identical either way. *)
-  index : bool;
-      (** answer keyword searches from the {!Kwindex} inverted index
-          (default [true]); [false] re-vectorizes and scores every
-          tuple per query — the [--no-index] A/B escape hatch. Hit
-          lists are identical either way, tie-breaks included. *)
-  incremental : bool;
-      (** maintain derived structures (inverted index, statistics,
-          answer cache, replicas) by folding in retained
-          {!Relalg.Relation.Delta.t}s rather than rebuilding or
-          invalidating on every version bump (default [true]);
-          [false] restores the version-guarded rebuild discipline —
-          the [--no-incremental] A/B escape hatch.  Search results,
-          statistics, and replica contents are identical either way. *)
   trace : Obs.Trace.t;
       (** span collection; {!Obs.Trace.null} (the default) costs one
           branch per span site *)
@@ -102,12 +88,11 @@ type t = {
 }
 
 val default : t
-(** [jobs = 1], {!default_pruning}, {!default_retry}, batch evaluation
-    on, no tracing, metrics on. *)
+(** [jobs = 1], {!default_pruning}, {!default_retry}, no tracing,
+    metrics on. *)
 
 val make :
-  ?jobs:int -> ?pruning:pruning -> ?retry:retry -> ?batch:bool ->
-  ?index:bool -> ?incremental:bool -> ?trace:Obs.Trace.t ->
+  ?jobs:int -> ?pruning:pruning -> ?retry:retry -> ?trace:Obs.Trace.t ->
   ?metrics:bool -> unit -> t
 
 val with_jobs : int -> t
@@ -118,15 +103,6 @@ val with_pruning : pruning -> t
 
 val with_retry : retry -> t
 (** [with_retry r] is {!default} with [retry = r]. *)
-
-val with_batch : bool -> t
-(** [with_batch b] is {!default} with [batch = b]. *)
-
-val with_index : bool -> t
-(** [with_index b] is {!default} with [index = b]. *)
-
-val with_incremental : bool -> t
-(** [with_incremental b] is {!default} with [incremental = b]. *)
 
 val with_trace : Obs.Trace.t -> t
 (** [with_trace tr] is {!default} with [trace = tr]. *)

@@ -18,8 +18,8 @@ let m_skipped = Obs.Metrics.counter "pdms.kwindex.skipped_by_bound"
    only, then rank relation by relation, skipping any relation whose
    score upper bound cannot beat the current k-th score. Relations are
    visited in database order and candidates in ascending tuple id, so
-   insertions into the heap happen in the same order the brute-force
-   scan would make them — tie-breaks included. *)
+   insertions into the heap happen in the same order a scan scoring
+   every live tuple would make them — tie-breaks included. *)
 let indexed ~jobs ~trace ~metrics ~limit entries query_toks =
   let stamp, corpus = Kwindex.corpus ~metrics entries in
   let query_vec = Util.Tfidf.vectorize corpus query_toks in
@@ -64,66 +64,7 @@ let indexed ~jobs ~trace ~metrics ~limit entries query_toks =
     Obs.Trace.attr_i trace "skipped_by_bound" !skipped;
     hits
   in
-  (hits, !candidates, !candidates, !skipped)
-
-(* The [--no-index] baseline: rebuild the corpus and re-vectorize every
-   tuple per call, as the pre-index implementation did. Tokenisation
-   still comes from the shared Kwindex entries (the old token memo,
-   folded into the index store), so the A/B measures indexing proper,
-   not tokenisation caching. *)
-let brute ~jobs ~trace ~limit entries query_toks =
-  let docs =
-    List.concat_map
-      (fun e ->
-        (* Ascending live slots only: dead (tombstoned) slots belong to
-           deleted tuples and must not contribute documents or df. *)
-        let acc = ref [] in
-        for id = e.Kwindex.n_slots - 1 downto 0 do
-          if e.Kwindex.live.(id) then begin
-            let toks =
-              Array.to_list e.Kwindex.token_tfs.(id)
-              |> List.concat_map (fun (tok, tf) ->
-                     List.init (int_of_float tf) (fun _ -> tok))
-            in
-            acc :=
-              (e.Kwindex.peer, e.Kwindex.rel_name, e.Kwindex.tuples.(id), toks)
-              :: !acc
-          end
-        done;
-        !acc)
-      entries
-  in
-  let corpus =
-    Util.Tfidf.build (List.map (fun (_, _, _, toks) -> toks) docs)
-  in
-  let query_vec = Util.Tfidf.vectorize corpus query_toks in
-  (* Scoring is pure, so it shards across domains; chunks are contiguous
-     and re-concatenated in order, keeping the ranking (tie-breaks
-     included) identical to the sequential pass. *)
-  let scored =
-    Obs.Trace.span trace "score" @@ fun () ->
-    Obs.Trace.attr_i trace "jobs" jobs;
-    Util.Pool.chunk (max 1 jobs) docs
-    |> Util.Pool.map jobs
-         (List.map (fun (peer, stored_rel, tuple, toks) ->
-              let score =
-                Util.Tfidf.cosine query_vec (Util.Tfidf.vectorize corpus toks)
-              in
-              (score, { peer; stored_rel; tuple; score })))
-    |> List.concat
-  in
-  let hits =
-    Obs.Trace.span trace "rank" @@ fun () ->
-    let top = Util.Topk.create limit in
-    List.iter
-      (fun (score, hit) -> if score > 0.0 then Util.Topk.add top score hit)
-      scored;
-    let hits = List.map snd (Util.Topk.to_list top) in
-    Obs.Trace.attr_i trace "limit" limit;
-    Obs.Trace.attr_i trace "hits" (List.length hits);
-    hits
-  in
-  (hits, List.length docs, 0, 0)
+  (hits, !candidates, !skipped)
 
 let search ?(limit = 10) ?(exec = Exec.default) ?network catalog keywords =
   let jobs = exec.Exec.jobs in
@@ -149,8 +90,7 @@ let search ?(limit = 10) ?(exec = Exec.default) ?network catalog keywords =
       List.map
         (fun rel_name ->
           let e, fresh =
-            Kwindex.get ~metrics ~incremental:exec.Exec.incremental ~rel_name
-              (Relalg.Database.find db rel_name)
+            Kwindex.get ~metrics ~rel_name (Relalg.Database.find db rel_name)
           in
           if fresh then Stdlib.incr built;
           e)
@@ -161,15 +101,13 @@ let search ?(limit = 10) ?(exec = Exec.default) ?network catalog keywords =
     entries
   in
   let query_toks = List.map Util.Stemmer.stem (Util.Tokenize.words keywords) in
-  let hits, scanned, candidates, skipped =
-    if exec.Exec.index then
-      indexed ~jobs ~trace ~metrics ~limit entries query_toks
-    else brute ~jobs ~trace ~limit entries query_toks
+  let hits, candidates, skipped =
+    indexed ~jobs ~trace ~metrics ~limit entries query_toks
   in
   if metrics then begin
     let n_entries = List.length entries in
     Obs.Metrics.incr m_searches;
-    Obs.Metrics.add m_scored scanned;
+    Obs.Metrics.add m_scored candidates;
     Obs.Metrics.add m_memo_hits (n_entries - !built);
     Obs.Metrics.add m_memo_misses !built;
     Obs.Metrics.add m_hits_returned (List.length hits);

@@ -23,21 +23,19 @@ val search :
     relations whose score upper bound cannot beat the current k-th
     score. Index entries rebuild only when a relation's
     [(uid, version)] moves, so repeated searches over an unchanged
-    database skip tokenisation and vectorization entirely.
-    [exec.index = false] (the [--no-index] escape hatch) instead
-    re-vectorizes and cosine-scores every tuple per call; the hit list
-    is byte-identical either way — scores, order, and tie-breaks.
+    database skip tokenisation and vectorization entirely. The hit
+    list is byte-identical to re-vectorizing and cosine-scoring every
+    reachable tuple — scores, order, and tie-breaks (see {!Kwindex}).
 
-    [exec.jobs] shards posting accumulation (or brute-force scoring)
-    across domains; the ranking is identical for every value. When
-    [network] is given, relations owned by a peer that
-    {!Network.Fault.is_down} are excluded at query time — search
-    degrades to the reachable part of the PDMS instead of pretending
-    dead peers answered, and the index entries survive for when the
-    peer heals.
+    [exec.jobs] shards posting accumulation across domains; the
+    ranking is identical for every value. When [network] is given,
+    relations owned by a peer that {!Network.Fault.is_down} are
+    excluded at query time — search degrades to the reachable part of
+    the PDMS instead of pretending dead peers answered, and the index
+    entries survive for when the peer heals.
 
     Opens a ["keyword.search"] span (children ["kwindex.build"],
-    ["kwindex.probe"], ["rank"]; ["score"] on the brute path) and
-    records [pdms.keyword.*] plus [pdms.kwindex.*] metrics. *)
+    ["kwindex.probe"], ["rank"]) and records [pdms.keyword.*] plus
+    [pdms.kwindex.*] metrics. *)
 
 val render_hit : hit -> string

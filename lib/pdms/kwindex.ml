@@ -12,13 +12,13 @@
    rebuilt: removed tuples are tombstoned (their slot stays, marked
    dead, their postings spliced out) and inserted tuples take fresh
    ascending slots, so postings stay id-ascending without renumbering.
-   A full rebuild happens only on a cold entry, when the delta log was
-   truncated past the cached version (counted in
-   [pdms.delta.rebuild_fallbacks]), or with [~incremental:false].
+   A full rebuild happens only on a cold entry or when the delta log
+   was truncated past the cached version (counted in
+   [pdms.delta.rebuild_fallbacks]).
 
-   Byte-identity with the brute-force scorer is load-bearing: the
-   [--no-index] escape hatch must produce the same hit lists bit for
-   bit. Three invariants keep it:
+   Byte-identity with scoring every tuple by [vectorize] and [cosine]
+   is load-bearing: the index must produce the same hit lists as that
+   scan, bit for bit. Three invariants keep it:
    - per-tuple term frequencies are accumulated with the same
      [+. 1.0] folds as {!Util.Tfidf.vectorize} and stored in ascending
      token order, so norms fold in the exact op order of [vectorize];
@@ -268,7 +268,7 @@ let evict_lru () =
   in
   match victim with Some (uid, _) -> Hashtbl.remove store uid | None -> ()
 
-let get ?(metrics = true) ?(incremental = true) ~rel_name rel =
+let get ?(metrics = true) ~rel_name rel =
   let uid = Relalg.Relation.uid rel in
   let version = Relalg.Relation.version rel in
   Mutex.lock lock;
@@ -279,7 +279,7 @@ let get ?(metrics = true) ?(incremental = true) ~rel_name rel =
     | Some e when e.version = version ->
         e.last_used <- now;
         Some e
-    | Some e when incremental -> (
+    | Some e -> (
         (* Stale entry: patch from the retained deltas under the lock —
            concurrent searches sharing the store serialise their index
            refresh here instead of racing on duplicate rebuilds. *)
@@ -291,7 +291,7 @@ let get ?(metrics = true) ?(incremental = true) ~rel_name rel =
         | None ->
             if metrics then Obs.Metrics.incr m_fallbacks;
             None)
-    | Some _ | None -> None
+    | None -> None
   in
   Mutex.unlock lock;
   match cached with

@@ -9,20 +9,20 @@
     tuples are tombstoned in place (postings spliced, slot marked
     dead), inserted tuples take fresh ascending slots — counted in
     [pdms.delta.patched_postings].  A full reindex of the relation
-    happens only on a cold entry, when the delta log was truncated past
-    the cached version ([pdms.delta.rebuild_fallbacks]), or with
-    [~incremental:false]; the bounded store evicts its
-    least-recently-used entry on overflow instead of resetting
-    wholesale.
+    happens only on a cold entry or when the delta log was truncated
+    past the cached version ([pdms.delta.rebuild_fallbacks]); the
+    bounded store evicts its least-recently-used entry on overflow
+    instead of resetting wholesale.  A from-scratch index of a relation
+    is {!reset} followed by {!get}.
 
     Scoring through {!probe} is bit-identical to vectorizing every
     tuple and taking {!Util.Tfidf.cosine} against the query vector —
     term frequencies, norms, and partial dot products replay the exact
-    floating-point op order of the brute-force path, and patched
+    floating-point op order of that scan, and patched
     entries preserve live-doc enumeration order (tie-breaks included)
     relative to a compacting rebuild (see the implementation header for
-    the argument).  This is what lets [revere search --no-index] and
-    [--no-incremental] serve as byte-exact A/B baselines.
+    the argument).  Hit lists therefore equal a full scan's, and a
+    patched entry scores exactly as a rebuilt one.
 
     Instrumented with [pdms.kwindex.{builds,postings,df_merges}]
     counters and a [pdms.kwindex.posting_len] histogram; the search
@@ -71,19 +71,13 @@ type probe = {
 val tuple_tokens : Relalg.Relation.tuple -> string list
 (** Tokenised + stemmed values of a tuple, in value order. *)
 
-val get :
-  ?metrics:bool ->
-  ?incremental:bool ->
-  rel_name:string ->
-  Relalg.Relation.t ->
-  entry * bool
+val get : ?metrics:bool -> rel_name:string -> Relalg.Relation.t -> entry * bool
 (** [get ~rel_name rel] returns the index entry for [rel].  A cached
     entry at the current version is served as-is; a stale one is
-    delta-patched under the store lock when [incremental] (default
-    [true]) and the relation's delta log still reaches back — otherwise
-    it is rebuilt from scratch.  The flag is [true] only when a full
-    (re)build happened.  Thread-safe; concurrent searches serialise
-    their patching on the store lock. *)
+    delta-patched under the store lock when the relation's delta log
+    still reaches back — otherwise it is rebuilt from scratch.  The
+    flag is [true] only when a full (re)build happened.  Thread-safe;
+    concurrent searches serialise their patching on the store lock. *)
 
 val corpus : ?metrics:bool -> entry list -> int * Util.Tfidf.corpus
 (** [corpus entries] merges the per-relation df counts of the given

@@ -94,49 +94,23 @@ let push ?(exec = Exec.default) ?network ?prng ?tee t (u : Updategram.t) =
         List.partition (ship ?network ~exec ~prng u) dependents
       in
       List.iter (fun r -> r.lag <- u :: r.lag) lagging;
-      let live_views = List.concat_map (fun r -> r.views) converged in
-      let each_view f = List.iter f live_views in
-      (* The incremental branch below mutates tuple by tuple, but the
-         net database change is exactly the effective delta, and the
-         per-tuple order (deletes first, then inserts) matches one
-         Relation.apply of it — so the durability tee records a single
-         replayable write-ahead entry either way. *)
+      (* Maintenance below mutates tuple by tuple, but the net database
+         change is exactly the effective delta, and the per-tuple order
+         (deletes first, then inserts) matches one Relation.apply of it —
+         so the durability tee records a single replayable write-ahead
+         entry. *)
       (match tee with
-      | Some f when exec.Exec.incremental ->
+      | Some f ->
           let d = Updategram.effective_delta rel u in
           if not (Relalg.Relation.Delta.is_empty d) then
             f ~rel:u.Updategram.rel d
-      | Some _ | None -> ());
-      if not exec.Exec.incremental then begin
-        (* Baseline: one delta application to the shared database, then
-           recompute every reachable dependent view. *)
-        Updategram.apply ~exec ?tee t.db u;
-        each_view View_maintenance.refresh
-      end
-      else begin
-        (* The database is shared by every replica, so the mutation
-           happens exactly once here; each reachable dependent view
-           maintains its counts around it (deletes while the tuple is
-           still present, inserts after it lands). *)
-        List.iter
-          (fun tuple ->
-            if Relalg.Relation.mem rel tuple then begin
-              each_view (fun vm ->
-                  View_maintenance.maintain_delete vm ~rel:u.Updategram.rel
-                    tuple);
-              Relalg.Relation.apply rel (Relalg.Relation.Delta.remove tuple)
-            end)
-          u.Updategram.deletes;
-        List.iter
-          (fun tuple ->
-            if not (Relalg.Relation.mem rel tuple) then begin
-              Relalg.Relation.apply rel (Relalg.Relation.Delta.add tuple);
-              each_view (fun vm ->
-                  View_maintenance.maintain_insert vm ~rel:u.Updategram.rel
-                    tuple)
-            end)
-          u.Updategram.inserts
-      end;
+      | None -> ());
+      (* The database is shared by every replica, so the mutation happens
+         exactly once here, with each reachable dependent view maintained
+         around it. *)
+      View_maintenance.maintain
+        (List.concat_map (fun r -> r.views) converged)
+        rel u;
       if exec.Exec.metrics then
         List.iter (fun _ -> Obs.Metrics.incr m_converged) converged;
       List.map (fun r -> (r.name, r.at)) converged

@@ -44,11 +44,11 @@ val push :
     converged.  Replicas not reading the relation pay nothing.  With a
     [network], the delta is shipped to each dependent host first
     ([exec.retry] + [prng] drive the retry loop); failed deliveries
-    land in the replica's lag queue instead.  [exec.incremental]
-    selects counting maintenance (default) vs full view recomputation —
-    replica contents are identical either way.  [tee] (the durability
-    hook) observes the single effective delta in write-ahead order,
-    exactly as {!Updategram.apply} would record it, in both modes. *)
+    land in the replica's lag queue instead.  Converged replicas are
+    maintained by derivation counting ({!View_maintenance}) around the
+    one mutation, never recomputed.  [tee] (the durability hook)
+    observes the single effective delta in write-ahead order, exactly
+    as {!Updategram.apply} would record it. *)
 
 val lagging : t -> (string * int) list
 (** Replicas with undelivered updategrams, with their backlog length,

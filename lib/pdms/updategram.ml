@@ -18,35 +18,6 @@ let remove_one tuple list =
   in
   go [] list
 
-let of_log events =
-  let order = ref [] in
-  let grams = Hashtbl.create 8 in
-  let get rel =
-    match Hashtbl.find_opt grams rel with
-    | Some g -> g
-    | None ->
-        order := rel :: !order;
-        let g = ref (make ~rel ()) in
-        Hashtbl.replace grams rel g;
-        g
-  in
-  List.iter
-    (fun event ->
-      match event with
-      | Storage.Relation_store.Inserted (rel, tuple) ->
-          let g = get rel in
-          (* A pending delete of the same tuple cancels out. *)
-          (match remove_one tuple !g.deletes with
-          | Some deletes -> g := { !g with deletes }
-          | None -> g := { !g with inserts = !g.inserts @ [ tuple ] })
-      | Storage.Relation_store.Deleted (rel, tuple) ->
-          let g = get rel in
-          (match remove_one tuple !g.inserts with
-          | Some inserts -> g := { !g with inserts }
-          | None -> g := { !g with deletes = !g.deletes @ [ tuple ] }))
-    events;
-  List.rev_map (fun rel -> !(Hashtbl.find grams rel)) !order
-
 let m_applied = Obs.Metrics.counter "pdms.delta.applied"
 
 (* The effective {!Relalg.Relation.Delta.t} this updategram denotes

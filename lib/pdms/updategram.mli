@@ -16,10 +16,6 @@ val make :
   unit ->
   t
 
-val of_log : Storage.Relation_store.event list -> t list
-(** Fold a change log into one updategram per relation (insert-then-
-    delete of the same tuple cancels). *)
-
 val effective_delta : Relalg.Relation.t -> t -> Relalg.Relation.Delta.t
 (** What this updategram would actually change against the relation's
     current contents: deletes of absent tuples are dropped, duplicate

@@ -120,34 +120,30 @@ let maintain_delete t ~rel tuple =
 
 let refresh t = recompute_counts t
 
+let maintain views rel (u : Updategram.t) =
+  let name = u.Updategram.rel in
+  (* Deletes: count derivations while the tuple is still present. *)
+  List.iter
+    (fun tuple ->
+      if Relalg.Relation.mem rel tuple then begin
+        List.iter (fun t -> maintain_delete t ~rel:name tuple) views;
+        Relalg.Relation.apply rel (Relalg.Relation.Delta.remove tuple)
+      end)
+    u.Updategram.deletes;
+  (* Inserts: add first, then count new derivations (all of them use
+     the new tuple, which was absent before). *)
+  List.iter
+    (fun tuple ->
+      if not (Relalg.Relation.mem rel tuple) then begin
+        Relalg.Relation.apply rel (Relalg.Relation.Delta.add tuple);
+        List.iter (fun t -> maintain_insert t ~rel:name tuple) views
+      end)
+    u.Updategram.inserts
+
 let apply ?exec t (u : Updategram.t) =
   let exec = Option.value ~default:t.exec exec in
-  if not exec.Exec.incremental then begin
-    (* The --no-incremental baseline: mutate, then recompute the view
-       from scratch.  Same final counts, none of the delta machinery. *)
-    Updategram.apply ~exec t.db u;
-    refresh t
-  end
-  else begin
-    let rel = Relalg.Database.find t.db u.Updategram.rel in
-    Obs.Trace.span exec.Exec.trace "view.maintain" @@ fun () ->
-    (* Deletes: count derivations while the tuple is still present. *)
-    List.iter
-      (fun tuple ->
-        if Relalg.Relation.mem rel tuple then begin
-          maintain_delete t ~rel:u.Updategram.rel tuple;
-          Relalg.Relation.apply rel (Relalg.Relation.Delta.remove tuple)
-        end)
-      u.Updategram.deletes;
-    (* Inserts: add first, then count new derivations (all of them use
-       the new tuple, which was absent before). *)
-    List.iter
-      (fun tuple ->
-        if not (Relalg.Relation.mem rel tuple) then begin
-          Relalg.Relation.apply rel (Relalg.Relation.Delta.add tuple);
-          maintain_insert t ~rel:u.Updategram.rel tuple
-        end)
-      u.Updategram.inserts
-  end
+  let rel = Relalg.Database.find t.db u.Updategram.rel in
+  Obs.Trace.span exec.Exec.trace "view.maintain" @@ fun () ->
+  maintain [ t ] rel u
 
 let delta_bindings_processed t = t.delta_bindings

@@ -19,28 +19,32 @@ val cardinality : t -> int
 
 val apply : ?exec:Exec.t -> t -> Updategram.t -> unit
 (** Apply the updategram to the underlying database {e and} maintain
-    the view (deletes processed before inserts).  With
-    [exec.incremental] (the default) the view's derivation counts are
-    patched per touched tuple under a [view.maintain] span; with
-    [~exec:(Exec.with_incremental false)] the database is mutated and
-    the view fully recomputed — the A/B baseline with identical final
-    contents.  [exec] defaults to the context given at {!create}. *)
+    the view (deletes processed before inserts): the view's derivation
+    counts are patched per touched tuple under a [view.maintain] span
+    on [exec.trace], never recomputed.  [exec] defaults to the context
+    given at {!create}. *)
 
 val refresh : t -> unit
-(** Full recomputation from the current database state. *)
+(** Full recomputation from the current database state — for a view
+    whose database moved without it (a lagging replica catching up, see
+    {!Propagate.reconcile}), and the recompute baseline that
+    incremental maintenance is measured and checked against. *)
 
-(** {2 Maintenance without mutating the database}
+(** {2 Several views over one database}
 
     For several views sharing one database (update propagation), the
-    caller owns the mutation and invokes these around it. *)
+    caller applies each updategram once for all of them. *)
 
-val maintain_insert : t -> rel:string -> Relalg.Relation.tuple -> unit
-(** Count the new derivations using the tuple. Call {e after} the tuple
-    was (distinctly) inserted into the shared database. *)
-
-val maintain_delete : t -> rel:string -> Relalg.Relation.tuple -> unit
-(** Discount the derivations using the tuple. Call {e before} the tuple
-    is removed from the shared database. *)
+val maintain : t list -> Relalg.Relation.t -> Updategram.t -> unit
+(** [maintain views rel u] applies [u] to [rel] — the relation [u]
+    names in the views' shared database — tuple by tuple, deletes
+    before inserts, skipping deletes of absent and inserts of present
+    tuples, and maintains the derivation counts of every view in
+    [views] around each mutation.  Views that do not read [rel] pay
+    nothing; with no views it only mutates [rel].  The net change to
+    [rel] equals one {!Relalg.Relation.apply} of
+    {!Updategram.effective_delta}, rows in the same order.  {!apply} is
+    [maintain [ t ]] under a [view.maintain] span. *)
 
 val delta_bindings_processed : t -> int
 (** Total satisfying assignments enumerated by incremental maintenance —

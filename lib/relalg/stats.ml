@@ -65,7 +65,7 @@ let patch e rel deltas =
 let snapshot e =
   { cardinality = e.cardinality; distinct = Array.map Hashtbl.length e.counts }
 
-let of_relation ?(incremental = true) rel =
+let of_relation rel =
   let uid = Relation.uid rel in
   let version = Relation.version rel in
   Mutex.lock lock;
@@ -74,7 +74,7 @@ let of_relation ?(incremental = true) rel =
     | Some e when e.version = version ->
         incr hits;
         Some (snapshot e)
-    | Some e when incremental -> (
+    | Some e -> (
         (* Stale entry: try to fold the retained deltas in instead of
            rescanning. *)
         match Relation.deltas_since rel e.version with
@@ -88,7 +88,7 @@ let of_relation ?(incremental = true) rel =
             incr misses;
             Obs.Metrics.incr m_fallbacks;
             None)
-    | Some _ | None ->
+    | None ->
         incr misses;
         None
   in

@@ -5,9 +5,10 @@
     {!Relation.deltas_since}: when the relation's version has moved, the
     cached per-column value-count tables are patched with the retained
     deltas (O(changed rows x arity)) instead of rescanned.  A full
-    O(tuples x arity) rescan happens only on a cold entry, when the
+    O(tuples x arity) rescan happens only on a cold entry or when the
     delta log was truncated past the cached version (counted in
-    [pdms.delta.rebuild_fallbacks]), or with [~incremental:false].
+    [pdms.delta.rebuild_fallbacks]); a forced rescan is
+    [of_relation (Relation.copy rel)], since a copy has a fresh uid.
     The table is mutex-protected; full scans happen outside the lock,
     so concurrent planners at worst duplicate one scan. *)
 
@@ -17,12 +18,10 @@ type t = {
       (** distinct values per column, length = schema arity *)
 }
 
-val of_relation : ?incremental:bool -> Relation.t -> t
-(** Statistics for the relation's current state.  [incremental]
-    (default [true]) allows delta-patching a stale cached entry —
-    counted in [pdms.delta.stats_patched] and {!cache_patches};
-    [false] forces the version-guarded rebuild discipline (any change
-    rescans), the [--no-incremental] A/B baseline. *)
+val of_relation : Relation.t -> t
+(** Statistics for the relation's current state.  A stale cached entry
+    is delta-patched — counted in [pdms.delta.stats_patched] and
+    {!cache_patches}. *)
 
 val selectivity : t -> int -> float
 (** [selectivity s col] is [1 / distinct.(col)] clamped to [(0, 1]] — the

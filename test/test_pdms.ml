@@ -387,21 +387,6 @@ let test_network_of_topology () =
 
 let vi i = Relalg.Value.Int i
 
-let test_updategram_of_log () =
-  let events =
-    [ Storage.Relation_store.Inserted ("r", [| vi 1 |]);
-      Storage.Relation_store.Inserted ("r", [| vi 2 |]);
-      Storage.Relation_store.Deleted ("r", [| vi 1 |]);
-      Storage.Relation_store.Inserted ("s", [| vi 9 |]) ]
-  in
-  match P.Updategram.of_log events with
-  | [ r; s ] ->
-      check_b "r gram" true (r.P.Updategram.rel = "r");
-      check_i "insert 2 survives" 1 (List.length r.P.Updategram.inserts);
-      check_i "delete cancelled" 0 (List.length r.P.Updategram.deletes);
-      check_i "s gram" 1 (List.length s.P.Updategram.inserts)
-  | grams -> Alcotest.fail (Printf.sprintf "expected 2 grams, got %d" (List.length grams))
-
 let test_updategram_compose () =
   let a = P.Updategram.make ~rel:"r" ~inserts:[ [| vi 1 |]; [| vi 2 |] ] () in
   let b = P.Updategram.make ~rel:"r" ~deletes:[ [| vi 1 |] ] ~inserts:[ [| vi 3 |] ] () in
@@ -409,34 +394,61 @@ let test_updategram_compose () =
   check_i "two inserts" 2 (List.length c.P.Updategram.inserts);
   check_i "no deletes" 0 (List.length c.P.Updategram.deletes)
 
-let prop_updategram_log_replay =
-  QCheck.Test.make ~name:"of_log replay reproduces the final state" ~count:150
+(* Updategram.apply and compose against direct mutation: random
+   mem-guarded inserts and deletes land straight in the relations, each
+   effective step is recorded as a one-tuple gram, and the grams fold per
+   relation with compose.  Applying the folded grams to a copy of the
+   initial database must reproduce the final contents. *)
+let prop_updategram_compose_replay =
+  QCheck.Test.make ~name:"composed one-step grams replay the final state"
+    ~count:150
     (QCheck.make QCheck.Gen.(int_bound 100_000) ~print:string_of_int)
     (fun seed ->
       let prng = Util.Prng.create seed in
-      (* Drive a relation store with random ops, recording the log. *)
-      let store = Storage.Relation_store.create () in
-      Storage.Relation_store.declare store "r" [ "a" ];
-      Storage.Relation_store.declare store "s" [ "a" ];
-      let initial = Relalg.Database.copy (Storage.Relation_store.database store) in
+      let db = Relalg.Database.create () in
+      let names = [ "r"; "s" ] in
+      List.iter
+        (fun name ->
+          let rel = Relalg.Database.create_relation db name [ "a" ] in
+          for _ = 1 to Util.Prng.int prng 4 do
+            let tuple = [| vi (Util.Prng.int prng 5) |] in
+            if not (Relalg.Relation.mem rel tuple) then insert rel tuple
+          done)
+        names;
+      let initial = Relalg.Database.copy db in
+      let grams = Hashtbl.create 2 in
+      List.iter
+        (fun rel -> Hashtbl.replace grams rel (P.Updategram.make ~rel ()))
+        names;
+      let record g =
+        let rel = g.P.Updategram.rel in
+        Hashtbl.replace grams rel
+          (P.Updategram.compose (Hashtbl.find grams rel) g)
+      in
       for _ = 1 to 30 do
-        let rel = if Util.Prng.bool prng then "r" else "s" in
-        let tuple = [| Relalg.Value.Int (Util.Prng.int prng 5) |] in
-        if Util.Prng.bernoulli prng 0.7 then
-          ignore (Storage.Relation_store.insert store rel tuple)
-        else ignore (Storage.Relation_store.delete store rel tuple)
+        let name = if Util.Prng.bool prng then "r" else "s" in
+        let rel = Relalg.Database.find db name in
+        let tuple = [| vi (Util.Prng.int prng 5) |] in
+        if Util.Prng.bernoulli prng 0.7 then begin
+          if not (Relalg.Relation.mem rel tuple) then begin
+            insert rel tuple;
+            record (P.Updategram.make ~rel:name ~inserts:[ tuple ] ())
+          end
+        end
+        else if Relalg.Relation.mem rel tuple then begin
+          Relalg.Relation.apply rel (Relalg.Relation.Delta.remove tuple);
+          record (P.Updategram.make ~rel:name ~deletes:[ tuple ] ())
+        end
       done;
-      (* Replaying the folded updategrams on the initial copy must give
-         the same final contents. *)
-      let grams = P.Updategram.of_log (Storage.Relation_store.log store) in
-      List.iter (P.Updategram.apply initial) grams;
+      List.iter
+        (fun name -> P.Updategram.apply initial (Hashtbl.find grams name))
+        names;
       let dump db name =
         Relalg.Relation.tuples (Relalg.Database.find db name)
         |> List.map (fun row -> Relalg.Value.to_string row.(0))
         |> List.sort compare
       in
-      let final = Storage.Relation_store.database store in
-      dump initial "r" = dump final "r" && dump initial "s" = dump final "s")
+      List.for_all (fun name -> dump initial name = dump db name) names)
 
 (* ------------------------------------------------------------------ *)
 (* View maintenance *)
@@ -773,9 +785,10 @@ let prop_distributed_no_faults_matches_answer =
       && plan.P.Distributed.report.P.Distributed.complete
       && plan.P.Distributed.report.P.Distributed.retries = 0)
 
-(* Batch (trie) and per-rewriting evaluation agree everywhere the union
-   is routed: Answer.answer and Distributed.execute, any jobs, faults
-   on and off. *)
+(* The trie walk agrees with evaluating every rewriting on its own
+   (Reference.per_rewriting_union) everywhere a union is routed:
+   Answer.answer over its rewritings and Distributed.execute over the
+   rewritings whose sites survived, any jobs, faults on and off. *)
 let prop_batch_matches_nobatch =
   QCheck.Test.make
     ~name:"batch trie = per-rewriting eval (answer + distributed, faults on/off)"
@@ -804,10 +817,14 @@ let prop_batch_matches_nobatch =
         else Workload.Peers_gen.join_query g ~at:0
       in
       let jobs = 1 + (seed mod 4) in
-      let batch_exec = P.Exec.make ~jobs () in
-      let nobatch_exec = P.Exec.make ~jobs ~batch:false () in
-      let a_batch = P.Answer.answer ~exec:batch_exec catalog query in
-      let a_plain = P.Answer.answer ~exec:nobatch_exec catalog query in
+      let exec = P.Exec.make ~jobs () in
+      let per_rewriting = function
+        | [] -> []
+        | qs ->
+            rel_sorted
+              (Reference.per_rewriting_union (P.Catalog.global_db catalog) qs)
+      in
+      let a = P.Answer.answer ~exec catalog query in
       let names = List.init n (Printf.sprintf "p%d") in
       (* Odd seeds run the distributed comparison under a peer fault. *)
       let mk_net () =
@@ -818,19 +835,16 @@ let prop_batch_matches_nobatch =
           P.Network.Fault.fail_peer network (Printf.sprintf "p%d" (n - 1));
         network
       in
-      let d_batch =
-        P.Distributed.execute ~exec:batch_exec catalog (mk_net ()) ~at:"p0"
-          query
+      let d =
+        P.Distributed.execute ~exec catalog (mk_net ()) ~at:"p0" query
       in
-      let d_plain =
-        P.Distributed.execute ~exec:nobatch_exec catalog (mk_net ()) ~at:"p0"
-          query
+      let surviving =
+        List.map (fun sp -> sp.P.Distributed.rewriting) d.P.Distributed.sites
       in
-      P.Answer.answers_list a_batch = P.Answer.answers_list a_plain
-      && rel_sorted d_batch.P.Distributed.answers
-         = rel_sorted d_plain.P.Distributed.answers
-      && d_batch.P.Distributed.report.P.Distributed.complete
-         = d_plain.P.Distributed.report.P.Distributed.complete)
+      rel_sorted a.P.Answer.answers
+      = per_rewriting a.P.Answer.outcome.P.Reformulate.rewritings
+      && rel_sorted d.P.Distributed.answers = per_rewriting surviving
+      && (seed mod 2 = 1 || d.P.Distributed.report.P.Distributed.complete))
 
 (* Keyword search degrades with the network: a downed peer's relations
    vanish from the ranking. *)
@@ -849,8 +863,9 @@ let test_keyword_skips_down_peer () =
 
 (* ------------------------------------------------------------------ *)
 (* Kwindex: the inverted index must be indistinguishable from the
-   brute-force scan — scores bit-identical, order and tie-breaks
-   included — for any jobs value and any fault schedule. *)
+   brute-force scan of Reference.keyword_search — scores bit-identical,
+   order and tie-breaks included — for any jobs value and any fault
+   schedule. *)
 
 let hit_key (h : P.Keyword.hit) =
   ( h.P.Keyword.peer,
@@ -895,8 +910,12 @@ let prop_indexed_matches_brute =
       let run exec =
         List.map hit_key (P.Keyword.search ~limit ~exec ?network catalog query)
       in
-      let reference = run (P.Exec.make ~index:false ()) in
-      reference = run (P.Exec.make ~index:false ~jobs:3 ())
+      let brute exec =
+        List.map hit_key
+          (Reference.keyword_search ~limit ~exec ?network catalog query)
+      in
+      let reference = brute (P.Exec.make ()) in
+      reference = brute (P.Exec.make ~jobs:3 ())
       && List.for_all
            (fun jobs -> run (P.Exec.make ~jobs ()) = reference)
            [ 1; 3 ])
@@ -971,8 +990,10 @@ let delta_fallbacks () =
 (* The delta-patched index must be indistinguishable from rebuilding on
    every change: identical rendered hit lists over a random stream of
    inserts and deletes, for any jobs value, with faults on or off.  The
-   stream stays far below the delta-log caps, so the incremental run
-   must also never fall back to a rebuild. *)
+   rebuild run resets the index store before every search, so each
+   search indexes every relation from scratch.  The stream stays far
+   below the delta-log caps, so the incremental run must also never
+   fall back to a rebuild. *)
 let prop_kwindex_incremental_matches_rebuild =
   QCheck.Test.make
     ~name:"incremental index = rebuilt index under random delta streams"
@@ -980,7 +1001,8 @@ let prop_kwindex_incremental_matches_rebuild =
     (QCheck.make QCheck.Gen.(int_bound 10_000) ~print:string_of_int)
     (fun seed ->
       (* Both modes rebuild the same world from the seed: same catalog,
-         same op stream, same queries — only [incremental] differs. *)
+         same op stream, same queries — only whether the index store
+         survives between searches differs. *)
       let run incremental =
         P.Kwindex.reset ();
         let prng = Util.Prng.create (seed + 77) in
@@ -1027,9 +1049,8 @@ let prop_kwindex_incremental_matches_rebuild =
           | _, rows ->
               Relalg.Relation.apply rel
                 (Relalg.Relation.Delta.remove (Util.Prng.pick ops rows)));
-          let exec =
-            P.Exec.make ~jobs:(1 + (i mod 3)) ~incremental ()
-          in
+          let exec = P.Exec.make ~jobs:(1 + (i mod 3)) () in
+          if not incremental then P.Kwindex.reset ();
           let hits = P.Keyword.search ~limit:5 ~exec ?network catalog query in
           transcript :=
             List.rev_append (List.map P.Keyword.render_hit hits) !transcript
@@ -1207,9 +1228,9 @@ let test_cache_invalidate_exact () =
     peers;
   check_i "others still cached" (hits0 + 3) (P.Cache.hits cache)
 
-(* The incremental invalidation probe keeps an entry when no rewriting
-   atom over the touched relation unifies with any changed tuple, and
-   drops the rest; the non-incremental baseline drops every reader. *)
+(* The invalidation probe keeps an entry when no rewriting atom over the
+   touched relation unifies with any changed tuple, and drops the rest;
+   an empty updategram has nothing to probe and drops every reader. *)
 let test_cache_delta_probe () =
   let catalog, uw, mit = two_peer_catalog `Equality in
   let stored = P.Peer.stored_pred mit "subject" in
@@ -1243,10 +1264,9 @@ let test_cache_delta_probe () =
           ~inserts:[ [| vs "6.033"; vs "recitation" |] ]
           ()));
   check_i "cache drained" 0 (P.Cache.entries cache);
-  (* The rebuild-everything baseline drops both readers at once. *)
   fill ();
-  check_i "non-incremental drops all readers" 2
-    (P.Cache.invalidate ~exec:(P.Exec.with_incremental false) cache u)
+  check_i "an empty updategram drops every reader" 2
+    (P.Cache.invalidate cache (P.Updategram.make ~rel:stored ()))
 
 (* When every mapping is an inclusion with single-atom sides, the PDMS
    semantics coincides with a datalog program; the reformulation answers
@@ -1857,6 +1877,124 @@ let test_propagate_lag_and_reconcile () =
   check_i "uw caught up" 4 (P.Propagate.cardinality prop ~name:"at-uw");
   check_i "mit caught up too" 4 (P.Propagate.cardinality prop ~name:"at-mit")
 
+(* Propagate.push under random updategrams: deletes of absent tuples,
+   tuples repeated within a gram, and a delete then reinsert of the same
+   tuple, pushed to two replicas over a network where, in every other
+   episode, one replica's host is down (then healed and reconciled).
+   (a) Replaying the teed deltas with Relation.apply over a copy of the
+   pre-push database reproduces every relation row for row, in order.
+   (b) After each episode's reconcile, every replica holds exactly what
+   Answer.answer returns for its query. *)
+let prop_propagate_push_replay_and_converge =
+  QCheck.Test.make
+    ~name:"push: teed deltas replay, replicas = answers after reconcile"
+    ~count:30
+    (QCheck.make QCheck.Gen.(int_bound 10_000) ~print:string_of_int)
+    (fun seed ->
+      let prng = Util.Prng.create (seed + 4242) in
+      let kind =
+        match seed mod 4 with
+        | 0 -> P.Topology.Chain
+        | 1 -> P.Topology.Star
+        | 2 -> P.Topology.Ring
+        | _ -> P.Topology.Mesh 1
+      in
+      let n = 3 + (seed mod 3) in
+      let topology = P.Topology.generate ~prng kind ~n in
+      let g =
+        Workload.Peers_gen.generate prng ~topology ~tuples_per_peer:3
+          ~with_join:true ()
+      in
+      let catalog = g.Workload.Peers_gen.catalog in
+      let db = P.Catalog.global_db catalog in
+      let names = List.sort String.compare (Relalg.Database.names db) in
+      let replicas =
+        [ ("course", "p0", Workload.Peers_gen.course_query g ~at:0);
+          ("join", "p1", Workload.Peers_gen.join_query g ~at:1) ]
+      in
+      let prop = P.Propagate.create catalog in
+      List.iter
+        (fun (name, at, query) ->
+          ignore (P.Propagate.materialise prop ~name ~at query))
+        replicas;
+      let network = P.Distributed.network_of_catalog catalog ~latency_ms:1.0 in
+      let replay = Relalg.Database.copy db in
+      let teed = ref [] in
+      let tee ~rel d = teed := (rel, d) :: !teed in
+      (* Mostly tuples already present or one column away from one, so
+         deletes hit, inserts join, and absent deletes still occur. *)
+      let pool = [| vs "x0"; vs "x1"; vs "x2" |] in
+      let some_tuple rel =
+        let arity = Relalg.Schema.arity (Relalg.Relation.schema rel) in
+        match Relalg.Relation.tuples rel with
+        | [] -> Array.init arity (fun _ -> Util.Prng.pick_arr prng pool)
+        | rows ->
+            let row = Array.copy (Util.Prng.pick prng rows) in
+            if Util.Prng.bool prng then
+              row.(Util.Prng.int prng arity) <- Util.Prng.pick_arr prng pool;
+            row
+      in
+      let gram () =
+        let rel_name = Util.Prng.pick prng names in
+        let rel = Relalg.Database.find db rel_name in
+        let t1 = some_tuple rel and t2 = some_tuple rel in
+        let inserts, deletes =
+          match Util.Prng.int prng 4 with
+          | 0 -> ([ t1; t2; t1 ], [])
+          | 1 -> ([], [ t1; t2; t2 ])
+          | 2 -> ([ t1 ], [ t1 ])
+          | _ -> ([ t2 ], [ t1; t1 ])
+        in
+        P.Updategram.make ~rel:rel_name ~inserts ~deletes ()
+      in
+      let rows db name =
+        Relalg.Relation.tuples (Relalg.Database.find db name)
+        |> List.map (Array.map Relalg.Value.to_string)
+      in
+      let sorted_strings tuples =
+        List.map
+          (fun row -> Array.to_list (Array.map Relalg.Value.to_string row))
+          tuples
+        |> List.sort compare
+      in
+      let ok = ref true in
+      for episode = 0 to 3 do
+        let down =
+          if episode mod 2 = 1 then
+            Some (if episode = 1 then "p0" else "p1")
+          else None
+        in
+        Option.iter (P.Network.Fault.fail_peer network) down;
+        for _ = 1 to 4 do
+          ignore (P.Propagate.push ~network ~prng ~tee prop (gram ()))
+        done;
+        Option.iter (P.Network.Fault.heal_peer network) down;
+        List.iter
+          (fun (name, _, _) ->
+            if not (P.Propagate.reconcile ~network ~prng prop ~name) then
+              ok := false)
+          replicas;
+        (* (a) replay the deltas teed since the last episode. *)
+        List.iter
+          (fun (rel, d) ->
+            Relalg.Relation.apply (Relalg.Database.find replay rel) d)
+          (List.rev !teed);
+        teed := [];
+        if not (List.for_all (fun nm -> rows replay nm = rows db nm) names)
+        then ok := false;
+        (* (b) every replica converged to the current answers. *)
+        if P.Propagate.lagging prop <> [] then ok := false;
+        List.iter
+          (fun (name, _, query) ->
+            let answers = P.Answer.answer catalog query in
+            if
+              sorted_strings (P.Propagate.tuples prop ~name)
+              <> sorted_strings (Relalg.Relation.tuples answers.P.Answer.answers)
+            then ok := false)
+          replicas
+      done;
+      !ok)
+
 (* ------------------------------------------------------------------ *)
 (* Observability: tracing must be invisible in the answers, and the
    span tree must reflect the answer path's phases. *)
@@ -2400,9 +2538,8 @@ let () =
            test_network_retry_flaky;
          Alcotest.test_case "of_topology" `Quick test_network_of_topology ]);
       ("updategram",
-       [ Alcotest.test_case "of_log" `Quick test_updategram_of_log;
-         Alcotest.test_case "compose" `Quick test_updategram_compose ]
-       @ qc [ prop_updategram_log_replay ]);
+       [ Alcotest.test_case "compose" `Quick test_updategram_compose ]
+       @ qc [ prop_updategram_compose_replay ]);
       ("view-maintenance",
        [ Alcotest.test_case "basic" `Quick test_view_maintenance_basic;
          Alcotest.test_case "constant types kept apart" `Quick
@@ -2474,7 +2611,8 @@ let () =
          Alcotest.test_case "lag and reconcile" `Quick
            test_propagate_lag_and_reconcile;
          Alcotest.test_case "constant types kept apart" `Quick
-           test_propagate_typed_tuples ]);
+           test_propagate_typed_tuples ]
+       @ qc [ prop_propagate_push_replay_and_converge ]);
       ("placement",
        [ Alcotest.test_case "greedy improves" `Quick test_placement_greedy_improves ]);
       ("parallel",

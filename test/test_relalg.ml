@@ -389,9 +389,9 @@ let test_stats_distinct_and_cache () =
   check_i "dept count unchanged" 2 s2.Stats.distinct.(1);
   check_i "still one miss" 1 (Stats.cache_misses ());
   check_i "one patch" 1 (Stats.cache_patches ());
-  (* Forcing the version-guarded baseline rescans instead. *)
+  (* A copy mints a fresh uid, so it misses and rescans. *)
   insert r [| v_s "eve"; v_s "ee"; v_i 30 |];
-  let s3 = Stats.of_relation ~incremental:false r in
+  let s3 = Stats.of_relation (Relation.copy r) in
   check_i "rescanned cardinality" 5 s3.Stats.cardinality;
   check_i "second miss" 2 (Stats.cache_misses ());
   (* Selectivity: 1/distinct, clamped for degenerate columns. *)

@@ -1,5 +1,7 @@
-(* Tests for the triple store (the annotation repository substrate) and
-   the event-logging relation store. *)
+(* Tests for the storage layer: the triple store (the annotation
+   repository substrate) with its provenance and N-Triples export, and
+   the durability pieces — the binary codec, the write-ahead log and
+   snapshots. *)
 
 let check_i = Alcotest.(check int)
 let check_b = Alcotest.(check bool)
@@ -89,36 +91,55 @@ let test_bgp_provenance () =
     (fun (_, provs) -> check_i "one prov per pattern" 1 (List.length provs))
     results
 
+(* BGP edge cases the reference property does not generate: the empty
+   pattern list, a variable repeated inside one pattern, and constants
+   whose value type differs from the stored one. *)
+
+let test_query_no_patterns () =
+  let t = store_with_data () in
+  match Storage.Triple_store.query t [] with
+  | [ b ] -> check_b "the one empty binding" true (Cq.Eval.Smap.is_empty b)
+  | bs -> Alcotest.failf "expected one binding, got %d" (List.length bs)
+
+let test_query_repeated_var () =
+  let t = Storage.Triple_store.create () in
+  List.iter
+    (fun (subj, obj) ->
+      Storage.Triple_store.add t ~subj ~pred:"knows" ~obj:(vs obj)
+        ~prov:(prov "http://a" 1))
+    [ ("a", "a"); ("a", "b"); ("b", "b"); ("c", "a") ];
+  let v = Cq.Term.v and c s = Cq.Term.str s in
+  let xs =
+    Storage.Triple_store.query t
+      [ Storage.Triple_store.pat (v "X") (c "knows") (v "X") ]
+    |> List.map (fun b -> Cq.Eval.Smap.find "X" b)
+    |> List.sort Relalg.Value.compare
+  in
+  check_b "only subject = object" true (xs = [ vs "a"; vs "b" ])
+
+let test_query_constant_types () =
+  let t = Storage.Triple_store.create () in
+  Storage.Triple_store.add t ~subj:"s" ~pred:"n" ~obj:(Relalg.Value.Int 5)
+    ~prov:(prov "http://a" 1);
+  Storage.Triple_store.add t ~subj:"5" ~pred:"n" ~obj:(vs "5")
+    ~prov:(prov "http://a" 1);
+  let v = Cq.Term.v and c s = Cq.Term.str s in
+  let count patterns = List.length (Storage.Triple_store.query t patterns) in
+  check_i "int object" 1
+    (count [ Storage.Triple_store.pat (v "S") (c "n") (Cq.Term.int 5) ]);
+  check_i "string object" 1
+    (count [ Storage.Triple_store.pat (v "S") (c "n") (c "5") ]);
+  (* Subjects are strings, so an int constant there matches nothing,
+     not the subject that prints the same. *)
+  check_i "int subject" 0
+    (count [ Storage.Triple_store.pat (Cq.Term.int 5) (v "P") (v "O") ]);
+  check_i "string subject" 1
+    (count [ Storage.Triple_store.pat (c "5") (v "P") (v "O") ])
+
 let test_provenance_scope () =
   let p = prov "http://u/alice/home.html" 1 in
   check_b "in scope" true (Storage.Provenance.in_scope p "http://u/alice");
   check_b "out of scope" false (Storage.Provenance.in_scope p "http://u/bob")
-
-(* Relation store *)
-
-let test_relation_store_log_and_events () =
-  let s = Storage.Relation_store.create () in
-  Storage.Relation_store.declare s "r" [ "a" ];
-  let events = ref 0 in
-  Storage.Relation_store.subscribe s (fun _ -> incr events);
-  check_b "insert" true (Storage.Relation_store.insert s "r" [| vs "x" |]);
-  check_b "duplicate rejected" false (Storage.Relation_store.insert s "r" [| vs "x" |]);
-  check_b "delete" true (Storage.Relation_store.delete s "r" [| vs "x" |]);
-  check_b "delete missing" false (Storage.Relation_store.delete s "r" [| vs "x" |]);
-  check_i "two effective events" 2 !events;
-  check_i "log length" 2 (Storage.Relation_store.log_length s);
-  Storage.Relation_store.truncate_log s;
-  check_i "truncated" 0 (Storage.Relation_store.log_length s)
-
-let test_relation_store_declare_conflict () =
-  let s = Storage.Relation_store.create () in
-  Storage.Relation_store.declare s "r" [ "a" ];
-  Storage.Relation_store.declare s "r" [ "a" ];
-  check_b "arity clash raises" true
-    (try
-       Storage.Relation_store.declare s "r" [ "a"; "b" ];
-       false
-     with Invalid_argument _ -> true)
 
 (* N-Triples export/import *)
 
@@ -185,67 +206,6 @@ let test_ntriples_import_errors () =
     (Result.is_error (Storage.Ntriples.import "<s> <p> \"o\" ."));
   (* Blank and comment lines are fine. *)
   check_b "comments ok" true (Result.is_ok (Storage.Ntriples.import "\n# hi\n\n"))
-
-(* Relation store: FIFO notification and the bounded, explicitly
-   truncating event log. *)
-
-let test_relation_store_fifo_subscribers () =
-  let s = Storage.Relation_store.create () in
-  Storage.Relation_store.declare s "r" [ "a" ];
-  let order = ref [] in
-  Storage.Relation_store.subscribe s (fun _ -> order := "first" :: !order);
-  Storage.Relation_store.subscribe s (fun _ -> order := "second" :: !order);
-  Storage.Relation_store.subscribe s (fun _ -> order := "third" :: !order);
-  ignore (Storage.Relation_store.insert s "r" [| vs "x" |]);
-  Alcotest.(check (list string))
-    "subscription order" [ "first"; "second"; "third" ] (List.rev !order)
-
-let test_relation_store_bounded_log () =
-  let s = Storage.Relation_store.create ~log_max:3 () in
-  Storage.Relation_store.declare s "r" [ "a" ];
-  for i = 1 to 5 do
-    ignore (Storage.Relation_store.insert s "r" [| vs (string_of_int i) |])
-  done;
-  check_i "capped length" 3 (Storage.Relation_store.log_length s);
-  check_i "floor past the dropped" 2 (Storage.Relation_store.log_floor s);
-  check_i "total unaffected" 5 (Storage.Relation_store.total_events s);
-  (* The retained suffix is chronological and addressable. *)
-  (match Storage.Relation_store.log s with
-  | [ Storage.Relation_store.Inserted (_, t3);
-      Storage.Relation_store.Inserted (_, t4);
-      Storage.Relation_store.Inserted (_, t5) ] ->
-      check_b "oldest retained is 3" true (t3 = [| vs "3" |]);
-      check_b "then 4" true (t4 = [| vs "4" |]);
-      check_b "newest is 5" true (t5 = [| vs "5" |])
-  | _ -> Alcotest.fail "unexpected log shape");
-  check_b "events_since floor works" true
-    (match Storage.Relation_store.events_since s 2 with
-    | Some evs -> List.length evs = 3
-    | None -> false);
-  check_i "events_since mid-suffix" 1
-    (match Storage.Relation_store.events_since s 4 with
-    | Some evs -> List.length evs
-    | None -> -1);
-  check_b "events_since past the end is empty" true
-    (Storage.Relation_store.events_since s 5 = Some []);
-  (* Positions older than the floor are gone: the explicit rebuild
-     signal, mirroring Relation.deltas_since. *)
-  check_b "capped-away position signals rebuild" true
-    (Storage.Relation_store.events_since s 1 = None);
-  Storage.Relation_store.truncate_log s;
-  check_i "truncate empties" 0 (Storage.Relation_store.log_length s);
-  check_i "floor jumps to total" 5 (Storage.Relation_store.log_floor s);
-  check_b "suffix at total still answerable" true
-    (Storage.Relation_store.events_since s 5 = Some []);
-  check_b "anything older now signals rebuild" true
-    (Storage.Relation_store.events_since s 4 = None)
-
-let test_relation_store_log_max_validated () =
-  check_b "log_max must be positive" true
-    (try
-       ignore (Storage.Relation_store.create ~log_max:0 ());
-       false
-     with Invalid_argument _ -> true)
 
 (* Codec: binary round-trips and frame integrity. *)
 
@@ -647,6 +607,10 @@ let () =
          Alcotest.test_case "sources" `Quick test_sources;
          Alcotest.test_case "bgp query" `Quick test_bgp_query;
          Alcotest.test_case "bgp provenance" `Quick test_bgp_provenance ]);
+      ("query_patterns",
+       [ Alcotest.test_case "no patterns" `Quick test_query_no_patterns;
+         Alcotest.test_case "repeated variable" `Quick test_query_repeated_var;
+         Alcotest.test_case "constant types" `Quick test_query_constant_types ]);
       ("provenance", [ Alcotest.test_case "scope" `Quick test_provenance_scope ]);
       ("ntriples",
        [ Alcotest.test_case "roundtrip" `Quick test_ntriples_roundtrip;
@@ -670,10 +634,4 @@ let () =
        [ Alcotest.test_case "round-trip and fallback" `Quick
            test_snapshot_roundtrip_and_fallback;
          Alcotest.test_case "snapshot refuses other formats" `Quick
-           test_snapshot_refuses_other_formats ]);
-      ("relation_store",
-       [ Alcotest.test_case "log and events" `Quick test_relation_store_log_and_events;
-         Alcotest.test_case "declare conflict" `Quick test_relation_store_declare_conflict;
-         Alcotest.test_case "fifo subscribers" `Quick test_relation_store_fifo_subscribers;
-         Alcotest.test_case "bounded log" `Quick test_relation_store_bounded_log;
-         Alcotest.test_case "log_max validated" `Quick test_relation_store_log_max_validated ]) ]
+           test_snapshot_refuses_other_formats ]) ]
