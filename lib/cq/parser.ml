@@ -36,8 +36,7 @@ let is_ident_char c =
   (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || (c >= '0' && c <= '9')
   || c = '_' || c = '.' || c = '!' || c = '~' || c = '-'
 
-let ident cur =
-  skip_ws cur;
+let ident_chars cur =
   let start = cur.pos in
   let rec go () =
     match peek cur with
@@ -47,15 +46,41 @@ let ident cur =
     | Some _ | None -> ()
   in
   go ();
-  if cur.pos = start then fail cur "expected an identifier";
   String.sub cur.text start (cur.pos - start)
 
+let ident cur =
+  skip_ws cur;
+  let word = ident_chars cur in
+  if word = "" then fail cur "expected an identifier";
+  word
+
+(* A bare constant reads like an identifier, except that a float's
+   exponent may carry a sign: [1e+20] is one word. *)
+let bare_word cur =
+  let word = ident cur in
+  let n = String.length word in
+  if
+    peek cur = Some '+'
+    && (word.[n - 1] = 'e' || word.[n - 1] = 'E')
+    && Option.is_some (float_of_string_opt (String.sub word 0 (n - 1)))
+  then begin
+    advance cur;
+    word ^ "+" ^ ident_chars cur
+  end
+  else word
+
 let quoted cur =
-  (* Opening quote already consumed. *)
+  (* Opening quote already consumed; a doubled quote stands for one. *)
   let buf = Buffer.create 16 in
   let rec go () =
     match peek cur with
-    | Some '\'' -> advance cur
+    | Some '\'' ->
+        advance cur;
+        if peek cur = Some '\'' then begin
+          advance cur;
+          Buffer.add_char buf '\'';
+          go ()
+        end
     | Some c ->
         advance cur;
         Buffer.add_char buf c;
@@ -73,7 +98,7 @@ let term cur =
       Term.Const (Relalg.Value.Str (quoted cur))
   | Some c when (c >= 'A' && c <= 'Z') || c = '_' -> Term.Var (ident cur)
   | Some _ ->
-      let word = ident cur in
+      let word = bare_word cur in
       (* Numbers parse as numeric constants, anything else as strings. *)
       Term.Const (Relalg.Value.of_string word)
   | None -> fail cur "expected a term"

@@ -5,7 +5,8 @@
     Identifiers starting with an uppercase letter are variables;
     single-quoted strings, bare numbers and lowercase identifiers are
     constants (lowercase identifiers inside argument lists are string
-    constants). Whitespace is free. *)
+    constants). Inside quotes, [''] stands for one quote; a bare
+    number's exponent may carry a sign ([1e+20]). Whitespace is free. *)
 
 val parse_query : string -> (Query.t, string) result
 (** Parse one rule of the form [head :- body] (the body may be empty:

@@ -317,6 +317,28 @@ let parse_exn text =
   | Ok c -> c
   | Error msg -> invalid_arg ("Pdms_file.parse_exn: " ^ msg)
 
+(* Mapping rules render with type-exact constants, unlike
+   {!Cq.Query.to_string}, which quotes every constant (so [Int 1] would
+   read back as [Str "1"]): bare ints and booleans, floats as
+   {!Relalg.Value.float_literal}, anything else quoted with interior
+   quotes doubled. *)
+let render_term = function
+  | Cq.Term.Var x -> x
+  | Cq.Term.Const ((Relalg.Value.Int _ | Relalg.Value.Bool _) as v) ->
+      Relalg.Value.to_string v
+  | Cq.Term.Const (Relalg.Value.Float f) -> Relalg.Value.float_literal f
+  | Cq.Term.Const v ->
+      let s = Relalg.Value.to_string v in
+      "'" ^ String.concat "''" (String.split_on_char '\'' s) ^ "'"
+
+let render_atom (a : Cq.Atom.t) =
+  Printf.sprintf "%s(%s)" a.pred
+    (String.concat ", " (List.map render_term a.args))
+
+let render_query (q : Cq.Query.t) =
+  Printf.sprintf "%s :- %s" (render_atom q.head)
+    (String.concat ", " (List.map render_atom q.body))
+
 let render catalog =
   let buf = Buffer.create 1024 in
   List.iter
@@ -359,7 +381,7 @@ let render catalog =
       | Peer_mapping.Definitional rule ->
           Buffer.add_string buf "mapping definitional\n";
           Buffer.add_string buf
-            (Printf.sprintf "rule %s\n\n" (Cq.Query.to_string rule))
+            (Printf.sprintf "rule %s\n\n" (render_query rule))
       | Peer_mapping.Glav g ->
           let kind =
             match g.Rewrite.Glav.kind with
@@ -368,8 +390,8 @@ let render catalog =
           in
           Buffer.add_string buf (Printf.sprintf "mapping %s\n" kind);
           Buffer.add_string buf
-            (Printf.sprintf "lhs %s\n" (Cq.Query.to_string g.Rewrite.Glav.lhs));
+            (Printf.sprintf "lhs %s\n" (render_query g.Rewrite.Glav.lhs));
           Buffer.add_string buf
-            (Printf.sprintf "rhs %s\n\n" (Cq.Query.to_string g.Rewrite.Glav.rhs)))
+            (Printf.sprintf "rhs %s\n\n" (render_query g.Rewrite.Glav.rhs)))
     (Catalog.mappings catalog);
   Buffer.contents buf

@@ -36,7 +36,9 @@ val render : Catalog.t -> string
     descriptions only — the general ones are rendered as comments).
     Row values round-trip: string values that would re-parse as a
     different value (numeric- or boolean-looking, containing ['|'], or
-    with leading/trailing whitespace) are single-quoted. *)
+    with leading/trailing whitespace) are single-quoted.  Mapping
+    constants round-trip by type: ints and booleans bare, floats as
+    {!Relalg.Value.float_literal}, strings single-quoted. *)
 
 val parse_value : string -> Relalg.Value.t
 (** One row field, already stripped: quoted strings unwrap ([''] inside

@@ -18,14 +18,17 @@ let build docs =
   in
   { df; n = List.length docs }
 
-let of_counts ~n counts =
+let replace_counts c ~n counts =
   let df =
     List.fold_left
-      (fun acc (tok, c) -> Smap.add tok (float_of_int c) acc)
-      Smap.empty counts
+      (fun acc (tok, k) ->
+        if k = 0 then Smap.remove tok acc
+        else Smap.add tok (float_of_int k) acc)
+      c.df counts
   in
   { df; n }
 
+let of_counts ~n counts = replace_counts { df = Smap.empty; n } ~n counts
 let num_docs c = c.n
 
 let idf c tok =

@@ -15,6 +15,13 @@ val of_counts : n:int -> (string * int) list -> corpus
     deltas from an inverted index). Equivalent to [build] on any doc
     set with those frequencies: counts below 2^53 convert exactly. *)
 
+val replace_counts : corpus -> n:int -> (string * int) list -> corpus
+(** [replace_counts c ~n counts] is [c] over [n] documents with each
+    listed token's document frequency replaced by its count (a count
+    of 0 drops the token).  Equivalent to {!of_counts} over [c]'s counts
+    with those replaced; [c] itself is unchanged, so a corpus in use
+    elsewhere stays valid. *)
+
 val num_docs : corpus -> int
 
 val idf : corpus -> string -> float

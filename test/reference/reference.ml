@@ -19,7 +19,7 @@ let brute ~jobs ~trace ~limit entries query_toks =
         for id = e.Pdms.Kwindex.n_slots - 1 downto 0 do
           if e.Pdms.Kwindex.live.(id) then begin
             let toks =
-              Array.to_list e.Pdms.Kwindex.token_tfs.(id)
+              Pdms.Kwindex.slot_tokens e id
               |> List.concat_map (fun (tok, tf) ->
                      List.init (int_of_float tf) (fun _ -> tok))
             in

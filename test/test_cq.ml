@@ -324,14 +324,20 @@ let test_parser_basic () =
   check_b "safe" true (Query.is_safe query)
 
 let test_parser_constants () =
-  let query = Parser.parse_query_exn "q(X) :- course(X, 'intro to db', cs, 42)" in
+  let query =
+    Parser.parse_query_exn
+      "q(X) :- course(X, 'intro to db', cs, 42, 1e+20, 'it''s')"
+  in
   match query.Query.body with
   | [ a ] ->
       check_b "quoted string" true
         (List.nth a.Atom.args 1 = Term.str "intro to db");
       check_b "bare lowercase is string" true
         (List.nth a.Atom.args 2 = Term.str "cs");
-      check_b "number" true (List.nth a.Atom.args 3 = Term.int 42)
+      check_b "number" true (List.nth a.Atom.args 3 = Term.int 42);
+      check_b "signed exponent" true
+        (List.nth a.Atom.args 4 = Term.Const (Relalg.Value.Float 1e20));
+      check_b "doubled quote" true (List.nth a.Atom.args 5 = Term.str "it's")
   | _ -> Alcotest.fail "expected one atom"
 
 let test_parser_qualified_preds () =

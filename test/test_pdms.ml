@@ -1087,6 +1087,141 @@ let test_kwindex_truncation_fallback () =
   check_i "small delta patches again" (builds0 + 1) (kwindex_builds ());
   P.Kwindex.reset ()
 
+let counter name = Obs.Metrics.counter_value (Obs.Metrics.snapshot ()) name
+
+(* Writes that keep n: most steps insert one row and retract the
+   relation's oldest (the update live_mixed makes), with insert-only
+   and delete-only steps mixed in.  Every search after the first must
+   patch the corpus (df recounted for the touched tokens only) rather
+   than merge it, and while n holds the entries re-norm only the slots
+   holding a recounted token; hits must still equal the brute-force
+   scan bit for bit at any jobs.  Between searches another reader
+   sometimes brings the written entry current, so a corpus patch may
+   reach back over several of its patches. *)
+let prop_kwindex_n_unchanged_writes =
+  QCheck.Test.make
+    ~name:"writes keeping n: patched corpus and norms = brute hits"
+    ~count:25
+    (QCheck.make QCheck.Gen.(int_bound 10_000) ~print:string_of_int)
+    (fun seed ->
+      P.Kwindex.reset ();
+      let prng = Util.Prng.create (seed + 515) in
+      let kind =
+        match seed mod 3 with
+        | 0 -> P.Topology.Chain
+        | 1 -> P.Topology.Star
+        | _ -> P.Topology.Mesh 2
+      in
+      let n = 3 + (seed mod 4) in
+      let topology = P.Topology.generate ~prng kind ~n in
+      let g =
+        Workload.Peers_gen.generate prng ~topology
+          ~tuples_per_peer:(3 + (seed mod 5))
+          ~with_join:(seed mod 2 = 0) ()
+      in
+      let catalog = g.Workload.Peers_gen.catalog in
+      let db = P.Catalog.global_db catalog in
+      let names =
+        Array.of_list (List.sort String.compare (Relalg.Database.names db))
+      in
+      let ops = Util.Prng.create (seed + 4321) in
+      let matches () =
+        let query = Workload.Peers_gen.keyword_query g ops in
+        let limit = 1 + Util.Prng.int ops 8 in
+        let brute =
+          List.map hit_key (Reference.keyword_search ~limit catalog query)
+        in
+        List.for_all
+          (fun jobs ->
+            List.map hit_key
+              (P.Keyword.search ~limit ~exec:(P.Exec.make ~jobs ()) catalog
+                 query)
+            = brute)
+          [ 1; 3 ]
+      in
+      (* New rows reuse values already stored, so a write touches tokens
+         that other relations' slots hold too. *)
+      let stored_value () =
+        let rel = Relalg.Database.find db (Util.Prng.pick_arr ops names) in
+        match Relalg.Relation.tuples rel with
+        | [] -> vs "empty"
+        | rows ->
+            let row = Util.Prng.pick ops rows in
+            row.(Util.Prng.int ops (Array.length row))
+      in
+      let ok = ref (matches ()) in
+      let merges0 = counter "pdms.kwindex.df_merges" in
+      let patches0 = counter "pdms.kwindex.df_patches" in
+      for i = 0 to 23 do
+        let rel_name = Util.Prng.pick_arr ops names in
+        let rel = Relalg.Database.find db rel_name in
+        let arity = Relalg.Schema.arity (Relalg.Relation.schema rel) in
+        let fresh () =
+          Array.init arity (fun c ->
+              if Util.Prng.bool ops then stored_value ()
+              else vs (Printf.sprintf "w%d k%d" (Util.Prng.int ops 30) (c + i)))
+        in
+        let delta =
+          match (Util.Prng.int ops 8, Relalg.Relation.tuples rel) with
+          | 0, _ | _, [] -> Relalg.Relation.Delta.add (fresh ())
+          | 1, oldest :: _ -> Relalg.Relation.Delta.remove oldest
+          | _, oldest :: _ ->
+              Relalg.Relation.Delta.make ~adds:[ fresh () ] ~dels:[ oldest ] ()
+        in
+        Relalg.Relation.apply rel delta;
+        if Util.Prng.int ops 4 = 0 then ignore (P.Kwindex.get ~rel_name rel);
+        if Util.Prng.int ops 5 <> 0 then ok := matches () && !ok
+      done;
+      P.Kwindex.reset ();
+      !ok
+      && counter "pdms.kwindex.df_merges" = merges0
+      && counter "pdms.kwindex.df_patches" > patches0)
+
+(* Bounded tombstones: 400 insert-and-retract rounds through one small
+   relation.  Compaction keeps dead slots within a quarter of the live
+   ones and drops dead tuples, without counting as a rebuild, and the
+   compacted entry still ranks exactly as the brute-force scan. *)
+let test_kwindex_compaction_bound () =
+  P.Kwindex.reset ();
+  let catalog = P.Catalog.create () in
+  let pk = P.Peer.create ~name:"pk" ~schema:[ ("r", [ "x"; "y" ]) ] in
+  P.Catalog.add_peer catalog pk;
+  let r = P.Catalog.store_identity catalog pk ~rel:"r" in
+  let rel_name = P.Peer.stored_pred pk "r" in
+  let row i =
+    [| vs (Printf.sprintf "cse%d" i);
+       vs (Printf.sprintf "topic%d systems" (i mod 5)) |]
+  in
+  for i = 0 to 7 do
+    insert r (row i)
+  done;
+  ignore (P.Keyword.search catalog "systems");
+  let builds0 = kwindex_builds () and fallbacks0 = delta_fallbacks () in
+  for i = 8 to 407 do
+    let oldest = List.hd (Relalg.Relation.tuples r) in
+    Relalg.Relation.apply r
+      (Relalg.Relation.Delta.make ~adds:[ row i ] ~dels:[ oldest ] ());
+    let e, _ = P.Kwindex.get ~rel_name r in
+    let live = e.P.Kwindex.doc_count in
+    if e.P.Kwindex.n_slots > live + (live / 4) + 1 then
+      Alcotest.failf "round %d: %d slots for %d live" i e.P.Kwindex.n_slots
+        live;
+    Array.iteri
+      (fun slot t ->
+        let live_slot = slot < e.P.Kwindex.n_slots && e.P.Kwindex.live.(slot) in
+        if t <> [||] && not live_slot then
+          Alcotest.failf "round %d: slot %d keeps a dead tuple" i slot)
+      e.P.Kwindex.tuples;
+    let query = Printf.sprintf "topic%d cse%d systems" (i mod 5) (i - 3) in
+    if
+      List.map hit_key (P.Keyword.search ~limit:5 catalog query)
+      <> List.map hit_key (Reference.keyword_search ~limit:5 catalog query)
+    then Alcotest.failf "round %d: hits differ from the brute scan" i
+  done;
+  check_i "compaction is not a rebuild" builds0 (kwindex_builds ());
+  check_i "nor a fallback" fallbacks0 (delta_fallbacks ());
+  P.Kwindex.reset ()
+
 (* ------------------------------------------------------------------ *)
 (* Cache *)
 
@@ -2276,6 +2411,83 @@ let test_persist_refuses_format_1 () =
   check_b "fsck names the format" true
     (List.exists (fun e -> contains e "snapshot format 1") r.P.Persist.errors)
 
+(* Mapping constants keep their type across a snapshot and reopen:
+   Int 1, Str "1", Float 1e20 (rendered 1e+20, an exponent sign the
+   parser must read) and Float (-0.0) each come back as themselves, so
+   the reopened catalog reformulates and answers as the original. *)
+let test_persist_typed_mapping_constants () =
+  let catalog = P.Catalog.create () in
+  let u =
+    P.Peer.create ~name:"u" ~schema:[ ("c", [ "a" ]); ("d", [ "a"; "b" ]) ]
+  in
+  let m = P.Peer.create ~name:"m" ~schema:[ ("s", [ "a"; "b" ]) ] in
+  P.Catalog.add_peer catalog u;
+  P.Catalog.add_peer catalog m;
+  let stored = P.Catalog.store_identity catalog m ~rel:"s" in
+  let consts =
+    [ vi 1; vs "1"; Relalg.Value.Float 1e20; Relalg.Value.Float (-0.0);
+      vs "it's" ]
+  in
+  List.iteri
+    (fun i c -> insert stored [| vs (Printf.sprintf "k%d" i); c |])
+    consts;
+  List.iter
+    (fun c ->
+      ignore
+        (P.Catalog.add_mapping catalog
+           (P.Peer_mapping.definitional
+              (q (atom "u.c" [ v "X" ])
+                 [ atom "u.d" [ v "X"; Term.Const c ] ]))))
+    consts;
+  ignore
+    (P.Catalog.add_mapping catalog
+       (P.Peer_mapping.equality
+          ~lhs:(q (atom "e" [ v "X"; v "Y" ]) [ atom "u.d" [ v "X"; v "Y" ] ])
+          ~rhs:
+            (q (atom "e" [ v "X"; v "Y" ]) [ atom "m.s" [ v "X"; v "Y" ] ])));
+  (* Value.add_key tells Int 1 from Str "1" and -0.0 from 0.0. *)
+  let typed_key (r : Query.t) =
+    let b = Buffer.create 64 in
+    List.iter
+      (fun (a : Atom.t) ->
+        Buffer.add_string b a.pred;
+        List.iter
+          (function
+            | Term.Var x -> Buffer.add_string b (" " ^ x)
+            | Term.Const c ->
+                Buffer.add_char b ' ';
+                Relalg.Value.add_key b c)
+          a.args;
+        Buffer.add_char b ';')
+      (r.head :: r.body);
+    Buffer.contents b
+  in
+  let query = q (atom "q" [ v "X" ]) [ atom "u.c" [ v "X" ] ] in
+  let transcript catalog =
+    let result = P.Answer.answer catalog query in
+    ( List.map
+        (fun (_, mp) ->
+          match mp with
+          | P.Peer_mapping.Definitional r -> typed_key r
+          | P.Peer_mapping.Glav g ->
+              typed_key g.Rewrite.Glav.lhs ^ typed_key g.Rewrite.Glav.rhs)
+        (P.Catalog.mappings catalog),
+      List.map typed_key result.P.Answer.outcome.P.Reformulate.rewritings,
+      P.Answer.answers_list result )
+  in
+  let original = transcript catalog in
+  let _, _, answers = original in
+  check_i "one answer per constant" (List.length consts) (List.length answers);
+  let dir = temp_dir () in
+  P.Persist.init ~dir catalog;
+  let t = P.Persist.open_dir_exn dir in
+  ignore (P.Persist.snapshot t);
+  P.Persist.close t;
+  let t' = P.Persist.open_dir_exn dir in
+  check_b "mappings, rewritings and answers survive by type" true
+    (transcript (P.Persist.catalog t') = original);
+  P.Persist.close t'
+
 (* ------------------------------------------------------------------ *)
 (* Reformulation output pinned byte for byte: every rewriting's
    rendering in order, then the stats line, digested per catalog. The
@@ -2555,10 +2767,13 @@ let () =
            test_kwindex_incremental;
          Alcotest.test_case "lru eviction" `Quick test_kwindex_lru_eviction;
          Alcotest.test_case "truncation falls back to rebuild" `Quick
-           test_kwindex_truncation_fallback ]
+           test_kwindex_truncation_fallback;
+         Alcotest.test_case "compaction bounds tombstones" `Quick
+           test_kwindex_compaction_bound ]
        @ qc
            [ prop_indexed_matches_brute;
-             prop_kwindex_incremental_matches_rebuild ]);
+             prop_kwindex_incremental_matches_rebuild;
+             prop_kwindex_n_unchanged_writes ]);
       ("distributed",
        [ Alcotest.test_case "owner parsing" `Quick test_distributed_owner_parsing;
          Alcotest.test_case "beats central" `Quick test_distributed_beats_central;
@@ -2602,7 +2817,9 @@ let () =
          Alcotest.test_case "line breaks in values" `Quick
            test_persist_line_break_values;
          Alcotest.test_case "persist refuses format 1" `Quick
-           test_persist_refuses_format_1 ]
+           test_persist_refuses_format_1;
+         Alcotest.test_case "mapping constants keep their type" `Quick
+           test_persist_typed_mapping_constants ]
        @ qc [ prop_persist_crash_recovery ]);
       ("propagate",
        [ Alcotest.test_case "remote replica" `Quick test_propagate_to_remote_replica;
