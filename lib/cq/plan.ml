@@ -35,8 +35,9 @@ let m_arity_mismatch = Obs.Metrics.counter "cq.eval.arity_mismatch"
    the selectivity (1/distinct) of every already-determined position —
    breaking ties towards more bound positions and then towards the
    earlier atom, so the order is deterministic. Statistics come from
-   the per-[(uid, version)] cache in {!Relalg.Stats}, so repeated
-   planning over an unchanged database never rescans a relation.
+   {!Relalg.Stats}, kept on each relation and patched as it changes,
+   so repeated planning over an unchanged database never rescans a
+   relation.
 
    This runs once per rewriting of a union (thousands of times per
    answered query), so it works over dense arrays: variables are

@@ -21,8 +21,8 @@ val search :
     gathered for the query's tokens only, partial dot products
     accumulate per candidate, and ranking early-terminates whole
     relations whose score upper bound cannot beat the current k-th
-    score. Index entries rebuild only when a relation's
-    [(uid, version)] moves, so repeated searches over an unchanged
+    score. Index entries live on their relations and change only when
+    a relation's version moves, so repeated searches over an unchanged
     database skip tokenisation and vectorization entirely. The hit
     list is byte-identical to re-vectorizing and cosine-scoring every
     reachable tuple — scores, order, and tie-breaks (see {!Kwindex}).

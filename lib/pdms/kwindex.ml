@@ -1,23 +1,20 @@
 (* Incremental inverted index over stored relations.
 
-   One entry per relation, keyed on {!Relalg.Relation.uid} and guarded
-   by {!Relalg.Relation.version} — the same discipline as
-   {!Relalg.Stats} and the token memo this module replaces, except the
-   store evicts a single least-recently-used entry on overflow instead
-   of dumping everything (a reset would force a thundering rebuild of
-   every live relation on the next search).
+   One entry per relation, held in the relation's own
+   {!Relalg.Relation.Derived} slot like {!Relalg.Stats}, so it lives
+   and dies with the relation.
 
-   Since the delta pipeline landed, a stale entry is {e patched} from
-   the relation's retained {!Relalg.Relation.deltas_since} instead of
-   rebuilt: removed tuples are tombstoned (their slot stays, marked
-   dead, their postings spliced out) and inserted tuples take fresh
-   ascending slots, so postings stay id-ascending without renumbering.
-   Once tombstones exceed a quarter of the live slots, the patch
-   compacts the entry: live slots move down in order, posting ids are
-   renumbered through the same monotone map, and dead tuples and token
-   ids are dropped.  A full rebuild happens only on a cold entry or
-   when the delta log was truncated past the cached version (counted
-   in [pdms.delta.rebuild_fallbacks]).
+   A stale entry is {e patched} from the relation's retained
+   {!Relalg.Relation.deltas_since} instead of rebuilt: removed tuples
+   are tombstoned (their slot stays, marked dead, their postings
+   spliced out) and inserted tuples take fresh ascending slots, so
+   postings stay id-ascending without renumbering.  Once tombstones
+   exceed a quarter of the live slots, the patch compacts the entry:
+   live slots move down in order, posting ids are renumbered through
+   the same monotone map, and dead tuples and token ids are dropped.
+   A full rebuild happens only on a cold entry or when the delta log
+   was truncated past the entry's version (counted in
+   [pdms.delta.rebuild_fallbacks]).
 
    A search after a write pays for the write, not the corpus.  Each
    patch logs the tokens it touched, keyed by the version it started
@@ -86,7 +83,6 @@ type weights = {
    reading the value this one replaces. *)
 
 type entry = {
-  uid : int;
   mutable version : int;
   peer : string;
   rel_name : string;
@@ -103,7 +99,6 @@ type entry = {
   mutable weights : weights option;
   mutable patch_log : (int * string list) list;
       (* newest first: (version a patch started from, tokens it touched) *)
-  mutable last_used : int;
 }
 
 type probe = {
@@ -119,7 +114,6 @@ let m_df_merges = Obs.Metrics.counter "pdms.kwindex.df_merges"
 let m_df_patches = Obs.Metrics.counter "pdms.kwindex.df_patches"
 let h_posting_len = Obs.Metrics.histogram "pdms.kwindex.posting_len"
 let m_patched = Obs.Metrics.counter "pdms.delta.patched_postings"
-let m_fallbacks = Obs.Metrics.counter "pdms.delta.rebuild_fallbacks"
 
 let tuple_tokens tuple =
   Array.to_list tuple
@@ -149,7 +143,8 @@ let grow blank a len =
   Array.blit a 0 a' 0 len;
   a'
 
-(* {2 Delta patching}  (caller holds [lock], or owns [e] alone) *)
+(* {2 Delta patching}  (under the derived-state lock, or on an [e] the
+   caller owns alone) *)
 
 let tuple_equal a b =
   Array.length a = Array.length b && Array.for_all2 Relalg.Value.equal a b
@@ -299,7 +294,7 @@ let compact e =
    corpus memo to catch up over several writes between searches. *)
 let patch_log_cap = 16
 
-let patch ~metrics e rel deltas =
+let patch ~metrics rel e deltas =
   let touched = Hashtbl.create 16 in
   let note tok = Hashtbl.replace touched tok () in
   List.iter
@@ -314,7 +309,8 @@ let patch ~metrics e rel deltas =
       ((e.version, toks) :: e.patch_log);
   e.version <- Relalg.Relation.version rel;
   if 4 * (e.n_slots - e.doc_count) > e.doc_count then compact e;
-  if metrics then Obs.Metrics.add m_patched (Hashtbl.length touched)
+  if metrics then Obs.Metrics.add m_patched (Hashtbl.length touched);
+  e
 
 (* The tokens [e]'s patches touched since version [v], or [None] when
    its log no longer reaches back that far. *)
@@ -335,7 +331,6 @@ let build ?(metrics = true) ~rel_name rel =
   let n = Array.length tuples in
   let e =
     {
-      uid = Relalg.Relation.uid rel;
       version = Relalg.Relation.version rel;
       peer;
       rel_name;
@@ -350,7 +345,6 @@ let build ?(metrics = true) ~rel_name rel =
       doc_count = 0;
       weights = None;
       patch_log = [];
-      last_used = 0;
     }
   in
   Array.iter (add_doc e ignore) tuples;
@@ -366,70 +360,18 @@ let build ?(metrics = true) ~rel_name rel =
   end;
   e
 
-(* uid -> entry. Bounded; overflow evicts the single least-recently-used
-   entry (O(store) scan, paid only at the cap). *)
-let store : (int, entry) Hashtbl.t = Hashtbl.create 64
-let lock = Mutex.create ()
-let max_entries = 1024
-let tick = ref 0
-
-(* Caller holds [lock]. *)
-let evict_lru () =
-  let victim =
-    Hashtbl.fold
-      (fun uid e acc ->
-        match acc with
-        | Some (_, lu) when lu <= e.last_used -> acc
-        | _ -> Some (uid, e.last_used))
-      store None
-  in
-  match victim with Some (uid, _) -> Hashtbl.remove store uid | None -> ()
+let kind : entry Relalg.Relation.Derived.kind = Relalg.Relation.Derived.kind ()
 
 let get ?(metrics = true) ~rel_name rel =
-  let uid = Relalg.Relation.uid rel in
-  let version = Relalg.Relation.version rel in
-  Mutex.lock lock;
-  incr tick;
-  let now = !tick in
-  let cached =
-    match Hashtbl.find_opt store uid with
-    | Some e when e.version = version ->
-        e.last_used <- now;
-        Some e
-    | Some e -> (
-        (* Stale entry: patch from the retained deltas under the lock —
-           concurrent searches sharing the store serialise their index
-           refresh here instead of racing on duplicate rebuilds. *)
-        match Relalg.Relation.deltas_since rel e.version with
-        | Some ds ->
-            patch ~metrics e rel ds;
-            e.last_used <- now;
-            Some e
-        | None ->
-            if metrics then Obs.Metrics.incr m_fallbacks;
-            None)
-    | None -> None
+  let built = ref false in
+  let e =
+    Relalg.Relation.Derived.get kind rel
+      ~build:(fun rel ->
+        built := true;
+        build ~metrics ~rel_name rel)
+      ~patch:(patch ~metrics)
   in
-  Mutex.unlock lock;
-  match cached with
-  | Some e -> (e, false)
-  | None ->
-      (* Build outside the lock: racing searches may both scan the
-         relation, but they write identical entries. *)
-      let e = build ~metrics ~rel_name rel in
-      e.last_used <- now;
-      Mutex.lock lock;
-      if (not (Hashtbl.mem store uid)) && Hashtbl.length store >= max_entries
-      then evict_lru ();
-      Hashtbl.replace store uid e;
-      Mutex.unlock lock;
-      (e, true)
-
-let store_size () =
-  Mutex.lock lock;
-  let n = Hashtbl.length store in
-  Mutex.unlock lock;
-  n
+  (e, !built)
 
 (* The global corpus depends on the reachable set (down peers change df
    and n per query), so it can't live in the per-relation entries. A
@@ -504,9 +446,7 @@ let corpus ?(metrics = true) entries =
   let prev = Atomic.get memo in
   match prev with
   | Some m
-    when List.equal
-           (fun (e0, v0) (e, v) -> e0.uid = e.uid && v0 = v)
-           m.key key ->
+    when List.equal (fun (e0, v0) (e, v) -> e0 == e && v0 = v) m.key key ->
       (m.stamp, m.corpus)
   | _ ->
       let patched =
@@ -622,8 +562,5 @@ let probe entry ~stamp c query_vec =
   { source = entry; scores; candidates; bound = !bound }
 
 let reset () =
-  Mutex.lock lock;
-  Hashtbl.reset store;
-  Atomic.set memo None;
-  tick := 0;
-  Mutex.unlock lock
+  Relalg.Relation.Derived.reset kind;
+  Atomic.set memo None

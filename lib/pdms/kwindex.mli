@@ -1,25 +1,24 @@
 (** Version-guarded, delta-patched inverted index for keyword search.
 
-    One {!entry} per stored relation, keyed on {!Relalg.Relation.uid}
-    and guarded by {!Relalg.Relation.version} (the {!Relalg.Stats}
-    discipline): postings lists [token -> (slot_id, tf)], per-slot
-    term-frequency vectors over token ids in ascending token order, and
-    lazily computed per-stamp weights (idf per token id, norm per
-    slot).  When the relation's version moves, the entry is
-    {e patched} from {!Relalg.Relation.deltas_since} — removed tuples
-    are tombstoned in place (postings spliced, slot marked dead),
-    inserted tuples take fresh ascending slots — counted in
-    [pdms.delta.patched_postings].  Once tombstones exceed a quarter of
-    the live slots the patch compacts the entry stably (live slots keep
-    their relative order, posting ids are renumbered monotonically,
-    dead tuples are dropped), so an entry never holds more than
-    [live + live / 4] slots after {!get}.  A full
-    reindex of the relation happens only on a cold entry or when the
-    delta log was truncated past the cached version
-    ([pdms.delta.rebuild_fallbacks]); compaction is not one.  The
-    bounded store evicts its least-recently-used entry on overflow
-    instead of resetting wholesale.  A from-scratch index of a relation
-    is {!reset} followed by {!get}.
+    One {!entry} per stored relation, kept in the relation's own
+    {!Relalg.Relation.Derived} slot (as {!Relalg.Stats} is), so it
+    lives and dies with the relation: postings lists
+    [token -> (slot_id, tf)], per-slot term-frequency vectors over
+    token ids in ascending token order, and lazily computed per-stamp
+    weights (idf per token id, norm per slot).  When the relation's
+    version moves, the entry is {e patched} from
+    {!Relalg.Relation.deltas_since} — removed tuples are tombstoned in
+    place (postings spliced, slot marked dead), inserted tuples take
+    fresh ascending slots — counted in [pdms.delta.patched_postings].
+    Once tombstones exceed a quarter of the live slots the patch
+    compacts the entry stably (live slots keep their relative order,
+    posting ids are renumbered monotonically, dead tuples are dropped),
+    so an entry never holds more than [live + live / 4] slots after
+    {!get}.  A full reindex of the relation happens only on a cold
+    entry or when the delta log was truncated past the entry's version
+    ([pdms.delta.rebuild_fallbacks]); compaction is not one.  A
+    from-scratch index of a relation is {!reset} followed by {!get}, or
+    {!get} on a {!Relalg.Relation.copy}.
 
     A search after a write pays for the write, not the corpus.  Each
     patch logs the tokens it touched, so {!corpus} recounts df for
@@ -65,7 +64,6 @@ type weights
     stamps each read a consistent value. *)
 
 type entry = {
-  uid : int;
   mutable version : int;  (** the relation version the entry reflects *)
   peer : string;
       (** owner per {!Distributed.owner_of_pred}, "" if unqualified *)
@@ -89,7 +87,6 @@ type entry = {
   mutable patch_log : (int * string list) list;
       (** recent patches, newest first: the version each started from
           and the tokens it touched — managed by {!get} *)
-  mutable last_used : int;  (** LRU clock — managed by {!get} *)
 }
 
 type probe = {
@@ -111,22 +108,23 @@ val slot_tokens : entry -> int -> (string * float) list
     by token; [[]] on a dead slot. *)
 
 val get : ?metrics:bool -> rel_name:string -> Relalg.Relation.t -> entry * bool
-(** [get ~rel_name rel] returns the index entry for [rel].  A cached
-    entry at the current version is served as-is; a stale one is
+(** [get ~rel_name rel] returns the index entry for [rel].  An entry
+    at the current version is served as-is; a stale one is
     delta-patched (and compacted when its tombstones pile up) under
-    the store lock when the relation's delta log still reaches back —
-    otherwise it is rebuilt from scratch.  The flag is [true] only when
-    a full (re)build happened.  Thread-safe; concurrent searches
-    serialise their patching on the store lock. *)
+    the derived-state lock when the relation's delta log still reaches
+    back — otherwise it is rebuilt from scratch.  The flag is [true]
+    only when a full (re)build happened.  Thread-safe; concurrent
+    searches serialise their patching on that lock. *)
 
 val corpus : ?metrics:bool -> entry list -> int * Util.Tfidf.corpus
 (** [corpus entries] merges the per-relation df counts of the given
-    (reachable) entries into a global corpus, memoised on the entries'
-    [(uid, version)] list — repeated searches over an unchanged
-    reachable set reuse it.  When the entries are the very ones the
-    memo merged and each that moved can name the tokens its patches
-    touched, only those tokens' counts are recounted.  Returns a stamp
-    identifying the corpus; per-entry weights are keyed on it. *)
+    (reachable) entries into a global corpus, memoised on the entries
+    (compared physically) and their versions — repeated searches over
+    an unchanged reachable set reuse it.  When the entries are the
+    very ones the memo merged and each that moved can name the tokens
+    its patches touched, only those tokens' counts are recounted.
+    Returns a stamp identifying the corpus; per-entry weights are
+    keyed on it. *)
 
 val probe :
   entry -> stamp:int -> Util.Tfidf.corpus -> Util.Tfidf.vector -> probe
@@ -138,11 +136,6 @@ val probe :
     stamp's when [stamp] patched it — safe to call from parallel shards
     as long as each entry is probed by one shard. *)
 
-val store_size : unit -> int
-(** Number of relations currently indexed (bounded by {!max_entries}). *)
-
-val max_entries : int
-(** Store capacity; overflow evicts the least-recently-used entry. *)
-
 val reset : unit -> unit
-(** Drop every cached entry and the corpus memo (tests/benchmarks). *)
+(** Make every relation's entry cold, so the next {!get} rebuilds it,
+    and drop the corpus memo (tests/benchmarks). *)

@@ -36,6 +36,7 @@ type stats = {
   pruned_subsumed : int;
   pruned_depth : int;
   lav_invocations : int;
+  truncated : bool;
 }
 
 type outcome = { rewritings : Query.t list; stats : stats }
@@ -474,6 +475,9 @@ let reformulate ?(exec = Exec.default) catalog (q : Query.t) =
       pruned_subsumed = !pruned_subsumed;
       pruned_depth = !pruned_depth;
       lav_invocations = !lav_invocations;
+      (* The loop stops at the cap or on an empty queue: nodes left
+         queued may hold rewritings the cap dropped. *)
+      truncated = not (Queue.is_empty queue);
     }
   in
   if exec.Exec.metrics then begin
@@ -497,6 +501,7 @@ let reformulate ?(exec = Exec.default) catalog (q : Query.t) =
 
 let pp_stats fmt s =
   Format.fprintf fmt
-    "expanded=%d emitted=%d pruned(history=%d visited=%d subsumed=%d depth=%d) lav=%d"
+    "expanded=%d emitted=%d pruned(history=%d visited=%d subsumed=%d depth=%d) lav=%d%s"
     s.nodes_expanded s.emitted s.pruned_history s.pruned_visited
     s.pruned_subsumed s.pruned_depth s.lav_invocations
+    (if s.truncated then " truncated" else "")

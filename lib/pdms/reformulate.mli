@@ -46,6 +46,9 @@ type stats = {
   pruned_subsumed : int;
   pruned_depth : int;
   lav_invocations : int;
+  truncated : bool;
+      (** the search stopped at [max_rewritings] with nodes still
+          queued, so rewritings (and their answers) may be missing *)
 }
 
 type outcome = { rewritings : Cq.Query.t list; stats : stats }
@@ -74,3 +77,5 @@ val subsumption_sweep : ?exec:Exec.t -> Cq.Query.t list -> Cq.Query.t list
     signature-compatible pair up front.) *)
 
 val pp_stats : Format.formatter -> stats -> unit
+(** One line of counts, ending in [" truncated"] when the cap dropped
+    rewritings. *)

@@ -62,16 +62,24 @@ module Delta = struct
     { adds = adds @ b.adds; dels }
 end
 
+(* One kind's derived value ({!Derived}) with the epoch and version it
+   was computed at. *)
+type 'a cell = {
+  mutable epoch : int;
+  mutable version : int;
+  mutable value : 'a;
+}
+
+type slot = Slot : 'a Type.Id.t * 'a cell -> slot
+
 type t = {
   schema : Schema.t;
-  uid : int;
   mutable version : int;
   (* Rows in insertion order: slot [0 .. count_slots - 1] of [rows_arr].
      Appends are amortised O(1); removal compacts in place preserving
      order, so derived structures can mirror slots stably. *)
   mutable rows_arr : tuple array;
   mutable count_slots : int;
-  mutable count : int;  (* = count_slots; kept for clarity of intent *)
   (* Memoised oldest-first list view of the rows, keyed by version. *)
   mutable rows_list : (int * tuple list) option;
   (* Multiplicity per distinct tuple: O(1) [mem]. *)
@@ -89,11 +97,11 @@ type t = {
   mutable log_entries : int;
   mutable log_tuples : int;
   mutable log_floor : int;
+  (* At most one slot per derived kind.  The one field a frozen relation
+     still writes, so it is read and written only under
+     [Derived.lock]. *)
+  mutable derived : slot list;
 }
-
-(* Process-unique relation ids, so per-relation caches (e.g. the keyword
-   index) can key on identity across otherwise identical names. *)
-let next_uid = Atomic.make 0
 
 (* Retention caps for the delta log: beyond either, oldest entries are
    truncated and consumers that saw a pre-truncation version must fall
@@ -104,11 +112,9 @@ let log_max_tuples = 8192
 let create schema =
   {
     schema;
-    uid = Atomic.fetch_and_add next_uid 1;
     version = 0;
     rows_arr = [||];
     count_slots = 0;
-    count = 0;
     rows_list = None;
     members = Tset.create 16;
     indexes = Array.make (Schema.arity schema) None;
@@ -117,12 +123,12 @@ let create schema =
     log_entries = 0;
     log_tuples = 0;
     log_floor = 0;
+    derived = [];
   }
 
 let schema t = t.schema
-let uid t = t.uid
 let version t = t.version
-let cardinality t = t.count
+let cardinality t = t.count_slots
 let delta_floor t = t.log_floor
 
 let drop_indexes t = Array.fill t.indexes 0 (Array.length t.indexes) None
@@ -155,7 +161,6 @@ let append_row t row =
   grow t;
   t.rows_arr.(t.count_slots) <- row;
   t.count_slots <- t.count_slots + 1;
-  t.count <- t.count + 1;
   (match Tset.find t.members row with
   | m -> Tset.replace t.members row (m + 1)
   | exception Not_found -> Tset.add t.members row 1);
@@ -197,7 +202,6 @@ let remove_rows t dels =
       let pending = Option.value ~default:0 (Tset.find_opt wanted row) in
       if pending > 0 then begin
         Tset.replace wanted row (pending - 1);
-        t.count <- t.count - 1;
         (match Tset.find_opt t.members row with
         | Some 1 -> Tset.remove t.members row
         | Some m -> Tset.replace t.members row (m - 1)
@@ -261,10 +265,102 @@ let deltas_since t since =
          (t.log_front @ List.rev t.log_back)
        |> List.map snd)
 
-let delta_since t since =
-  match deltas_since t since with
-  | None -> None
-  | Some ds -> Some (List.fold_left Delta.compose Delta.empty ds)
+module Derived = struct
+  type counts = { hits : int; patches : int; builds : int }
+
+  type 'a kind = {
+    id : 'a Type.Id.t;
+    mutable epoch : int;  (* slots from an older epoch are cold *)
+    mutable served : int;
+    mutable patched : int;
+    mutable built : int;
+  }
+
+  (* One lock for every relation's slots: lookups, patches and installs
+     serialise here, builds run outside it. *)
+  let lock = Mutex.create ()
+  let m_fallbacks = Obs.Metrics.counter "pdms.delta.rebuild_fallbacks"
+
+  let kind () =
+    { id = Type.Id.make (); epoch = 0; served = 0; patched = 0; built = 0 }
+
+  exception Cold
+
+  let rec find : type a. a Type.Id.t -> slot list -> a cell =
+   fun id -> function
+    | [] -> raise_notrace Not_found
+    | Slot (id', c) :: slots -> (
+        match Type.Id.provably_equal id id' with
+        | Some Equal -> c
+        | None -> find id slots)
+
+  (* Caller holds [lock].  [k]'s value on [rel] brought current, or
+     [Cold] when it must be built. *)
+  let serve k patch rel =
+    match find k.id rel.derived with
+    | exception Not_found -> raise_notrace Cold
+    | c when c.epoch <> k.epoch -> raise_notrace Cold
+    | c when c.version = rel.version ->
+        k.served <- k.served + 1;
+        c.value
+    | c -> (
+        match deltas_since rel c.version with
+        | Some ds ->
+            let v = patch rel c.value ds in
+            c.value <- v;
+            c.version <- rel.version;
+            k.patched <- k.patched + 1;
+            v
+        | None ->
+            Obs.Metrics.incr m_fallbacks;
+            raise_notrace Cold)
+
+  (* Caller holds [lock].  A cell already current at [version] was
+     installed by a racing build: keep it, so every caller shares one
+     value. *)
+  let install k rel version v =
+    k.built <- k.built + 1;
+    match find k.id rel.derived with
+    | c when c.epoch = k.epoch && c.version = version -> c.value
+    | c ->
+        c.epoch <- k.epoch;
+        c.version <- version;
+        c.value <- v;
+        v
+    | exception Not_found ->
+        let c = { epoch = k.epoch; version; value = v } in
+        rel.derived <- Slot (k.id, c) :: rel.derived;
+        v
+
+  (* Locked by hand rather than with [Mutex.protect], whose closure would
+     allocate on every hit. *)
+  let get k ~build ~patch rel =
+    Mutex.lock lock;
+    match serve k patch rel with
+    | v ->
+        Mutex.unlock lock;
+        v
+    | exception Cold ->
+        Mutex.unlock lock;
+        let version = rel.version in
+        let v = build rel in
+        Mutex.protect lock (fun () -> install k rel version v)
+    | exception e ->
+        let bt = Printexc.get_raw_backtrace () in
+        Mutex.unlock lock;
+        Printexc.raise_with_backtrace e bt
+
+  let reset k =
+    Mutex.protect lock (fun () ->
+        k.epoch <- k.epoch + 1;
+        k.served <- 0;
+        k.patched <- 0;
+        k.built <- 0)
+
+  let counts k =
+    Mutex.protect lock (fun () ->
+        { hits = k.served; patches = k.patched; builds = k.built })
+end
 
 let tuples t =
   match t.rows_list with
@@ -287,7 +383,7 @@ let fold f init t =
   !acc
 
 let build_index t col =
-  let idx = Vtbl.create (max 16 t.count) in
+  let idx = Vtbl.create (max 16 t.count_slots) in
   (* Newest-first within each bucket, as incremental [index_push]
      maintains it. *)
   for i = 0 to t.count_slots - 1 do
@@ -343,7 +439,6 @@ let clear t =
   t.version <- t.version + 1;
   t.rows_arr <- [||];
   t.count_slots <- 0;
-  t.count <- 0;
   t.rows_list <- None;
   Tset.reset t.members;
   drop_indexes t;
@@ -356,7 +451,7 @@ let clear t =
   t.log_floor <- t.version
 
 let pp fmt t =
-  Format.fprintf fmt "%a [%d rows]" Schema.pp t.schema t.count;
+  Format.fprintf fmt "%a [%d rows]" Schema.pp t.schema t.count_slots;
   List.iteri
     (fun i row ->
       if i < 20 then

@@ -55,14 +55,10 @@ val create : Schema.t -> t
 val schema : t -> Schema.t
 val cardinality : t -> int
 
-val uid : t -> int
-(** Process-unique id of this relation instance ([copy] and
-    [of_tuples] mint fresh ones) — a stable key for external caches. *)
-
 val version : t -> int
 (** Mutation counter: bumped once by every {e effective} {!apply} and by
-    [clear].  [(uid, version)] identifies a relation {e state}; caches
-    keyed on it are invalidated by any change to the contents. *)
+    [clear], so it identifies a state of this relation; derived state
+    computed at another version is stale. *)
 
 val apply : t -> Delta.t -> unit
 (** The single mutation entry point.  Removals first: one copy per
@@ -81,14 +77,53 @@ val deltas_since : t -> int -> Delta.t list option
     [v] (capacity truncation, or a [clear]), in which case the caller
     must rebuild from the current contents. *)
 
-val delta_since : t -> int -> Delta.t option
-(** {!deltas_since} folded with {!Delta.compose} — convenient for
-    consumers that don't need positional replay (statistics, caches,
-    shipping to replicas). *)
-
 val delta_floor : t -> int
 (** Oldest version still reconstructible from the delta log;
     [deltas_since t v] is [None] exactly when [v < delta_floor t]. *)
+
+(** Derived state kept on the relation itself, one slot per kind
+    (planner statistics, a keyword index entry), so it lives and dies
+    with its relation.  A slot computed at the current version is served
+    as it is; when the version moved it is patched from {!deltas_since};
+    it is rebuilt when cold or when the log no longer reaches back (the
+    latter counted in [pdms.delta.rebuild_fallbacks]).
+
+    One process-wide lock covers every lookup, patch and install, so
+    domains may share a {!freeze}d relation: its slot list is the one
+    field still written, and only under that lock.  Builds run outside
+    it; racing builders of one state all get the value installed
+    first. *)
+module Derived : sig
+  type 'a kind
+  (** One kind of derived value, with its hit/patch/build counts. *)
+
+  val kind : unit -> 'a kind
+
+  val get :
+    'a kind ->
+    build:(t -> 'a) ->
+    patch:(t -> 'a -> Delta.t list -> 'a) ->
+    t ->
+    'a
+  (** [get k ~build ~patch rel] is [k]'s value for [rel]'s current
+      state.  [patch rel v ds] brings [v] forward over the effective
+      deltas [ds] (called under the lock; it may update [v] in place);
+      [build rel] computes the value from scratch (outside the lock).
+      A hit takes the lock once and allocates nothing. *)
+
+  val reset : 'a kind -> unit
+  (** Make every slot of this kind cold and zero its counts; other
+      kinds are untouched. *)
+
+  type counts = {
+    hits : int;  (** served as they were *)
+    patches : int;  (** served after a patch *)
+    builds : int;  (** built, cold or after a fallback *)
+  }
+
+  val counts : 'a kind -> counts
+  (** Since the kind was made or last {!reset}. *)
+end
 
 val mem : t -> tuple -> bool
 (** Constant-time membership via the internal tuple hash set. *)
@@ -114,11 +149,14 @@ val find_by_bound : t -> (int * Value.t) list -> tuple list
 val freeze : t -> unit
 (** Build the index for every column, so that subsequent [find_by] /
     [find_by_bound] calls are mutation-free — the precondition for
-    sharing the relation read-only across domains. A later {!apply}
-    re-enters the ordinary (single-domain) regime. *)
+    sharing the relation read-only across domains ({!Derived} slots
+    are written under their own lock). A later {!apply} re-enters the
+    ordinary (single-domain) regime. *)
 
 val of_tuples : Schema.t -> tuple list -> t
+
 val copy : t -> t
+(** The same rows in a new relation, with no {!Derived} slots. *)
 
 val clear : t -> unit
 (** Empties the relation and truncates the delta log (consumers keyed

@@ -956,32 +956,47 @@ let test_kwindex_incremental () =
            h.P.Keyword.tuple)
        hits)
 
-(* Overflow evicts one LRU victim, not the whole store (the old token
-   memo's Hashtbl.reset forced a thundering rebuild of everything). *)
-let test_kwindex_lru_eviction () =
-  P.Kwindex.reset ();
-  let b0 = kwindex_builds () in
-  let rel i =
+(* An index entry lives in its relation's derived slot, so dropping the
+   relation frees the entry; no store keeps it reachable. *)
+let test_kwindex_entry_lifetime () =
+  let entry = Weak.create 1 in
+  let[@inline never] index () =
     let r = Relalg.Relation.create (Relalg.Schema.make "r" [ "x" ]) in
-    insert r [| vs (Printf.sprintf "tok%d" i) |];
-    r
+    insert r [| vs "ephemeral" |];
+    Weak.set entry 0 (Some (fst (P.Kwindex.get ~rel_name:"lt.r!" r)))
   in
-  let rels = Array.init (P.Kwindex.max_entries + 5) rel in
-  Array.iteri
-    (fun i r ->
-      ignore (P.Kwindex.get ~rel_name:(Printf.sprintf "r%d!" i) r))
-    rels;
-  check_i "store bounded at capacity" P.Kwindex.max_entries
-    (P.Kwindex.store_size ());
-  let filled = kwindex_builds () in
-  check_i "every relation built exactly once"
-    (b0 + P.Kwindex.max_entries + 5) filled;
-  let last = Array.length rels - 1 in
-  ignore (P.Kwindex.get ~rel_name:(Printf.sprintf "r%d!" last) rels.(last));
-  check_i "recent entry survived the overflow" filled (kwindex_builds ());
-  ignore (P.Kwindex.get ~rel_name:"r0!" rels.(0));
-  check_i "oldest entry was evicted" (filled + 1) (kwindex_builds ());
-  P.Kwindex.reset ()
+  index ();
+  Gc.full_major ();
+  check_b "entry collected with its relation" false (Weak.check entry 0)
+
+(* Domains sharing a frozen relation serialise on the derived-state
+   lock: the first get patches each kind once, and every domain is
+   served the same values. *)
+let test_derived_shared_across_domains () =
+  let r = Relalg.Relation.create (Relalg.Schema.make "d" [ "x"; "y" ]) in
+  for i = 0 to 39 do
+    insert r
+      [| vs (Printf.sprintf "k%d" i); vs (Printf.sprintf "v%d" (i mod 7)) |]
+  done;
+  let rel_name = "dm.d!" in
+  ignore (Relalg.Stats.of_relation r);
+  ignore (P.Kwindex.get ~rel_name r);
+  insert r [| vs "k40"; vs "v0 fresh" |];
+  Relalg.Relation.freeze r;
+  let patches0 = Relalg.Stats.cache_patches ()
+  and builds0 = kwindex_builds () in
+  let served =
+    List.init 4 (fun _ ->
+        Domain.spawn (fun () ->
+            (Relalg.Stats.of_relation r, fst (P.Kwindex.get ~rel_name r))))
+    |> List.map Domain.join
+  in
+  check_i "one stats patch" (patches0 + 1) (Relalg.Stats.cache_patches ());
+  check_i "no index build" builds0 (kwindex_builds ());
+  let s0, e0 = List.hd served in
+  check_b "every domain served the same values" true
+    (List.for_all (fun (s, e) -> s == s0 && e == e0) served);
+  check_i "patched statistics" 41 s0.Relalg.Stats.cardinality
 
 let delta_fallbacks () =
   Obs.Metrics.counter_value (Obs.Metrics.snapshot ())
@@ -1221,6 +1236,85 @@ let test_kwindex_compaction_bound () =
   check_i "compaction is not a rebuild" builds0 (kwindex_builds ());
   check_i "nor a fallback" fallbacks0 (delta_fallbacks ());
   P.Kwindex.reset ()
+
+(* Both kinds of derived state sharing one relation's slots — planner
+   statistics and the keyword index — serve after every step what a
+   fresh build computes: through inserts (duplicates included),
+   deletes of present and absent rows, delete-then-reinsert, mixed
+   deltas, per-kind resets and clears.  A kind rebuilds only on its
+   first get, its own reset or a clear, so a reset of one kind leaves
+   the other warm. *)
+let prop_derived_patch_equals_rebuild =
+  let module R = Relalg.Relation in
+  QCheck.Test.make ~name:"derived state: patch = rebuild for every kind"
+    ~count:100
+    (QCheck.make
+       ~print:QCheck.Print.(list (pair int int))
+       QCheck.Gen.(
+         list_size (int_range 1 50) (pair (int_bound 11) (int_bound 7))))
+    (fun steps ->
+      let r = R.create (Relalg.Schema.make "d" [ "x"; "y" ]) in
+      let rel_name = "pr.d!" in
+      let row a =
+        [| vs (Printf.sprintf "w%d" a);
+           vs (Printf.sprintf "t%d shared" (a mod 3)) |]
+      in
+      let stats_builds = ref (Relalg.Stats.cache_misses ())
+      and kw_builds = ref (kwindex_builds ()) in
+      let stats_cold = ref true and kw_cold = ref true in
+      let live_docs e =
+        List.filter_map
+          (fun id ->
+            if e.P.Kwindex.live.(id) then
+              Some (e.P.Kwindex.tuples.(id), P.Kwindex.slot_tokens e id)
+            else None)
+          (List.init e.P.Kwindex.n_slots Fun.id)
+      in
+      let posting_lens e =
+        List.sort compare
+          (Hashtbl.fold
+             (fun tok p acc -> (tok, p.P.Kwindex.len) :: acc)
+             e.P.Kwindex.postings [])
+      in
+      let served_equals_fresh () =
+        let s = Relalg.Stats.of_relation r in
+        if !stats_cold then incr stats_builds;
+        let e, _ = P.Kwindex.get ~rel_name r in
+        if !kw_cold then incr kw_builds;
+        stats_cold := false;
+        kw_cold := false;
+        let fresh, _ = P.Kwindex.get ~metrics:false ~rel_name (R.copy r) in
+        s = Reference.stats_scan r
+        && live_docs e = live_docs fresh
+        && e.P.Kwindex.doc_count = fresh.P.Kwindex.doc_count
+        && posting_lens e = posting_lens fresh
+        && Relalg.Stats.cache_misses () = !stats_builds
+        && kwindex_builds () = !kw_builds
+      in
+      List.for_all
+        (fun (op, a) ->
+          (match op with
+          | 0 | 1 | 2 -> R.apply r (R.Delta.add (row a))
+          | 3 | 4 -> R.apply r (R.Delta.remove (row a))
+          | 5 -> R.apply r (R.Delta.make ~dels:[ row a ] ~adds:[ row a ] ())
+          | 6 ->
+              R.apply r
+                (R.Delta.make ~dels:[ row a; row (a + 1) ]
+                   ~adds:[ row (a + 1); row (a + 2) ] ())
+          | 7 ->
+              Relalg.Stats.reset_cache ();
+              stats_builds := 0;
+              stats_cold := true
+          | 8 ->
+              P.Kwindex.reset ();
+              kw_cold := true
+          | _ when a < 2 ->
+              R.clear r;
+              stats_cold := true;
+              kw_cold := true
+          | _ -> R.apply r (R.Delta.add (row a)));
+          served_equals_fresh ())
+        steps)
 
 (* ------------------------------------------------------------------ *)
 (* Cache *)
@@ -2541,6 +2635,29 @@ let test_reformulation_identity () =
     (generated_join_catalog P.Topology.Binary_tree ~graph_seed:1102 ~n:12)
     "6ff37c3611e0eed12f28fcf08b702d9d"
 
+(* The Mesh-1 join has 100 rewritings: a cap of 10 stops the search
+   with nodes still queued, and the stats line says so; the default
+   cap finds them all and says nothing. *)
+let test_reformulation_truncated () =
+  let catalog, queries =
+    generated_join_catalog (P.Topology.Mesh 1) ~graph_seed:1101 ~n:10
+  in
+  let query = List.hd queries in
+  let stats max_rewritings =
+    let pruning = { P.Reformulate.default_pruning with max_rewritings } in
+    (P.Reformulate.reformulate ~exec:(P.Exec.with_pruning pruning) catalog
+       query)
+      .P.Reformulate.stats
+  in
+  let full = stats P.Reformulate.default_pruning.max_rewritings in
+  check_i "all rewritings" 100 full.P.Reformulate.emitted;
+  check_b "default cap not reached" false full.P.Reformulate.truncated;
+  let capped = stats 10 in
+  check_b "cap of 10 truncates" true capped.P.Reformulate.truncated;
+  let line = Format.asprintf "%a" P.Reformulate.pp_stats capped in
+  check_b "stats line says truncated" true
+    (String.ends_with ~suffix:" truncated" line)
+
 (* Answer rows pinned in insertion order. The answer-set tests compare
    sorted rows; these digests also pin the order in which rows reach
    the accumulator, for Answer.answer and for a fault-free
@@ -2737,6 +2854,8 @@ let () =
            test_typed_goal_memo;
          Alcotest.test_case "rewritings pinned on three catalogs" `Quick
            test_reformulation_identity;
+         Alcotest.test_case "rewriting cap reports truncation" `Quick
+           test_reformulation_truncated;
          Alcotest.test_case "answer rows pinned on three catalogs" `Quick
            test_answer_order_identity ]);
       ("catalog", qc [ prop_catalog_incremental_matches_rebuild ]);
@@ -2765,7 +2884,10 @@ let () =
            test_keyword_skips_down_peer;
          Alcotest.test_case "incremental reindex" `Quick
            test_kwindex_incremental;
-         Alcotest.test_case "lru eviction" `Quick test_kwindex_lru_eviction;
+         Alcotest.test_case "entry dies with its relation" `Quick
+           test_kwindex_entry_lifetime;
+         Alcotest.test_case "derived state shared across domains" `Quick
+           test_derived_shared_across_domains;
          Alcotest.test_case "truncation falls back to rebuild" `Quick
            test_kwindex_truncation_fallback;
          Alcotest.test_case "compaction bounds tombstones" `Quick
@@ -2773,7 +2895,8 @@ let () =
        @ qc
            [ prop_indexed_matches_brute;
              prop_kwindex_incremental_matches_rebuild;
-             prop_kwindex_n_unchanged_writes ]);
+             prop_kwindex_n_unchanged_writes;
+             prop_derived_patch_equals_rebuild ]);
       ("distributed",
        [ Alcotest.test_case "owner parsing" `Quick test_distributed_owner_parsing;
          Alcotest.test_case "beats central" `Quick test_distributed_beats_central;

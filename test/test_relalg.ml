@@ -389,7 +389,7 @@ let test_stats_distinct_and_cache () =
   check_i "dept count unchanged" 2 s2.Stats.distinct.(1);
   check_i "still one miss" 1 (Stats.cache_misses ());
   check_i "one patch" 1 (Stats.cache_patches ());
-  (* A copy mints a fresh uid, so it misses and rescans. *)
+  (* A copy has no derived slots, so it misses and rescans. *)
   insert r [| v_s "eve"; v_s "ee"; v_i 30 |];
   let s3 = Stats.of_relation (Relation.copy r) in
   check_i "rescanned cardinality" 5 s3.Stats.cardinality;
@@ -417,7 +417,7 @@ let prop_stats_patch_equals_rescan =
           else Relation.apply r (Relation.Delta.add row))
         ops;
       let patched = Stats.of_relation r in
-      (* [copy] mints a fresh uid, forcing a cold full rescan. *)
+      (* [copy] has no derived slots, forcing a cold full rescan. *)
       let fresh = Stats.of_relation (Relation.copy r) in
       patched.Stats.cardinality = fresh.Stats.cardinality
       && patched.Stats.distinct = fresh.Stats.distinct)
