@@ -22,14 +22,18 @@ let header id claim =
   Printf.printf "\n## %s — %s\n\n" id claim
 
 (* ------------------------------------------------------------------ *)
-(* E1: reformulation cost vs. number of peers, per topology (claim C3) *)
+(* E1: reformulation cost vs. number of peers, per topology (claim C3),
+   for a single-atom query, the two-atom join and the three-atom chain.
+   A join's search runs once per goal, so its nodes grow with the sum of
+   the goals' alternatives; its rewritings (the product of the goals'
+   unions) grow with their product. *)
 
 let e1_sized sizes () =
   header "E1" "PDMS reformulation cost vs. #peers and topology";
   let table =
     T.create
-      [ "topology"; "peers"; "mappings"; "time_ms"; "rewritings"; "nodes";
-        "answers" ]
+      [ "topology"; "peers"; "mappings"; "query"; "time_ms"; "reform_ms";
+        "rewritings"; "nodes"; "answers" ]
   in
   let prng = Util.Prng.create 1 in
   List.iter
@@ -39,19 +43,26 @@ let e1_sized sizes () =
           let topology = Pdms.Topology.generate ~prng kind ~n in
           let g =
             Workload.Peers_gen.generate (Util.Prng.split prng) ~topology
-              ~tuples_per_peer:4 ()
+              ~tuples_per_peer:4 ~with_join:true ()
           in
-          let query = Workload.Peers_gen.course_query g ~at:0 in
-          let ms, result =
-            time_ms (fun () -> Pdms.Answer.answer g.Workload.Peers_gen.catalog query)
-          in
-          let stats = result.Pdms.Answer.outcome.Pdms.Reformulate.stats in
-          T.add_row table
-            [ Pdms.Topology.kind_name kind; T.cell_i n;
-              T.cell_i (Pdms.Topology.edge_count topology); T.cell_f ms;
-              T.cell_i stats.Pdms.Reformulate.emitted;
-              T.cell_i stats.Pdms.Reformulate.nodes_expanded;
-              T.cell_i (Relalg.Relation.cardinality result.Pdms.Answer.answers) ])
+          let catalog = g.Workload.Peers_gen.catalog in
+          List.iter
+            (fun (name, query) ->
+              let reform_ms, _ =
+                time_ms (fun () -> Pdms.Reformulate.reformulate catalog query)
+              in
+              let ms, result = time_ms (fun () -> Pdms.Answer.answer catalog query) in
+              let stats = result.Pdms.Answer.outcome.Pdms.Reformulate.stats in
+              T.add_row table
+                [ Pdms.Topology.kind_name kind; T.cell_i n;
+                  T.cell_i (Pdms.Catalog.mapping_count catalog); name;
+                  T.cell_f ms; T.cell_f reform_ms;
+                  T.cell_i stats.Pdms.Reformulate.emitted;
+                  T.cell_i stats.Pdms.Reformulate.nodes_expanded;
+                  T.cell_i (Relalg.Relation.cardinality result.Pdms.Answer.answers) ])
+            [ ("course", Workload.Peers_gen.course_query g ~at:0);
+              ("join", Workload.Peers_gen.join_query g ~at:0);
+              ("chain", Workload.Peers_gen.chain_query g ~at:0) ])
         sizes)
     [ Pdms.Topology.Chain; Pdms.Topology.Binary_tree; Pdms.Topology.Mesh 1 ];
   T.print table

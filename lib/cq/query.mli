@@ -10,6 +10,9 @@ val vars : t -> string list
 val head_vars : t -> string list
 (** Distinguished variables. *)
 
+val body_vars : t -> string list
+(** Distinct variables of the body, in first-occurrence order. *)
+
 val existential_vars : t -> string list
 (** Body variables not appearing in the head. *)
 

@@ -8,9 +8,13 @@ type t = {
      mapping's or description's own: GAV rules by head predicate, oldest
      mapping first; LAV views, storage descriptions newest first, then
      mapping views oldest first. Lookups only read them, so concurrent
-     reformulations over one catalog never race. *)
+     reformulations over one catalog never race. Beside them, the
+     predicates some view's body reads, and whether every variable of
+     every view occurs in its head. *)
   rules : (string, (mapping_id option * Cq.Query.t) list) Hashtbl.t;
   mutable views : (mapping_id option * Cq.Query.t) list;
+  viewed : (string, unit) Hashtbl.t;
+  mutable distinguished_views : bool;
   stored : (string, unit) Hashtbl.t;
 }
 
@@ -21,6 +25,8 @@ let create () =
     next_id = 0;
     rules = Hashtbl.create 64;
     views = [];
+    viewed = Hashtbl.create 64;
+    distinguished_views = true;
     stored = Hashtbl.create 16;
   }
 
@@ -81,8 +87,15 @@ let peer t name =
 
 let peers t = List.rev t.peers
 
+let note_view t (view : Cq.Query.t) =
+  List.iter
+    (fun (a : Cq.Atom.t) -> Hashtbl.replace t.viewed a.Cq.Atom.pred ())
+    view.Cq.Query.body;
+  if Cq.Query.existential_vars view <> [] then t.distinguished_views <- false
+
 let add_storage t desc =
   Hashtbl.replace t.stored (Storage_desc.stored_pred desc) ();
+  note_view t desc.Storage_desc.view;
   t.views <- (None, desc.Storage_desc.view) :: t.views
 
 let store_identity t peer ~rel =
@@ -107,6 +120,7 @@ let add_mapping t mapping =
       Hashtbl.replace t.rules pred (known @ [ rule ]))
     rules;
   (* Mapping views go last; the append copies the list's spine only. *)
+  List.iter (fun (_, view) -> note_view t view) views;
   t.views <- t.views @ views;
   id
 
@@ -118,6 +132,8 @@ let is_stored t pred = Hashtbl.mem t.stored pred
 let rules_for t pred = Option.value ~default:[] (Hashtbl.find_opt t.rules pred)
 let has_rules t pred = Hashtbl.mem t.rules pred
 let views t = t.views
+let in_view_body t pred = Hashtbl.mem t.viewed pred
+let distinguished_views t = t.distinguished_views
 
 let global_db t =
   let db = Relalg.Database.create () in

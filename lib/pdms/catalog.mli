@@ -42,6 +42,16 @@ val views : t -> (mapping_id option * Cq.Query.t) list
 (** All LAV views: storage-description views (id [None]) and GLAV
     mapping-predicate views (their mapping id). *)
 
+val in_view_body : t -> string -> bool
+(** Does the predicate occur in the body of some view? Then a GAV rule
+    for it is not its only source. *)
+
+val distinguished_views : t -> bool
+(** Does every variable of every view occur in the view's head? Then no
+    query variable can map to an existential view variable, so MiniCon
+    never has to cover two subgoals with one view match, and
+    reformulation searches each subgoal on its own. *)
+
 val global_db : t -> Relalg.Database.t
 (** Union of all peers' stored relations (shared relation objects, not
     copies — inserts through peers are visible). *)

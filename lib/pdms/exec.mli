@@ -30,7 +30,8 @@ type pruning = {
       (** drop emitted rewritings contained in previously emitted ones *)
   use_minimize : bool;  (** minimize each emitted rewriting *)
   max_depth : int;  (** expansion-depth cap per branch *)
-  max_rewritings : int;  (** stop after this many emitted rewritings *)
+  max_rewritings : int;
+      (** stop a goal group's search after this many emitted rewritings *)
 }
 
 val default_pruning : pruning

@@ -255,15 +255,24 @@ let apply t (d : Delta.t) =
       let eff = if dels == d.Delta.dels then d else { d with Delta.dels } in
       log_push t (t.version, eff) (Delta.size eff)
 
+(* Logged versions run consecutively up to [t.version], so the gap is the
+   newest [t.version - since] entries: take them from [log_back] (newest
+   first), and enter [log_front] only when the gap reaches past it. *)
 let deltas_since t since =
-  if since = t.version then Some []
+  if since >= t.version then Some []
   else if since < t.log_floor then None
   else
-    Some
-      (List.filter
-         (fun (v, _) -> v > since)
-         (t.log_front @ List.rev t.log_back)
-       |> List.map snd)
+    let rec from_back acc = function
+      | (v, d) :: rest ->
+          if v = since + 1 then d :: acc else from_back (d :: acc) rest
+      | [] ->
+          let rec skip = function
+            | (v, _) :: rest when v <= since -> skip rest
+            | front -> front
+          in
+          List.map snd (skip t.log_front) @ acc
+    in
+    Some (from_back [] t.log_back)
 
 module Derived = struct
   type counts = { hits : int; patches : int; builds : int }

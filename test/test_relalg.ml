@@ -366,6 +366,52 @@ let test_delta_log_truncation () =
   check_b "clear leaves current reachable" true
     (Relation.deltas_since r (Relation.version r) = Some [])
 
+(* Random apply/clear streams: one-row deltas overflow the log's entry
+   cap, forty-row ones its tuple cap. At the end, for every version from
+   one below the floor to the current one, [deltas_since] is [None]
+   exactly below the floor, and otherwise holds one delta per version
+   in the gap, which replayed on the rows saved at that version give
+   the current rows in order. *)
+let prop_deltas_since_replays =
+  QCheck.Test.make ~name:"deltas_since replays every retained version" ~count:8
+    (QCheck.make QCheck.Gen.(int_bound 100_000) ~print:string_of_int)
+    (fun seed ->
+      let prng = Util.Prng.create seed in
+      let schema = Schema.make "r" [ "a"; "b" ] in
+      let r = Relation.create schema in
+      let saved = Hashtbl.create 1024 in
+      let save () = Hashtbl.replace saved (Relation.version r) (Relation.tuples r) in
+      save ();
+      let width = if Util.Prng.bool prng then 1 else 40 in
+      let row () = [| v_i (Util.Prng.int prng 8); v_i (Util.Prng.int prng 8) |] in
+      for _ = 1 to Util.Prng.int_in prng 300 900 do
+        if Util.Prng.int prng 400 = 0 then Relation.clear r
+        else begin
+          let adds = List.init (1 + Util.Prng.int prng width) (fun _ -> row ()) in
+          let rows = Relation.tuples r in
+          let dels =
+            if List.length rows < 12 then []
+            else Util.Prng.sample prng (List.length adds) rows
+          in
+          Relation.apply r (Relation.Delta.make ~adds ~dels ())
+        end;
+        save ()
+      done;
+      let version = Relation.version r and floor = Relation.delta_floor r in
+      let current = Relation.tuples r in
+      List.for_all
+        (fun v ->
+          match Relation.deltas_since r v with
+          | None -> v < floor
+          | Some ds ->
+              v >= floor
+              && List.length ds = version - v
+              &&
+              let copy = Relation.of_tuples schema (Hashtbl.find saved v) in
+              List.iter (Relation.apply copy) ds;
+              Relation.tuples copy = current)
+        (List.init (version - floor + 2) (fun i -> floor - 1 + i)))
+
 (* ------------------------------------------------------------------ *)
 (* Stats: cached cardinality + distinct counts, patched by deltas *)
 
@@ -456,4 +502,4 @@ let () =
          [ prop_value_equal_agrees; prop_find_by_equals_filter;
            prop_union_commutative;
            prop_join_subset_of_product; prop_diff_disjoint;
-           prop_stats_patch_equals_rescan ]) ]
+           prop_stats_patch_equals_rescan; prop_deltas_since_replays ]) ]
