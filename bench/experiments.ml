@@ -82,19 +82,19 @@ let e2 () =
   in
   let query = Workload.Peers_gen.course_query g ~at:0 in
   let base =
-    { Pdms.Reformulate.no_pruning with Pdms.Reformulate.max_depth = 12 }
+    { Pdms.Exec.no_pruning with Pdms.Exec.max_depth = 12 }
   in
   let configs =
     [ ("none", base);
-      ("history", { base with Pdms.Reformulate.use_history = true });
+      ("history", { base with Pdms.Exec.use_history = true });
       ("history+dominance",
-       { base with Pdms.Reformulate.use_history = true; use_visited = true });
+       { base with Pdms.Exec.use_history = true; use_visited = true });
       ("+goal-memo",
        { base with
-         Pdms.Reformulate.use_history = true;
+         Pdms.Exec.use_history = true;
          use_visited = true;
          use_goal_memo = true });
-      ("all (default)", Pdms.Reformulate.default_pruning) ]
+      ("all (default)", Pdms.Exec.default_pruning) ]
   in
   let table =
     T.create [ "pruning"; "time_ms"; "nodes"; "rewritings"; "answers" ]
@@ -984,8 +984,8 @@ let e14_sweep_configs configs =
          duplicated set the emit-time index normally thins out. *)
       let pruning =
         {
-          Pdms.Reformulate.default_pruning with
-          Pdms.Reformulate.use_subsumption = false;
+          Pdms.Exec.default_pruning with
+          Pdms.Exec.use_subsumption = false;
           max_rewritings = cap;
         }
       in
@@ -1136,8 +1136,8 @@ let e15_sweep_input ~peers ~cap =
   let query = Workload.Peers_gen.course_query g ~at:0 in
   let pruning =
     {
-      Pdms.Reformulate.default_pruning with
-      Pdms.Reformulate.use_subsumption = false;
+      Pdms.Exec.default_pruning with
+      Pdms.Exec.use_subsumption = false;
       max_rewritings = cap;
     }
   in
@@ -1170,16 +1170,16 @@ let e15_configs ~peers ~cap ~threshold_pct () =
     done;
     !ms /. float_of_int iters
   in
-  let disabled_exec = Pdms.Exec.make ~metrics:false () in
   let memory_exec () =
     Pdms.Exec.make ~trace:(Obs.Trace.create (Obs.Sink.memory ())) ()
   in
-  (* Mode 1: everything off — the global switch turns even registered
-     counters into no-ops, approximating an uninstrumented build. *)
+  (* Mode 1: everything off — the global switch turns every counter
+     into a no-op and the null tracer records nothing, approximating an
+     uninstrumented build. *)
   Obs.Metrics.set_enabled false;
-  let base_ms =
+  let base_ms, disabled =
     Fun.protect ~finally:(fun () -> Obs.Metrics.set_enabled true)
-      (fun () -> best disabled_exec)
+      (fun () -> (best Pdms.Exec.default, sweep Pdms.Exec.default))
   in
   (* Mode 2: the permanent default — metrics counted, tracing nulled. *)
   let null_ms = best Pdms.Exec.default in
@@ -1187,7 +1187,7 @@ let e15_configs ~peers ~cap ~threshold_pct () =
   let traced_ms = best (memory_exec ()) in
   (* Instrumentation must not change the result. *)
   let render qs = List.map Cq.Query.to_string qs in
-  assert (render (sweep disabled_exec) = render reference);
+  assert (render disabled = render reference);
   assert (render (sweep (memory_exec ())) = render reference);
   let pct ms = (ms -. base_ms) /. Float.max 1e-9 base_ms *. 100.0 in
   let table = T.create [ "mode"; "sweep_ms"; "overhead_pct" ] in

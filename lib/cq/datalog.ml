@@ -1,13 +1,5 @@
 type program = Query.t list
 
-let idb_preds (program : program) =
-  List.fold_left
-    (fun acc (r : Query.t) ->
-      let p = r.Query.head.Atom.pred in
-      if List.mem p acc then acc else p :: acc)
-    [] program
-  |> List.rev
-
 let ensure_idb db (r : Query.t) =
   let pred = r.Query.head.Atom.pred in
   let arity = Atom.arity r.Query.head in

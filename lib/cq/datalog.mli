@@ -5,8 +5,6 @@
 type program = Query.t list
 (** Each query is a rule [head :- body]; head predicates are IDB. *)
 
-val idb_preds : program -> string list
-
 val eval : Relalg.Database.t -> program -> Relalg.Database.t
 (** Returns a fresh database containing the input EDB relations plus all
     derived IDB relations, evaluated to fixpoint (set semantics). The

@@ -27,10 +27,3 @@ let run db q =
   let out = Relalg.Relation.create (head_schema q) in
   ignore (run_union_into out db [ q ] : int);
   out
-
-let run_union db = function
-  | [] -> invalid_arg "Eval.run_union: empty union"
-  | q0 :: _ as qs ->
-      let out = Relalg.Relation.create (head_schema q0) in
-      ignore (run_union_into out db qs : int);
-      out

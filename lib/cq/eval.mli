@@ -27,10 +27,6 @@ val add_distinct : Relalg.Relation.t -> Relalg.Relation.tuple -> unit
 val run : Relalg.Database.t -> Query.t -> Relalg.Relation.t
 (** Distinct head tuples. Raises [Invalid_argument] on unsafe queries. *)
 
-val run_union : Relalg.Database.t -> Query.t list -> Relalg.Relation.t
-(** Distinct union of the answers of a UCQ (all heads must share arity;
-    the first query's head shapes the schema). Raises on an empty list. *)
-
 val run_union_into : Relalg.Relation.t -> Relalg.Database.t -> Query.t list -> int
 (** Evaluate every member and {!add_distinct} its head tuples into
     [out]: one shared hash-backed dedup set across the whole union,

@@ -157,17 +157,6 @@ let parse_query_exn text =
   | Ok q -> q
   | Error msg -> invalid_arg ("Cq.Parser.parse_query_exn: " ^ msg)
 
-let parse_atom text =
-  run
-    (fun cur ->
-      let a = atom cur in
-      skip_ws cur;
-      (match peek cur with
-      | None -> ()
-      | Some c -> fail cur "trailing input starting with '%c'" c);
-      a)
-    text
-
 let parse_program text =
   let lines = String.split_on_char '\n' text in
   let rec go acc = function

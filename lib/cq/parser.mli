@@ -15,7 +15,5 @@ val parse_query : string -> (Query.t, string) result
 
 val parse_query_exn : string -> Query.t
 
-val parse_atom : string -> (Atom.t, string) result
-
 val parse_program : string -> (Query.t list, string) result
 (** One rule per non-empty, non-[#]-comment line. *)

@@ -16,7 +16,6 @@ let registry_mutex = Mutex.create ()
 let switch = Atomic.make true
 
 let set_enabled b = Atomic.set switch b
-let enabled () = Atomic.get switch
 
 let counter name =
   Mutex.lock registry_mutex;

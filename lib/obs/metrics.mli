@@ -12,8 +12,9 @@
     raises [Invalid_argument].  {!reset} zeroes values but keeps
     registrations, so module-toplevel handles stay valid across runs.
 
-    The global {!set_enabled} switch turns every increment into a no-op —
-    used by bench E15 to measure a true uninstrumented baseline without
+    The global {!set_enabled} switch turns every increment into a no-op.
+    It is the one metrics switch: no caller-side flag gates a counter.
+    Bench E15 uses it to approximate an uninstrumented build without
     recompiling. *)
 
 type counter
@@ -67,4 +68,3 @@ val to_json : snapshot -> string
 (** {2 Global switch} *)
 
 val set_enabled : bool -> unit
-val enabled : unit -> bool

@@ -1,18 +1,11 @@
-type t = Null | Memory of Span.t list ref | Stderr
+type t = Null | Memory of Span.t list ref
 
 let null = Null
 let memory () = Memory (ref [])
-let stderr = Stderr
-let is_null = function Null -> true | _ -> false
+let is_null = function Null -> true | Memory _ -> false
 
 let emit t span =
-  match t with
-  | Null -> ()
-  | Memory cell -> cell := span :: !cell
-  | Stderr -> prerr_string (Span.render span)
+  match t with Null -> () | Memory cell -> cell := span :: !cell
 
-let spans = function
-  | Memory cell -> List.rev !cell
-  | Null | Stderr -> []
-
-let clear = function Memory cell -> cell := [] | Null | Stderr -> ()
+let spans = function Memory cell -> List.rev !cell | Null -> []
+let clear = function Memory cell -> cell := [] | Null -> ()

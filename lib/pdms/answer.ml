@@ -10,43 +10,27 @@ let m_tuples = Obs.Metrics.counter "pdms.eval.tuples"
 let m_dedup_dropped = Obs.Metrics.counter "pdms.eval.dedup_dropped"
 let m_tuples_per_rw = Obs.Metrics.histogram "pdms.eval.tuples_per_rewriting"
 
-let empty_answers (q : Cq.Query.t) =
-  let arity = Cq.Atom.arity q.Cq.Query.head in
-  Relalg.Relation.create
-    (Relalg.Schema.make q.Cq.Query.head.Cq.Atom.pred
-       (List.init arity (Printf.sprintf "a%d")))
-
 let eval_union ?(exec = Exec.default) db = function
   | [] -> invalid_arg "Answer.eval_union: empty union"
   | q0 :: _ as qs ->
       let jobs = exec.Exec.jobs in
       let trace = exec.Exec.trace in
       Obs.Trace.span trace "eval" @@ fun () ->
-      (* A single rewriting runs on Cq.Eval; a union is one shared-prefix
-         trie, walked once with [jobs] sharding its top-level branches.
-         Either way the per-rewriting pre-dedup tuple counts are
-         |run_bindings q| per query, so identical for every [jobs]. *)
-      let out, per_rewriting =
-        match qs with
-        | [ q ] ->
-            let out = Relalg.Relation.create (Cq.Eval.head_schema q) in
-            (out, [ Cq.Eval.run_union_into out db [ q ] ])
-        | _ ->
-            if jobs > 1 then Relalg.Database.freeze db;
-            let plan = Cq.Plan.build ~trace db qs in
-            let out = Relalg.Relation.create (Cq.Eval.head_schema q0) in
-            (out, Cq.Plan.run_union_into ~jobs ~trace out db plan)
-      in
+      (* One shared-prefix trie, walked once with [jobs] sharding its
+         top-level branches; the per-rewriting pre-dedup tuple counts
+         are |run_bindings q| per query, so identical for every [jobs]. *)
+      if jobs > 1 then Relalg.Database.freeze db;
+      let plan = Cq.Plan.build ~trace db qs in
+      let out = Relalg.Relation.create (Cq.Eval.head_schema q0) in
+      let per_rewriting = Cq.Plan.run_union_into ~jobs ~trace out db plan in
       let tuples = List.fold_left ( + ) 0 per_rewriting in
       let answers = Relalg.Relation.cardinality out in
-      if exec.Exec.metrics then begin
-        Obs.Metrics.incr m_unions;
-        Obs.Metrics.add m_tuples tuples;
-        Obs.Metrics.add m_dedup_dropped (tuples - answers);
-        List.iter
-          (fun n -> Obs.Metrics.observe m_tuples_per_rw (float_of_int n))
-          per_rewriting
-      end;
+      Obs.Metrics.incr m_unions;
+      Obs.Metrics.add m_tuples tuples;
+      Obs.Metrics.add m_dedup_dropped (tuples - answers);
+      List.iter
+        (fun n -> Obs.Metrics.observe m_tuples_per_rw (float_of_int n))
+        per_rewriting;
       Obs.Trace.attr_i trace "rewritings" (List.length qs);
       Obs.Trace.attr_i trace "jobs" jobs;
       Obs.Trace.attr_i trace "tuples" tuples;
@@ -60,9 +44,7 @@ let answer ?(exec = Exec.default) catalog q =
   let outcome = Reformulate.reformulate ~exec catalog q in
   let answers =
     match outcome.Reformulate.rewritings with
-    | [] ->
-        (* No rewriting: empty relation shaped by the query head. *)
-        empty_answers q
+    | [] -> Relalg.Relation.create (Cq.Eval.head_schema q)
     | rewritings ->
         (* Workers read a snapshot, never the live peer relations. *)
         let db =
@@ -71,10 +53,8 @@ let answer ?(exec = Exec.default) catalog q =
         in
         eval_union ~exec db rewritings
   in
-  if exec.Exec.metrics then begin
-    Obs.Metrics.incr m_queries;
-    Obs.Metrics.add m_answers (Relalg.Relation.cardinality answers)
-  end;
+  Obs.Metrics.incr m_queries;
+  Obs.Metrics.add m_answers (Relalg.Relation.cardinality answers);
   Obs.Trace.attr_i trace "rewritings"
     (List.length outcome.Reformulate.rewritings);
   Obs.Trace.attr_i trace "answers" (Relalg.Relation.cardinality answers);

@@ -190,7 +190,7 @@ let entry_affected rel_name changed e =
         q.Cq.Query.body)
     e.result.Answer.outcome.Reformulate.rewritings
 
-let invalidate ?(exec = Exec.default) t (u : Updategram.t) =
+let invalidate t (u : Updategram.t) =
   match Hashtbl.find_opt t.by_pred u.Updategram.rel with
   | None -> 0
   | Some bucket ->
@@ -209,20 +209,11 @@ let invalidate ?(exec = Exec.default) t (u : Updategram.t) =
         else (Hashtbl.fold (fun _ e acc -> e :: acc) bucket [], 0)
       in
       List.iter (remove t) victims;
-      if kept > 0 && exec.Exec.metrics then Obs.Metrics.add m_kept kept;
+      Obs.Metrics.add m_kept kept;
       let n = List.length victims in
       t.invalidated_count <- t.invalidated_count + n;
       Obs.Metrics.add m_invalidated n;
       n
-
-let invalidate_all t =
-  let n = Hashtbl.length t.table in
-  Hashtbl.reset t.table;
-  Hashtbl.reset t.by_pred;
-  t.mru <- None;
-  t.lru <- None;
-  t.invalidated_count <- t.invalidated_count + n;
-  Obs.Metrics.add m_invalidated n
 
 let hits t = t.hit_count
 let misses t = t.miss_count

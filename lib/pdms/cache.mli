@@ -18,7 +18,7 @@ val answer : ?exec:Exec.t -> t -> Cq.Query.t -> Answer.result
     ["cache.answer"] span (attribute [hit=true/false]; a miss nests the
     full ["answer"] span) and counts [pdms.cache.*] metrics. *)
 
-val invalidate : ?exec:Exec.t -> t -> Updategram.t -> int
+val invalidate : t -> Updategram.t -> int
 (** Drop entries whose rewritings mention the updategram's relation;
     returns how many were dropped. An inverted predicate index makes
     this O(affected entries), independent of cache size. Call this when
@@ -28,11 +28,9 @@ val invalidate : ?exec:Exec.t -> t -> Updategram.t -> int
     an entry survives when no body atom over the touched relation
     unifies with any changed tuple (constants must match, repeated
     variables must bind consistently) — its answers are provably
-    unaffected.  Survivors count into [pdms.delta.cache_kept] when
-    [exec.metrics].  An {e empty} updategram carries nothing to probe
-    and acts as a wildcard: every reader of the relation is dropped. *)
-
-val invalidate_all : t -> unit
+    unaffected.  Survivors count into [pdms.delta.cache_kept].  An
+    {e empty} updategram carries nothing to probe and acts as a
+    wildcard: every reader of the relation is dropped. *)
 
 val hits : t -> int
 val misses : t -> int
@@ -42,8 +40,7 @@ val entries : t -> int
 
 type stats = { hits : int; misses : int; evictions : int; invalidated : int }
 (** Lifetime totals: [evictions] counts capacity overflows only;
-    [invalidated] counts entries dropped by {!invalidate} and
-    {!invalidate_all}. *)
+    [invalidated] counts entries dropped by {!invalidate}. *)
 
 val stats : t -> stats
 (** O(1) snapshot of the lifetime totals. The same numbers accumulate

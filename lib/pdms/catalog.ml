@@ -33,17 +33,6 @@ let create () =
 let mapping_pred id reversed =
   Printf.sprintf "~map%d%s" id (if reversed then "r" else "")
 
-let mapping_id_of_pred pred =
-  if String.length pred > 4 && String.sub pred 0 4 = "~map" then
-    let digits =
-      String.sub pred 4 (String.length pred - 4)
-      |> String.to_seq
-      |> Seq.take_while (fun c -> c >= '0' && c <= '9')
-      |> String.of_seq
-    in
-    int_of_string_opt digits
-  else None
-
 let retarget pred (q : Cq.Query.t) =
   { q with Cq.Query.head = { q.Cq.Query.head with Cq.Atom.pred = pred } }
 

@@ -60,7 +60,3 @@ val global_db_snapshot : t -> Relalg.Database.t
 (** Like {!global_db} but with fresh relation copies: an immutable-by-
     convention snapshot that is unaffected by later peer inserts, safe
     to hand to worker domains while the live catalog keeps moving. *)
-
-val mapping_id_of_pred : string -> mapping_id option
-(** Recover the mapping id from a mapping predicate name ([~map<k> ] or
-    [~map<k>r]). *)

@@ -173,15 +173,15 @@ let execute ?(exec = Exec.default) catalog network ~at query =
   let db = Catalog.global_db catalog in
   (* Evaluate each rewriting exactly once; the result feeds both the
      ship-size estimate and the final union. Site planning needs one
-     answer relation per rewriting, so a union runs the trie in
-     [run_each] mode — shared prefixes are still computed once. *)
+     answer relation per rewriting, so the trie runs in [run_each] mode
+     — shared prefixes are still computed once. *)
   let results =
     Obs.Trace.span trace "eval" @@ fun () ->
     let jobs = exec.Exec.jobs in
     Obs.Trace.attr_i trace "jobs" jobs;
     Obs.Trace.attr_i trace "rewritings" (List.length rewritings);
     match rewritings with
-    | [] | [ _ ] -> List.map (Cq.Eval.run db) rewritings
+    | [] -> []
     | _ ->
         if jobs > 1 then Relalg.Database.freeze db;
         let plan = Cq.Plan.build ~trace db rewritings in
@@ -226,18 +226,15 @@ let execute ?(exec = Exec.default) catalog network ~at query =
   let dropped = List.length planned - List.length survived in
   let sites = List.map fst survived in
   let answers =
-    match survived with
-    | [] ->
-        let arity = Cq.Atom.arity query.Cq.Query.head in
-        Relalg.Relation.create
-          (Relalg.Schema.make "ans" (List.init arity (Printf.sprintf "a%d")))
-    | (sp0, _) :: _ ->
-        let out = Relalg.Relation.create (Cq.Eval.head_schema sp0.rewriting) in
-        List.iter
-          (fun (_, result) ->
-            Relalg.Relation.iter (Cq.Eval.add_distinct out) result)
-          survived;
-        out
+    let shape =
+      match survived with (sp0, _) :: _ -> sp0.rewriting | [] -> query
+    in
+    let out = Relalg.Relation.create (Cq.Eval.head_schema shape) in
+    List.iter
+      (fun (_, result) ->
+        Relalg.Relation.iter (Cq.Eval.add_distinct out) result)
+      survived;
+    out
   in
   (* Central baseline: ship every stored relation any rewriting reads to
      the querying peer, once. Unreachable owners simply can't
@@ -275,21 +272,19 @@ let execute ?(exec = Exec.default) catalog network ~at query =
       backoff_ms = totals.t_backoff;
     }
   in
-  if exec.Exec.metrics then begin
-    Obs.Metrics.incr m_executes;
-    List.iter
-      (fun p ->
-        if String.equal p.site at then Obs.Metrics.incr m_sites_local
-        else Obs.Metrics.incr m_sites_remote;
-        Obs.Metrics.observe m_fetch_ms p.fetch_ms;
-        Obs.Metrics.observe m_ship_ms p.ship_ms)
-      sites;
-    Obs.Metrics.add m_candidates candidates_total;
-    Obs.Metrics.add m_rejected (candidates_total - List.length planned);
-    if dropped > 0 then begin
-      Obs.Metrics.incr m_partial;
-      Obs.Metrics.add m_dropped dropped
-    end
+  Obs.Metrics.incr m_executes;
+  List.iter
+    (fun p ->
+      if String.equal p.site at then Obs.Metrics.incr m_sites_local
+      else Obs.Metrics.incr m_sites_remote;
+      Obs.Metrics.observe m_fetch_ms p.fetch_ms;
+      Obs.Metrics.observe m_ship_ms p.ship_ms)
+    sites;
+  Obs.Metrics.add m_candidates candidates_total;
+  Obs.Metrics.add m_rejected (candidates_total - List.length planned);
+  if dropped > 0 then begin
+    Obs.Metrics.incr m_partial;
+    Obs.Metrics.add m_dropped dropped
   end;
   Obs.Trace.attr_s trace "at" at;
   Obs.Trace.attr_i trace "answers" (Relalg.Relation.cardinality answers);

@@ -46,6 +46,10 @@ type plan = {
 val owner_of_pred : string -> string option
 (** The peer owning a stored predicate ("mit.subject!" -> "mit"). *)
 
+val bytes_per_tuple : int
+(** The shipping cost model: a flat size estimate for one tuple, used
+    for inputs, results and replicated deltas ({!Propagate}). *)
+
 val execute :
   ?exec:Exec.t -> Catalog.t -> Network.t -> at:string -> Cq.Query.t -> plan
 (** Reformulate, evaluate each rewriting exactly once, choose a site per
@@ -57,9 +61,11 @@ val execute :
     With no injected faults the answer set is identical to
     {!Answer.answer}'s and [report.complete] is [true].
 
-    Two or more rewritings are evaluated as one {!Cq.Plan} shared-prefix
-    trie in per-query mode ({!Cq.Plan.run_each}), so shared joins run
-    once while each rewriting still gets its own answer relation.
+    The rewritings, one or many, are evaluated as one {!Cq.Plan}
+    shared-prefix trie in per-query mode ({!Cq.Plan.run_each}), so
+    shared joins run once while each rewriting still gets its own answer
+    relation. With no surviving rewriting the answer is empty, shaped by
+    {!Cq.Eval.head_schema} of the query.
     [exec.jobs] parallelises the reformulation's final subsumption sweep
     and the trie walk; rewritings, plans, costs and retry schedules are
     unaffected (transfers are sequential with a

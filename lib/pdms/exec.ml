@@ -47,15 +47,11 @@ let default_backoff = { base_ms = 10.0; multiplier = 2.0; jitter = 0.5 }
 let default_retry =
   { max_attempts = 3; timeout_ms = 10_000.0; backoff = default_backoff }
 
-let no_retry =
-  { max_attempts = 1; timeout_ms = infinity; backoff = default_backoff }
-
 type t = {
   jobs : int;
   pruning : pruning;
   retry : retry;
   trace : Obs.Trace.t;
-  metrics : bool;
 }
 
 let default =
@@ -64,14 +60,11 @@ let default =
     pruning = default_pruning;
     retry = default_retry;
     trace = Obs.Trace.null;
-    metrics = true;
   }
 
 let make ?(jobs = 1) ?(pruning = default_pruning) ?(retry = default_retry)
-    ?(trace = Obs.Trace.null) ?(metrics = true) () =
-  { jobs; pruning; retry; trace; metrics }
+    ?(trace = Obs.Trace.null) () =
+  { jobs; pruning; retry; trace }
 
 let with_jobs jobs = { default with jobs }
 let with_pruning pruning = { default with pruning }
-let with_retry retry = { default with retry }
-let with_trace trace = { default with trace }

@@ -1,20 +1,21 @@
 (** Execution contexts for the answer path.
 
-    Every tunable that used to travel as scattered [?pruning]/[?jobs]
-    optional arguments — plus the observability hooks — now rides in one
-    [Exec.t] record threaded through {!Answer}, {!Reformulate},
-    {!Distributed}, {!Keyword}, {!Cache} and {!Propagate}.  Callers that
-    don't care pass nothing and get {!default}; callers that do build one
-    context and reuse it across calls.  No field selects an algorithm:
-    answering, keyword search and delta maintenance each have one
-    implementation, and results never depend on the context beyond
-    pruning (which rewritings reformulation keeps) and retry (which
-    transfers survive a fault). *)
+    One [Exec.t] record carries the domain count, the pruning
+    configuration, the retry policy and the span tracer through
+    {!Answer}, {!Reformulate}, {!Distributed}, {!Keyword}, {!Cache} and
+    {!Propagate}.  Callers that don't care pass nothing and get
+    {!default}; callers that do build one context and reuse it across
+    calls.  No field selects an algorithm: answering, keyword search and
+    delta maintenance each have one implementation, and results never
+    depend on the context beyond pruning (which rewritings reformulation
+    keeps) and retry (which transfers survive a fault).
+
+    Metrics are not part of the context: every [pdms.*] and [cq.*]
+    counter goes through {!Obs.Metrics}, and {!Obs.Metrics.set_enabled}
+    is the one switch that turns them all off. *)
 
 (** Reformulation pruning heuristics (Section 3.1.1), individually
-    switchable for the ablation benchmark.  The record lives here so
-    [Exec.t] needs nothing from {!Reformulate}; that module re-exports it
-    as [Reformulate.pruning] for compatibility. *)
+    switchable for the ablation benchmark. *)
 type pruning = {
   use_history : bool;
       (** never traverse the same mapping edge twice on one derivation
@@ -25,7 +26,11 @@ type pruning = {
           subsets (the earlier node could derive strictly more) *)
   use_goal_memo : bool;
       (** the aggressive Piazza heuristic: expand each alpha-equivalent
-          pending query only once, regardless of history *)
+          pending query only once, regardless of history. Exact on
+          acyclic mapping graphs and on the symmetric-equality cyclic
+          workloads of the benchmarks (breadth-first order makes the
+          first visit the shortest-path one); in adversarial cyclic
+          setups it may prune derivations the slower settings find *)
   use_subsumption : bool;
       (** drop emitted rewritings contained in previously emitted ones *)
   use_minimize : bool;  (** minimize each emitted rewriting *)
@@ -71,9 +76,6 @@ val default_backoff : backoff
 val default_retry : retry
 (** 3 attempts, 10 s per-attempt deadline, {!default_backoff}. *)
 
-val no_retry : retry
-(** One attempt, no deadline — the pre-fault-layer behaviour. *)
-
 type t = {
   jobs : int;  (** domains for the parallel phases (1 = sequential) *)
   pruning : pruning;
@@ -83,27 +85,17 @@ type t = {
   trace : Obs.Trace.t;
       (** span collection; {!Obs.Trace.null} (the default) costs one
           branch per span site *)
-  metrics : bool;
-      (** record [pdms.*] metrics into {!Obs.Metrics} (default [true];
-          increments are batched per phase, not per tuple) *)
 }
 
 val default : t
-(** [jobs = 1], {!default_pruning}, {!default_retry}, no tracing,
-    metrics on. *)
+(** [jobs = 1], {!default_pruning}, {!default_retry}, no tracing. *)
 
 val make :
   ?jobs:int -> ?pruning:pruning -> ?retry:retry -> ?trace:Obs.Trace.t ->
-  ?metrics:bool -> unit -> t
+  unit -> t
 
 val with_jobs : int -> t
 (** [with_jobs n] is {!default} with [jobs = n]. *)
 
 val with_pruning : pruning -> t
 (** [with_pruning p] is {!default} with [pruning = p]. *)
-
-val with_retry : retry -> t
-(** [with_retry r] is {!default} with [retry = r]. *)
-
-val with_trace : Obs.Trace.t -> t
-(** [with_trace tr] is {!default} with [trace = tr]. *)

@@ -20,8 +20,8 @@ let m_skipped = Obs.Metrics.counter "pdms.kwindex.skipped_by_bound"
    visited in database order and candidates in ascending tuple id, so
    insertions into the heap happen in the same order a scan scoring
    every live tuple would make them — tie-breaks included. *)
-let indexed ~jobs ~trace ~metrics ~limit entries query_toks =
-  let stamp, corpus = Kwindex.corpus ~metrics entries in
+let indexed ~jobs ~trace ~limit entries query_toks =
+  let stamp, corpus = Kwindex.corpus entries in
   let query_vec = Util.Tfidf.vectorize corpus query_toks in
   let probes =
     Obs.Trace.span trace "kwindex.probe" @@ fun () ->
@@ -69,7 +69,6 @@ let indexed ~jobs ~trace ~metrics ~limit entries query_toks =
 let search ?(limit = 10) ?(exec = Exec.default) ?network catalog keywords =
   let jobs = exec.Exec.jobs in
   let trace = exec.Exec.trace in
-  let metrics = exec.Exec.metrics in
   Obs.Trace.span trace "keyword.search" @@ fun () ->
   let db = Catalog.global_db catalog in
   (* Degraded search: relations owned by a downed peer are unreachable,
@@ -90,7 +89,7 @@ let search ?(limit = 10) ?(exec = Exec.default) ?network catalog keywords =
       List.map
         (fun rel_name ->
           let e, fresh =
-            Kwindex.get ~metrics ~rel_name (Relalg.Database.find db rel_name)
+            Kwindex.get ~rel_name (Relalg.Database.find db rel_name)
           in
           if fresh then Stdlib.incr built;
           e)
@@ -102,19 +101,17 @@ let search ?(limit = 10) ?(exec = Exec.default) ?network catalog keywords =
   in
   let query_toks = List.map Util.Stemmer.stem (Util.Tokenize.words keywords) in
   let hits, candidates, skipped =
-    indexed ~jobs ~trace ~metrics ~limit entries query_toks
+    indexed ~jobs ~trace ~limit entries query_toks
   in
-  if metrics then begin
-    let n_entries = List.length entries in
-    Obs.Metrics.incr m_searches;
-    Obs.Metrics.add m_scored candidates;
-    Obs.Metrics.add m_memo_hits (n_entries - !built);
-    Obs.Metrics.add m_memo_misses !built;
-    Obs.Metrics.add m_hits_returned (List.length hits);
-    Obs.Metrics.add m_relations_indexed n_entries;
-    Obs.Metrics.add m_candidates candidates;
-    Obs.Metrics.add m_skipped skipped
-  end;
+  let n_entries = List.length entries in
+  Obs.Metrics.incr m_searches;
+  Obs.Metrics.add m_scored candidates;
+  Obs.Metrics.add m_memo_hits (n_entries - !built);
+  Obs.Metrics.add m_memo_misses !built;
+  Obs.Metrics.add m_hits_returned (List.length hits);
+  Obs.Metrics.add m_relations_indexed n_entries;
+  Obs.Metrics.add m_candidates candidates;
+  Obs.Metrics.add m_skipped skipped;
   hits
 
 let render_hit hit =

@@ -146,13 +146,11 @@ let grow blank a len =
 (* {2 Delta patching}  (under the derived-state lock, or on an [e] the
    caller owns alone) *)
 
-let tuple_equal a b =
-  Array.length a = Array.length b && Array.for_all2 Relalg.Value.equal a b
-
 let find_live_slot e tuple =
   let rec go i =
     if i >= e.n_slots then None
-    else if e.live.(i) && tuple_equal e.tuples.(i) tuple then Some i
+    else if e.live.(i) && Relalg.Relation.tuple_equal e.tuples.(i) tuple then
+      Some i
     else go (i + 1)
   in
   go 0
@@ -294,7 +292,7 @@ let compact e =
    corpus memo to catch up over several writes between searches. *)
 let patch_log_cap = 16
 
-let patch ~metrics rel e deltas =
+let patch rel e deltas =
   let touched = Hashtbl.create 16 in
   let note tok = Hashtbl.replace touched tok () in
   List.iter
@@ -309,7 +307,7 @@ let patch ~metrics rel e deltas =
       ((e.version, toks) :: e.patch_log);
   e.version <- Relalg.Relation.version rel;
   if 4 * (e.n_slots - e.doc_count) > e.doc_count then compact e;
-  if metrics then Obs.Metrics.add m_patched (Hashtbl.length touched);
+  Obs.Metrics.add m_patched (Hashtbl.length touched);
   e
 
 (* The tokens [e]'s patches touched since version [v], or [None] when
@@ -323,7 +321,7 @@ let tokens_since e v =
   in
   if v = e.version then Some [] else go [] e.patch_log
 
-let build ?(metrics = true) ~rel_name rel =
+let build ~rel_name rel =
   let peer =
     match Distributed.owner_of_pred rel_name with Some p -> p | None -> ""
   in
@@ -352,24 +350,22 @@ let build ?(metrics = true) ~rel_name rel =
     let p = e.posts.(t) in
     p.ids <- Array.sub p.ids 0 p.len;
     p.tfs <- Array.sub p.tfs 0 p.len;
-    if metrics then Obs.Metrics.observe h_posting_len (float_of_int p.len)
+    Obs.Metrics.observe h_posting_len (float_of_int p.len)
   done;
-  if metrics then begin
-    Obs.Metrics.incr m_builds;
-    Obs.Metrics.add m_postings e.n_tids
-  end;
+  Obs.Metrics.incr m_builds;
+  Obs.Metrics.add m_postings e.n_tids;
   e
 
 let kind : entry Relalg.Relation.Derived.kind = Relalg.Relation.Derived.kind ()
 
-let get ?(metrics = true) ~rel_name rel =
+let get ~rel_name rel =
   let built = ref false in
   let e =
     Relalg.Relation.Derived.get kind rel
       ~build:(fun rel ->
         built := true;
-        build ~metrics ~rel_name rel)
-      ~patch:(patch ~metrics)
+        build ~rel_name rel)
+      ~patch
   in
   (e, !built)
 
@@ -441,7 +437,7 @@ let rec changed_tokens acc key entries =
       | None -> None)
   | _ -> None
 
-let corpus ?(metrics = true) entries =
+let corpus entries =
   let key = List.map (fun e -> (e, e.version)) entries in
   let prev = Atomic.get memo in
   match prev with
@@ -460,10 +456,10 @@ let corpus ?(metrics = true) entries =
       let corpus, parent =
         match patched with
         | Some r ->
-            if metrics then Obs.Metrics.incr m_df_patches;
+            Obs.Metrics.incr m_df_patches;
             r
         | None ->
-            if metrics then Obs.Metrics.incr m_df_merges;
+            Obs.Metrics.incr m_df_merges;
             full_merge entries
       in
       let stamp = Atomic.fetch_and_add stamps 1 + 1 in

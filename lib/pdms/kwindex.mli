@@ -107,7 +107,7 @@ val slot_tokens : entry -> int -> (string * float) list
 (** [slot_tokens e id] is slot [id]'s [(token, tf)] vector, ascending
     by token; [[]] on a dead slot. *)
 
-val get : ?metrics:bool -> rel_name:string -> Relalg.Relation.t -> entry * bool
+val get : rel_name:string -> Relalg.Relation.t -> entry * bool
 (** [get ~rel_name rel] returns the index entry for [rel].  An entry
     at the current version is served as-is; a stale one is
     delta-patched (and compacted when its tombstones pile up) under
@@ -116,7 +116,7 @@ val get : ?metrics:bool -> rel_name:string -> Relalg.Relation.t -> entry * bool
     only when a full (re)build happened.  Thread-safe; concurrent
     searches serialise their patching on that lock. *)
 
-val corpus : ?metrics:bool -> entry list -> int * Util.Tfidf.corpus
+val corpus : entry list -> int * Util.Tfidf.corpus
 (** [corpus entries] merges the per-relation df counts of the given
     (reachable) entries into a global corpus, memoised on the entries
     (compared physically) and their versions — repeated searches over

@@ -17,7 +17,6 @@ type t = {
      peer pair (connect keeps the lowest latency). *)
   adjacency : (string, (string * float) list) Hashtbl.t;
   mutable messages : int;
-  mutable bytes : int;
   mutable version : int;  (* bumped on any topology or fault change *)
   down : (string, unit) Hashtbl.t;
   cut : (string * string, unit) Hashtbl.t;
@@ -40,7 +39,6 @@ let create () =
     peer_tbl = Hashtbl.create 16;
     adjacency = Hashtbl.create 16;
     messages = 0;
-    bytes = 0;
     version = 0;
     down = Hashtbl.create 4;
     cut = Hashtbl.create 4;
@@ -191,7 +189,6 @@ let send t ~src ~dst ~size =
             fail (Link_drop (src, dst))
         | _ ->
             t.messages <- t.messages + 1;
-            t.bytes <- t.bytes + size;
             Ok (l +. transfer_ms size))
 
 type outcome = {
@@ -260,24 +257,8 @@ let send_with_retry t ~(retry : Exec.retry) ~prng ~src ~dst ~size =
   in
   go 1 0.0 0.0
 
-let broadcast t ~src ~size =
-  let dist, _ = shortest t src in
-  Hashtbl.fold
-    (fun p l worst ->
-      if String.equal p src then worst
-      else begin
-        t.messages <- t.messages + 1;
-        t.bytes <- t.bytes + size;
-        Float.max worst (l +. transfer_ms size)
-      end)
-    dist 0.0
-
 let messages_sent t = t.messages
-let bytes_sent t = t.bytes
-
-let reset_counters t =
-  t.messages <- 0;
-  t.bytes <- 0
+let reset_counters t = t.messages <- 0
 
 module Fault = struct
   let topology_version t = t.version

@@ -59,7 +59,7 @@ val cost : t -> src:string -> dst:string -> size:int -> float option
 
 val send : t -> src:string -> dst:string -> size:int -> (float, error) result
 (** Deliver [size] bytes; [Ok ms] gives the simulated delivery time.
-    Counts toward {!messages_sent}/{!bytes_sent} only on success.
+    Counts toward {!messages_sent} only on success.
     Subject to injected faults: down peers, cut links, latency spikes
     and probabilistic {!Fault.flaky} drops. *)
 
@@ -89,11 +89,7 @@ val send_with_retry :
     [pdms.net.retries], [pdms.net.gave_up] and the [pdms.net.backoff_ms]
     histogram. *)
 
-val broadcast : t -> src:string -> size:int -> float
-(** Deliver to every reachable peer; returns the slowest delivery. *)
-
 val messages_sent : t -> int
-val bytes_sent : t -> int
 val reset_counters : t -> unit
 
 (** Fault injection.  Every mutation bumps a monotonically increasing

@@ -125,29 +125,39 @@ type state = {
 
 let ( let* ) = Result.bind
 
+(* Schemas, peers and mappings reject a duplicate attribute or relation,
+   an unsafe rule and heads of different arities with
+   [Invalid_argument]; read from a file, that is an error of the line. *)
+let checked make = try Ok (make ()) with Invalid_argument msg -> Error msg
+
+(* The mappings the pending lines define so far ([[]] while a side is
+   missing), built by their constructors, so each line is checked as it
+   comes in. *)
+let mappings p =
+  match (p.kind, p.lhs, p.rhs, p.rules) with
+  | `Equality, Some lhs, Some rhs, [] ->
+      checked (fun () -> [ Peer_mapping.equality ~lhs ~rhs ])
+  | `Inclusion, Some lhs, Some rhs, [] ->
+      checked (fun () -> [ Peer_mapping.inclusion ~lhs ~rhs ])
+  | `Definitional, None, None, rules ->
+      checked (fun () -> List.map Peer_mapping.definitional rules)
+  | `Definitional, _, _, _ -> Error "definitional mapping needs rule lines only"
+  | (`Equality | `Inclusion), _, _, _ -> Ok []
+
 let finish_mapping st =
   match st.pending with
   | None -> Ok ()
-  | Some p ->
+  | Some p -> (
       st.pending <- None;
-      (match (p.kind, p.lhs, p.rhs, p.rules) with
-      | `Equality, Some lhs, Some rhs, [] ->
-          ignore (Catalog.add_mapping st.catalog (Peer_mapping.equality ~lhs ~rhs));
+      match mappings p with
+      | Ok (_ :: _ as ms) ->
+          List.iter (fun m -> ignore (Catalog.add_mapping st.catalog m)) ms;
           Ok ()
-      | `Inclusion, Some lhs, Some rhs, [] ->
-          ignore (Catalog.add_mapping st.catalog (Peer_mapping.inclusion ~lhs ~rhs));
-          Ok ()
-      | `Definitional, None, None, (_ :: _ as rules) ->
-          List.iter
-            (fun rule ->
-              ignore
-                (Catalog.add_mapping st.catalog (Peer_mapping.definitional rule)))
-            rules;
-          Ok ()
-      | `Definitional, _, _, _ ->
+      | Ok [] when p.kind = `Definitional ->
           Error "definitional mapping needs rule lines only"
-      | (`Equality | `Inclusion), _, _, _ ->
-          Error "equality/inclusion mapping needs exactly lhs and rhs lines")
+      | Ok [] ->
+          Error "equality/inclusion mapping needs exactly lhs and rhs lines"
+      | Error _ as e -> e)
 
 let registered st name =
   List.exists (fun p -> Peer.name p = name) (Catalog.peers st.catalog)
@@ -176,7 +186,9 @@ let parse_relation_decl rest =
             |> List.filter (fun a -> a <> "")
           in
           if name = "" || attrs = [] then Error "bad relation declaration"
-          else Ok (name, attrs))
+          else
+            let* _ = checked (fun () -> Relalg.Schema.make name attrs) in
+            Ok (name, attrs))
 
 let handle_line st line =
   match split_prefix line "peer " with
@@ -193,12 +205,18 @@ let handle_line st line =
       | Some rest -> (
           match st.current_peer with
           | None -> Error "relation outside a peer section"
+          | Some peer when registered st (Peer.name peer) ->
+              (* A registered peer's schema is fixed. *)
+              Error
+                ("relation after peer " ^ Peer.name peer ^ " was registered")
           | Some peer ->
               let* name, attrs = parse_relation_decl rest in
-              st.current_peer <-
-                Some
-                  (Peer.create ~name:(Peer.name peer)
-                     ~schema:(Peer.schema peer @ [ (name, attrs) ]));
+              let* peer =
+                checked (fun () ->
+                    Peer.create ~name:(Peer.name peer)
+                      ~schema:(Peer.schema peer @ [ (name, attrs) ]))
+              in
+              st.current_peer <- Some peer;
               Ok ())
       | None -> (
           match split_prefix line "store " with
@@ -210,9 +228,10 @@ let handle_line st line =
                   if not (registered st (Peer.name peer)) then
                     Catalog.add_peer st.catalog peer;
                   let peer = Catalog.peer st.catalog (Peer.name peer) in
-                  ignore (Catalog.store_identity st.catalog peer ~rel);
                   st.current_peer <- Some peer;
-                  Ok ())
+                  if List.mem_assoc rel (Peer.schema peer) then
+                    Ok (ignore (Catalog.store_identity st.catalog peer ~rel))
+                  else Error ("store of undeclared relation " ^ rel))
           | None -> (
               match split_prefix line "row " with
               | Some rest -> (
@@ -265,26 +284,24 @@ let handle_line st line =
                         Some { kind; lhs = None; rhs = None; rules = [] };
                       Ok ()
                   | None -> (
-                      let parse_side setter rest =
-                        match Cq.Parser.parse_query rest with
-                        | Ok q ->
-                            setter q;
-                            Ok ()
-                        | Error msg -> Error msg
+                      let parse_side p setter rest =
+                        let* q = Cq.Parser.parse_query rest in
+                        setter q;
+                        Result.map ignore (mappings p)
                       in
                       match (split_prefix line "lhs ", st.pending) with
                       | Some rest, Some p ->
-                          parse_side (fun q -> p.lhs <- Some q) rest
+                          parse_side p (fun q -> p.lhs <- Some q) rest
                       | Some _, None -> Error "lhs outside a mapping section"
                       | None, _ -> (
                           match (split_prefix line "rhs ", st.pending) with
                           | Some rest, Some p ->
-                              parse_side (fun q -> p.rhs <- Some q) rest
+                              parse_side p (fun q -> p.rhs <- Some q) rest
                           | Some _, None -> Error "rhs outside a mapping section"
                           | None, _ -> (
                               match (split_prefix line "rule ", st.pending) with
                               | Some rest, Some p ->
-                                  parse_side
+                                  parse_side p
                                     (fun q -> p.rules <- p.rules @ [ q ])
                                     rest
                               | Some _, None ->
@@ -299,7 +316,11 @@ let parse text =
   let lines = String.split_on_char '\n' text in
   let rec go lineno = function
     | [] ->
-        let* () = finish_mapping st in
+        let* () =
+          Result.map_error
+            (Printf.sprintf "line %d: %s" (lineno - 1))
+            (finish_mapping st)
+        in
         flush_peer st;
         Ok st.catalog
     | line :: rest -> (

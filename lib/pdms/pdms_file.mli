@@ -29,6 +29,12 @@
     predicates. *)
 
 val parse : string -> (Catalog.t, string) result
+(** [Error "line N: ..."] names the first line that cannot stand: an
+    unknown line, a store or row of an undeclared relation, a relation
+    declared twice or after its peer's first store, an unsafe rule or
+    mapping side, or mapping sides whose heads differ in arity.  Never
+    raises. *)
+
 val parse_exn : string -> Catalog.t
 
 val render : Catalog.t -> string

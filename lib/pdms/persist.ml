@@ -77,7 +77,7 @@ let open_dir ?(exec = Exec.default) dir =
              appending under a covered sequence would be shadowed on the
              next recovery — skip past the stamp. *)
           Storage.Wal.reserve wal (snap_seq + 1);
-          if exec.Exec.metrics then Obs.Metrics.add m_replayed replayed;
+          Obs.Metrics.add m_replayed replayed;
           Obs.Trace.attr_i exec.Exec.trace "snapshot.seq" snap_seq;
           Obs.Trace.attr_i exec.Exec.trace "wal.replayed" replayed;
           Ok { dir; catalog; db; wal })

@@ -48,17 +48,8 @@ let find t name =
 let tuples t ~name = distinct_tuples (find t name).views
 let cardinality t ~name = List.length (tuples t ~name)
 
-(* Shipping cost model shared with {!Distributed}: a flat per-tuple
-   estimate. *)
-let bytes_per_tuple = 64
-let delta_bytes (u : Updategram.t) = max 1 (Updategram.size u) * bytes_per_tuple
-
-(* Stored relations are named "<peer>.<rel>!" — the prefix is the
-   natural source site for the relation's deltas. *)
-let owner_of_pred pred =
-  match String.index_opt pred '.' with
-  | Some i when i > 0 -> Some (String.sub pred 0 i)
-  | Some _ | None -> None
+let delta_bytes (u : Updategram.t) =
+  max 1 (Updategram.size u) * Distributed.bytes_per_tuple
 
 (* Ship one updategram to a replica host over the (optional) simulated
    network.  Without a network the delivery is assumed instantaneous
@@ -67,7 +58,10 @@ let ship ?network ~exec ~prng (u : Updategram.t) r =
   match network with
   | None -> true
   | Some net ->
-      let src = Option.value ~default:r.at (owner_of_pred u.Updategram.rel) in
+      (* A stored relation's owner is the source site of its deltas. *)
+      let src =
+        Option.value ~default:r.at (Distributed.owner_of_pred u.Updategram.rel)
+      in
       if String.equal src r.at then true
       else
         let o =
@@ -111,8 +105,7 @@ let push ?(exec = Exec.default) ?network ?prng ?tee t (u : Updategram.t) =
       View_maintenance.maintain
         (List.concat_map (fun r -> r.views) converged)
         rel u;
-      if exec.Exec.metrics then
-        List.iter (fun _ -> Obs.Metrics.incr m_converged) converged;
+      Obs.Metrics.add m_converged (List.length converged);
       List.map (fun r -> (r.name, r.at)) converged
 
 let lagging t =
@@ -138,7 +131,7 @@ let reconcile ?(exec = Exec.default) ?network ?prng t ~name =
       if delivered then begin
         List.iter View_maintenance.refresh r.views;
         r.lag <- [];
-        if exec.Exec.metrics then Obs.Metrics.incr m_converged
+        Obs.Metrics.incr m_converged
       end;
       delivered
 

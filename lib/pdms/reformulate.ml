@@ -16,19 +16,6 @@
 
 open Cq
 
-type pruning = Exec.pruning = {
-  use_history : bool;
-  use_visited : bool;
-  use_goal_memo : bool;
-  use_subsumption : bool;
-  use_minimize : bool;
-  max_depth : int;
-  max_rewritings : int;
-}
-
-let default_pruning = Exec.default_pruning
-let no_pruning = Exec.no_pruning
-
 (* Metrics registered once at load; increments are batched per phase. *)
 let m_runs = Obs.Metrics.counter "pdms.reformulate.runs"
 let m_expanded = Obs.Metrics.counter "pdms.reformulate.nodes_expanded"
@@ -301,12 +288,10 @@ let subsumption_sweep ?(exec = Exec.default) (rewritings : Query.t list) =
       decide (fun i j -> matrix.((i * n) + j))
     end;
     let kept = Array.fold_left (fun acc k -> if k then acc + 1 else acc) 0 keep in
-    if exec.Exec.metrics then begin
-      Obs.Metrics.incr m_sweeps;
-      Obs.Metrics.add m_sweep_tested !tested;
-      Obs.Metrics.add m_sweep_skipped !skipped;
-      Obs.Metrics.add m_sweep_killed (n - kept)
-    end;
+    Obs.Metrics.incr m_sweeps;
+    Obs.Metrics.add m_sweep_tested !tested;
+    Obs.Metrics.add m_sweep_skipped !skipped;
+    Obs.Metrics.add m_sweep_killed (n - kept);
     Obs.Trace.attr_i trace "input" n;
     Obs.Trace.attr_i trace "kept" kept;
     Obs.Trace.attr_i trace "pairs_tested" !tested;
@@ -343,20 +328,21 @@ let search exec catalog (q : Query.t) =
   in
   let emit c =
     let c = Minimize.remove_duplicate_atoms c in
-    let c = if pruning.use_minimize then Minimize.minimize c else c in
-    if pruning.use_subsumption && Sub_index.subsumed_by_any sub_index c then
-      incr pruned_subsumed
+    let c = if pruning.Exec.use_minimize then Minimize.minimize c else c in
+    if
+      pruning.Exec.use_subsumption && Sub_index.subsumed_by_any sub_index c
+    then incr pruned_subsumed
     else begin
       emitted := c :: !emitted;
       incr emitted_count;
-      if pruning.use_subsumption then Sub_index.add sub_index c
+      if pruning.Exec.use_subsumption then Sub_index.add sub_index c
     end
   in
   let is_pending g = not (Catalog.is_stored catalog g.atom.Atom.pred) in
   let queue : (node * int) Queue.t = Queue.create () in
   let push node depth =
     let node = dedupe_body node in
-    if depth > pruning.max_depth then incr pruned_depth
+    if depth > pruning.Exec.max_depth then incr pruned_depth
     else if not (List.exists is_pending node.body) then
       (* Complete: enqueue for emission (kept in queue to preserve
          counting uniformity). *)
@@ -364,7 +350,7 @@ let search exec catalog (q : Query.t) =
     else begin
       let key, tags = canonical node in
       let memo_pruned =
-        pruning.use_goal_memo
+        pruning.Exec.use_goal_memo
         &&
         if Hashtbl.mem goal_memo key then true
         else begin
@@ -375,7 +361,7 @@ let search exec catalog (q : Query.t) =
       if memo_pruned then incr pruned_visited
       else
         let dominance_pruned =
-          pruning.use_visited
+          pruning.Exec.use_visited
           &&
           let stored = Option.value ~default:[] (Hashtbl.find_opt visited key) in
           if
@@ -413,7 +399,7 @@ let search exec catalog (q : Query.t) =
           List.iter
             (fun (mid, rule) ->
               let blocked =
-                pruning.use_history
+                pruning.Exec.use_history
                 &&
                 match mid with Some id -> Iset.mem id goal.hist | None -> false
               in
@@ -449,7 +435,8 @@ let search exec catalog (q : Query.t) =
             List.filter_map
               (fun (mid, view) ->
                 match mid with
-                | Some id when pruning.use_history && Iset.mem id union_hist ->
+                | Some id
+                  when pruning.Exec.use_history && Iset.mem id union_hist ->
                     incr pruned_history;
                     None
                 | Some _ | None -> Some view)
@@ -490,7 +477,7 @@ let search exec catalog (q : Query.t) =
     }
     0;
   while
-    (not (Queue.is_empty queue)) && !emitted_count < pruning.max_rewritings
+    (not (Queue.is_empty queue)) && !emitted_count < pruning.Exec.max_rewritings
   do
     let node, depth = Queue.pop queue in
     process node depth
@@ -500,7 +487,7 @@ let search exec catalog (q : Query.t) =
      later, more general ones (the incremental check only looks
      backwards). Equivalent pairs keep their first representative. *)
   let rewritings =
-    if pruning.use_subsumption then subsumption_sweep ~exec rewritings
+    if pruning.Exec.use_subsumption then subsumption_sweep ~exec rewritings
     else rewritings
   in
   ( rewritings,
@@ -638,16 +625,14 @@ let reformulate ?(exec = Exec.default) catalog (q : Query.t) =
         let stats = List.fold_left add_stats (List.hd stats) (List.tl stats) in
         (rewritings, { stats with emitted = List.length rewritings })
   in
-  if exec.Exec.metrics then begin
-    Obs.Metrics.incr m_runs;
-    Obs.Metrics.add m_expanded stats.nodes_expanded;
-    Obs.Metrics.add m_emitted stats.emitted;
-    Obs.Metrics.add m_pruned_history stats.pruned_history;
-    Obs.Metrics.add m_pruned_visited stats.pruned_visited;
-    Obs.Metrics.add m_pruned_subsumed stats.pruned_subsumed;
-    Obs.Metrics.add m_pruned_depth stats.pruned_depth;
-    Obs.Metrics.add m_lav stats.lav_invocations
-  end;
+  Obs.Metrics.incr m_runs;
+  Obs.Metrics.add m_expanded stats.nodes_expanded;
+  Obs.Metrics.add m_emitted stats.emitted;
+  Obs.Metrics.add m_pruned_history stats.pruned_history;
+  Obs.Metrics.add m_pruned_visited stats.pruned_visited;
+  Obs.Metrics.add m_pruned_subsumed stats.pruned_subsumed;
+  Obs.Metrics.add m_pruned_depth stats.pruned_depth;
+  Obs.Metrics.add m_lav stats.lav_invocations;
   Obs.Trace.attr_i trace "expanded" stats.nodes_expanded;
   Obs.Trace.attr_i trace "rewritings" stats.emitted;
   Obs.Trace.attr_i trace "pruned_history" stats.pruned_history;

@@ -22,35 +22,7 @@
     Pruning heuristics ("our query answering algorithm is aided by
     heuristics that prune redundant and irrelevant paths through the
     space of mappings") are individually switchable for the ablation
-    benchmark. *)
-
-type pruning = Exec.pruning = {
-  use_history : bool;
-      (** never traverse the same mapping edge twice on one derivation
-          branch (cycle cut) *)
-  use_visited : bool;
-      (** dominance pruning: drop a pending query alpha-equivalent to an
-          already-explored one whose per-atom histories were pointwise
-          subsets (the earlier node could derive strictly more) *)
-  use_goal_memo : bool;
-      (** the aggressive Piazza heuristic: expand each alpha-equivalent
-          pending query only once, regardless of history. Exact on
-          acyclic mapping graphs and on the symmetric-equality cyclic
-          workloads of the benchmarks (breadth-first order makes the
-          first visit the shortest-path one); in adversarial cyclic
-          setups it may prune derivations the slower settings find *)
-  use_subsumption : bool;
-      (** drop emitted rewritings contained in previously emitted ones *)
-  use_minimize : bool;  (** minimize each emitted rewriting *)
-  max_depth : int;  (** expansion-depth cap per branch *)
-  max_rewritings : int;
-      (** stop a goal group's search after this many emitted rewritings *)
-}
-
-val default_pruning : pruning
-val no_pruning : pruning
-(** Everything off except a (high) depth cap and rewriting cap — used by
-    the E2 ablation to expose the blow-up. *)
+    benchmark through [exec.pruning] ({!Exec.pruning}). *)
 
 type stats = {
   nodes_expanded : int;
@@ -72,7 +44,7 @@ type outcome = { rewritings : Cq.Query.t list; stats : stats }
 val reformulate : ?exec:Exec.t -> Catalog.t -> Cq.Query.t -> outcome
 (** The rewritings range over stored predicates only. [exec] carries the
     pruning configuration, the domain count for the final subsumption
-    sweep, and the observability hooks ({!Exec.default} when omitted);
+    sweep, and the tracer ({!Exec.default} when omitted);
     the rewriting list is identical — same queries, same order — for
     every value of [exec.jobs].
 
@@ -86,7 +58,7 @@ val reformulate : ?exec:Exec.t -> Catalog.t -> Cq.Query.t -> outcome
 
     Opens one ["reformulate"] span (with a nested ["sweep"] per group)
     on [exec.trace] and batches the {!stats} counters into
-    [pdms.reformulate.*] metrics when [exec.metrics] is set. *)
+    [pdms.reformulate.*] metrics. *)
 
 val subsumption_sweep : ?exec:Exec.t -> Cq.Query.t list -> Cq.Query.t list
 (** The final all-pairs subsumption sweep on its own (exposed for the

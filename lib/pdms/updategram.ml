@@ -6,18 +6,6 @@ type t = {
 
 let make ~rel ?(inserts = []) ?(deletes = []) () = { rel; inserts; deletes }
 
-let tuple_equal a b =
-  Array.length a = Array.length b && Array.for_all2 Relalg.Value.equal a b
-
-let remove_one tuple list =
-  let rec go acc = function
-    | [] -> None
-    | x :: rest ->
-        if tuple_equal x tuple then Some (List.rev_append acc rest)
-        else go (x :: acc) rest
-  in
-  go [] list
-
 let m_applied = Obs.Metrics.counter "pdms.delta.applied"
 
 (* The effective {!Relalg.Relation.Delta.t} this updategram denotes
@@ -31,7 +19,7 @@ let effective_delta rel t =
       (fun acc tuple ->
         if
           Relalg.Relation.mem rel tuple
-          && not (List.exists (tuple_equal tuple) acc)
+          && not (List.exists (Relalg.Relation.tuple_equal tuple) acc)
         then tuple :: acc
         else acc)
       [] t.deletes
@@ -42,9 +30,12 @@ let effective_delta rel t =
       (fun acc tuple ->
         let present_after_dels =
           Relalg.Relation.mem rel tuple
-          && not (List.exists (tuple_equal tuple) dels)
+          && not (List.exists (Relalg.Relation.tuple_equal tuple) dels)
         in
-        if present_after_dels || List.exists (tuple_equal tuple) acc then acc
+        if
+          present_after_dels
+          || List.exists (Relalg.Relation.tuple_equal tuple) acc
+        then acc
         else tuple :: acc)
       [] t.inserts
     |> List.rev
@@ -64,21 +55,19 @@ let apply ?(exec = Exec.default) ?tee db t =
   | Some f when not (Relalg.Relation.Delta.is_empty d) -> f ~rel:t.rel d
   | Some _ | None -> ());
   Relalg.Relation.apply rel d;
-  if exec.Exec.metrics then Obs.Metrics.incr m_applied
+  Obs.Metrics.incr m_applied
 
 let compose a b =
   if not (String.equal a.rel b.rel) then
     invalid_arg "Updategram.compose: different relations";
   (* b's deletes cancel a's pending inserts; survivors accumulate. *)
-  let inserts, deletes =
-    List.fold_left
-      (fun (ins, dels) d ->
-        match remove_one d ins with
-        | Some ins' -> (ins', dels)
-        | None -> (ins, dels @ [ d ]))
-      (a.inserts, a.deletes) b.deletes
-  in
-  { rel = a.rel; inserts = inserts @ b.inserts; deletes }
+  let delta t = Relalg.Relation.Delta.make ~adds:t.inserts ~dels:t.deletes () in
+  let d = Relalg.Relation.Delta.compose (delta a) (delta b) in
+  {
+    rel = a.rel;
+    inserts = Relalg.Relation.Delta.adds d;
+    deletes = Relalg.Relation.Delta.dels d;
+  }
 
 let size t = List.length t.inserts + List.length t.deletes
 let is_empty t = t.inserts = [] && t.deletes = []

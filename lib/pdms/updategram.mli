@@ -34,8 +34,8 @@ val apply :
     {!Relalg.Relation.apply} of the {!effective_delta}, so the
     relation's version bumps at most once and the retained delta log
     records the whole gram as a single entry.  Emits a [delta.apply]
-    span on [exec.trace] and bumps [pdms.delta.applied] when
-    [exec.metrics].  Missing relation raises [Not_found].
+    span on [exec.trace] and bumps [pdms.delta.applied].  Missing
+    relation raises [Not_found].
 
     [tee] (the durability hook — see [Persist]) observes the non-empty
     effective delta {e before} the mutation, i.e. write-ahead order:
@@ -44,7 +44,9 @@ val apply :
 
 val compose : t -> t -> t
 (** Sequential composition (same relation required): the right operand
-    happens after the left. *)
+    happens after the left.  This is {!Relalg.Relation.Delta.compose}
+    on the two grams, so a delete cancels an earlier pending insert of
+    the same tuple. *)
 
 val size : t -> int
 val is_empty : t -> bool

@@ -15,6 +15,10 @@
 type tuple = Value.t array
 type t
 
+val tuple_equal : tuple -> tuple -> bool
+(** Same arity and {!Value.equal} column by column: the tuple equality
+    {!mem} and {!Delta.compose} use. *)
+
 (** First-class change descriptions: what {!apply} consumes and what
     the retained log stores.  [adds] and [dels] are multisets (a tuple
     may appear several times); applying means "remove one copy per

@@ -80,8 +80,7 @@ let keyword_search ?(limit = 10) ?(exec = Pdms.Exec.default) ?network catalog
     List.filter reachable (Relalg.Database.names db)
     |> List.map (fun rel_name ->
            fst
-             (Pdms.Kwindex.get ~metrics:exec.Pdms.Exec.metrics ~rel_name
-                (Relalg.Database.find db rel_name)))
+             (Pdms.Kwindex.get ~rel_name (Relalg.Database.find db rel_name)))
   in
   let query_toks = List.map Util.Stemmer.stem (Util.Tokenize.words keywords) in
   brute ~jobs:exec.Pdms.Exec.jobs ~trace:exec.Pdms.Exec.trace ~limit entries

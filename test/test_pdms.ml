@@ -260,7 +260,7 @@ let test_no_pruning_terminates_and_agrees () =
   let query =
     q (atom "ans" [ v "X"; v "Y" ]) [ P.Peer.atom p0 "course" [ v "X"; v "Y" ] ]
   in
-  let pruning = { P.Reformulate.no_pruning with P.Reformulate.max_depth = 10 } in
+  let pruning = { P.Exec.no_pruning with P.Exec.max_depth = 10 } in
   let loose = P.Answer.answer ~exec:(P.Exec.with_pruning pruning) catalog query in
   let tight = P.Answer.answer catalog query in
   check_b "same answers" true
@@ -1311,7 +1311,9 @@ let prop_derived_patch_equals_rebuild =
         if !kw_cold then incr kw_builds;
         stats_cold := false;
         kw_cold := false;
-        let fresh, _ = P.Kwindex.get ~metrics:false ~rel_name (R.copy r) in
+        let fresh, _ = P.Kwindex.get ~rel_name (R.copy r) in
+        (* A copy has no slots, so the reference is a counted build. *)
+        incr kw_builds;
         s = Reference.stats_scan r
         && live_docs e = live_docs fresh
         && e.P.Kwindex.doc_count = fresh.P.Kwindex.doc_count
@@ -2156,7 +2158,109 @@ let test_pdms_file_errors () =
   check_b "mapping without rhs" true
     (Result.is_error
        (P.Pdms_file.parse "peer a\nrelation r(x)\nstore r\nmapping equality\nlhs m(X) :- a.r(X)"));
-  check_b "junk line" true (Result.is_error (P.Pdms_file.parse "frobnicate"))
+  check_b "junk line" true (Result.is_error (P.Pdms_file.parse "frobnicate"));
+  (* Each of these used to raise out of [parse] instead of naming its
+     line (or, for the relation after a store, to drop the relation). *)
+  let rejected_at line what text =
+    match P.Pdms_file.parse text with
+    | Error msg ->
+        check_b (what ^ ": " ^ msg) true
+          (String.starts_with ~prefix:(Printf.sprintf "line %d: " line) msg)
+    | Ok _ -> Alcotest.failf "%s: parsed" what
+  in
+  let a = "peer a\nrelation r(x)\nstore r\n" in
+  let b = "peer b\nrelation s(x, y)\nstore s\n" in
+  rejected_at 2 "store of an undeclared relation" "peer a\nstore r";
+  rejected_at 4 "relation after a store" (a ^ "relation s(y)");
+  rejected_at 4 "relation after a store, then its store"
+    (a ^ "relation s(y)\nstore s");
+  rejected_at 3 "relation declared twice" "peer a\nrelation r(x)\nrelation r(y)";
+  rejected_at 2 "attribute declared twice" "peer a\nrelation r(x, x)\nstore r";
+  rejected_at 8 "unsafe definitional rule"
+    (a ^ b ^ "mapping definitional\nrule b.s(X, Y) :- a.r(X)");
+  rejected_at 9 "GLAV heads of different arities"
+    (a ^ b ^ "mapping equality\nlhs m(X) :- a.r(X)\nrhs m(X, Y) :- b.s(X, Y)");
+  rejected_at 9 "unsafe GLAV side"
+    (a ^ b ^ "mapping inclusion\nlhs m(X, Y) :- a.r(X)\nrhs m(X, Y) :- b.s(X, Y)")
+
+(* No mutation of a catalog's lines (dropped, duplicated or moved lines,
+   one identifier swapped for another of the file's) makes [parse] raise:
+   it answers [Ok] or [Error]. *)
+let prop_pdms_file_mutations_never_raise =
+  let lines =
+    String.split_on_char '\n'
+      "peer a\nrelation r(x, y)\nrelation q(z)\nstore r\n\
+       row r: 1 | one\nstore q\nrow q: 'two'\npeer b\n\
+       relation s(x, y)\nstore s\nrow s: 3 | three\n\
+       mapping equality\nlhs m(X, Y) :- a.r(X, Y)\n\
+       rhs m(X, Y) :- b.s(X, Y)\nmapping inclusion\n\
+       lhs m(X) :- a.q(X)\nrhs m(X) :- b.s(X, Y)\n\
+       mapping definitional\nrule b.s(X, Y) :- a.r(X, Y), a.q(X)"
+  in
+  (* A line as alternating runs of identifier and other characters. *)
+  let runs line =
+    let id = function
+      | 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_' | '.' | '!' -> true
+      | _ -> false
+    in
+    let n = String.length line in
+    let rec go acc i =
+      if i >= n then List.rev acc
+      else
+        let j = ref i in
+        while !j < n && id line.[!j] = id line.[i] do incr j done;
+        go ((id line.[i], String.sub line i (!j - i)) :: acc) !j
+    in
+    go [] 0
+  in
+  let words =
+    List.concat_map runs lines
+    |> List.filter_map (fun (is_id, s) -> if is_id then Some s else None)
+    |> List.sort_uniq compare |> Array.of_list
+  in
+  (* [line] with its [k]-th identifier (modulo their count) replaced. *)
+  let swap line k word =
+    let rs = runs line in
+    match List.length (List.filter fst rs) with
+    | 0 -> line
+    | ids ->
+        let seen = ref (-1) in
+        String.concat ""
+          (List.map
+             (fun (is_id, s) ->
+               if is_id then incr seen;
+               if is_id && !seen = k mod ids then word else s)
+             rs)
+  in
+  let mutate ls (op, i, j, w) =
+    match List.length ls with
+    | 0 -> ls
+    | n -> (
+        let i = i mod n and j = j mod n in
+        let line = List.nth ls i in
+        let others = List.filteri (fun k _ -> k <> i) ls in
+        let insert l =
+          List.filteri (fun k _ -> k < j) l
+          @ (line :: List.filteri (fun k _ -> k >= j) l)
+        in
+        match op with
+        | 0 -> others
+        | 1 -> insert ls
+        | 2 -> insert others
+        | _ ->
+            let word = words.(w mod Array.length words) in
+            List.mapi (fun k l -> if k = i then swap l j word else l) ls)
+  in
+  QCheck.Test.make ~name:"pdms_file parse never raises on mutations" ~count:500
+    QCheck.(
+      list_of_size Gen.(int_range 1 4)
+        (quad (int_bound 3) small_nat small_nat small_nat))
+    (fun ops ->
+      let text = String.concat "\n" (List.fold_left mutate lines ops) in
+      match P.Pdms_file.parse text with
+      | Ok _ | Error _ -> true
+      | exception e ->
+          QCheck.Test.fail_reportf "%s raised %s" text (Printexc.to_string e))
 
 (* ------------------------------------------------------------------ *)
 (* Update propagation to replicas *)
@@ -2448,6 +2552,84 @@ let test_answer_span_tree () =
         (attr_i "rewritings" (Option.get (Obs.Span.find root "reformulate"))
          > 0)
   | spans -> Alcotest.failf "expected one root span, got %d" (List.length spans)
+
+(* [Obs.Metrics.set_enabled] is the one metrics switch: off, a tour of
+   the answer, cache, distributed, keyword, update and recovery paths
+   leaves every metric as it was; on, the same tour moves each path's
+   counters. *)
+let test_one_metrics_switch () =
+  let catalog, uw, _ = two_peer_catalog `Equality in
+  let query =
+    q (atom "ans" [ v "X"; v "Y" ]) [ P.Peer.atom uw "course" [ v "X"; v "Y" ] ]
+  in
+  let tour () =
+    ignore (P.Answer.answer catalog query);
+    let cache = P.Cache.create catalog () in
+    ignore (P.Cache.answer cache query);
+    ignore (P.Cache.answer cache query);
+    let network = P.Distributed.network_of_catalog catalog ~latency_ms:1.0 in
+    ignore (P.Distributed.execute catalog network ~at:"uw" query);
+    ignore (P.Keyword.search catalog "databases");
+    let dir = temp_dir () in
+    P.Persist.init ~dir catalog;
+    let t = P.Persist.open_dir_exn dir in
+    let u =
+      P.Updategram.make ~rel:"mit.subject!"
+        ~inserts:[ [| vs "6.824"; vs "distributed" |] ] ()
+    in
+    P.Persist.apply ~sync:true t u;
+    ignore (P.Cache.invalidate cache u);
+    P.Persist.close t;
+    P.Persist.close (P.Persist.open_dir_exn dir)
+  in
+  let before = Obs.Metrics.snapshot () in
+  Obs.Metrics.set_enabled false;
+  Fun.protect ~finally:(fun () -> Obs.Metrics.set_enabled true) tour;
+  check_b "switched off, nothing moves" true (Obs.Metrics.snapshot () = before);
+  tour ();
+  let after = Obs.Metrics.snapshot () in
+  List.iter
+    (fun name ->
+      check_b (name ^ " moves") true
+        (Obs.Metrics.counter_value after name
+        > Obs.Metrics.counter_value before name))
+    [ "pdms.answer.queries"; "pdms.cache.hits"; "pdms.distributed.executes";
+      "pdms.keyword.searches"; "pdms.delta.applied"; "pdms.wal.replayed";
+      "cq.plan.builds" ]
+
+(* A union of one rewriting runs on the same plan as any other: the
+   rows Cq.Eval would produce, in its insertion order, under an "eval"
+   span with "plan" and "trie_eval" children. *)
+let test_single_rewriting_runs_on_plan () =
+  let catalog, _, mit = two_peer_catalog `Inclusion in
+  let stored = Relalg.Database.find (P.Catalog.global_db catalog) "mit.subject!" in
+  List.iter (insert stored)
+    [ [| vs "6.824"; vs "distributed" |]; [| vs "6.001"; vs "sicp" |];
+      [| vs "6.046"; vs "algorithms" |] ];
+  let query =
+    q (atom "ans" [ v "Y"; v "X" ]) [ P.Peer.atom mit "subject" [ v "X"; v "Y" ] ]
+  in
+  let sink = Obs.Sink.memory () in
+  let exec = P.Exec.make ~trace:(Obs.Trace.create sink) () in
+  let result = P.Answer.answer ~exec catalog query in
+  match result.P.Answer.outcome.P.Reformulate.rewritings with
+  | [ r ] -> (
+      let expected = Relalg.Relation.create (Cq.Eval.head_schema r) in
+      ignore
+        (Cq.Eval.run_union_into expected (P.Catalog.global_db catalog) [ r ]);
+      check_b "rows in Cq.Eval's insertion order" true
+        (Relalg.Relation.tuples result.P.Answer.answers
+        = Relalg.Relation.tuples expected);
+      match Obs.Sink.spans sink with
+      | [ root ] ->
+          Alcotest.(check (list string))
+            "eval children" [ "plan"; "trie_eval" ]
+            (List.map
+               (fun sp -> sp.Obs.Span.name)
+               (Option.get (Obs.Span.find root "eval")).Obs.Span.children)
+      | spans ->
+          Alcotest.failf "expected one root span, got %d" (List.length spans))
+  | rs -> Alcotest.failf "expected one rewriting, got %d" (List.length rs)
 
 let test_cache_stats_accessor () =
   let catalog, uw, mit = two_peer_catalog `Equality in
@@ -2952,12 +3134,12 @@ let test_reformulation_truncated () =
   in
   let query = List.hd queries in
   let stats max_rewritings =
-    let pruning = { P.Reformulate.default_pruning with max_rewritings } in
+    let pruning = { P.Exec.default_pruning with max_rewritings } in
     (P.Reformulate.reformulate ~exec:(P.Exec.with_pruning pruning) catalog
        query)
       .P.Reformulate.stats
   in
-  let full = stats P.Reformulate.default_pruning.max_rewritings in
+  let full = stats P.Exec.default_pruning.max_rewritings in
   check_i "all rewritings" 100 full.P.Reformulate.emitted;
   check_b "default cap not reached" false full.P.Reformulate.truncated;
   let capped = stats 5 in
@@ -3261,7 +3443,10 @@ let () =
          Alcotest.test_case "roundtrip" `Quick test_pdms_file_roundtrip;
          Alcotest.test_case "tricky rows" `Quick test_pdms_file_tricky_rows;
          Alcotest.test_case "errors" `Quick test_pdms_file_errors ]
-       @ qc [ prop_pdms_file_roundtrip; prop_pdms_value_roundtrip ]);
+       @ qc
+           [ prop_pdms_file_roundtrip;
+             prop_pdms_value_roundtrip;
+             prop_pdms_file_mutations_never_raise ]);
       ("persist",
        [ Alcotest.test_case "init, apply, reopen" `Quick
            test_persist_init_apply_reopen;
@@ -3298,5 +3483,9 @@ let () =
       ("observability",
        [ Alcotest.test_case "answer span tree" `Quick test_answer_span_tree;
          Alcotest.test_case "cache stats accessor" `Quick
-           test_cache_stats_accessor ]
+           test_cache_stats_accessor;
+         Alcotest.test_case "one metrics switch" `Quick
+           test_one_metrics_switch;
+         Alcotest.test_case "single rewriting runs on the plan" `Quick
+           test_single_rewriting_runs_on_plan ]
        @ qc [ prop_trace_changes_no_answers ]) ]
