@@ -19,11 +19,20 @@
 
 open Cmdliner
 
+(* Every file argument is read here, so an unreadable one (missing, a
+   directory, no permission) is one line and exit 1 for every command.
+   [Sys_error] messages may already lead with the path; it is said once. *)
 let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
+  let fail msg =
+    let prefix = path ^ ": " in
+    prerr_endline
+      ("error: " ^ if String.starts_with ~prefix msg then msg else prefix ^ msg);
+    exit 1
+  in
+  try
+    if Sys.is_directory path then fail "Is a directory";
+    In_channel.with_open_bin path In_channel.input_all
+  with Sys_error msg -> fail msg
 
 let load_schema path =
   match Corpus.Schema_parser.parse (read_file path) with
@@ -433,6 +442,20 @@ let distributed_pdms data_dir args at latency fail_peers flaky retries cli =
   let network =
     Pdms.Distributed.network_of_catalog catalog ~latency_ms:latency
   in
+  (* Faults on real peers degrade the answer and still exit 0; a peer
+     the catalog does not declare, or a drop rate that is no
+     probability, is a mistake in the command. *)
+  List.iter
+    (fun (flag, peer) ->
+      if not (List.mem peer (Pdms.Network.peers network)) then begin
+        Printf.eprintf "error: %s %s: no such peer\n" flag peer;
+        exit 1
+      end)
+    (("--at", at) :: List.map (fun p -> ("--fail-peer", p)) fail_peers);
+  if not (flaky >= 0.0 && flaky <= 1.0) then begin
+    Printf.eprintf "error: --flaky %g: not a probability in [0, 1]\n" flaky;
+    exit 1
+  end;
   List.iter (Pdms.Network.Fault.fail_peer network) fail_peers;
   if flaky > 0.0 then Pdms.Network.Fault.flaky network ~p:flaky ();
   let exec =

@@ -19,7 +19,10 @@ let m_skipped = Obs.Metrics.counter "pdms.kwindex.skipped_by_bound"
    score upper bound cannot beat the current k-th score. Relations are
    visited in database order and candidates in ascending tuple id, so
    insertions into the heap happen in the same order a scan scoring
-   every live tuple would make them — tie-breaks included. *)
+   every live tuple would make them — tie-breaks included.  Once the
+   heap is full, a candidate not above its floor is one [Topk.add]
+   would reject (equal scores lose to the earlier insertion), so it
+   builds no hit; the survivors keep their relative order. *)
 let indexed ~jobs ~trace ~limit entries query_toks =
   let stamp, corpus = Kwindex.corpus entries in
   let query_vec = Util.Tfidf.vectorize corpus query_toks in
@@ -34,28 +37,30 @@ let indexed ~jobs ~trace ~limit entries query_toks =
   let hits =
     Obs.Trace.span trace "rank" @@ fun () ->
     let top = Util.Topk.create limit in
+    (* The heap's floor, [neg_infinity] until it is full; it moves only
+       when an add lands, so it is read then, not per candidate. *)
+    let floor = ref neg_infinity in
     List.iter
       (fun pr ->
         candidates := !candidates + Array.length pr.Kwindex.candidates;
-        let skip =
-          match Util.Topk.min_score top with
-          | Some floor -> pr.Kwindex.bound <= floor
-          | None -> false
-        in
-        if skip then Stdlib.incr skipped
+        if pr.Kwindex.bound <= !floor then Stdlib.incr skipped
         else
           let e = pr.Kwindex.source in
           Array.iter
             (fun id ->
               let score = pr.Kwindex.scores.(id) in
-              if score > 0.0 then
+              if score > 0.0 && score > !floor then begin
                 Util.Topk.add top score
                   {
                     peer = e.Kwindex.peer;
                     stored_rel = e.Kwindex.rel_name;
                     tuple = e.Kwindex.tuples.(id);
                     score;
-                  })
+                  };
+                match Util.Topk.min_score top with
+                | Some f -> floor := f
+                | None -> ()
+              end)
             pr.Kwindex.candidates)
       probes;
     let hits = List.map snd (Util.Topk.to_list top) in

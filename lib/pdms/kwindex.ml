@@ -527,17 +527,55 @@ let weights e ~stamp c =
       e.weights <- Some w;
       w
 
+(* The entry's postings for the query's tokens, each with its query
+   weight, in query-vector order; [[]] when it holds none of them. *)
+let rec held postings = function
+  | [] -> []
+  | (tok, qw) :: rest -> (
+      match Hashtbl.find_opt postings tok with
+      | Some p -> (p, qw) :: held postings rest
+      | None -> held postings rest)
+
+(* The ascending, duplicate-free union of the postings' id runs.  One
+   run is a copy of its first [len] cells; several are merged through a
+   cursor per run, once to count the union and once to fill an array of
+   exactly that size. *)
+let union_ids = function
+  | [ p ] -> Array.sub p.ids 0 p.len
+  | ps ->
+      let runs = Array.of_list ps in
+      let k = Array.length runs in
+      let pos = Array.make k 0 in
+      (* The least id under any cursor, with every cursor on it stepped
+         past it; [max_int] once every run is spent. *)
+      let next () =
+        let m = ref max_int in
+        for j = 0 to k - 1 do
+          let p = runs.(j) in
+          if pos.(j) < p.len && p.ids.(pos.(j)) < !m then m := p.ids.(pos.(j))
+        done;
+        for j = 0 to k - 1 do
+          let p = runs.(j) in
+          if pos.(j) < p.len && p.ids.(pos.(j)) = !m then pos.(j) <- pos.(j) + 1
+        done;
+        !m
+      in
+      let n = ref 0 in
+      while next () < max_int do
+        incr n
+      done;
+      Array.fill pos 0 k 0;
+      Array.init !n (fun _ -> next ())
+
 let probe entry ~stamp c query_vec =
   let w = weights entry ~stamp c in
-  let scores = Array.make (max 1 entry.n_slots) 0.0 in
-  let seen = Array.make (max 1 entry.n_slots) false in
-  let touched = ref [] in
-  let bound = ref 0.0 in
-  List.iter
-    (fun (tok, qw) ->
-      match Hashtbl.find_opt entry.postings tok with
-      | None -> ()
-      | Some p ->
+  match held entry.postings query_vec with
+  | [] -> { source = entry; scores = [||]; candidates = [||]; bound = 0.0 }
+  | found ->
+      let scores = Array.make entry.n_slots 0.0 in
+      let bound = ref 0.0 in
+      List.iter
+        (fun (p, qw) ->
           let idf = w.idf.(p.tid) in
           (* Every true per-token contribution is dominated term-wise
              by [qw *. ((max_tf *. idf) /. min_norm)]; round-to-nearest
@@ -547,15 +585,11 @@ let probe entry ~stamp c query_vec =
           for i = 0 to p.len - 1 do
             let id = p.ids.(i) in
             let wt = (p.tfs.(i) *. idf) /. w.norms.(id) in
-            scores.(id) <- scores.(id) +. (qw *. wt);
-            if not seen.(id) then begin
-              seen.(id) <- true;
-              touched := id :: !touched
-            end
+            scores.(id) <- scores.(id) +. (qw *. wt)
           done)
-    query_vec;
-  let candidates = Array.of_list (List.sort Int.compare !touched) in
-  { source = entry; scores; candidates; bound = !bound }
+        found;
+      let candidates = union_ids (List.map fst found) in
+      { source = entry; scores; candidates; bound = !bound }
 
 let reset () =
   Relalg.Relation.Derived.reset kind;

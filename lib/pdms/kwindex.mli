@@ -91,7 +91,9 @@ type entry = {
 
 type probe = {
   source : entry;
-  scores : float array;  (** indexed by slot id; only candidates valid *)
+  scores : float array;
+      (** indexed by slot id; only candidates valid; [[||]] when there
+          is no candidate *)
   candidates : int array;
       (** ascending live slot ids sharing >= 1 query token *)
   bound : float;
@@ -130,11 +132,14 @@ val probe :
   entry -> stamp:int -> Util.Tfidf.corpus -> Util.Tfidf.vector -> probe
 (** [probe entry ~stamp corpus query_vec] accumulates partial dot
     products for the query's tokens over this relation's postings
-    only. [query_vec] must be token-ascending (as
-    {!Util.Tfidf.vectorize} output is). Computes and caches the
-    entry's weights for [stamp] on first use — from the previous
-    stamp's when [stamp] patched it — safe to call from parallel shards
-    as long as each entry is probed by one shard. *)
+    only, doing work in proportion to the candidates they hold: a
+    relation holding none of the tokens gets empty [candidates] and
+    [scores] and a [0.0] bound, and [candidates] is the merge of the
+    found postings' ascending id runs. [query_vec] must be
+    token-ascending (as {!Util.Tfidf.vectorize} output is). Computes
+    and caches the entry's weights for [stamp] on first use — from the
+    previous stamp's when [stamp] patched it — safe to call from
+    parallel shards as long as each entry is probed by one shard. *)
 
 val reset : unit -> unit
 (** Make every relation's entry cold, so the next {!get} rebuilds it,

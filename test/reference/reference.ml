@@ -5,39 +5,45 @@ let per_rewriting_union db = function
       List.iter (fun q -> ignore (Cq.Eval.run_union_into out db [ q ])) qs;
       out
 
-(* Rebuild the corpus and re-vectorize every live tuple per call.
-   Tokenisation comes from the shared Kwindex entries, so a comparison
-   with Keyword.search measures indexing proper, not tokenisation
-   caching. *)
+(* Every live slot of [entries] as a document, relation by relation in
+   ascending slot order.  Dead (tombstoned) slots belong to deleted
+   tuples and contribute neither documents nor df.  Tokenisation comes
+   from the shared Kwindex entries, so a comparison with Keyword.search
+   measures indexing proper, not tokenisation caching. *)
+let live_docs entries =
+  List.concat_map
+    (fun e ->
+      let acc = ref [] in
+      for id = e.Pdms.Kwindex.n_slots - 1 downto 0 do
+        if e.Pdms.Kwindex.live.(id) then begin
+          let toks =
+            Pdms.Kwindex.slot_tokens e id
+            |> List.concat_map (fun (tok, tf) ->
+                   List.init (int_of_float tf) (fun _ -> tok))
+          in
+          acc := (e, id, toks) :: !acc
+        end
+      done;
+      !acc)
+    entries
+
+(* The corpus rebuilt from [docs] and the query vectorized against it. *)
+let scan_corpus docs query_toks =
+  let corpus = Util.Tfidf.build (List.map (fun (_, _, toks) -> toks) docs) in
+  (corpus, Util.Tfidf.vectorize corpus query_toks)
+
+let scan_score corpus query_vec toks =
+  Util.Tfidf.cosine query_vec (Util.Tfidf.vectorize corpus toks)
+
+let keyword_slot_scores entries query_toks =
+  let docs = live_docs entries in
+  let corpus, query_vec = scan_corpus docs query_toks in
+  List.map (fun (e, id, toks) -> (e, id, scan_score corpus query_vec toks)) docs
+
+(* Rebuild the corpus and re-vectorize every live tuple per call. *)
 let brute ~jobs ~trace ~limit entries query_toks =
-  let docs =
-    List.concat_map
-      (fun e ->
-        (* Ascending live slots only: dead (tombstoned) slots belong to
-           deleted tuples and must not contribute documents or df. *)
-        let acc = ref [] in
-        for id = e.Pdms.Kwindex.n_slots - 1 downto 0 do
-          if e.Pdms.Kwindex.live.(id) then begin
-            let toks =
-              Pdms.Kwindex.slot_tokens e id
-              |> List.concat_map (fun (tok, tf) ->
-                     List.init (int_of_float tf) (fun _ -> tok))
-            in
-            acc :=
-              ( e.Pdms.Kwindex.peer,
-                e.Pdms.Kwindex.rel_name,
-                e.Pdms.Kwindex.tuples.(id),
-                toks )
-              :: !acc
-          end
-        done;
-        !acc)
-      entries
-  in
-  let corpus =
-    Util.Tfidf.build (List.map (fun (_, _, _, toks) -> toks) docs)
-  in
-  let query_vec = Util.Tfidf.vectorize corpus query_toks in
+  let docs = live_docs entries in
+  let corpus, query_vec = scan_corpus docs query_toks in
   (* Scoring is pure, so it shards across domains; chunks are contiguous
      and re-concatenated in order, keeping the ranking (tie-breaks
      included) identical to the sequential pass. *)
@@ -46,11 +52,15 @@ let brute ~jobs ~trace ~limit entries query_toks =
     Obs.Trace.attr_i trace "jobs" jobs;
     Util.Pool.chunk (max 1 jobs) docs
     |> Util.Pool.map jobs
-         (List.map (fun (peer, stored_rel, tuple, toks) ->
-              let score =
-                Util.Tfidf.cosine query_vec (Util.Tfidf.vectorize corpus toks)
-              in
-              (score, { Pdms.Keyword.peer; stored_rel; tuple; score })))
+         (List.map (fun (e, id, toks) ->
+              let score = scan_score corpus query_vec toks in
+              ( score,
+                {
+                  Pdms.Keyword.peer = e.Pdms.Kwindex.peer;
+                  stored_rel = e.Pdms.Kwindex.rel_name;
+                  tuple = e.Pdms.Kwindex.tuples.(id);
+                  score;
+                } )))
     |> List.concat
   in
   Obs.Trace.span trace "rank" @@ fun () ->

@@ -34,6 +34,14 @@ val keyword_search :
     [exec.jobs] shards the scoring; the ranking is the same for every
     value.  Opens ["score"] and ["rank"] spans on [exec.trace]. *)
 
+val keyword_slot_scores :
+  Pdms.Kwindex.entry list -> string list -> (Pdms.Kwindex.entry * int * float) list
+(** [keyword_slot_scores entries query_toks] is the brute-force scan's
+    score of every live slot of [entries] — [(entry, slot id, score)],
+    relation by relation in ascending slot order — against the stemmed
+    [query_toks], over the corpus of those slots: the scores
+    {!keyword_search} ranks, zero and below-top-k ones included. *)
+
 val stats_scan : Relalg.Relation.t -> Relalg.Stats.t
 (** Cardinality and per-column distinct-value counts from one scan of
     the relation, with no cache: what {!Relalg.Stats.of_relation}

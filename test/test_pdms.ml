@@ -583,6 +583,14 @@ let test_storage_description_selection () =
 (* ------------------------------------------------------------------ *)
 (* Keyword search across the PDMS *)
 
+(* A hit as its peer, relation, rendered tuple and the bits of its
+   score: hit lists compared by key must agree bit for bit. *)
+let hit_key (h : P.Keyword.hit) =
+  ( h.P.Keyword.peer,
+    h.P.Keyword.stored_rel,
+    Array.map Relalg.Value.to_string h.P.Keyword.tuple,
+    Int64.bits_of_float h.P.Keyword.score )
+
 let test_keyword_search () =
   let catalog, _, mit = two_peer_catalog `Equality in
   ignore mit;
@@ -603,7 +611,41 @@ let test_keyword_search () =
            (fun v -> Relalg.Value.to_string v = "databases")
            best.P.Keyword.tuple)
   | [] -> Alcotest.fail "no hits");
-  check_i "no junk hits" 0 (List.length (P.Keyword.search catalog "zebra"))
+  check_i "no junk hits" 0 (List.length (P.Keyword.search catalog "zebra"));
+  (* Ties: twelve rows over two relations hold "tie" once beside a
+     token of their own, so all score alike and [limit] keeps three.
+     The earliest insertions of the relation ranked first win, in
+     insertion order, exactly as the brute-force scan ranks them; the
+     second relation's rows only equal the floor, and lose to it. *)
+  let catalog = P.Catalog.create () in
+  let pt =
+    P.Peer.create ~name:"pt" ~schema:[ ("r", [ "x"; "y" ]); ("s", [ "x"; "y" ]) ]
+  in
+  P.Catalog.add_peer catalog pt;
+  let r = P.Catalog.store_identity catalog pt ~rel:"r" in
+  let s = P.Catalog.store_identity catalog pt ~rel:"s" in
+  for i = 0 to 5 do
+    insert r [| vs (Printf.sprintf "r%d" i); vs "tie" |];
+    insert s [| vs (Printf.sprintf "s%d" i); vs "tie" |]
+  done;
+  let hits = P.Keyword.search ~limit:3 catalog "tie" in
+  check_b "ties rank as the brute-force scan" true
+    (List.map hit_key hits
+    = List.map hit_key (Reference.keyword_search ~limit:3 catalog "tie"));
+  match hits with
+  | first :: _ ->
+      let rel =
+        if first.P.Keyword.stored_rel = P.Peer.stored_pred pt "r" then r else s
+      in
+      check_b "three equal scores" true
+        (List.length hits = 3
+        && List.for_all
+             (fun (h : P.Keyword.hit) -> h.P.Keyword.score = first.P.Keyword.score)
+             hits);
+      check_b "earlier insertion first" true
+        (List.map (fun (h : P.Keyword.hit) -> h.P.Keyword.tuple) hits
+        = List.filteri (fun i _ -> i < 3) (Relalg.Relation.tuples rel))
+  | [] -> Alcotest.fail "no tie hits"
 
 (* ------------------------------------------------------------------ *)
 (* Distributed execution *)
@@ -894,12 +936,6 @@ let test_keyword_skips_down_peer () =
    brute-force scan of Reference.keyword_search — scores bit-identical,
    order and tie-breaks included — for any jobs value and any fault
    schedule. *)
-
-let hit_key (h : P.Keyword.hit) =
-  ( h.P.Keyword.peer,
-    h.P.Keyword.stored_rel,
-    Array.map Relalg.Value.to_string h.P.Keyword.tuple,
-    Int64.bits_of_float h.P.Keyword.score )
 
 let prop_indexed_matches_brute =
   QCheck.Test.make
@@ -1219,6 +1255,122 @@ let prop_kwindex_n_unchanged_writes =
       !ok
       && counter "pdms.kwindex.df_merges" = merges0
       && counter "pdms.kwindex.df_patches" > patches0)
+
+(* Kwindex.probe against a per-slot reference, through insert-one /
+   retract-oldest writes that tombstone and compact entries: every
+   entry's candidates are its live slots sharing a query token, in
+   ascending order; each candidate scores bit for bit what the
+   brute-force scan gives its tuple; an entry holding no query token
+   returns no candidates and no score array; the bound dominates every
+   candidate.  Unlike the hit-level property, this sees candidates that
+   rank below any top-k. *)
+let prop_probe_matches_slot_reference =
+  QCheck.Test.make ~name:"probe = per-slot reference" ~count:25
+    (QCheck.make QCheck.Gen.(int_bound 10_000) ~print:string_of_int)
+    (fun seed ->
+      P.Kwindex.reset ();
+      let prng = Util.Prng.create (seed + 919) in
+      let kind =
+        match seed mod 3 with
+        | 0 -> P.Topology.Chain
+        | 1 -> P.Topology.Star
+        | _ -> P.Topology.Mesh 2
+      in
+      let topology = P.Topology.generate ~prng kind ~n:(3 + (seed mod 4)) in
+      let g =
+        Workload.Peers_gen.generate prng ~topology
+          ~tuples_per_peer:(4 + (seed mod 5))
+          ~with_join:(seed mod 2 = 0) ()
+      in
+      let db = P.Catalog.global_db g.Workload.Peers_gen.catalog in
+      let names =
+        Array.of_list (List.sort String.compare (Relalg.Database.names db))
+      in
+      let ops = Util.Prng.create (seed + 2718) in
+      let stored_tuple () =
+        match
+          Relalg.Relation.tuples
+            (Relalg.Database.find db (Util.Prng.pick_arr ops names))
+        with
+        | [] -> None
+        | rows -> Some (Util.Prng.pick ops rows)
+      in
+      (* A token of some stored tuple's text, stemmed as a search stems
+         it; no relation holds "qzxjv". *)
+      let query_toks () =
+        List.init
+          (1 + Util.Prng.int ops 4)
+          (fun _ ->
+            match Option.map P.Kwindex.tuple_tokens (stored_tuple ()) with
+            | Some (_ :: _ as toks) -> Util.Prng.pick ops toks
+            | _ -> "empty")
+        @ [ "qzxjv" ]
+      in
+      let saw_tombstone = ref false and saw_compaction = ref false in
+      let last_slots = Hashtbl.create 16 in
+      let probe_matches () =
+        let entries =
+          Array.to_list names
+          |> List.map (fun rel_name ->
+                 fst (P.Kwindex.get ~rel_name (Relalg.Database.find db rel_name)))
+        in
+        let toks = query_toks () in
+        let stamp, corpus = P.Kwindex.corpus entries in
+        let query_vec = Util.Tfidf.vectorize corpus toks in
+        let scanned = Hashtbl.create 64 in
+        List.iter
+          (fun (e, id, s) -> Hashtbl.replace scanned (e.P.Kwindex.rel_name, id) s)
+          (Reference.keyword_slot_scores entries toks);
+        List.for_all
+          (fun e ->
+            let n_slots = e.P.Kwindex.n_slots in
+            if n_slots > e.P.Kwindex.doc_count then saw_tombstone := true;
+            (match Hashtbl.find_opt last_slots e.P.Kwindex.rel_name with
+            | Some before when n_slots < before -> saw_compaction := true
+            | _ -> ());
+            Hashtbl.replace last_slots e.P.Kwindex.rel_name n_slots;
+            let pr = P.Kwindex.probe e ~stamp corpus query_vec in
+            let expected =
+              List.filter
+                (fun id ->
+                  e.P.Kwindex.live.(id)
+                  && List.exists
+                       (fun (tok, _) -> List.mem tok toks)
+                       (P.Kwindex.slot_tokens e id))
+                (List.init n_slots Fun.id)
+            in
+            Array.to_list pr.P.Kwindex.candidates = expected
+            && (expected <> [] || pr.P.Kwindex.scores = [||])
+            && Array.for_all
+                 (fun id ->
+                   let score = pr.P.Kwindex.scores.(id) in
+                   Option.map Int64.bits_of_float
+                     (Hashtbl.find_opt scanned (e.P.Kwindex.rel_name, id))
+                   = Some (Int64.bits_of_float score)
+                   && score <= pr.P.Kwindex.bound)
+                 pr.P.Kwindex.candidates)
+          entries
+      in
+      let ok = ref (probe_matches ()) in
+      for i = 0 to 39 do
+        let rel = Relalg.Database.find db (Util.Prng.pick_arr ops names) in
+        let fresh =
+          Array.init
+            (Relalg.Schema.arity (Relalg.Relation.schema rel))
+            (fun c ->
+              match stored_tuple () with
+              | Some row when Util.Prng.bool ops -> row.(c mod Array.length row)
+              | _ -> vs (Printf.sprintf "w%d k%d" (Util.Prng.int ops 30) i))
+        in
+        Relalg.Relation.apply rel
+          (match Relalg.Relation.tuples rel with
+          | [] -> Relalg.Relation.Delta.add fresh
+          | oldest :: _ ->
+              Relalg.Relation.Delta.make ~adds:[ fresh ] ~dels:[ oldest ] ());
+        if i mod 4 = 3 then ok := probe_matches () && !ok
+      done;
+      P.Kwindex.reset ();
+      !ok && !saw_tombstone && !saw_compaction)
 
 (* Bounded tombstones: 400 insert-and-retract rounds through one small
    relation.  Compaction keeps dead slots within a quarter of the live
@@ -3409,6 +3561,7 @@ let () =
            [ prop_indexed_matches_brute;
              prop_kwindex_incremental_matches_rebuild;
              prop_kwindex_n_unchanged_writes;
+             prop_probe_matches_slot_reference;
              prop_derived_patch_equals_rebuild ]);
       ("distributed",
        [ Alcotest.test_case "owner parsing" `Quick test_distributed_owner_parsing;
