@@ -87,13 +87,8 @@ let e2 () =
   let configs =
     [ ("none", base);
       ("history", { base with Pdms.Exec.use_history = true });
-      ("history+dominance",
-       { base with Pdms.Exec.use_history = true; use_visited = true });
       ("+goal-memo",
-       { base with
-         Pdms.Exec.use_history = true;
-         use_visited = true;
-         use_goal_memo = true });
+       { base with Pdms.Exec.use_history = true; use_goal_memo = true });
       ("all (default)", Pdms.Exec.default_pruning) ]
   in
   let table =
@@ -889,7 +884,8 @@ let e13_configs configs () =
       let rewritings = outcome.Pdms.Reformulate.rewritings in
       (* One snapshot, frozen up front, shared by every jobs setting —
          no run gets to reuse indexes another run paid for. *)
-      let db = Pdms.Catalog.global_db_snapshot g.Workload.Peers_gen.catalog in
+      let catalog = g.Workload.Peers_gen.catalog in
+      let db = Relalg.Database.copy (Pdms.Catalog.global_db catalog) in
       Relalg.Database.freeze db;
       let list_ms, list_count =
         wall_ms (fun () -> list_backed_union db rewritings)
@@ -929,11 +925,10 @@ let e13_configs configs () =
 let e13 () = e13_configs [ (8, 200); (12, 400); (16, 600) ] ()
 
 (* ------------------------------------------------------------------ *)
-(* E14: reformulation throughput — the final subsumption sweep
-   (signature prefilter + optional parallelism) against the seed's
-   unprefiltered O(n²) sweep, on dense Fig. 2-style topologies; plus the
-   answer-cache hit-latency micro-bench against the seed's list-scan
-   store. *)
+(* E14: reformulation throughput — the subsumption sweep (signature
+   prefilter) against the seed's unprefiltered O(n²) sweep, on dense
+   Fig. 2-style topologies; plus the answer-cache hit-latency
+   micro-bench against the seed's list-scan store. *)
 
 (* The seed's containment test (no signature prefilter), reconstructed
    from the primitives: freeze the head, seed the substitution
@@ -965,11 +960,8 @@ let seed_sweep rewritings =
   List.filteri (fun i _ -> keep.(i)) (Array.to_list arr)
 
 let e14_sweep_configs configs =
-  let cores = Util.Pool.cpu_count () in
-  let jobs_list = List.sort_uniq compare [ 1; 2; 4; cores ] in
   let table =
-    T.create
-      [ "peers"; "raw_rw"; "kept"; "jobs"; "sweep_ms"; "seed_ms"; "vs_seed" ]
+    T.create [ "peers"; "raw_rw"; "kept"; "sweep_ms"; "seed_ms"; "vs_seed" ]
   in
   List.iter
     (fun (n, cap) ->
@@ -981,7 +973,7 @@ let e14_sweep_configs configs =
       in
       let query = Workload.Peers_gen.course_query g ~at:0 in
       (* Raw emissions: subsumption off, so the sweep input is the dense
-         duplicated set the emit-time index normally thins out. *)
+         duplicated set a search emits before its sweep. *)
       let pruning =
         {
           Pdms.Exec.default_pruning with
@@ -1001,35 +993,21 @@ let e14_sweep_configs configs =
         "BENCH_e14_seed_sweep {\"peers\":%d,\"raw_rewritings\":%d,\
          \"kept\":%d,\"seed_ms\":%.2f}\n"
         n raw_n (List.length seed_kept) seed_ms;
-      let reference = ref [] in
-      List.iter
-        (fun jobs ->
-          let ms, kept =
-            wall_ms (fun () ->
-                Pdms.Reformulate.subsumption_sweep
-                  ~exec:(Pdms.Exec.with_jobs jobs) raw)
-          in
-          let rendered = List.map Cq.Query.to_string kept in
-          if jobs = 1 then begin
-            reference := rendered;
-            (* The prefiltered sweep must keep exactly what the seed's
-               sweep keeps. *)
-            assert (rendered = List.map Cq.Query.to_string seed_kept)
-          end
-          else
-            (* ... and every jobs value must agree byte-for-byte. *)
-            assert (rendered = !reference);
-          let vs_seed = seed_ms /. Float.max 0.001 ms in
-          T.add_row table
-            [ T.cell_i n; T.cell_i raw_n; T.cell_i (List.length kept);
-              T.cell_i jobs; T.cell_f ms; T.cell_f seed_ms;
-              T.cell_f vs_seed ];
-          Printf.printf
-            "BENCH_e14_sweep {\"peers\":%d,\"raw_rewritings\":%d,\
-             \"kept\":%d,\"jobs\":%d,\"sweep_ms\":%.2f,\
-             \"speedup_vs_seed\":%.2f}\n"
-            n raw_n (List.length kept) jobs ms vs_seed)
-        jobs_list)
+      let ms, kept =
+        wall_ms (fun () -> Pdms.Reformulate.subsumption_sweep raw)
+      in
+      (* The prefiltered sweep must keep exactly what the seed's sweep
+         keeps. *)
+      let render = List.map Cq.Query.to_string in
+      assert (render kept = render seed_kept);
+      let vs_seed = seed_ms /. Float.max 0.001 ms in
+      T.add_row table
+        [ T.cell_i n; T.cell_i raw_n; T.cell_i (List.length kept); T.cell_f ms;
+          T.cell_f seed_ms; T.cell_f vs_seed ];
+      Printf.printf
+        "BENCH_e14_sweep {\"peers\":%d,\"raw_rewritings\":%d,\
+         \"kept\":%d,\"sweep_ms\":%.2f,\"speedup_vs_seed\":%.2f}\n"
+        n raw_n (List.length kept) ms vs_seed)
     configs;
   T.print table
 
@@ -1102,9 +1080,6 @@ let e14_cache_micro entry_counts =
 let e14_configs ~sweep ~cache_entries () =
   header "E14"
     "reformulation throughput: subsumption sweep vs seed + cache hit latency";
-  let cores = Util.Pool.cpu_count () in
-  Printf.printf "(hardware reports %d core%s)\n" cores
-    (if cores = 1 then "" else "s");
   e14_sweep_configs sweep;
   e14_cache_micro cache_entries
 
@@ -1336,7 +1311,8 @@ let e17_configs ~repeats configs () =
       let rewritings = outcome.Pdms.Reformulate.rewritings in
       (* One frozen snapshot shared by both modes: neither run pays for
          or reuses the other's index builds. *)
-      let db = Pdms.Catalog.global_db_snapshot g.Workload.Peers_gen.catalog in
+      let catalog = g.Workload.Peers_gen.catalog in
+      let db = Relalg.Database.copy (Pdms.Catalog.global_db catalog) in
       Relalg.Database.freeze db;
       let best f =
         let rec go best_ms last = function

@@ -19,20 +19,21 @@
 
 open Cmdliner
 
+(* A path the command cannot use is one line and exit 1. [Sys_error]
+   messages may already lead with the path; it is said once. *)
+let path_error path msg =
+  let prefix = path ^ ": " in
+  prerr_endline
+    ("error: " ^ if String.starts_with ~prefix msg then msg else prefix ^ msg);
+  exit 1
+
 (* Every file argument is read here, so an unreadable one (missing, a
-   directory, no permission) is one line and exit 1 for every command.
-   [Sys_error] messages may already lead with the path; it is said once. *)
+   directory, no permission) fails the same way for every command. *)
 let read_file path =
-  let fail msg =
-    let prefix = path ^ ": " in
-    prerr_endline
-      ("error: " ^ if String.starts_with ~prefix msg then msg else prefix ^ msg);
-    exit 1
-  in
   try
-    if Sys.is_directory path then fail "Is a directory";
+    if Sys.is_directory path then path_error path "Is a directory";
     In_channel.with_open_bin path In_channel.input_all
-  with Sys_error msg -> fail msg
+  with Sys_error msg -> path_error path msg
 
 let load_schema path =
   match Corpus.Schema_parser.parse (read_file path) with
@@ -304,9 +305,9 @@ let exec_term =
       value & opt int 1
       & info [ "j"; "jobs" ] ~docv:"JOBS"
           ~doc:
-            "Run the parallel phases (subsumption sweep, union evaluation, \
-             keyword scoring) with this many domains. Results are identical \
-             for every value.")
+            "Run the parallel phases (union evaluation, keyword scoring) \
+             with this many domains. Results are identical for every \
+             value.")
   in
   let pruning =
     onoff "pruning" ~default:true
@@ -452,6 +453,11 @@ let distributed_pdms data_dir args at latency fail_peers flaky retries cli =
         exit 1
       end)
     (("--at", at) :: List.map (fun p -> ("--fail-peer", p)) fail_peers);
+  if not (Float.is_finite latency && latency >= 0.0) then begin
+    Printf.eprintf "error: --latency %g: not a finite number of ms >= 0\n"
+      latency;
+    exit 1
+  end;
   if not (flaky >= 0.0 && flaky <= 1.0) then begin
     Printf.eprintf "error: --flaky %g: not a probability in [0, 1]\n" flaky;
     exit 1
@@ -596,9 +602,13 @@ let required_data_dir ~must_exist =
     & opt (some (if must_exist then dir else string)) None
     & info [ "data-dir" ] ~docv:"DIR" ~doc:"The durable data directory.")
 
+(* A data directory that is a regular file, or lies under one, is one
+   line and exit 1. *)
 let init_data_dir dir path =
   let catalog = load_pdms path in
-  Pdms.Persist.init ~dir catalog;
+  (try Pdms.Persist.init ~dir catalog with
+  | Sys_error msg -> path_error dir msg
+  | Unix.Unix_error (e, _, _) -> path_error dir (Unix.error_message e));
   Printf.printf "initialised %s from %s (snapshot seq 0, empty wal)\n" dir path
 
 let init_cmd =

@@ -28,7 +28,7 @@
     sharded across top-level branches with {!Util.Pool} and per-branch
     partial results are merged in branch order, so the answer set and
     all reported counts are identical for every [jobs] (callers must
-    freeze the database first, as for the other parallel sweeps).
+    freeze the database first).
 
     Instrumentation: [cq.plan.builds], [cq.plan.nodes],
     [cq.plan.shared_prefix_atoms] and [cq.plan.bindings_reused]

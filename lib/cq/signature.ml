@@ -37,17 +37,3 @@ let compatible ~sub ~super =
 let equal a b =
   a.head_arity = b.head_arity && a.body_len = b.body_len
   && List.equal (fun (p, c) (q, d) -> c = d && String.equal p q) a.preds b.preds
-
-let key t =
-  let buf = Buffer.create 64 in
-  Buffer.add_string buf (string_of_int t.head_arity);
-  Buffer.add_char buf '/';
-  Buffer.add_string buf (string_of_int t.body_len);
-  List.iter
-    (fun (p, c) ->
-      Buffer.add_char buf '|';
-      Buffer.add_string buf p;
-      Buffer.add_char buf '*';
-      Buffer.add_string buf (string_of_int c))
-    t.preds;
-  Buffer.contents buf

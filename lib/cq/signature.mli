@@ -27,7 +27,3 @@ val compatible : sub:t -> super:t -> bool
 
 val equal : t -> t -> bool
 (** Structural equality (arity, body length, exact multiset). *)
-
-val key : t -> string
-(** Injective rendering of the signature — a hash-bucket key; two
-    queries share a key iff their signatures are {!equal}. *)

@@ -45,13 +45,7 @@ let answer ?(exec = Exec.default) catalog q =
   let answers =
     match outcome.Reformulate.rewritings with
     | [] -> Relalg.Relation.create (Cq.Eval.head_schema q)
-    | rewritings ->
-        (* Workers read a snapshot, never the live peer relations. *)
-        let db =
-          if exec.Exec.jobs <= 1 then Catalog.global_db catalog
-          else Catalog.global_db_snapshot catalog
-        in
-        eval_union ~exec db rewritings
+    | rewritings -> eval_union ~exec (Catalog.global_db catalog) rewritings
   in
   Obs.Metrics.incr m_queries;
   Obs.Metrics.add m_answers (Relalg.Relation.cardinality answers);

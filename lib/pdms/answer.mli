@@ -11,13 +11,12 @@ type result = {
 
 val answer : ?exec:Exec.t -> Catalog.t -> Cq.Query.t -> result
 (** [exec] ({!Exec.default} when omitted) carries pruning, the domain
-    count and the tracer. [exec.jobs > 1] parallelises both
-    the reformulation's final subsumption sweep
-    ({!Reformulate.reformulate}) and the union evaluation, which walks
-    the rewritings' shared-prefix trie over a frozen snapshot of the
-    global database with the trie's top-level branches sharded across
-    domains (see {!eval_union}). The rewriting list and the answer
-    {e set} are identical for every [exec.jobs]. Opens an ["answer"]
+    count and the tracer. [exec.jobs > 1] parallelises the union
+    evaluation, which walks the rewritings' shared-prefix trie over the
+    live global database, frozen first, with the trie's top-level
+    branches sharded across domains (see {!eval_union}). The rewriting
+    list and the answer {e set} are identical for every [exec.jobs].
+    Opens an ["answer"]
     span on [exec.trace] with ["reformulate"] (and its ["sweep"]) and
     ["eval"] children, and records [pdms.answer.*] metrics. With no
     rewriting the answer is empty, shaped by {!Cq.Eval.head_schema}. *)

@@ -55,8 +55,3 @@ val distinguished_views : t -> bool
 val global_db : t -> Relalg.Database.t
 (** Union of all peers' stored relations (shared relation objects, not
     copies — inserts through peers are visible). *)
-
-val global_db_snapshot : t -> Relalg.Database.t
-(** Like {!global_db} but with fresh relation copies: an immutable-by-
-    convention snapshot that is unaffected by later peer inserts, safe
-    to hand to worker domains while the live catalog keeps moving. *)

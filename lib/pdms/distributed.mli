@@ -66,8 +66,8 @@ val execute :
     shared joins run once while each rewriting still gets its own answer
     relation. With no surviving rewriting the answer is empty, shaped by
     {!Cq.Eval.head_schema} of the query.
-    [exec.jobs] parallelises the reformulation's final subsumption sweep
-    and the trie walk; rewritings, plans, costs and retry schedules are
+    [exec.jobs] parallelises the trie walk, over the live global
+    database frozen first; rewritings, plans, costs and retry schedules are
     unaffected (transfers are sequential with a
     constant-seeded jitter stream). Opens a ["distributed.execute"] span
     (children ["reformulate"], ["eval"], ["plan"], ["transfer"]) and

@@ -1,6 +1,5 @@
 type pruning = {
   use_history : bool;
-  use_visited : bool;
   use_goal_memo : bool;
   use_subsumption : bool;
   use_minimize : bool;
@@ -11,7 +10,6 @@ type pruning = {
 let default_pruning =
   {
     use_history = true;
-    use_visited = true;
     use_goal_memo = true;
     use_subsumption = true;
     use_minimize = true;
@@ -22,7 +20,6 @@ let default_pruning =
 let no_pruning =
   {
     use_history = false;
-    use_visited = false;
     use_goal_memo = false;
     use_subsumption = false;
     use_minimize = false;

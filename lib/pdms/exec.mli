@@ -20,10 +20,6 @@ type pruning = {
   use_history : bool;
       (** never traverse the same mapping edge twice on one derivation
           branch (cycle cut) *)
-  use_visited : bool;
-      (** dominance pruning: drop a pending query alpha-equivalent to an
-          already-explored one whose per-atom histories were pointwise
-          subsets (the earlier node could derive strictly more) *)
   use_goal_memo : bool;
       (** the aggressive Piazza heuristic: expand each alpha-equivalent
           pending query only once, regardless of history. Exact on
@@ -32,11 +28,14 @@ type pruning = {
           first visit the shortest-path one); in adversarial cyclic
           setups it may prune derivations the slower settings find *)
   use_subsumption : bool;
-      (** drop emitted rewritings contained in previously emitted ones *)
+      (** sweep each goal group's rewritings once its search ends: drop
+          every rewriting contained in another, keeping the earliest of
+          equivalent ones *)
   use_minimize : bool;  (** minimize each emitted rewriting *)
   max_depth : int;  (** expansion-depth cap per branch *)
   max_rewritings : int;
-      (** stop a goal group's search after this many emitted rewritings *)
+      (** stop a goal group's search after it has emitted this many
+          rewritings, counting those the subsumption sweep then drops *)
 }
 
 val default_pruning : pruning

@@ -8,11 +8,12 @@
    shared-variable graph (subgoals sharing no variable never need one
    joint match). Each group is searched breadth-first on its own (GAV
    unfolding and MiniCon interleaved, as below) with every variable it
-   shares with the head or another group made distinguished, swept and
-   minimised, and capped at [max_rewritings]; the answer is the product
-   of the groups' unions, expanded in full. So a join pays for the sum
-   of its subgoals' alternatives, not their product. A query with one
-   group runs the search on the query itself. *)
+   shares with the head or another group made distinguished; its
+   emissions are minimised, capped at [max_rewritings] and swept once;
+   the answer is the product of the groups' unions, expanded in full.
+   So a join pays for the sum of its subgoals' alternatives, not their
+   product. A query with one group runs the search on the query
+   itself. *)
 
 open Cq
 
@@ -63,15 +64,13 @@ let canon_names = Array.init 256 (fun i -> "v" ^ string_of_int i)
 
 let canon_name i = if i < 256 then canon_names.(i) else "v" ^ string_of_int i
 
-(* Alpha-normalise the node: rename variables in first-occurrence order,
-   then sort (atom, history) pairs by the rendered atom. Returns the
-   atoms-only key plus the tag vector in that order. Constants render
-   type-exactly ({!Relalg.Value.add_key}), so goals differing only in a
-   constant's type keep distinct keys; an atom waiting for the LAV step
-   renders with a leading ['^'], so it never shares a key with the same
-   atom still open to GAV unfolding. All rendering goes through one
-   scratch [Buffer] — the seed built the key from repeated
-   [Atom.to_string] + [String.concat] allocations. *)
+(* The goal-memo key of a node: variables renamed in first-occurrence
+   order (head first), then the rendered body atoms sorted. Constants
+   render type-exactly ({!Relalg.Value.add_key}), so goals differing
+   only in a constant's type keep distinct keys; an atom waiting for the
+   LAV step renders with a leading ['^'], so it never shares a key with
+   the same atom still open to GAV unfolding. All rendering goes through
+   one scratch [Buffer]. *)
 let canonical node =
   let mapping = Hashtbl.create 16 in
   let canon_var x =
@@ -97,31 +96,26 @@ let canonical node =
       a.Atom.args;
     Buffer.add_char buf ')'
   in
-  (* Renaming is first-occurrence order over head then body, so the head
-     must be rendered first to seed the mapping. *)
   render_atom node.head;
   let head_len = Buffer.length buf in
-  let tagged =
+  let body =
     List.map
       (fun g ->
         let start = Buffer.length buf in
         if g.lav_only then Buffer.add_char buf '^';
         render_atom g.atom;
-        let s = Buffer.sub buf start (Buffer.length buf - start) in
-        (s, g.hist))
+        Buffer.sub buf start (Buffer.length buf - start))
       node.body
-    |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+    |> List.sort String.compare
   in
-  let head = Buffer.sub buf 0 head_len in
-  Buffer.clear buf;
-  Buffer.add_string buf head;
+  Buffer.truncate buf head_len;
   Buffer.add_string buf " :- ";
   List.iteri
-    (fun i (s, _) ->
+    (fun i s ->
       if i > 0 then Buffer.add_char buf ';';
       Buffer.add_string buf s)
-    tagged;
-  (Buffer.contents buf, List.map snd tagged)
+    body;
+  Buffer.contents buf
 
 let identity_view pred arity =
   let args = List.init arity (fun i -> Term.v (Printf.sprintf "I%d" i)) in
@@ -166,54 +160,12 @@ let dedupe_body node =
   in
   { node with body }
 
-(* Emit-time subsumption index: rewritings bucketed by signature, with
-   O(1) bucket lookup by signature key. [subsumed_by_any] visits only
-   buckets whose signature passes the necessary-condition prefilter, so
-   the homomorphism search runs on compatible candidates only. *)
-module Sub_index = struct
-  type bucket = { signature : Signature.t; mutable members : Query.t list }
-
-  type t = {
-    by_key : (string, bucket) Hashtbl.t;
-    mutable buckets : bucket list;
-  }
-
-  let create () = { by_key = Hashtbl.create 64; buckets = [] }
-
-  let subsumed_by_any t (q : Query.t) =
-    let sub = Signature.of_query q in
-    List.exists
-      (fun b ->
-        Signature.compatible ~sub ~super:b.signature
-        && List.exists
-             (fun e ->
-               Containment.contained_in_with ~sub ~super:b.signature q e)
-             b.members)
-      t.buckets
-
-  let add t (q : Query.t) =
-    let signature = Signature.of_query q in
-    let key = Signature.key signature in
-    match Hashtbl.find_opt t.by_key key with
-    | Some b -> b.members <- q :: b.members
-    | None ->
-        let b = { signature; members = [ q ] } in
-        Hashtbl.replace t.by_key key b;
-        t.buckets <- b :: t.buckets
-end
-
-(* The final all-pairs subsumption sweep, exposed for benchmarking.
-   Scans pairs in the same order as the seed's nested loop and applies
-   the identical keep-flag rules, so the surviving set and its order are
-   byte-identical to the seed — the signature prefilter only skips pairs
-   whose containment test is guaranteed [false].
-
-   [jobs > 1] precomputes the containment matrix for every
-   signature-compatible ordered pair in parallel (containment is pure,
-   queries are immutable), then replays the same sequential keep loop
-   against the matrix; the result is identical for every [jobs]. *)
+(* The all-pairs subsumption sweep, the one subsumption step (exposed
+   for benchmarking): it drops every rewriting contained in another, and
+   each maximal containment class keeps its earliest member, in emission
+   order. The signature prefilter only skips pairs whose containment
+   test is certainly [false]. *)
 let subsumption_sweep ?(exec = Exec.default) (rewritings : Query.t list) =
-  let jobs = exec.Exec.jobs in
   let trace = exec.Exec.trace in
   Obs.Trace.span trace "sweep" @@ fun () ->
   let arr = Array.of_list rewritings in
@@ -230,63 +182,26 @@ let subsumption_sweep ?(exec = Exec.default) (rewritings : Query.t list) =
     let tested = ref 0 in
     let skipped = ref 0 in
     let sigs = Array.map Signature.of_query arr in
-    let compat i j = Signature.compatible ~sub:sigs.(i) ~super:sigs.(j) in
-    let keep = Array.make n true in
-    let decide contained =
-      for i = 0 to n - 1 do
-        for j = 0 to n - 1 do
-          if i <> j && keep.(i) && keep.(j) && contained i j then
-            if contained j i then (
-              if j > i then keep.(j) <- false else keep.(i) <- false)
-            else keep.(i) <- false
-        done
-      done
+    let contained i j =
+      if Signature.compatible ~sub:sigs.(i) ~super:sigs.(j) then begin
+        incr tested;
+        Containment.contained_in_with ~sub:sigs.(i) ~super:sigs.(j) arr.(i)
+          arr.(j)
+      end
+      else begin
+        incr skipped;
+        false
+      end
     in
-    if jobs <= 1 then
-      decide (fun i j ->
-          if compat i j then begin
-            Stdlib.incr tested;
-            Containment.contained_in_with ~sub:sigs.(i) ~super:sigs.(j)
-              arr.(i) arr.(j)
-          end
-          else begin
-            Stdlib.incr skipped;
-            false
-          end)
-    else begin
-      (* Dense n*n matrix of verdicts over compatible pairs; incompatible
-         pairs are [false] by the prefilter's soundness. Work is sharded
-         by row blocks to keep per-task granularity coarse. *)
-      let matrix = Array.make (n * n) false in
-      let rows = List.init n Fun.id in
-      let blocks = Util.Pool.chunk (max 1 (n / (jobs * 4))) rows in
-      let results =
-        Util.Pool.map jobs
-          (fun block ->
-            List.map
-              (fun i ->
-                let verdicts = Array.make n false in
-                let row_tested = ref 0 in
-                for j = 0 to n - 1 do
-                  if i <> j && compat i j then begin
-                    Stdlib.incr row_tested;
-                    verdicts.(j) <-
-                      Containment.contained_in_with ~sub:sigs.(i)
-                        ~super:sigs.(j) arr.(i) arr.(j)
-                  end
-                done;
-                (i, verdicts, !row_tested))
-              block)
-          blocks
-      in
-      List.iter
-        (List.iter (fun (i, verdicts, row_tested) ->
-             Array.blit verdicts 0 matrix (i * n) n;
-             tested := !tested + row_tested))
-        results;
-      skipped := (n * (n - 1)) - !tested;
-      decide (fun i j -> matrix.((i * n) + j))
-    end;
+    let keep = Array.make n true in
+    for i = 0 to n - 1 do
+      for j = 0 to n - 1 do
+        if i <> j && keep.(i) && keep.(j) && contained i j then
+          if contained j i then (
+            if j > i then keep.(j) <- false else keep.(i) <- false)
+          else keep.(i) <- false
+      done
+    done;
     let kept = Array.fold_left (fun acc k -> if k then acc + 1 else acc) 0 keep in
     Obs.Metrics.incr m_sweeps;
     Obs.Metrics.add m_sweep_tested !tested;
@@ -299,17 +214,16 @@ let subsumption_sweep ?(exec = Exec.default) (rewritings : Query.t list) =
     List.filteri (fun i _ -> keep.(i)) (Array.to_list arr)
   end
 
-(* One breadth-first rule-goal search over [q]: the rewritings, swept
-   and minimised, capped at [max_rewritings], and the search's stats. *)
+(* One breadth-first rule-goal search over [q]: its rewritings,
+   minimised and swept, and its stats. The search stops once it has
+   emitted [max_rewritings], counting those the sweep then drops. *)
 let search exec catalog (q : Query.t) =
   let pruning = exec.Exec.pruning in
   let nodes_expanded = ref 0 in
   let emitted = ref [] in
   let emitted_count = ref 0 in
-  let sub_index = Sub_index.create () in
   let pruned_history = ref 0 in
   let pruned_visited = ref 0 in
-  let pruned_subsumed = ref 0 in
   let pruned_depth = ref 0 in
   let lav_invocations = ref 0 in
   (* Goal memo: alpha-normalised CQ keys already enqueued (ignoring
@@ -317,10 +231,14 @@ let search exec catalog (q : Query.t) =
      shortest-path one, so its history is the most permissive in
      practice — this is the aggressive Piazza heuristic. *)
   let goal_memo : (string, unit) Hashtbl.t = Hashtbl.create 256 in
-  (* Dominance store: key -> tag vectors already explored. A new node is
-     pruned when an explored vector is pointwise a subset of its own
-     (the earlier node could do strictly more). *)
-  let visited : (string, Iset.t list list) Hashtbl.t = Hashtbl.create 256 in
+  let seen node =
+    let key = canonical node in
+    Hashtbl.mem goal_memo key
+    || begin
+         Hashtbl.replace goal_memo key ();
+         false
+       end
+  in
   let fresh_counter = ref 0 in
   let fresh () =
     incr fresh_counter;
@@ -329,56 +247,21 @@ let search exec catalog (q : Query.t) =
   let emit c =
     let c = Minimize.remove_duplicate_atoms c in
     let c = if pruning.Exec.use_minimize then Minimize.minimize c else c in
-    if
-      pruning.Exec.use_subsumption && Sub_index.subsumed_by_any sub_index c
-    then incr pruned_subsumed
-    else begin
-      emitted := c :: !emitted;
-      incr emitted_count;
-      if pruning.Exec.use_subsumption then Sub_index.add sub_index c
-    end
+    emitted := c :: !emitted;
+    incr emitted_count
   in
   let is_pending g = not (Catalog.is_stored catalog g.atom.Atom.pred) in
   let queue : (node * int) Queue.t = Queue.create () in
+  (* A complete node is queued for emission without a memo check. *)
   let push node depth =
     let node = dedupe_body node in
     if depth > pruning.Exec.max_depth then incr pruned_depth
-    else if not (List.exists is_pending node.body) then
-      (* Complete: enqueue for emission (kept in queue to preserve
-         counting uniformity). *)
-      Queue.add (node, depth) queue
-    else begin
-      let key, tags = canonical node in
-      let memo_pruned =
-        pruning.Exec.use_goal_memo
-        &&
-        if Hashtbl.mem goal_memo key then true
-        else begin
-          Hashtbl.replace goal_memo key ();
-          false
-        end
-      in
-      if memo_pruned then incr pruned_visited
-      else
-        let dominance_pruned =
-          pruning.Exec.use_visited
-          &&
-          let stored = Option.value ~default:[] (Hashtbl.find_opt visited key) in
-          if
-            List.exists
-              (fun prev ->
-                List.length prev = List.length tags
-                && List.for_all2 Iset.subset prev tags)
-              stored
-          then true
-          else begin
-            Hashtbl.replace visited key (tags :: stored);
-            false
-          end
-        in
-        if dominance_pruned then incr pruned_visited
-        else Queue.add (node, depth) queue
-    end
+    else if
+      pruning.Exec.use_goal_memo
+      && List.exists is_pending node.body
+      && seen node
+    then incr pruned_visited
+    else Queue.add (node, depth) queue
   in
   let process node depth =
     incr nodes_expanded;
@@ -483,20 +366,18 @@ let search exec catalog (q : Query.t) =
     process node depth
   done;
   let rewritings = List.rev !emitted in
-  (* Final subsumption sweep: earlier emissions may be contained in
-     later, more general ones (the incremental check only looks
-     backwards). Equivalent pairs keep their first representative. *)
   let rewritings =
     if pruning.Exec.use_subsumption then subsumption_sweep ~exec rewritings
     else rewritings
   in
+  let kept = List.length rewritings in
   ( rewritings,
     {
       nodes_expanded = !nodes_expanded;
-      emitted = List.length rewritings;
+      emitted = kept;
       pruned_history = !pruned_history;
       pruned_visited = !pruned_visited;
-      pruned_subsumed = !pruned_subsumed;
+      pruned_subsumed = !emitted_count - kept;
       pruned_depth = !pruned_depth;
       lav_invocations = !lav_invocations;
       (* The loop stops at the cap or on an empty queue: nodes left

@@ -22,14 +22,18 @@
     Pruning heuristics ("our query answering algorithm is aided by
     heuristics that prune redundant and irrelevant paths through the
     space of mappings") are individually switchable for the ablation
-    benchmark through [exec.pruning] ({!Exec.pruning}). *)
+    benchmark through [exec.pruning] ({!Exec.pruning}). Each question
+    has one mechanism: history cuts cycles, the goal memo prunes
+    revisits, and one {!subsumption_sweep} per group drops subsumed
+    rewritings. *)
 
 type stats = {
   nodes_expanded : int;
   emitted : int;  (** the length of [rewritings] *)
   pruned_history : int;
-  pruned_visited : int;
+  pruned_visited : int;  (** nodes the goal memo dropped *)
   pruned_subsumed : int;
+      (** rewritings the sweep dropped: emissions minus survivors *)
   pruned_depth : int;
   lav_invocations : int;
   truncated : bool;
@@ -43,13 +47,14 @@ type outcome = { rewritings : Cq.Query.t list; stats : stats }
 
 val reformulate : ?exec:Exec.t -> Catalog.t -> Cq.Query.t -> outcome
 (** The rewritings range over stored predicates only. [exec] carries the
-    pruning configuration, the domain count for the final subsumption
-    sweep, and the tracer ({!Exec.default} when omitted);
-    the rewriting list is identical — same queries, same order — for
-    every value of [exec.jobs].
+    pruning configuration and the tracer ({!Exec.default} when omitted);
+    reformulation runs on the calling domain, so the rewriting list does
+    not depend on [exec.jobs].
 
-    [max_rewritings] bounds each group's search, and each group's union
-    is swept and minimised on its own. The product is expanded in full,
+    [max_rewritings] bounds each group's search: it counts every
+    rewriting the search emits, including those the group's sweep then
+    drops, so the cap bounds the search itself. Each group's union is
+    minimised and swept on its own. The product is expanded in full,
     first group outermost: its length is the product of the groups'
     union sizes (less any member whose groups bind one variable to two
     constants), which can exceed [max_rewritings]. A member is not swept
@@ -61,18 +66,14 @@ val reformulate : ?exec:Exec.t -> Catalog.t -> Cq.Query.t -> outcome
     [pdms.reformulate.*] metrics. *)
 
 val subsumption_sweep : ?exec:Exec.t -> Cq.Query.t list -> Cq.Query.t list
-(** The final all-pairs subsumption sweep on its own (exposed for the
+(** The subsumption sweep on its own (exposed for the
     reformulation-throughput benchmark): remove every rewriting
-    contained in another, keeping the first representative of each
-    equivalence class. Pairs are prefiltered by {!Cq.Signature}
-    compatibility before the homomorphism test; [exec.jobs > 1]
-    precomputes the containment verdicts in parallel and replays the
-    identical sequential keep loop, so the surviving rewritings are
-    deterministic and independent of [exec.jobs]. (The
-    [pdms.reformulate.sweep.pairs_*] telemetry counts {e do} vary with
-    [exec.jobs]: the sequential path short-circuits pairs whose operands
-    were already killed, the parallel path tests every
-    signature-compatible pair up front.) *)
+    contained in another; each maximal containment class keeps its
+    earliest member, in input order. Pairs are prefiltered by
+    {!Cq.Signature} compatibility before the homomorphism test. Runs on
+    the calling domain; [exec] supplies the tracer, under which it opens
+    a ["sweep"] span, and [pdms.reformulate.sweep.*] counts its
+    pairs. *)
 
 val pp_stats : Format.formatter -> stats -> unit
 (** One line of counts, ending in [" truncated"] when the cap dropped

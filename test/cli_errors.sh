@@ -1,8 +1,9 @@
 #!/bin/sh
 # Bad input to the revere CLI is refused with exit status 1 and exactly
-# one line on stderr: a file argument that cannot be read, and a peer
-# or drop probability `revere distributed` cannot use.  Faults on real
-# peers still exit 0.
+# one line on stderr: a file argument that cannot be read, a peer, drop
+# probability or latency `revere distributed` cannot use, and a data
+# directory `revere init` cannot create.  Faults on real peers still
+# exit 0.
 #
 # usage: sh cli_errors.sh PATH/TO/revere.exe
 set -u
@@ -11,6 +12,7 @@ work=$(mktemp -d)
 trap 'rm -rf "$work"' EXIT
 cd "$work" || exit 2
 mkdir adir
+: > afile
 cat > ok.pdms <<'PDMS'
 peer mit
 relation subject(id, name)
@@ -56,6 +58,11 @@ expect 1 1 distributed --at nopeer ok.pdms "$query"
 expect 1 1 distributed --at mit --fail-peer nopeer ok.pdms "$query"
 expect 1 1 distributed --at mit --flaky 2.0 ok.pdms "$query"
 expect 1 1 distributed --at mit --flaky=-1 ok.pdms "$query"
+expect 1 1 distributed --at mit --latency=-5 ok.pdms "$query"
+expect 1 1 distributed --at mit --latency nan ok.pdms "$query"
+expect 1 1 distributed --at mit --latency inf ok.pdms "$query"
+expect 1 1 init --data-dir afile ok.pdms
+expect 1 1 init --data-dir afile/sub ok.pdms
 expect 0 0 distributed --at mit ok.pdms "$query"
 expect 0 0 distributed --at mit --fail-peer uw --flaky 0.5 ok.pdms "$query"
 

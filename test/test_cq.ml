@@ -492,9 +492,7 @@ let test_signature_basics () =
   check_b "super has extra pred" false (Signature.compatible ~sub:s1 ~super:s2);
   (* Head arity mismatch is always incompatible. *)
   check_b "arity mismatch" false (Signature.compatible ~sub:s1 ~super:s3);
-  check_b "equal self" true (Signature.equal s1 (Signature.of_query q1));
-  check_b "distinct keys" false
-    (String.equal (Signature.key s1) (Signature.key s2))
+  check_b "equal self" true (Signature.equal s1 (Signature.of_query q1))
 
 (* ------------------------------------------------------------------ *)
 (* Plan: shared-prefix batch evaluation *)

@@ -2266,8 +2266,8 @@ let prop_parallel_answer_matches_sequential =
       P.Answer.answers_list (P.Answer.answer ~exec:(P.Exec.with_jobs 1) catalog query)
       = P.Answer.answers_list (P.Answer.answer ~exec:(P.Exec.with_jobs 4) catalog query))
 
-(* The parallel subsumption sweep must be invisible in the rewritings:
-   same queries, same order, for every [jobs]. *)
+(* Reformulation must not depend on [jobs]: same queries, same order,
+   for every value. *)
 let prop_parallel_reformulation_matches_sequential =
   QCheck.Test.make
     ~name:"reformulate ~jobs:4 emits identical rewritings to ~jobs:1"
@@ -3075,7 +3075,7 @@ let test_persist_typed_mapping_constants () =
    relevance filter, the catalog's rule index and the structural dedupe
    keys only skip work, so these digests must never move with them. *)
 
-let reformulation_digest catalog queries =
+let reformulation_digest ?(stats = true) catalog queries =
   let b = Buffer.create 4096 in
   List.iter
     (fun query ->
@@ -3085,8 +3085,9 @@ let reformulation_digest catalog queries =
           Buffer.add_string b (Query.to_string r);
           Buffer.add_char b '\n')
         o.P.Reformulate.rewritings;
-      Buffer.add_string b
-        (Format.asprintf "%a\n" P.Reformulate.pp_stats o.P.Reformulate.stats))
+      if stats then
+        Buffer.add_string b
+          (Format.asprintf "%a\n" P.Reformulate.pp_stats o.P.Reformulate.stats))
     queries;
   Digest.to_hex (Digest.string (Buffer.contents b))
 
@@ -3300,6 +3301,73 @@ let test_reformulation_truncated () =
   check_b "stats line says truncated" true
     (String.ends_with ~suffix:" truncated" line)
 
+(* Three peers whose cyclic mappings make most of a three-atom chain's
+   emissions subsumed: o1.course is defined from o0's, o1.course and
+   o2.course are equal, instr flows o0 -> o1 -> o2, and two GLAV
+   inclusions lead from o2 back to o0, one joining course and instr,
+   one projecting course onto instr's code. No rows are needed. *)
+let subsumption_catalog () =
+  let catalog = P.Catalog.create () in
+  let schema = [ ("course", [ "code"; "title" ]); ("instr", [ "code"; "person" ]) ] in
+  let peer i stores =
+    let p = P.Peer.create ~name:(Printf.sprintf "o%d" i) ~schema in
+    P.Catalog.add_peer catalog p;
+    List.iter (fun rel -> ignore (P.Catalog.store_identity catalog p ~rel)) stores;
+    p
+  in
+  let o0 = peer 0 [ "course"; "instr" ] in
+  let o1 = peer 1 [ "course" ] in
+  let o2 = peer 2 [ "course"; "instr" ] in
+  let add m = ignore (P.Catalog.add_mapping catalog m) in
+  let xy = [ v "X"; v "Y" ] in
+  let side p rel = q (atom "m" xy) [ P.Peer.atom p rel xy ] in
+  add (P.Peer_mapping.definitional (q (P.Peer.atom o1 "course" xy) [ P.Peer.atom o0 "course" xy ]));
+  add (P.Peer_mapping.inclusion ~lhs:(side o0 "instr") ~rhs:(side o1 "instr"));
+  add (P.Peer_mapping.equality ~lhs:(side o1 "course") ~rhs:(side o2 "course"));
+  add (P.Peer_mapping.inclusion ~lhs:(side o1 "instr") ~rhs:(side o2 "instr"));
+  let ctp = [ v "C"; v "T"; v "P" ] in
+  let join p = [ P.Peer.atom p "course" [ v "C"; v "T" ]; P.Peer.atom p "instr" [ v "C"; v "P" ] ] in
+  add (P.Peer_mapping.inclusion ~lhs:(q (atom "m" ctp) (join o2)) ~rhs:(q (atom "m" ctp) (join o0)));
+  add
+    (P.Peer_mapping.inclusion
+       ~lhs:(q (atom "m" [ v "C" ]) [ P.Peer.atom o2 "course" [ v "C"; v "T" ] ])
+       ~rhs:(q (atom "m" [ v "C" ]) [ P.Peer.atom o0 "instr" [ v "C"; v "P" ] ]));
+  let course a = P.Peer.atom o0 "course" a and instr a = P.Peer.atom o0 "instr" a in
+  let c = v "C" and t = v "T" and p = v "P" and d = v "D" in
+  let chain = q (atom "ans" [ t; d ]) [ course [ c; t ]; instr [ c; p ]; instr [ d; p ] ] in
+  ( catalog,
+    chain,
+    [ chain;
+      q (atom "ans" [ t; p ]) [ course [ c; t ]; instr [ c; p ] ];
+      q (atom "ans" [ t; p ]) [ course [ c; t ]; instr [ d; p ] ];
+      q (atom "ans" [ c; t ]) [ course [ c; t ] ];
+      q (atom "ans" [ c; p ]) [ instr [ c; p ] ] ] )
+
+(* The cap counts every rewriting a search emits, subsumed ones
+   included: the chain's search emits hundreds of rewritings that the
+   sweep drops, and a cap of 100 must stop it there. *)
+let test_cap_bounds_search () =
+  let catalog, chain, _ = subsumption_catalog () in
+  let pruning = { P.Exec.default_pruning with max_rewritings = 100 } in
+  let stats =
+    (P.Reformulate.reformulate ~exec:(P.Exec.with_pruning pruning) catalog chain)
+      .P.Reformulate.stats
+  in
+  check_b "emissions within the cap" true
+    (stats.P.Reformulate.emitted + stats.P.Reformulate.pruned_subsumed <= 100);
+  check_b "truncated" true stats.P.Reformulate.truncated
+
+(* Subsumption drops rewritings on this catalog, and on no pinned
+   catalog above. The digest of the surviving lists (stats lines left
+   out, as they count the drops) was recorded while an emit-time check
+   ran before the sweep, and must not move with how subsumption is
+   checked. *)
+let test_subsumed_rewritings_identity () =
+  let catalog, _, queries = subsumption_catalog () in
+  Alcotest.(check string)
+    "chain, join, cross product, course, instr" "de815d38e33fb48f64de5314746c1ef5"
+    (reformulation_digest ~stats:false catalog queries)
+
 (* Answer rows pinned in insertion order. The answer-set tests compare
    sorted rows; these digests also pin the order in which rows reach
    the accumulator, for Answer.answer and for a fault-free
@@ -3511,6 +3579,10 @@ let () =
            test_reformulation_identity;
          Alcotest.test_case "rewriting cap reports truncation" `Quick
            test_reformulation_truncated;
+         Alcotest.test_case "rewriting cap bounds the search" `Quick
+           test_cap_bounds_search;
+         Alcotest.test_case "subsumed rewritings pinned" `Quick
+           test_subsumed_rewritings_identity;
          Alcotest.test_case "answer rows pinned on three catalogs" `Quick
            test_answer_order_identity;
          Alcotest.test_case "single-atom rewritings pinned" `Quick
