@@ -12,10 +12,9 @@
      revere search FILE WORD...           TF/IDF keyword search
      revere distributed FILE QUERY --at P peer-based execution plan
 
-   The last three share the execution-context flags: -j/--jobs plus the
-   on/off pairs --[no-]pruning, --[no-]trace and --[no-]metrics (see
-   [exec_term] below). Schema files use the format of
-   Corpus.Schema_parser. *)
+   The last three share the execution-context flags, the on/off pairs
+   --[no-]pruning, --[no-]trace and --[no-]metrics (see [exec_term]
+   below). Schema files use the format of Corpus.Schema_parser. *)
 
 open Cmdliner
 
@@ -285,7 +284,7 @@ let onoff name ~default ~on ~off =
           (false, info [ "no-" ^ name ] ~doc:off);
         ])
 
-let make_cli_exec jobs pruning trace metrics =
+let make_cli_exec pruning trace metrics =
   let pruning =
     if pruning then Pdms.Exec.default_pruning else Pdms.Exec.no_pruning
   in
@@ -294,21 +293,12 @@ let make_cli_exec jobs pruning trace metrics =
     match sink with Some s -> Obs.Trace.create s | None -> Obs.Trace.null
   in
   {
-    exec = Pdms.Exec.make ~jobs ~pruning ~trace:trace_t ();
+    exec = Pdms.Exec.make ~pruning ~trace:trace_t ();
     sink;
     show_metrics = metrics;
   }
 
 let exec_term =
-  let jobs =
-    Arg.(
-      value & opt int 1
-      & info [ "j"; "jobs" ] ~docv:"JOBS"
-          ~doc:
-            "Run the parallel phases (union evaluation, keyword scoring) \
-             with this many domains. Results are identical for every \
-             value.")
-  in
   let pruning =
     onoff "pruning" ~default:true
       ~on:"Enable the reformulation pruning heuristics."
@@ -329,7 +319,7 @@ let exec_term =
         "Print the Obs.Metrics counters accumulated by the run to stderr."
       ~off:"Do not print the counter snapshot."
   in
-  Term.(const make_cli_exec $ jobs $ pruning $ trace $ metrics)
+  Term.(const make_cli_exec $ pruning $ trace $ metrics)
 
 let report_cli_exec cli =
   (match cli.sink with
@@ -339,10 +329,21 @@ let report_cli_exec cli =
   if cli.show_metrics then
     prerr_string (Obs.Metrics.render (Obs.Metrics.snapshot ()))
 
+(* A head variable missing from the body has no value to take, so such
+   a query is refused here rather than by the engine. *)
 let parse_query_arg query_text =
   match Cq.Parser.parse_query query_text with
   | Error msg ->
       Printf.eprintf "query parse error: %s\n" msg;
+      exit 1
+  | Ok query when not (Cq.Query.is_safe query) ->
+      let body = Cq.Query.body_vars query in
+      let unbound =
+        List.filter (fun x -> not (List.mem x body)) (Cq.Query.head_vars query)
+      in
+      Printf.eprintf
+        "error: unsafe query: head variable %s does not occur in the body\n"
+        (List.hd unbound);
       exit 1
   | Ok query -> query
 

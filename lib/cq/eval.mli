@@ -21,8 +21,7 @@ val run_bindings : Relalg.Database.t -> Query.t -> binding list
 
 val add_distinct : Relalg.Relation.t -> Relalg.Relation.tuple -> unit
 (** Set-semantics append into a dedup accumulator: a {!Relalg.Relation.mem}
-    guard in front of a singleton {!Relalg.Relation.apply}. Exposed for
-    the layers merging sharded partial answers. *)
+    guard in front of a singleton {!Relalg.Relation.apply}. *)
 
 val run : Relalg.Database.t -> Query.t -> Relalg.Relation.t
 (** Distinct head tuples. Raises [Invalid_argument] on unsafe queries. *)
@@ -30,11 +29,9 @@ val run : Relalg.Database.t -> Query.t -> Relalg.Relation.t
 val run_union_into : Relalg.Relation.t -> Relalg.Database.t -> Query.t list -> int
 (** Evaluate every member and {!add_distinct} its head tuples into
     [out]: one shared hash-backed dedup set across the whole union,
-    instead of a per-member relation. Useful for merging the partial
-    results of sharded union evaluation. Returns the number of head
-    tuples produced {e before} deduplication (the union's dedup rate is
-    this minus the cardinality gained by [out]) — pre-dedup counts are
-    independent of sharding, so callers can report them for any [jobs]. *)
+    instead of a per-member relation. Returns the number of head tuples
+    produced {e before} deduplication (the union's dedup rate is this
+    minus the cardinality gained by [out]). *)
 
 val head_schema : Query.t -> Relalg.Schema.t
 (** The output schema [run] would build for the query's head. *)

@@ -2,11 +2,6 @@
    rewriting union. See plan.mli for the contract; the shape notes that
    matter for correctness:
 
-   - Every query is exactly one root-to-leaf path (its stats-ordered,
-     alpha-normalised body), so each query lives entirely under one
-     top-level branch. Sharding the walk across branches therefore
-     partitions the queries, and per-branch results merged in branch
-     order reproduce the sequential outcome for any [jobs].
    - Alpha-normalisation numbers variables by first occurrence along
      the path, and variable [p<i>] lives in slot [i] of the walk's
      environment. So the slots bound above a node are fixed by its path
@@ -498,13 +493,20 @@ and visit_all w = function
       visit w n;
       visit_all w ns
 
-(* Walk [branches] in one fresh environment; returns the bindings
-   reused. *)
-let walk t sources emit branches =
+(* Walk the whole trie in one fresh environment; returns the bindings
+   reused. Empty-body queries emit once, with no bindings, before any
+   branch runs. *)
+let walk t db emit =
+  List.iter (fun e -> emit e [||]) t.root.emits;
   let w =
-    { env = Array.make t.slots Relalg.Value.Null; sources; emit; reused = 0 }
+    {
+      env = Array.make t.slots Relalg.Value.Null;
+      sources = resolve db t;
+      emit;
+      reused = 0;
+    }
   in
-  visit_all w branches;
+  visit_all w t.root.children;
   w.reused
 
 let head_value env = function
@@ -521,80 +523,33 @@ let head_tuple e env =
   done;
   tuple
 
-let run_union_into ?(jobs = 1) ?(trace = Obs.Trace.null) out db t =
+let run_union_into ?(trace = Obs.Trace.null) out db t =
   Obs.Trace.span trace "trie_eval" @@ fun () ->
-  let sources = resolve db t in
-  let nq = Array.length t.queries in
-  let counts = Array.make nq 0 in
-  let emit_into rel counts e env =
+  let counts = Array.make (Array.length t.queries) 0 in
+  let emit e env =
     let tuple = head_tuple e env in
     counts.(e.query) <- counts.(e.query) + 1;
-    add_distinct rel tuple
+    add_distinct out tuple
   in
-  (* Empty-body queries emit once, with no bindings, before any branch
-     runs (same position in both the sequential and parallel orders). *)
-  List.iter (fun e -> emit_into out counts e [||]) t.root.emits;
-  let reused =
-    if jobs <= 1 || List.length t.root.children < 2 then
-      walk t sources (emit_into out counts) t.root.children
-    else begin
-      (* One partial relation per top-level branch, merged in branch
-         order through the shared accumulator's dedup set. Each query
-         lies under exactly one branch, so count slots never race; a
-         private counts array per branch keeps the write sets obviously
-         disjoint anyway. *)
-      let partials =
-        Util.Pool.map jobs
-          (fun branch ->
-            let partial = Relalg.Relation.create (Relalg.Relation.schema out) in
-            let local = Array.make nq 0 in
-            let reused = walk t sources (emit_into partial local) [ branch ] in
-            (partial, local, reused))
-          t.root.children
-      in
-      List.fold_left
-        (fun acc (partial, local, r) ->
-          Relalg.Relation.iter (add_distinct out) partial;
-          Array.iteri (fun i n -> counts.(i) <- counts.(i) + n) local;
-          acc + r)
-        0 partials
-    end
-  in
+  let reused = walk t db emit in
   Obs.Metrics.add m_reused reused;
   let tuples = Array.fold_left ( + ) 0 counts in
-  Obs.Trace.attr_i trace "jobs" jobs;
   Obs.Trace.attr_i trace "branches" (List.length t.root.children);
   Obs.Trace.attr_i trace "tuples" tuples;
   Obs.Trace.attr_i trace "bindings_reused" reused;
   Array.to_list counts
 
-let run_each ?(jobs = 1) ?(trace = Obs.Trace.null) db t =
+let run_each ?(trace = Obs.Trace.null) db t =
   Obs.Trace.span trace "trie_eval" @@ fun () ->
-  let sources = resolve db t in
   let outs =
     Array.map (fun q -> Relalg.Relation.create (head_schema q)) t.queries
   in
   let emit e env = add_distinct outs.(e.query) (head_tuple e env) in
-  List.iter (fun e -> emit e [||]) t.root.emits;
-  let reused =
-    if jobs <= 1 || List.length t.root.children < 2 then
-      walk t sources emit t.root.children
-    else
-      (* Each query's relation is written by exactly one branch (one
-         path per query), so branches write disjoint slots of [outs];
-         Pool.map's joins publish them to the caller. *)
-      List.fold_left ( + ) 0
-        (Util.Pool.map jobs
-           (fun branch -> walk t sources emit [ branch ])
-           t.root.children)
-  in
+  let reused = walk t db emit in
   Obs.Metrics.add m_reused reused;
-  Obs.Trace.attr_i trace "jobs" jobs;
   Obs.Trace.attr_i trace "branches" (List.length t.root.children);
   Obs.Trace.attr_i trace "bindings_reused" reused;
   Array.to_list outs
 
 let iter_assignments db t f =
-  let emit e env = f e.vars env in
-  List.iter (fun e -> emit e [||]) t.root.emits;
-  ignore (walk t (resolve db t) emit t.root.children : int)
+  ignore (walk t db (fun e env -> f e.vars env) : int)

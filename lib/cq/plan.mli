@@ -24,11 +24,7 @@
     mutable [Value.t array]; a scan or a one-column probe allocates
     nothing, and a matching row nothing but the head tuples it emits.
 
-    Evaluation walks the trie depth-first; with [jobs > 1] the walk is
-    sharded across top-level branches with {!Util.Pool} and per-branch
-    partial results are merged in branch order, so the answer set and
-    all reported counts are identical for every [jobs] (callers must
-    freeze the database first).
+    Evaluation walks the trie once, depth-first, in the calling domain.
 
     Instrumentation: [cq.plan.builds], [cq.plan.nodes],
     [cq.plan.shared_prefix_atoms] and [cq.plan.bindings_reused]
@@ -69,23 +65,20 @@ val of_query : Relalg.Database.t -> Query.t -> t
 val stats : t -> build_stats
 
 val run_union_into :
-  ?jobs:int -> ?trace:Obs.Trace.t -> Relalg.Relation.t ->
-  Relalg.Database.t -> t -> int list
+  ?trace:Obs.Trace.t -> Relalg.Relation.t -> Relalg.Database.t -> t ->
+  int list
 (** Walk the trie once, {!add_distinct}-ing every head tuple into the
     shared accumulator, with the same answer set as
     {!Eval.run_union_into} over the original list. Returns per-query
     pre-dedup tuple counts in input order — equal to
-    [|Eval.run_bindings q|] per query and independent of [jobs]. With
-    [jobs > 1] the caller must have frozen [db]. *)
+    [|Eval.run_bindings q|] per query. *)
 
 val run_each :
-  ?jobs:int -> ?trace:Obs.Trace.t -> Relalg.Database.t -> t ->
-  Relalg.Relation.t list
+  ?trace:Obs.Trace.t -> Relalg.Database.t -> t -> Relalg.Relation.t list
 (** Walk the trie once but give every query its own distinct-answer
     relation (schema from {!Eval.head_schema}), in input order —
     equivalent to [List.map (Eval.run db)] over the original list. Used
-    by the distributed executor, which sizes per-rewriting shipments.
-    With [jobs > 1] the caller must have frozen [db]. *)
+    by the distributed executor, which sizes per-rewriting shipments. *)
 
 val iter_assignments :
   Relalg.Database.t -> t -> (string array -> Relalg.Value.t array -> unit) ->

@@ -1,6 +1,5 @@
 type t = {
   head_arity : int;
-  body_len : int;
   preds : (string * int) list;  (* sorted by predicate name *)
 }
 
@@ -13,7 +12,6 @@ let of_query (q : Query.t) =
     q.Query.body;
   {
     head_arity = Atom.arity q.Query.head;
-    body_len = List.length q.Query.body;
     preds =
       Hashtbl.fold (fun p c acc -> (p, c) :: acc) counts []
       |> List.sort (fun (a, _) (b, _) -> String.compare a b);
@@ -33,7 +31,3 @@ let rec pred_names_subset smaller larger =
 let compatible ~sub ~super =
   sub.head_arity = super.head_arity
   && pred_names_subset super.preds sub.preds
-
-let equal a b =
-  a.head_arity = b.head_arity && a.body_len = b.body_len
-  && List.equal (fun (p, c) (q, d) -> c = d && String.equal p q) a.preds b.preds

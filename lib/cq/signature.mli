@@ -10,7 +10,6 @@
 
 type t = {
   head_arity : int;
-  body_len : int;  (** number of body atoms *)
   preds : (string * int) list;
       (** body predicate multiset, sorted by name, with occurrence
           counts *)
@@ -24,6 +23,3 @@ val compatible : sub:t -> super:t -> bool
     [super]'s predicate names a subset of [sub]'s. When it returns
     [false], [Containment.contained_in sub_q super_q] is certainly
     [false]; when [true], the full test must still run. *)
-
-val equal : t -> t -> bool
-(** Structural equality (arity, body length, exact multiset). *)

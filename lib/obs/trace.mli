@@ -10,9 +10,7 @@
     instrumentation can stay on permanently.
 
     Tracers are {e not} domain-safe: open spans and attach attributes only
-    from the coordinating domain.  Parallel workers should batch-count into
-    locals and let the coordinator record the totals — see the
-    "Observability" section of DESIGN.md. *)
+    from the domain that created the tracer. *)
 
 type t
 

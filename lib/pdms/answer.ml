@@ -13,16 +13,13 @@ let m_tuples_per_rw = Obs.Metrics.histogram "pdms.eval.tuples_per_rewriting"
 let eval_union ?(exec = Exec.default) db = function
   | [] -> invalid_arg "Answer.eval_union: empty union"
   | q0 :: _ as qs ->
-      let jobs = exec.Exec.jobs in
       let trace = exec.Exec.trace in
       Obs.Trace.span trace "eval" @@ fun () ->
-      (* One shared-prefix trie, walked once with [jobs] sharding its
-         top-level branches; the per-rewriting pre-dedup tuple counts
-         are |run_bindings q| per query, so identical for every [jobs]. *)
-      if jobs > 1 then Relalg.Database.freeze db;
+      (* One shared-prefix trie, walked once; the per-rewriting pre-dedup
+         tuple counts are |run_bindings q| per query. *)
       let plan = Cq.Plan.build ~trace db qs in
       let out = Relalg.Relation.create (Cq.Eval.head_schema q0) in
-      let per_rewriting = Cq.Plan.run_union_into ~jobs ~trace out db plan in
+      let per_rewriting = Cq.Plan.run_union_into ~trace out db plan in
       let tuples = List.fold_left ( + ) 0 per_rewriting in
       let answers = Relalg.Relation.cardinality out in
       Obs.Metrics.incr m_unions;
@@ -32,7 +29,6 @@ let eval_union ?(exec = Exec.default) db = function
         (fun n -> Obs.Metrics.observe m_tuples_per_rw (float_of_int n))
         per_rewriting;
       Obs.Trace.attr_i trace "rewritings" (List.length qs);
-      Obs.Trace.attr_i trace "jobs" jobs;
       Obs.Trace.attr_i trace "tuples" tuples;
       Obs.Trace.attr_i trace "answers" answers;
       Obs.Trace.attr_i trace "dedup_dropped" (tuples - answers);

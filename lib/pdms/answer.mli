@@ -10,30 +10,24 @@ type result = {
 }
 
 val answer : ?exec:Exec.t -> Catalog.t -> Cq.Query.t -> result
-(** [exec] ({!Exec.default} when omitted) carries pruning, the domain
-    count and the tracer. [exec.jobs > 1] parallelises the union
-    evaluation, which walks the rewritings' shared-prefix trie over the
-    live global database, frozen first, with the trie's top-level
-    branches sharded across domains (see {!eval_union}). The rewriting
-    list and the answer {e set} are identical for every [exec.jobs].
-    Opens an ["answer"]
-    span on [exec.trace] with ["reformulate"] (and its ["sweep"]) and
-    ["eval"] children, and records [pdms.answer.*] metrics. With no
-    rewriting the answer is empty, shaped by {!Cq.Eval.head_schema}. *)
+(** [exec] ({!Exec.default} when omitted) carries pruning and the
+    tracer. The union of rewritings is evaluated over the live global
+    database (see {!eval_union}). Opens an ["answer"] span on
+    [exec.trace] with ["reformulate"] (and its ["sweep"]) and ["eval"]
+    children, and records [pdms.answer.*] metrics. With no rewriting
+    the answer is empty, shaped by {!Cq.Eval.head_schema}. Raises
+    [Invalid_argument] on an unsafe query (see
+    {!Reformulate.reformulate}). *)
 
 val eval_union :
   ?exec:Exec.t -> Relalg.Database.t -> Cq.Query.t list -> Relalg.Relation.t
 (** Evaluate a union of rewritings over [db]: the rewritings, one or
     many, are compiled into one {!Cq.Plan} shared-prefix trie and
-    walked once, with [exec.jobs > 1] sharding the walk across the
-    trie's top-level branches. In that case the database is frozen
-    ({!Relalg.Database.freeze}) and must not be mutated concurrently.
-    A single rewriting's rows land in the order
+    walked once. A single rewriting's rows land in the order
     {!Cq.Eval.run_union_into} adds them.
     Raises on an empty list. Opens an ["eval"] span (with ["plan"] and
     ["trie_eval"] children) and records [pdms.eval.*] metrics
-    (per-rewriting pre-dedup tuple counts and the union dedup rate —
-    both independent of [exec.jobs]). *)
+    (per-rewriting pre-dedup tuple counts and the union dedup rate). *)
 
 val answers_list : result -> string list list
 (** Answer tuples rendered as strings, sorted lexicographically with

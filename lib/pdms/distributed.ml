@@ -177,15 +177,10 @@ let execute ?(exec = Exec.default) catalog network ~at query =
      — shared prefixes are still computed once. *)
   let results =
     Obs.Trace.span trace "eval" @@ fun () ->
-    let jobs = exec.Exec.jobs in
-    Obs.Trace.attr_i trace "jobs" jobs;
     Obs.Trace.attr_i trace "rewritings" (List.length rewritings);
     match rewritings with
     | [] -> []
-    | _ ->
-        if jobs > 1 then Relalg.Database.freeze db;
-        let plan = Cq.Plan.build ~trace db rewritings in
-        Cq.Plan.run_each ~jobs ~trace db plan
+    | _ -> Cq.Plan.run_each ~trace db (Cq.Plan.build ~trace db rewritings)
   in
   let planned, candidates_total =
     Obs.Trace.span trace "plan" @@ fun () ->
@@ -205,8 +200,7 @@ let execute ?(exec = Exec.default) catalog network ~at query =
     (planned, candidates_total)
   in
   (* Transfers run sequentially with a constant-seeded jitter stream, so
-     plans (and retry schedules) are reproducible and independent of
-     [jobs]. *)
+     plans (and retry schedules) are reproducible. *)
   let totals = { t_attempts = 0; t_retries = 0; t_backoff = 0.0 } in
   let prng = Util.Prng.create 0x5e7d in
   let survived, failed =

@@ -65,16 +65,15 @@ val execute :
     shared-prefix trie in per-query mode ({!Cq.Plan.run_each}), so
     shared joins run once while each rewriting still gets its own answer
     relation. With no surviving rewriting the answer is empty, shaped by
-    {!Cq.Eval.head_schema} of the query.
-    [exec.jobs] parallelises the trie walk, over the live global
-    database frozen first; rewritings, plans, costs and retry schedules are
-    unaffected (transfers are sequential with a
-    constant-seeded jitter stream). Opens a ["distributed.execute"] span
+    {!Cq.Eval.head_schema} of the query. Transfers run sequentially
+    with a constant-seeded jitter stream, so plans, costs and retry
+    schedules are reproducible. Opens a ["distributed.execute"] span
     (children ["reformulate"], ["eval"], ["plan"], ["transfer"]) and
     records [pdms.distributed.*] metrics — chosen vs. rejected candidate
     sites, per-site fetch/ship cost histograms, and
     [pdms.distributed.partial] / [pdms.distributed.rewritings_dropped]
-    when the answer is incomplete. *)
+    when the answer is incomplete. Raises [Invalid_argument] on an
+    unsafe query (see {!Reformulate.reformulate}). *)
 
 val report_to_string : completeness -> string
 (** One-line rendering for CLIs and logs. *)

@@ -45,7 +45,6 @@ let default_retry =
   { max_attempts = 3; timeout_ms = 10_000.0; backoff = default_backoff }
 
 type t = {
-  jobs : int;
   pruning : pruning;
   retry : retry;
   trace : Obs.Trace.t;
@@ -53,15 +52,13 @@ type t = {
 
 let default =
   {
-    jobs = 1;
     pruning = default_pruning;
     retry = default_retry;
     trace = Obs.Trace.null;
   }
 
-let make ?(jobs = 1) ?(pruning = default_pruning) ?(retry = default_retry)
+let make ?(pruning = default_pruning) ?(retry = default_retry)
     ?(trace = Obs.Trace.null) () =
-  { jobs; pruning; retry; trace }
+  { pruning; retry; trace }
 
-let with_jobs jobs = { default with jobs }
 let with_pruning pruning = { default with pruning }

@@ -1,9 +1,8 @@
 (** Execution contexts for the answer path.
 
-    One [Exec.t] record carries the domain count, the pruning
-    configuration, the retry policy and the span tracer through
-    {!Answer}, {!Reformulate}, {!Distributed}, {!Keyword}, {!Cache} and
-    {!Propagate}.  Callers that don't care pass nothing and get
+    One [Exec.t] record carries the pruning configuration, the retry
+    policy and the span tracer through {!Answer}, {!Reformulate},
+    {!Distributed}, {!Keyword}, {!Cache} and {!Propagate}.  Callers that don't care pass nothing and get
     {!default}; callers that do build one context and reuse it across
     calls.  No field selects an algorithm: answering, keyword search and
     delta maintenance each have one implementation, and results never
@@ -76,7 +75,6 @@ val default_retry : retry
 (** 3 attempts, 10 s per-attempt deadline, {!default_backoff}. *)
 
 type t = {
-  jobs : int;  (** domains for the parallel phases (1 = sequential) *)
   pruning : pruning;
   retry : retry;
       (** retry/timeout/backoff policy for simulated network sends
@@ -87,14 +85,10 @@ type t = {
 }
 
 val default : t
-(** [jobs = 1], {!default_pruning}, {!default_retry}, no tracing. *)
+(** {!default_pruning}, {!default_retry}, no tracing. *)
 
 val make :
-  ?jobs:int -> ?pruning:pruning -> ?retry:retry -> ?trace:Obs.Trace.t ->
-  unit -> t
-
-val with_jobs : int -> t
-(** [with_jobs n] is {!default} with [jobs = n]. *)
+  ?pruning:pruning -> ?retry:retry -> ?trace:Obs.Trace.t -> unit -> t
 
 val with_pruning : pruning -> t
 (** [with_pruning p] is {!default} with [pruning = p]. *)

@@ -23,15 +23,12 @@ let m_skipped = Obs.Metrics.counter "pdms.kwindex.skipped_by_bound"
    heap is full, a candidate not above its floor is one [Topk.add]
    would reject (equal scores lose to the earlier insertion), so it
    builds no hit; the survivors keep their relative order. *)
-let indexed ~jobs ~trace ~limit entries query_toks =
+let indexed ~trace ~limit entries query_toks =
   let stamp, corpus = Kwindex.corpus entries in
   let query_vec = Util.Tfidf.vectorize corpus query_toks in
   let probes =
     Obs.Trace.span trace "kwindex.probe" @@ fun () ->
-    Obs.Trace.attr_i trace "jobs" jobs;
-    Util.Pool.map jobs
-      (fun e -> Kwindex.probe e ~stamp corpus query_vec)
-      entries
+    List.map (fun e -> Kwindex.probe e ~stamp corpus query_vec) entries
   in
   let candidates = ref 0 and skipped = ref 0 in
   let hits =
@@ -72,7 +69,6 @@ let indexed ~jobs ~trace ~limit entries query_toks =
   (hits, !candidates, !skipped)
 
 let search ?(limit = 10) ?(exec = Exec.default) ?network catalog keywords =
-  let jobs = exec.Exec.jobs in
   let trace = exec.Exec.trace in
   Obs.Trace.span trace "keyword.search" @@ fun () ->
   let db = Catalog.global_db catalog in
@@ -105,9 +101,7 @@ let search ?(limit = 10) ?(exec = Exec.default) ?network catalog keywords =
     entries
   in
   let query_toks = List.map Util.Stemmer.stem (Util.Tokenize.words keywords) in
-  let hits, candidates, skipped =
-    indexed ~jobs ~trace ~limit entries query_toks
-  in
+  let hits, candidates, skipped = indexed ~trace ~limit entries query_toks in
   let n_entries = List.length entries in
   Obs.Metrics.incr m_searches;
   Obs.Metrics.add m_scored candidates;

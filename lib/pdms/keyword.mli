@@ -27,12 +27,11 @@ val search :
     list is byte-identical to re-vectorizing and cosine-scoring every
     reachable tuple — scores, order, and tie-breaks (see {!Kwindex}).
 
-    [exec.jobs] shards posting accumulation across domains; the
-    ranking is identical for every value. When [network] is given,
-    relations owned by a peer that {!Network.Fault.is_down} are
-    excluded at query time — search degrades to the reachable part of
-    the PDMS instead of pretending dead peers answered, and the index
-    entries survive for when the peer heals.
+    When [network] is given, relations owned by a peer that
+    {!Network.Fault.is_down} are excluded at query time — search
+    degrades to the reachable part of the PDMS instead of pretending
+    dead peers answered, and the index entries survive for when the
+    peer heals.
 
     Opens a ["keyword.search"] span (children ["kwindex.build"],
     ["kwindex.probe"], ["rank"]) and records [pdms.keyword.*] plus

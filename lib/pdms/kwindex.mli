@@ -139,7 +139,7 @@ val probe :
     token-ascending (as {!Util.Tfidf.vectorize} output is). Computes
     and caches the entry's weights for [stamp] on first use — from the
     previous stamp's when [stamp] patched it — safe to call from
-    parallel shards as long as each entry is probed by one shard. *)
+    several domains as long as each entry is probed by one of them. *)
 
 val reset : unit -> unit
 (** Make every relation's entry cold, so the next {!get} rebuilds it,

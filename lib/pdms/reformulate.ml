@@ -493,6 +493,8 @@ let search_group exec catalog (q : Query.t) groups i group =
   (List.map (part ~suffix:(Printf.sprintf "~j%d" i) shared) rewritings, stats)
 
 let reformulate ?(exec = Exec.default) catalog (q : Query.t) =
+  if not (Query.is_safe q) then
+    invalid_arg "Reformulate.reformulate: unsafe query";
   let trace = exec.Exec.trace in
   Obs.Trace.span trace "reformulate" @@ fun () ->
   let rewritings, stats =

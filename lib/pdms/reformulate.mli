@@ -47,9 +47,9 @@ type outcome = { rewritings : Cq.Query.t list; stats : stats }
 
 val reformulate : ?exec:Exec.t -> Catalog.t -> Cq.Query.t -> outcome
 (** The rewritings range over stored predicates only. [exec] carries the
-    pruning configuration and the tracer ({!Exec.default} when omitted);
-    reformulation runs on the calling domain, so the rewriting list does
-    not depend on [exec.jobs].
+    pruning configuration and the tracer ({!Exec.default} when omitted).
+    Raises [Invalid_argument] when [q] is unsafe (a head variable does
+    not occur in its body), so every caller refuses such a query alike.
 
     [max_rewritings] bounds each group's search: it counts every
     rewriting the search emits, including those the group's sweep then

@@ -29,8 +29,6 @@ let names t =
 let total_tuples t =
   Hashtbl.fold (fun _ rel acc -> acc + Relation.cardinality rel) t 0
 
-let freeze t = Hashtbl.iter (fun _ rel -> Relation.freeze rel) t
-
 let copy t =
   let out = create () in
   Hashtbl.iter (fun _ rel -> add_relation out (Relation.copy rel)) t;

@@ -19,9 +19,4 @@ val names : t -> string list
 val total_tuples : t -> int
 val copy : t -> t
 
-val freeze : t -> unit
-(** [Relation.freeze] every relation, making subsequent lookups
-    mutation-free — call before sharing the database read-only across
-    domains. *)
-
 val pp : Format.formatter -> t -> unit

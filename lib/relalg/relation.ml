@@ -97,8 +97,7 @@ type t = {
   mutable log_entries : int;
   mutable log_tuples : int;
   mutable log_floor : int;
-  (* At most one slot per derived kind.  The one field a frozen relation
-     still writes, so it is read and written only under
+  (* At most one slot per derived kind, read and written only under
      [Derived.lock]. *)
   mutable derived : slot list;
 }
@@ -431,11 +430,6 @@ let find_by_bound t bound =
       | (_, best) :: ((col2, v2), _) :: _ ->
           List.filter (fun row -> Value.equal row.(col2) v2) best
       | _ -> assert false)
-
-let freeze t =
-  for col = 0 to Schema.arity t.schema - 1 do
-    if Option.is_none t.indexes.(col) then ignore (build_index t col)
-  done
 
 let of_tuples schema rows =
   let t = create schema in

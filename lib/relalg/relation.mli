@@ -93,8 +93,8 @@ val delta_floor : t -> int
     latter counted in [pdms.delta.rebuild_fallbacks]).
 
     One process-wide lock covers every lookup, patch and install, so
-    domains may share a {!freeze}d relation: its slot list is the one
-    field still written, and only under that lock.  Builds run outside
+    domains sharing a relation may ask for its derived state at once:
+    its slot list is written only under that lock.  Builds run outside
     it; racing builders of one state all get the value installed
     first. *)
 module Derived : sig
@@ -149,13 +149,6 @@ val find_by_bound : t -> (int * Value.t) list -> tuple list
     filtered by the runner-up column). With two or more bindings the
     result may still contain tuples violating the {e remaining}
     bindings — callers must re-verify. [[]] returns all tuples. *)
-
-val freeze : t -> unit
-(** Build the index for every column, so that subsequent [find_by] /
-    [find_by_bound] calls are mutation-free — the precondition for
-    sharing the relation read-only across domains ({!Derived} slots
-    are written under their own lock). A later {!apply} re-enters the
-    ordinary (single-domain) regime. *)
 
 val of_tuples : Schema.t -> tuple list -> t
 

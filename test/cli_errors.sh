@@ -1,6 +1,7 @@
 #!/bin/sh
 # Bad input to the revere CLI is refused with exit status 1 and exactly
-# one line on stderr: a file argument that cannot be read, a peer, drop
+# one line on stderr: a file argument that cannot be read, an unsafe
+# query (a head variable missing from the body), a peer, drop
 # probability or latency `revere distributed` cannot use, and a data
 # directory `revere init` cannot create.  Faults on real peers still
 # exit 0.
@@ -29,6 +30,8 @@ lhs m(C, T) :- mit.subject(C, T)
 rhs m(C, T) :- uw.course(C, T)
 PDMS
 query='q(C, T) :- uw.course(C, T)'
+unsafe_join='q(X, Z) :- uw.course(X, Y), mit.subject(X, Y)'
+unsafe_one='q(X, Z) :- uw.course(X, Y)'
 failures=0
 
 # expect STATUS LINES ARG...: `revere ARG...` exits STATUS and writes
@@ -54,6 +57,10 @@ expect 1 1 search adir word
 expect 1 1 advise adir
 expect 1 1 match adir adir
 expect 1 1 init --data-dir d adir
+expect 1 1 answer ok.pdms "$unsafe_join"
+expect 1 1 answer ok.pdms "$unsafe_one"
+expect 1 1 distributed --at mit ok.pdms "$unsafe_join"
+expect 1 1 distributed --at mit ok.pdms "$unsafe_one"
 expect 1 1 distributed --at nopeer ok.pdms "$query"
 expect 1 1 distributed --at mit --fail-peer nopeer ok.pdms "$query"
 expect 1 1 distributed --at mit --flaky 2.0 ok.pdms "$query"

@@ -1,8 +1,8 @@
-(** Naive-fixpoint datalog evaluation. Used to materialise the
-    consequences of definitional peer mappings and to check PDMS answer
-    completeness in tests. *)
+(** Naive-fixpoint Datalog evaluation, each rule evaluated with
+    {!Nested_loop}: the certain-answer semantics that PDMS answers are
+    checked against in tests, sharing no code with the join engine. *)
 
-type program = Query.t list
+type program = Cq.Query.t list
 (** Each query is a rule [head :- body]; head predicates are IDB. *)
 
 val eval : Relalg.Database.t -> program -> Relalg.Database.t
@@ -12,5 +12,6 @@ val eval : Relalg.Database.t -> program -> Relalg.Database.t
     relation already exists in the EDB with a different arity, or if a
     rule is unsafe. *)
 
-val query : Relalg.Database.t -> program -> Query.t -> Relalg.Relation.t
-(** Evaluate the program to fixpoint, then run the query on top. *)
+val query : Relalg.Database.t -> program -> Cq.Query.t -> Relalg.Relation.t
+(** Evaluate the program to fixpoint, then run the query on top with
+    {!Nested_loop.run}. *)

@@ -41,27 +41,22 @@ let keyword_slot_scores entries query_toks =
   List.map (fun (e, id, toks) -> (e, id, scan_score corpus query_vec toks)) docs
 
 (* Rebuild the corpus and re-vectorize every live tuple per call. *)
-let brute ~jobs ~trace ~limit entries query_toks =
+let brute ~trace ~limit entries query_toks =
   let docs = live_docs entries in
   let corpus, query_vec = scan_corpus docs query_toks in
-  (* Scoring is pure, so it shards across domains; chunks are contiguous
-     and re-concatenated in order, keeping the ranking (tie-breaks
-     included) identical to the sequential pass. *)
   let scored =
     Obs.Trace.span trace "score" @@ fun () ->
-    Obs.Trace.attr_i trace "jobs" jobs;
-    Util.Pool.chunk (max 1 jobs) docs
-    |> Util.Pool.map jobs
-         (List.map (fun (e, id, toks) ->
-              let score = scan_score corpus query_vec toks in
-              ( score,
-                {
-                  Pdms.Keyword.peer = e.Pdms.Kwindex.peer;
-                  stored_rel = e.Pdms.Kwindex.rel_name;
-                  tuple = e.Pdms.Kwindex.tuples.(id);
-                  score;
-                } )))
-    |> List.concat
+    List.map
+      (fun (e, id, toks) ->
+        let score = scan_score corpus query_vec toks in
+        ( score,
+          {
+            Pdms.Keyword.peer = e.Pdms.Kwindex.peer;
+            stored_rel = e.Pdms.Kwindex.rel_name;
+            tuple = e.Pdms.Kwindex.tuples.(id);
+            score;
+          } ))
+      docs
   in
   Obs.Trace.span trace "rank" @@ fun () ->
   let top = Util.Topk.create limit in
@@ -93,8 +88,7 @@ let keyword_search ?(limit = 10) ?(exec = Pdms.Exec.default) ?network catalog
              (Pdms.Kwindex.get ~rel_name (Relalg.Database.find db rel_name)))
   in
   let query_toks = List.map Util.Stemmer.stem (Util.Tokenize.words keywords) in
-  brute ~jobs:exec.Pdms.Exec.jobs ~trace:exec.Pdms.Exec.trace ~limit entries
-    query_toks
+  brute ~trace:exec.Pdms.Exec.trace ~limit entries query_toks
 
 let stats_scan rel =
   let arity = Relalg.Schema.arity (Relalg.Relation.schema rel) in

@@ -31,8 +31,7 @@ val keyword_search :
     reachable relation re-vectorized and cosine-scored per call.
     Tokens come from the same {!Pdms.Kwindex} entries, so the hit list
     is bit-identical to the index's — scores, order and tie-breaks.
-    [exec.jobs] shards the scoring; the ranking is the same for every
-    value.  Opens ["score"] and ["rank"] spans on [exec.trace]. *)
+    Opens ["score"] and ["rank"] spans on [exec.trace]. *)
 
 val keyword_slot_scores :
   Pdms.Kwindex.entry list -> string list -> (Pdms.Kwindex.entry * int * float) list

@@ -211,7 +211,7 @@ let test_datalog_transitive_closure () =
       q (atom "path" [ v "X"; v "Z" ])
         [ atom "edge" [ v "X"; v "Y" ]; atom "path" [ v "Y"; v "Z" ] ] ]
   in
-  let result = Datalog.eval db program in
+  let result = Oracle.Datalog.eval db program in
   check_i "paths" 6 (Relalg.Relation.cardinality (Relalg.Database.find result "path"));
   check_i "edb preserved" 3
     (Relalg.Relation.cardinality (Relalg.Database.find result "edge"));
@@ -223,7 +223,7 @@ let test_datalog_unsafe_rule_rejected () =
   let bad = q (atom "p" [ v "X" ]) [ atom "r" [ v "Y" ] ] in
   check_b "raises" true
     (try
-       ignore (Datalog.eval db [ bad ]);
+       ignore (Oracle.Datalog.eval db [ bad ]);
        false
      with Invalid_argument _ -> true)
 
@@ -491,8 +491,7 @@ let test_signature_basics () =
   (* ...but q1 ⊑ q2 is impossible: q1 has no [t] atom to map onto. *)
   check_b "super has extra pred" false (Signature.compatible ~sub:s1 ~super:s2);
   (* Head arity mismatch is always incompatible. *)
-  check_b "arity mismatch" false (Signature.compatible ~sub:s1 ~super:s3);
-  check_b "equal self" true (Signature.equal s1 (Signature.of_query q1))
+  check_b "arity mismatch" false (Signature.compatible ~sub:s1 ~super:s3)
 
 (* ------------------------------------------------------------------ *)
 (* Plan: shared-prefix batch evaluation *)
@@ -588,8 +587,7 @@ let test_arity_mismatch_counter () =
   check_b "counter bumped" true (after > before)
 
 (* Batch ≡ baseline on random unions: same union tuples, same
-   per-query pre-dedup counts, same per-query answer relations, for
-   sequential and sharded walks. *)
+   per-query pre-dedup counts, same per-query answer relations. *)
 let prop_plan_matches_per_rewriting =
   QCheck.Test.make ~name:"trie batch = per-rewriting union (any jobs)"
     ~count:300
@@ -605,61 +603,16 @@ let prop_plan_matches_per_rewriting =
         List.map (fun qq -> Eval.run_union_into base db [ qq ]) qs
       in
       let base_each = List.map (fun qq -> rel_rows (Eval.run db qq)) qs in
-      let check_jobs jobs =
-        if jobs > 1 then Relalg.Database.freeze db;
-        let plan = Plan.build db qs in
-        let out = Relalg.Relation.create (Eval.head_schema q0) in
-        let counts = Plan.run_union_into ~jobs out db plan in
-        rel_rows out = rel_rows base
-        && counts = base_counts
-        && List.map rel_rows (Plan.run_each ~jobs db plan) = base_each
-      in
-      check_jobs 1 && check_jobs 3)
+      let plan = Plan.build db qs in
+      let out = Relalg.Relation.create (Eval.head_schema q0) in
+      let counts = Plan.run_union_into out db plan in
+      rel_rows out = rel_rows base
+      && counts = base_counts
+      && List.map rel_rows (Plan.run_each db plan) = base_each)
 
 (* ------------------------------------------------------------------ *)
-(* An independent oracle for the join engine: nested loops over
-   Relation.tuples in body order, association-list bindings, and
-   [Value.compare _ _ = 0] as equality. Eval and Plan run the same
-   compiled steps, so comparing them with each other cannot catch a bug
-   they share; this evaluator takes nothing from either. *)
-
-let value_eq a b = Relalg.Value.compare a b = 0
-
-(* Extend [b] across [args] against [row], if the row matches. *)
-let rec oracle_extend b row i = function
-  | [] -> Some b
-  | Term.Const c :: args ->
-      if value_eq c row.(i) then oracle_extend b row (i + 1) args else None
-  | Term.Var x :: args -> (
-      match List.assoc_opt x b with
-      | Some v ->
-          if value_eq v row.(i) then oracle_extend b row (i + 1) args else None
-      | None -> oracle_extend ((x, row.(i)) :: b) row (i + 1) args)
-
-(* Every satisfying assignment, as a bag: a missing relation or an
-   atom of the wrong arity has no matching rows. *)
-let oracle_assignments db (query : Query.t) =
-  List.fold_left
-    (fun bindings (a : Atom.t) ->
-      match Relalg.Database.find_opt db a.Atom.pred with
-      | None -> []
-      | Some rel ->
-          let rows = Relalg.Relation.tuples rel in
-          List.concat_map
-            (fun b ->
-              List.filter_map
-                (fun row ->
-                  if Array.length row <> Atom.arity a then None
-                  else oracle_extend b row 0 a.Atom.args)
-                rows)
-            bindings)
-    [ [] ] query.Query.body
-
-let oracle_head (query : Query.t) b =
-  Array.of_list
-    (List.map
-       (function Term.Const v -> v | Term.Var x -> List.assoc x b)
-       query.Query.head.Atom.args)
+(* The join engine against an independent oracle, the nested-loop
+   evaluator of test/reference. *)
 
 let compare_tuples a b =
   List.compare Relalg.Value.compare (Array.to_list a) (Array.to_list b)
@@ -754,11 +707,12 @@ let prop_engine_matches_oracle =
         Obs.Metrics.counter_value (Obs.Metrics.snapshot ()) "cq.eval.arity_mismatch"
       in
       let before = mismatches () in
-      let assignments = List.map (oracle_assignments db) qs in
+      let assignments = List.map (Oracle.Nested_loop.assignments db) qs in
       let counts = List.map List.length assignments in
       let each =
-        List.map2 (fun qq bs -> tuple_set (List.map (oracle_head qq) bs)) qs
-          assignments
+        List.map2
+          (fun qq bs -> tuple_set (List.map (Oracle.Nested_loop.head qq) bs))
+          qs assignments
       in
       let union = tuple_set (List.concat each) in
       let fresh () = Relalg.Relation.create (Eval.head_schema (List.hd qs)) in
@@ -770,13 +724,12 @@ let prop_engine_matches_oracle =
         Eval.run_union_into out db qs = List.fold_left ( + ) 0 counts
         && holds union out
       in
-      let plan_ok jobs =
-        if jobs > 1 then Relalg.Database.freeze db;
+      let plan_ok =
         let plan = Plan.build db qs in
         let out = fresh () in
-        Plan.run_union_into ~jobs out db plan = counts
+        Plan.run_union_into out db plan = counts
         && holds union out
-        && List.for_all2 holds each (Plan.run_each ~jobs db plan)
+        && List.for_all2 holds each (Plan.run_each db plan)
       in
       (* A body of wrong-arity atoms only visits one of them first. *)
       let mismatched (a : Atom.t) =
@@ -791,7 +744,7 @@ let prop_engine_matches_oracle =
             qq.Query.body <> [] && List.for_all mismatched qq.Query.body)
           qs
       in
-      eval_ok && plan_ok 1 && plan_ok 3
+      eval_ok && plan_ok
       && ((not lone_mismatch) || mismatches () > before))
 
 let () =

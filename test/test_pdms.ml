@@ -44,6 +44,29 @@ let test_two_peer_equality () =
   check_b "some rewriting emitted" true
     (result.P.Answer.outcome.P.Reformulate.stats.P.Reformulate.emitted > 0)
 
+(* A head variable absent from the body has no value: reformulation
+   refuses the query, so every answer path fails the same way whether
+   its rewritings would have been empty (one atom) or not (the join). *)
+let test_unsafe_query_refused () =
+  let catalog, uw, mit = two_peer_catalog `Equality in
+  let xy = [ v "X"; v "Y" ] in
+  let unsafe body = q (atom "q" [ v "X"; v "Z" ]) body in
+  let network = P.Distributed.network_of_catalog catalog ~latency_ms:1.0 in
+  let cache = P.Cache.create catalog () in
+  let refused = Invalid_argument "Reformulate.reformulate: unsafe query" in
+  List.iter
+    (fun query ->
+      Alcotest.check_raises "reformulate" refused (fun () ->
+          ignore (P.Reformulate.reformulate catalog query));
+      Alcotest.check_raises "answer" refused (fun () ->
+          ignore (P.Answer.answer catalog query));
+      Alcotest.check_raises "distributed" refused (fun () ->
+          ignore (P.Distributed.execute catalog network ~at:"uw" query));
+      Alcotest.check_raises "cache" refused (fun () ->
+          ignore (P.Cache.answer cache query)))
+    [ unsafe [ P.Peer.atom uw "course" xy; P.Peer.atom mit "subject" xy ];
+      unsafe [ P.Peer.atom uw "course" xy ] ]
+
 let test_two_peer_inclusion_directionality () =
   let catalog, uw, mit = two_peer_catalog `Inclusion in
   (* mit.subject ⊆ uw.course: querying uw gets MIT data... *)
@@ -820,7 +843,7 @@ let test_distributed_partitioned_six_universities () =
     = rel_sorted full.P.Distributed.answers)
 
 (* With faults disabled the result-typed path answers exactly what
-   Answer.answer does, complete and retry-free, for any jobs. *)
+   Answer.answer does, complete and retry-free. *)
 let prop_distributed_no_faults_matches_answer =
   QCheck.Test.make
     ~name:"distributed = answer with faults off, complete (any jobs)"
@@ -844,12 +867,8 @@ let prop_distributed_no_faults_matches_answer =
         P.Network.of_topology topology ~names ~base_latency_ms:5.0
       in
       let query = Workload.Peers_gen.course_query g ~at:(seed mod 2) in
-      let jobs = 1 + (seed mod 4) in
-      let plan =
-        P.Distributed.execute ~exec:(P.Exec.with_jobs jobs) catalog network
-          ~at:"p0" query
-      in
-      let direct = P.Answer.answer ~exec:(P.Exec.with_jobs jobs) catalog query in
+      let plan = P.Distributed.execute catalog network ~at:"p0" query in
+      let direct = P.Answer.answer catalog query in
       rel_sorted plan.P.Distributed.answers
       = rel_sorted direct.P.Answer.answers
       && plan.P.Distributed.report.P.Distributed.complete
@@ -858,7 +877,7 @@ let prop_distributed_no_faults_matches_answer =
 (* The trie walk agrees with evaluating every rewriting on its own
    (Reference.per_rewriting_union) everywhere a union is routed:
    Answer.answer over its rewritings and Distributed.execute over the
-   rewritings whose sites survived, any jobs, faults on and off. *)
+   rewritings whose sites survived, faults on and off. *)
 let prop_batch_matches_nobatch =
   QCheck.Test.make
     ~name:"batch trie = per-rewriting eval (answer + distributed, faults on/off)"
@@ -886,15 +905,13 @@ let prop_batch_matches_nobatch =
         if seed mod 2 = 0 then Workload.Peers_gen.course_query g ~at:0
         else Workload.Peers_gen.join_query g ~at:0
       in
-      let jobs = 1 + (seed mod 4) in
-      let exec = P.Exec.make ~jobs () in
       let per_rewriting = function
         | [] -> []
         | qs ->
             rel_sorted
               (Reference.per_rewriting_union (P.Catalog.global_db catalog) qs)
       in
-      let a = P.Answer.answer ~exec catalog query in
+      let a = P.Answer.answer catalog query in
       let names = List.init n (Printf.sprintf "p%d") in
       (* Odd seeds run the distributed comparison under a peer fault. *)
       let mk_net () =
@@ -905,9 +922,7 @@ let prop_batch_matches_nobatch =
           P.Network.Fault.fail_peer network (Printf.sprintf "p%d" (n - 1));
         network
       in
-      let d =
-        P.Distributed.execute ~exec catalog (mk_net ()) ~at:"p0" query
-      in
+      let d = P.Distributed.execute catalog (mk_net ()) ~at:"p0" query in
       let surviving =
         List.map (fun sp -> sp.P.Distributed.rewriting) d.P.Distributed.sites
       in
@@ -934,8 +949,7 @@ let test_keyword_skips_down_peer () =
 (* ------------------------------------------------------------------ *)
 (* Kwindex: the inverted index must be indistinguishable from the
    brute-force scan of Reference.keyword_search — scores bit-identical,
-   order and tie-breaks included — for any jobs value and any fault
-   schedule. *)
+   order and tie-breaks included — for any fault schedule. *)
 
 let prop_indexed_matches_brute =
   QCheck.Test.make
@@ -971,18 +985,9 @@ let prop_indexed_matches_brute =
       in
       let limit = 1 + (seed mod 7) in
       let query = Workload.Peers_gen.keyword_query g prng in
-      let run exec =
-        List.map hit_key (P.Keyword.search ~limit ~exec ?network catalog query)
-      in
-      let brute exec =
-        List.map hit_key
-          (Reference.keyword_search ~limit ~exec ?network catalog query)
-      in
-      let reference = brute (P.Exec.make ()) in
-      reference = brute (P.Exec.make ~jobs:3 ())
-      && List.for_all
-           (fun jobs -> run (P.Exec.make ~jobs ()) = reference)
-           [ 1; 3 ])
+      List.map hit_key (P.Keyword.search ~limit ?network catalog query)
+      = List.map hit_key
+          (Reference.keyword_search ~limit ?network catalog query))
 
 let kwindex_builds () =
   Obs.Metrics.counter_value (Obs.Metrics.snapshot ()) "pdms.kwindex.builds"
@@ -1033,9 +1038,9 @@ let test_kwindex_entry_lifetime () =
   Gc.full_major ();
   check_b "entry collected with its relation" false (Weak.check entry 0)
 
-(* Domains sharing a frozen relation serialise on the derived-state
-   lock: the first get patches each kind once, and every domain is
-   served the same values. *)
+(* Domains sharing a relation serialise on the derived-state lock: the
+   first get patches each kind once, and every domain is served the
+   same values. *)
 let test_derived_shared_across_domains () =
   let r = Relalg.Relation.create (Relalg.Schema.make "d" [ "x"; "y" ]) in
   for i = 0 to 39 do
@@ -1046,7 +1051,6 @@ let test_derived_shared_across_domains () =
   ignore (Relalg.Stats.of_relation r);
   ignore (P.Kwindex.get ~rel_name r);
   insert r [| vs "k40"; vs "v0 fresh" |];
-  Relalg.Relation.freeze r;
   let patches0 = Relalg.Stats.cache_patches ()
   and builds0 = kwindex_builds () in
   let served =
@@ -1068,7 +1072,7 @@ let delta_fallbacks () =
 
 (* The delta-patched index must be indistinguishable from rebuilding on
    every change: identical rendered hit lists over a random stream of
-   inserts and deletes, for any jobs value, with faults on or off.  The
+   inserts and deletes, with faults on or off.  The
    rebuild run resets the index store before every search, so each
    search indexes every relation from scratch.  The stream stays far
    below the delta-log caps, so the incremental run must also never
@@ -1113,7 +1117,7 @@ let prop_kwindex_incremental_matches_rebuild =
         let ops = Util.Prng.create (seed + 1234) in
         let query = Workload.Peers_gen.keyword_query g ops in
         let transcript = ref [] in
-        for i = 0 to 11 do
+        for _ = 0 to 11 do
           let rel =
             Relalg.Database.find db (Util.Prng.pick ops names)
           in
@@ -1128,9 +1132,8 @@ let prop_kwindex_incremental_matches_rebuild =
           | _, rows ->
               Relalg.Relation.apply rel
                 (Relalg.Relation.Delta.remove (Util.Prng.pick ops rows)));
-          let exec = P.Exec.make ~jobs:(1 + (i mod 3)) () in
           if not incremental then P.Kwindex.reset ();
-          let hits = P.Keyword.search ~limit:5 ~exec ?network catalog query in
+          let hits = P.Keyword.search ~limit:5 ?network catalog query in
           transcript :=
             List.rev_append (List.map P.Keyword.render_hit hits) !transcript
         done;
@@ -1174,7 +1177,7 @@ let counter name = Obs.Metrics.counter_value (Obs.Metrics.snapshot ()) name
    patch the corpus (df recounted for the touched tokens only) rather
    than merge it, and while n holds the entries re-norm only the slots
    holding a recounted token; hits must still equal the brute-force
-   scan bit for bit at any jobs.  Between searches another reader
+   scan bit for bit.  Between searches another reader
    sometimes brings the written entry current, so a corpus patch may
    reach back over several of its patches. *)
 let prop_kwindex_n_unchanged_writes =
@@ -1207,16 +1210,8 @@ let prop_kwindex_n_unchanged_writes =
       let matches () =
         let query = Workload.Peers_gen.keyword_query g ops in
         let limit = 1 + Util.Prng.int ops 8 in
-        let brute =
-          List.map hit_key (Reference.keyword_search ~limit catalog query)
-        in
-        List.for_all
-          (fun jobs ->
-            List.map hit_key
-              (P.Keyword.search ~limit ~exec:(P.Exec.make ~jobs ()) catalog
-                 query)
-            = brute)
-          [ 1; 3 ]
+        List.map hit_key (P.Keyword.search ~limit catalog query)
+        = List.map hit_key (Reference.keyword_search ~limit catalog query)
       in
       (* New rows reuse values already stored, so a write touches tokens
          that other relations' slots hold too. *)
@@ -1728,7 +1723,7 @@ let test_datalog_reference_agreement () =
   in
   let via_pdms = P.Answer.answers_list (P.Answer.answer catalog query) in
   let reference =
-    Cq.Datalog.query (P.Catalog.global_db catalog) !rules query
+    Oracle.Datalog.query (P.Catalog.global_db catalog) !rules query
     |> Relalg.Relation.tuples
     |> List.map (fun row -> Array.to_list (Array.map Relalg.Value.to_string row))
     |> List.sort compare
@@ -1835,12 +1830,12 @@ let prop_certain_answers =
       let prng = Util.Prng.create seed in
       let catalog, peers, rules = random_catalog prng in
       let peer = Util.Prng.pick_arr prng peers in
-      let db = Cq.Datalog.eval (P.Catalog.global_db catalog) rules in
+      let db = Oracle.Datalog.eval (P.Catalog.global_db catalog) rules in
       let network = P.Distributed.network_of_catalog catalog ~latency_ms:5. in
       let cache = P.Cache.create catalog () in
       List.for_all
         (fun (name, query) ->
-          let expected = rel_sorted (Cq.Eval.run db query) in
+          let expected = rel_sorted (Oracle.Nested_loop.run db query) in
           let answer = P.Answer.answer catalog query in
           let plan = P.Distributed.execute catalog network ~at:(P.Peer.name peer) query in
           let miss = (P.Cache.answer cache query).P.Answer.answers in
@@ -2021,7 +2016,7 @@ let copy_dir_with_crash src wal_bytes =
 (* A deterministic full-state transcript: every stored tuple in order,
    a ranked keyword search, and a reformulated answer.  Recovery is
    correct exactly when this string is byte-identical. *)
-let persist_transcript ?(exec = P.Exec.default) t =
+let persist_transcript t =
   let catalog = P.Persist.catalog t and db = P.Persist.db t in
   let b = Buffer.create 2048 in
   List.iter
@@ -2043,12 +2038,12 @@ let persist_transcript ?(exec = P.Exec.default) t =
            h.P.Keyword.stored_rel
            (String.concat "|"
               (Array.to_list (Array.map Relalg.Value.to_string h.P.Keyword.tuple)))))
-    (P.Keyword.search ~exec catalog "introduction seminar advanced");
+    (P.Keyword.search catalog "introduction seminar advanced");
   let stanford = P.Catalog.peer catalog "stanford" in
   List.iter
     (fun row -> Buffer.add_string b (String.concat "," row ^ "\n"))
     (P.Answer.answers_list
-       (P.Answer.answer ~exec catalog (Workload.University.course_query stanford)));
+       (P.Answer.answer catalog (Workload.University.course_query stanford)));
   Buffer.contents b
 
 let six_university_persist seed =
@@ -2164,26 +2159,23 @@ let test_persist_kill_point_sweep () =
   done
 
 (* Property: random gram streams, snapshots at random points, a crash
-   at a random WAL byte offset — under any jobs setting the recovered
-   transcript is byte-identical to the surviving prefix's. *)
+   at a random WAL byte offset — the recovered transcript is
+   byte-identical to the surviving prefix's. *)
 let prop_persist_crash_recovery =
   QCheck.Test.make ~name:"crash recovery = surviving prefix (random streams)"
     ~count:20
     (QCheck.make QCheck.Gen.(int_bound 100_000) ~print:string_of_int)
     (fun seed ->
-      let exec = P.Exec.with_jobs (1 + (seed mod 2)) in
       let dir, t, prng = six_university_persist seed in
       (* (wal seq, wal size, transcript) after init and every apply;
          snapshots interleave at random points. *)
-      let states =
-        ref [ (0, P.Persist.wal_size t, persist_transcript ~exec t) ]
-      in
+      let states = ref [ (0, P.Persist.wal_size t, persist_transcript t) ] in
       let snap_seqs = ref [ 0 ] in
       for g = 1 to 6 do
-        P.Persist.apply ~exec ~sync:(Util.Prng.bool prng) t
+        P.Persist.apply ~sync:(Util.Prng.bool prng) t
           (random_gram prng (P.Persist.db t) g);
         states :=
-          (P.Persist.wal_seq t, P.Persist.wal_size t, persist_transcript ~exec t)
+          (P.Persist.wal_seq t, P.Persist.wal_size t, persist_transcript t)
           :: !states;
         if Util.Prng.bernoulli prng 0.25 then begin
           ignore (P.Persist.snapshot t);
@@ -2212,96 +2204,10 @@ let prop_persist_crash_recovery =
         | None -> Alcotest.failf "no recorded state for seq %d" expect_seq
       in
       let ok_fsck = P.Persist.fsck_ok (P.Persist.fsck crashed) in
-      let t' = P.Persist.open_dir_exn ~exec crashed in
-      let got = persist_transcript ~exec t' in
+      let t' = P.Persist.open_dir_exn crashed in
+      let got = persist_transcript t' in
       P.Persist.close t';
       ok_fsck && got = expected)
-
-(* ------------------------------------------------------------------ *)
-(* Parallel answer path: jobs > 1 must be invisible in the results. *)
-
-let test_parallel_answer_delearning () =
-  let prng = Util.Prng.create 2003 in
-  let d = Workload.University.build_delearning prng ~courses_per_peer:3 in
-  List.iter
-    (fun (_, peer) ->
-      let seq =
-        P.Answer.answers_list
-          (P.Answer.answer ~exec:(P.Exec.with_jobs 1) d.Workload.University.catalog
-             (Workload.University.course_query peer))
-      and par =
-        P.Answer.answers_list
-          (P.Answer.answer ~exec:(P.Exec.with_jobs 4) d.Workload.University.catalog
-             (Workload.University.course_query peer))
-      in
-      check_b "jobs=4 = jobs=1 (delearning)" true (seq = par);
-      check_b "non-trivial answers" true (seq <> []))
-    d.Workload.University.peers;
-  (* The cross-relation join query too. *)
-  let _, stanford = List.hd d.Workload.University.peers in
-  let jq = Workload.University.course_instructor_query stanford in
-  check_b "join query agrees" true
-    (P.Answer.answers_list
-       (P.Answer.answer ~exec:(P.Exec.with_jobs 1) d.Workload.University.catalog jq)
-    = P.Answer.answers_list
-        (P.Answer.answer ~exec:(P.Exec.with_jobs 4) d.Workload.University.catalog jq))
-
-let prop_parallel_answer_matches_sequential =
-  QCheck.Test.make ~name:"answer ~jobs:4 = ~jobs:1 on perturbed topologies"
-    ~count:25
-    (QCheck.make QCheck.Gen.(int_bound 10_000) ~print:string_of_int)
-    (fun seed ->
-      let prng = Util.Prng.create seed in
-      let kind =
-        match seed mod 4 with
-        | 0 -> P.Topology.Chain
-        | 1 -> P.Topology.Star
-        | 2 -> P.Topology.Ring
-        | _ -> P.Topology.Mesh 1
-      in
-      let topology = P.Topology.generate ~prng kind ~n:(4 + (seed mod 3)) in
-      let g = Workload.Peers_gen.generate prng ~topology ~tuples_per_peer:3 () in
-      let catalog = g.Workload.Peers_gen.catalog in
-      let query = Workload.Peers_gen.course_query g ~at:(seed mod 2) in
-      P.Answer.answers_list (P.Answer.answer ~exec:(P.Exec.with_jobs 1) catalog query)
-      = P.Answer.answers_list (P.Answer.answer ~exec:(P.Exec.with_jobs 4) catalog query))
-
-(* Reformulation must not depend on [jobs]: same queries, same order,
-   for every value. *)
-let prop_parallel_reformulation_matches_sequential =
-  QCheck.Test.make
-    ~name:"reformulate ~jobs:4 emits identical rewritings to ~jobs:1"
-    ~count:25
-    (QCheck.make QCheck.Gen.(int_bound 10_000) ~print:string_of_int)
-    (fun seed ->
-      let prng = Util.Prng.create seed in
-      let kind =
-        match seed mod 4 with
-        | 0 -> P.Topology.Chain
-        | 1 -> P.Topology.Star
-        | 2 -> P.Topology.Ring
-        | _ -> P.Topology.Mesh 2
-      in
-      let topology = P.Topology.generate ~prng kind ~n:(4 + (seed mod 3)) in
-      let g = Workload.Peers_gen.generate prng ~topology ~tuples_per_peer:1 () in
-      let catalog = g.Workload.Peers_gen.catalog in
-      let query = Workload.Peers_gen.course_query g ~at:(seed mod 2) in
-      let rewritten jobs =
-        List.map Query.to_string
-          (P.Reformulate.reformulate ~exec:(P.Exec.with_jobs jobs) catalog
-             query)
-            .P.Reformulate
-            .rewritings
-      in
-      let seq = rewritten 1 in
-      seq <> [] && seq = rewritten 4)
-
-let test_parallel_keyword_ranking () =
-  let catalog, _, _ = two_peer_catalog `Equality in
-  let seq = P.Keyword.search ~exec:(P.Exec.with_jobs 1) catalog "databases systems"
-  and par = P.Keyword.search ~exec:(P.Exec.with_jobs 4) catalog "databases systems" in
-  check_b "keyword hits found" true (seq <> []);
-  check_b "jobs=4 ranking identical" true (seq = par)
 
 let test_pdms_file_errors () =
   check_b "row before store" true
@@ -2638,8 +2544,7 @@ let prop_propagate_push_replay_and_converge =
    span tree must reflect the answer path's phases. *)
 
 (* answers_list with the memory sink on vs. trace off must be
-   byte-identical, for any jobs — instrumentation cannot perturb
-   evaluation. *)
+   byte-identical — instrumentation cannot perturb evaluation. *)
 let prop_trace_changes_no_answers =
   QCheck.Test.make ~name:"memory-sink trace changes no answers (any jobs)"
     ~count:25
@@ -2657,15 +2562,9 @@ let prop_trace_changes_no_answers =
       let g = Workload.Peers_gen.generate prng ~topology ~tuples_per_peer:3 () in
       let catalog = g.Workload.Peers_gen.catalog in
       let query = Workload.Peers_gen.course_query g ~at:(seed mod 2) in
-      let jobs = 1 + (seed mod 4) in
-      let plain =
-        P.Answer.answers_list
-          (P.Answer.answer ~exec:(P.Exec.with_jobs jobs) catalog query)
-      in
+      let plain = P.Answer.answers_list (P.Answer.answer catalog query) in
       let sink = Obs.Sink.memory () in
-      let traced_exec =
-        P.Exec.make ~jobs ~trace:(Obs.Trace.create sink) ()
-      in
+      let traced_exec = P.Exec.make ~trace:(Obs.Trace.create sink) () in
       let traced =
         P.Answer.answers_list (P.Answer.answer ~exec:traced_exec catalog query)
       in
@@ -3155,7 +3054,7 @@ let test_single_atom_identity () =
 (* The 48-peer Mesh-2 join: each goal has 48 rewritings, so the product
    holds 48 x 48 = 2,304, all found under the default cap (a search over
    whole-query nodes stopped at the 2,000 cap and lost 12% of the rows).
-   2,588 is the Cq.Datalog answer count; evaluating that program takes
+   2,588 is the reference Datalog answer count; evaluating that program takes
    seconds, so the count is pinned instead. *)
 let test_mesh2_join_complete () =
   let catalog, queries =
@@ -3274,7 +3173,7 @@ let test_goal_bindings_join () =
   check_i "rewritings" 7 (List.length result.P.Answer.outcome.P.Reformulate.rewritings);
   Alcotest.(check (list (list string)))
     "answers = datalog"
-    (rel_sorted (Cq.Datalog.query (P.Catalog.global_db catalog) (definitions @ own) query))
+    (rel_sorted (Oracle.Datalog.query (P.Catalog.global_db catalog) (definitions @ own) query))
     (rel_sorted result.P.Answer.answers)
 
 (* Each goal of the Mesh-1 join has 10 rewritings and the cap bounds
@@ -3559,6 +3458,8 @@ let () =
        [ Alcotest.test_case "two-peer equality" `Quick test_two_peer_equality;
          Alcotest.test_case "inclusion directionality" `Quick
            test_two_peer_inclusion_directionality;
+         Alcotest.test_case "unsafe query refused" `Quick
+           test_unsafe_query_refused;
          Alcotest.test_case "definitional mapping" `Quick test_definitional_mapping;
          Alcotest.test_case "chain transitive closure" `Quick test_chain_transitive_closure;
          Alcotest.test_case "linear mapping count" `Quick test_chain_mapping_count_linear;
@@ -3697,14 +3598,6 @@ let () =
        @ qc [ prop_propagate_push_replay_and_converge ]);
       ("placement",
        [ Alcotest.test_case "greedy improves" `Quick test_placement_greedy_improves ]);
-      ("parallel",
-       [ Alcotest.test_case "delearning jobs=4 = jobs=1" `Quick
-           test_parallel_answer_delearning;
-         Alcotest.test_case "keyword ranking jobs=4 = jobs=1" `Quick
-           test_parallel_keyword_ranking ]
-       @ qc
-           [ prop_parallel_answer_matches_sequential;
-             prop_parallel_reformulation_matches_sequential ]);
       ("observability",
        [ Alcotest.test_case "answer span tree" `Quick test_answer_span_tree;
          Alcotest.test_case "cache stats accessor" `Quick

@@ -386,59 +386,6 @@ let test_ascii_table () =
     (String.length rendered > 0
     && List.length (String.split_on_char '\n' rendered) = 4)
 
-(* ------------------------------------------------------------------ *)
-(* Pool *)
-
-let test_pool_map_ordering () =
-  let xs = List.init 103 (fun i -> i) in
-  let expect = List.map (fun x -> (x * x) + 1) xs in
-  List.iter
-    (fun jobs ->
-      check_b
-        (Printf.sprintf "jobs=%d matches List.map" jobs)
-        true
-        (Util.Pool.map jobs (fun x -> (x * x) + 1) xs = expect))
-    [ 1; 2; 4; 7 ];
-  check_b "empty input" true (Util.Pool.map 4 (fun x -> x) [] = []);
-  check_b "more jobs than items" true
-    (Util.Pool.map 8 String.length [ "a"; "bb" ] = [ 1; 2 ])
-
-let test_pool_map_exception () =
-  let raised =
-    try
-      ignore
-        (Util.Pool.map 4
-           (fun x -> if x = 5 then failwith "boom" else x)
-           (List.init 20 (fun i -> i)));
-      false
-    with Failure msg -> msg = "boom"
-  in
-  check_b "exception re-raised in caller" true raised
-
-let test_pool_chunk () =
-  check_b "empty" true (Util.Pool.chunk 3 [] = []);
-  check_b "k=1" true (Util.Pool.chunk 1 [ 1; 2; 3 ] = [ [ 1; 2; 3 ] ]);
-  check_b "k > length" true (Util.Pool.chunk 5 [ 1; 2 ] = [ [ 1 ]; [ 2 ] ]);
-  check_b "near-equal split" true
-    (Util.Pool.chunk 3 [ 1; 2; 3; 4; 5; 6; 7 ]
-    = [ [ 1; 2; 3 ]; [ 4; 5 ]; [ 6; 7 ] ])
-
-let prop_pool_chunk_concat =
-  QCheck.Test.make ~name:"chunk concat is identity and pieces bounded"
-    ~count:200
-    QCheck.(pair (int_range 1 8) (small_list small_int))
-    (fun (k, xs) ->
-      let pieces = Util.Pool.chunk k xs in
-      List.concat pieces = xs
-      && List.length pieces <= k
-      && List.for_all (fun p -> p <> []) pieces)
-
-let prop_pool_map_equals_list_map =
-  QCheck.Test.make ~name:"Pool.map = List.map for any jobs" ~count:50
-    QCheck.(pair (int_range 1 6) (small_list small_int))
-    (fun (jobs, xs) ->
-      Util.Pool.map jobs (fun x -> x * 3) xs = List.map (fun x -> x * 3) xs)
-
 let () =
   let qc = List.map QCheck_alcotest.to_alcotest in
   Alcotest.run "util"
@@ -480,9 +427,4 @@ let () =
        @ qc [ prop_topk_sorted; prop_topk_model ]);
       ("union_find", [ Alcotest.test_case "basic" `Quick test_union_find ]);
       ("stats", [ Alcotest.test_case "descriptive" `Quick test_stats ]);
-      ("ascii_table", [ Alcotest.test_case "render" `Quick test_ascii_table ]);
-      ("pool",
-       [ Alcotest.test_case "map ordering" `Quick test_pool_map_ordering;
-         Alcotest.test_case "map exception" `Quick test_pool_map_exception;
-         Alcotest.test_case "chunk" `Quick test_pool_chunk ]
-       @ qc [ prop_pool_chunk_concat; prop_pool_map_equals_list_map ]) ]
+      ("ascii_table", [ Alcotest.test_case "render" `Quick test_ascii_table ]) ]
