@@ -215,7 +215,7 @@ let stats_cmd =
 let query_inspect text =
   match Cq.Parser.parse_query text with
   | Error msg ->
-      Printf.eprintf "parse error: %s\n" msg;
+      Printf.eprintf "error: query parse error: %s\n" msg;
       exit 1
   | Ok q ->
       Printf.printf "parsed : %s\n" (Cq.Query.to_string q);
@@ -334,7 +334,7 @@ let report_cli_exec cli =
 let parse_query_arg query_text =
   match Cq.Parser.parse_query query_text with
   | Error msg ->
-      Printf.eprintf "query parse error: %s\n" msg;
+      Printf.eprintf "error: query parse error: %s\n" msg;
       exit 1
   | Ok query when not (Cq.Query.is_safe query) ->
       let body = Cq.Query.body_vars query in

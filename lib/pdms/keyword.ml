@@ -14,38 +14,51 @@ let m_relations_indexed = Obs.Metrics.counter "pdms.kwindex.relations_indexed"
 let m_candidates = Obs.Metrics.counter "pdms.kwindex.candidates"
 let m_skipped = Obs.Metrics.counter "pdms.kwindex.skipped_by_bound"
 
-(* Candidate-driven ranking: gather postings for the query's tokens
-   only, then rank relation by relation, skipping any relation whose
-   score upper bound cannot beat the current k-th score. Relations are
-   visited in database order and candidates in ascending tuple id, so
-   insertions into the heap happen in the same order a scan scoring
-   every live tuple would make them — tie-breaks included.  Once the
-   heap is full, a candidate not above its floor is one [Topk.add]
-   would reject (equal scores lose to the earlier insertion), so it
-   builds no hit; the survivors keep their relative order. *)
+(* Bound-first, candidate-driven ranking: find every relation's
+   postings for the query's tokens and its score upper bound, then rank
+   relation by relation, scoring a relation only when its bound beats
+   the current k-th score.  Relations are visited in database order and
+   candidates in ascending tuple id, so insertions into the heap happen
+   in the same order a scan scoring every live tuple would make them —
+   tie-breaks included.  Once the heap is full, a candidate not above
+   its floor is one [Topk.add] would reject (equal scores lose to the
+   earlier insertion), so it builds no hit; the survivors keep their
+   relative order.  A skipped relation still counts its candidates. *)
 let indexed ~trace ~limit entries query_toks =
   let stamp, corpus = Kwindex.corpus entries in
   let query_vec = Util.Tfidf.vectorize corpus query_toks in
-  let probes =
+  let found =
     Obs.Trace.span trace "kwindex.probe" @@ fun () ->
-    List.map (fun e -> Kwindex.probe e ~stamp corpus query_vec) entries
+    List.map (fun e -> (e, Kwindex.find e ~stamp corpus query_vec)) entries
   in
   let candidates = ref 0 and skipped = ref 0 in
   let hits =
     Obs.Trace.span trace "rank" @@ fun () ->
     let top = Util.Topk.create limit in
+    (* One score buffer for the whole search, all zero whenever a
+       relation is scored into it: ranking zeroes each candidate cell
+       as it reads it. *)
+    let scores =
+      Array.make
+        (List.fold_left (fun m e -> max m e.Kwindex.n_slots) 0 entries)
+        0.0
+    in
     (* The heap's floor, [neg_infinity] until it is full; it moves only
        when an add lands, so it is read then, not per candidate. *)
     let floor = ref neg_infinity in
     List.iter
-      (fun pr ->
-        candidates := !candidates + Array.length pr.Kwindex.candidates;
-        if pr.Kwindex.bound <= !floor then Stdlib.incr skipped
-        else
-          let e = pr.Kwindex.source in
+      (fun (e, f) ->
+        if Kwindex.bound f <= !floor then begin
+          candidates := !candidates + Kwindex.candidate_count f;
+          Stdlib.incr skipped
+        end
+        else begin
+          let ids = Kwindex.score_into f scores in
+          candidates := !candidates + Array.length ids;
           Array.iter
             (fun id ->
-              let score = pr.Kwindex.scores.(id) in
+              let score = scores.(id) in
+              scores.(id) <- 0.0;
               if score > 0.0 && score > !floor then begin
                 Util.Topk.add top score
                   {
@@ -58,8 +71,9 @@ let indexed ~trace ~limit entries query_toks =
                 | Some f -> floor := f
                 | None -> ()
               end)
-            pr.Kwindex.candidates)
-      probes;
+            ids
+        end)
+      found;
     let hits = List.map snd (Util.Topk.to_list top) in
     Obs.Trace.attr_i trace "limit" limit;
     Obs.Trace.attr_i trace "hits" (List.length hits);

@@ -17,15 +17,22 @@ val search :
     peer against the keyword query (stemmed tokens, TF/IDF over the
     tuple corpus); default limit 10, zero scores dropped.
 
-    Answers come from the {!Kwindex} inverted index: postings are
-    gathered for the query's tokens only, partial dot products
-    accumulate per candidate, and ranking early-terminates whole
-    relations whose score upper bound cannot beat the current k-th
-    score. Index entries live on their relations and change only when
-    a relation's version moves, so repeated searches over an unchanged
-    database skip tokenisation and vectorization entirely. The hit
-    list is byte-identical to re-vectorizing and cosine-scoring every
-    reachable tuple — scores, order, and tie-breaks (see {!Kwindex}).
+    Answers come from the {!Kwindex} inverted index in two steps.
+    First {!Kwindex.find} looks up every reachable relation's postings
+    for the query's tokens and sums its score upper bound, touching no
+    slot.  Then relations are ranked in database order, and one is
+    scored ({!Kwindex.score_into}: partial dot products per candidate)
+    only when its bound beats the current k-th score; otherwise it is
+    skipped whole, its candidates counted but never scored.  Every
+    scored relation writes into one slot-indexed buffer per search,
+    sized to the largest relation, and ranking zeroes each candidate's
+    cell as it reads it, so the buffer is all zero again for the next
+    relation.  Index entries live on their relations and change only
+    when a relation's version moves, so repeated searches over an
+    unchanged database skip tokenisation and vectorization entirely.
+    The hit list is byte-identical to re-vectorizing and
+    cosine-scoring every reachable tuple — scores, order, and
+    tie-breaks (see {!Kwindex}).
 
     When [network] is given, relations owned by a peer that
     {!Network.Fault.is_down} are excluded at query time — search
@@ -33,8 +40,13 @@ val search :
     dead peers answered, and the index entries survive for when the
     peer heals.
 
-    Opens a ["keyword.search"] span (children ["kwindex.build"],
-    ["kwindex.probe"], ["rank"]) and records [pdms.keyword.*] plus
-    [pdms.kwindex.*] metrics. *)
+    Opens a ["keyword.search"] span with children ["kwindex.build"]
+    (getting every reachable relation's entry), ["kwindex.probe"] (the
+    posting lookup and bound of every reachable relation) and ["rank"]
+    (scoring the relations whose bound passes, and the heap), and
+    records [pdms.keyword.*] plus [pdms.kwindex.*] metrics:
+    [pdms.kwindex.candidates] counts the candidates of every reachable
+    relation, skipped ones included, and
+    [pdms.kwindex.skipped_by_bound] the relations skipped. *)
 
 val render_hit : hit -> string

@@ -34,9 +34,11 @@
      token order, so norms fold in the exact op order of [vectorize];
    - a tuple's weight is computed as [(tf *. idf) /. norm] — the two
      rounding steps [vectorize] performs, in the same order;
-   - [probe] walks the query vector in ascending token order, so each
-     candidate's partial dot products arrive in the order
-     {!Util.Tfidf.cosine}'s merge would add them.
+   - [find] keeps the query vector's ascending token order and
+     [score_into] walks it in that order, so each candidate's partial
+     dot products arrive in the order {!Util.Tfidf.cosine}'s merge
+     would add them — into a fresh zero array ([probe]) or a reused
+     one that is all zero again (a search's buffer), the same sums.
    Document frequencies merge as exact integer counts; converting with
    [float_of_int] equals [build]'s repeated [+. 1.0] for any count
    below 2^53.
@@ -536,60 +538,101 @@ let rec held postings = function
       | Some p -> (p, qw) :: held postings rest
       | None -> held postings rest)
 
-(* The ascending, duplicate-free union of the postings' id runs.  One
-   run is a copy of its first [len] cells; several are merged through a
-   cursor per run, once to count the union and once to fill an array of
-   exactly that size. *)
-let union_ids = function
-  | [ p ] -> Array.sub p.ids 0 p.len
-  | ps ->
-      let runs = Array.of_list ps in
-      let k = Array.length runs in
-      let pos = Array.make k 0 in
-      (* The least id under any cursor, with every cursor on it stepped
-         past it; [max_int] once every run is spent. *)
-      let next () =
-        let m = ref max_int in
-        for j = 0 to k - 1 do
-          let p = runs.(j) in
-          if pos.(j) < p.len && p.ids.(pos.(j)) < !m then m := p.ids.(pos.(j))
-        done;
-        for j = 0 to k - 1 do
-          let p = runs.(j) in
-          if pos.(j) < p.len && p.ids.(pos.(j)) = !m then pos.(j) <- pos.(j) + 1
-        done;
-        !m
-      in
+type found = {
+  f_weights : weights;
+  f_runs : posting array;  (* the held postings, in query-vector order *)
+  f_qws : float array;  (* each run's query weight *)
+  f_pos : int array;  (* one merge cursor per run *)
+  f_bound : float;
+}
+
+let find entry ~stamp c query_vec =
+  let w = weights entry ~stamp c in
+  let held = held entry.postings query_vec in
+  let runs = Array.of_list (List.map fst held) in
+  let qws = Array.of_list (List.map snd held) in
+  (* Every true per-token contribution is dominated term-wise by
+     [qw *. ((max_tf *. idf) /. min_norm)]; round-to-nearest is
+     monotone, so the accumulated bound dominates every candidate's
+     final score. *)
+  let bound = ref 0.0 in
+  for r = 0 to Array.length runs - 1 do
+    let p = runs.(r) in
+    bound := !bound +. (qws.(r) *. ((p.max_tf *. w.idf.(p.tid)) /. w.min_norm))
+  done;
+  {
+    f_weights = w;
+    f_runs = runs;
+    f_qws = qws;
+    f_pos = Array.make (Array.length runs) 0;
+    f_bound = !bound;
+  }
+
+let bound f = f.f_bound
+
+(* The least id under any cursor, with every cursor on it stepped past
+   it; [max_int] once every run is spent. *)
+let next_id runs pos =
+  let m = ref max_int in
+  for j = 0 to Array.length runs - 1 do
+    let p = runs.(j) in
+    if pos.(j) < p.len && p.ids.(pos.(j)) < !m then m := p.ids.(pos.(j))
+  done;
+  for j = 0 to Array.length runs - 1 do
+    let p = runs.(j) in
+    if pos.(j) < p.len && p.ids.(pos.(j)) = !m then pos.(j) <- pos.(j) + 1
+  done;
+  !m
+
+(* The size of the ascending, duplicate-free union of the runs' ids:
+   one run's length, or a merge through the cursors. *)
+let candidate_count f =
+  match f.f_runs with
+  | [||] -> 0
+  | [| p |] -> p.len
+  | runs ->
+      Array.fill f.f_pos 0 (Array.length runs) 0;
       let n = ref 0 in
-      while next () < max_int do
+      while next_id runs f.f_pos < max_int do
         incr n
       done;
-      Array.fill pos 0 k 0;
-      Array.init !n (fun _ -> next ())
+      !n
+
+(* That union itself: a copy of one run's first [len] cells, or the
+   merge run again into an array of exactly the counted size. *)
+let union_ids f =
+  match f.f_runs with
+  | [||] -> [||]
+  | [| p |] -> Array.sub p.ids 0 p.len
+  | runs ->
+      let ids = Array.make (candidate_count f) 0 in
+      Array.fill f.f_pos 0 (Array.length runs) 0;
+      for i = 0 to Array.length ids - 1 do
+        ids.(i) <- next_id runs f.f_pos
+      done;
+      ids
+
+let score_into f scores =
+  let w = f.f_weights in
+  for r = 0 to Array.length f.f_runs - 1 do
+    let p = f.f_runs.(r) and qw = f.f_qws.(r) in
+    let idf = w.idf.(p.tid) in
+    for i = 0 to p.len - 1 do
+      let id = p.ids.(i) in
+      let wt = (p.tfs.(i) *. idf) /. w.norms.(id) in
+      scores.(id) <- scores.(id) +. (qw *. wt)
+    done
+  done;
+  union_ids f
 
 let probe entry ~stamp c query_vec =
-  let w = weights entry ~stamp c in
-  match held entry.postings query_vec with
-  | [] -> { source = entry; scores = [||]; candidates = [||]; bound = 0.0 }
-  | found ->
-      let scores = Array.make entry.n_slots 0.0 in
-      let bound = ref 0.0 in
-      List.iter
-        (fun (p, qw) ->
-          let idf = w.idf.(p.tid) in
-          (* Every true per-token contribution is dominated term-wise
-             by [qw *. ((max_tf *. idf) /. min_norm)]; round-to-nearest
-             is monotone, so the accumulated bound dominates every
-             candidate's final score. *)
-          bound := !bound +. (qw *. ((p.max_tf *. idf) /. w.min_norm));
-          for i = 0 to p.len - 1 do
-            let id = p.ids.(i) in
-            let wt = (p.tfs.(i) *. idf) /. w.norms.(id) in
-            scores.(id) <- scores.(id) +. (qw *. wt)
-          done)
-        found;
-      let candidates = union_ids (List.map fst found) in
-      { source = entry; scores; candidates; bound = !bound }
+  let f = find entry ~stamp c query_vec in
+  if Array.length f.f_runs = 0 then
+    { source = entry; scores = [||]; candidates = [||]; bound = 0.0 }
+  else
+    let scores = Array.make entry.n_slots 0.0 in
+    let candidates = score_into f scores in
+    { source = entry; scores; candidates; bound = f.f_bound }
 
 let reset () =
   Relalg.Relation.Derived.reset kind;

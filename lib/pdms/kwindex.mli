@@ -28,10 +28,15 @@
     unchanged, an entry that was not itself patched re-norms only the
     slots holding a recounted token.
 
-    Scoring through {!probe} is bit-identical to vectorizing every
-    tuple and taking {!Util.Tfidf.cosine} against the query vector —
-    term frequencies, norms, and partial dot products replay the exact
-    floating-point op order of that scan.  A slot's norm depends only
+    A probe is two steps: {!find} looks up the query tokens' postings
+    and sums the relation's score bound, and {!score_into} scores them
+    into a caller-supplied, all-zero, slot-indexed array and merges the
+    candidates, so a search can skip a relation on its bound without
+    scoring it and reuse one array for every relation it scores.
+    {!probe} is the two on a fresh array.  Scoring is bit-identical to
+    vectorizing every tuple and taking {!Util.Tfidf.cosine} against the
+    query vector — term frequencies, norms, and partial dot products
+    replay the exact floating-point op order of that scan.  A slot's norm depends only
     on its tf vector and its tokens' idf, and idf only on
     [(n, df[tok])], so recomputing exactly the slots that hold a token
     whose df changed (every slot when [n] moved) reproduces a full
@@ -128,17 +133,47 @@ val corpus : entry list -> int * Util.Tfidf.corpus
     Returns a stamp identifying the corpus; per-entry weights are
     keyed on it. *)
 
+type found
+(** One relation's postings for one query's tokens, with the weights
+    they score under and the relation's score bound: what {!find}
+    returns, the first of a probe's two steps. *)
+
+val find :
+  entry -> stamp:int -> Util.Tfidf.corpus -> Util.Tfidf.vector -> found
+(** [find entry ~stamp corpus query_vec] is a probe's first step: it
+    looks up the postings of the query's tokens and sums the bound
+    [Σ qw·((max_tf·idf)/min_norm)] over them, touching no slot.
+    [query_vec] must be token-ascending (as {!Util.Tfidf.vectorize}
+    output is). Computes and caches the entry's weights for [stamp] on
+    first use — from the previous stamp's when [stamp] patched it. *)
+
+val bound : found -> float
+(** Upper bound on any candidate's score in the relation, [0.0] when it
+    holds none of the tokens; if it cannot beat the current top-k
+    floor, the whole relation is skippable without changing the
+    result. *)
+
+val candidate_count : found -> int
+(** How many candidates {!score_into} would return — the size of the
+    union of the found postings' ids — counted without allocating. *)
+
+val score_into : found -> float array -> int array
+(** [score_into found scores] is a probe's second step: it adds each
+    candidate's score into [scores], a slot-indexed array at least
+    [n_slots] long, and returns the candidates — the ascending live
+    slot ids sharing >= 1 query token, merged from the found postings'
+    ascending id runs.  [scores] must be all zero on entry; only the
+    candidates' cells are written, so zeroing those cells again makes
+    it reusable for the next relation.  Scores are bit-identical to a
+    fresh array's. *)
+
 val probe :
   entry -> stamp:int -> Util.Tfidf.corpus -> Util.Tfidf.vector -> probe
-(** [probe entry ~stamp corpus query_vec] accumulates partial dot
-    products for the query's tokens over this relation's postings
-    only, doing work in proportion to the candidates they hold: a
-    relation holding none of the tokens gets empty [candidates] and
-    [scores] and a [0.0] bound, and [candidates] is the merge of the
-    found postings' ascending id runs. [query_vec] must be
-    token-ascending (as {!Util.Tfidf.vectorize} output is). Computes
-    and caches the entry's weights for [stamp] on first use — from the
-    previous stamp's when [stamp] patched it — safe to call from
+(** [probe entry ~stamp corpus query_vec] is {!find} followed by
+    {!score_into} on a fresh zero array of [n_slots] cells: it does
+    work in proportion to the candidates the query's tokens hold, and a
+    relation holding none of them gets empty [candidates] and [scores]
+    and a [0.0] bound, with no array allocated.  Safe to call from
     several domains as long as each entry is probed by one of them. *)
 
 val reset : unit -> unit

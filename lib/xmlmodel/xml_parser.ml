@@ -140,8 +140,9 @@ let rec skip_misc cur =
     skip_misc cur
   end
 
-let rec element cur =
-  (* '<' consumed by caller check; consume it here. *)
+(* After '<': the tag name and attributes, up to and including the
+   closing '>' or '/>'. *)
+let start_tag cur =
   (match peek cur with
   | Some '<' -> advance cur
   | _ -> fail cur "expected '<'");
@@ -154,11 +155,11 @@ let rec element cur =
         (match peek cur with
         | Some '>' ->
             advance cur;
-            `Selfclosing (List.rev acc)
+            `Selfclosing (tag, List.rev acc)
         | _ -> fail cur "expected '>' after '/'")
     | Some '>' ->
         advance cur;
-        `Open (List.rev acc)
+        `Open (tag, List.rev acc)
     | Some c when is_name_char c ->
         let key = name cur in
         skip_ws cur;
@@ -169,35 +170,57 @@ let rec element cur =
     | Some c -> fail cur "unexpected '%c' in tag <%s>" c tag
     | None -> fail cur "unterminated tag <%s>" tag
   in
-  match attrs [] with
-  | `Selfclosing attrs -> Xml.element ~attrs tag []
-  | `Open attrs ->
-      let children = content cur tag [] in
-      Xml.element ~attrs tag children
+  attrs []
 
-and content cur tag acc =
-  let txt = text_until_tag cur in
-  let acc =
-    if String.trim txt = "" then acc else Xml.text txt :: acc
+(* An element open but not yet closed: its tag, attributes and the
+   children read so far, newest first. *)
+type frame = {
+  tag : string;
+  attrs : (string * string) list;
+  mutable kids : Xml.t list;
+}
+
+let close f = Xml.element ~attrs:f.attrs f.tag (List.rev f.kids)
+
+(* One element and everything inside it.  Open elements are kept on an
+   explicit stack, innermost first, so nesting depth costs heap cells
+   rather than call frames. *)
+let element cur =
+  let rec content = function
+    | [] -> assert false
+    | top :: outer as stack ->
+        let txt = text_until_tag cur in
+        if String.trim txt <> "" then top.kids <- Xml.text txt :: top.kids;
+        if starts_with cur "<!--" then begin
+          skip_past cur "-->" "comment";
+          content stack
+        end
+        else if starts_with cur "</" then begin
+          cur.pos <- cur.pos + 2;
+          let closing = name cur in
+          if not (String.equal closing top.tag) then
+            fail cur "mismatched </%s>, expected </%s>" closing top.tag;
+          skip_ws cur;
+          (match peek cur with
+          | Some '>' -> advance cur
+          | _ -> fail cur "expected '>' in closing tag");
+          match outer with
+          | [] -> close top
+          | parent :: _ ->
+              parent.kids <- close top :: parent.kids;
+              content outer
+        end
+        else if peek cur = Some '<' && peek2 cur <> None then
+          match start_tag cur with
+          | `Selfclosing (tag, attrs) ->
+              top.kids <- Xml.element ~attrs tag [] :: top.kids;
+              content stack
+          | `Open (tag, attrs) -> content ({ tag; attrs; kids = [] } :: stack)
+        else fail cur "unterminated element <%s>" top.tag
   in
-  if starts_with cur "<!--" then begin
-    skip_past cur "-->" "comment";
-    content cur tag acc
-  end
-  else if starts_with cur "</" then begin
-    cur.pos <- cur.pos + 2;
-    let closing = name cur in
-    if not (String.equal closing tag) then
-      fail cur "mismatched </%s>, expected </%s>" closing tag;
-    skip_ws cur;
-    (match peek cur with
-    | Some '>' -> advance cur
-    | _ -> fail cur "expected '>' in closing tag");
-    List.rev acc
-  end
-  else if peek cur = Some '<' && peek2 cur <> None then
-    content cur tag (element cur :: acc)
-  else fail cur "unterminated element <%s>" tag
+  match start_tag cur with
+  | `Selfclosing (tag, attrs) -> Xml.element ~attrs tag []
+  | `Open (tag, attrs) -> content [ { tag; attrs; kids = [] } ]
 
 let parse input =
   let cur = { text = input; pos = 0 } in

@@ -1,10 +1,10 @@
 #!/bin/sh
 # Bad input to the revere CLI is refused with exit status 1 and exactly
-# one line on stderr: a file argument that cannot be read, an unsafe
-# query (a head variable missing from the body), a peer, drop
-# probability or latency `revere distributed` cannot use, and a data
-# directory `revere init` cannot create.  Faults on real peers still
-# exit 0.
+# one line on stderr, starting with `error:`: a file argument that
+# cannot be read, a query that does not parse, an unsafe query (a head
+# variable missing from the body), a peer, drop probability or latency
+# `revere distributed` cannot use, and a data directory `revere init`
+# cannot create.  Faults on real peers still exit 0.
 #
 # usage: sh cli_errors.sh PATH/TO/revere.exe
 set -u
@@ -32,10 +32,11 @@ PDMS
 query='q(C, T) :- uw.course(C, T)'
 unsafe_join='q(X, Z) :- uw.course(X, Y), mit.subject(X, Y)'
 unsafe_one='q(X, Z) :- uw.course(X, Y)'
+unparsed='q(X :- '
 failures=0
 
 # expect STATUS LINES ARG...: `revere ARG...` exits STATUS and writes
-# exactly LINES lines to stderr.
+# exactly LINES lines to stderr; a refusal's lines start with `error:`.
 expect () {
   want=$1
   lines=$2
@@ -43,8 +44,13 @@ expect () {
   "$revere" "$@" > out 2> err
   got=$?
   n=$(wc -l < err)
-  if [ "$got" -ne "$want" ] || [ "$n" -ne "$lines" ]; then
-    echo "FAIL revere $*: exit $got (want $want), $n stderr lines (want $lines)"
+  unprefixed=0
+  if [ "$want" -ne 0 ]; then
+    unprefixed=$(grep -cv '^error:' err)
+  fi
+  if [ "$got" -ne "$want" ] || [ "$n" -ne "$lines" ] || [ "$unprefixed" -ne 0 ]
+  then
+    echo "FAIL revere $*: exit $got (want $want), $n stderr lines (want $lines), $unprefixed without the error: prefix"
     sed 's/^/  | /' err
     failures=$((failures + 1))
   fi
@@ -57,6 +63,9 @@ expect 1 1 search adir word
 expect 1 1 advise adir
 expect 1 1 match adir adir
 expect 1 1 init --data-dir d adir
+expect 1 1 answer ok.pdms "$unparsed"
+expect 1 1 distributed --at mit ok.pdms "$unparsed"
+expect 1 1 query "$unparsed"
 expect 1 1 answer ok.pdms "$unsafe_join"
 expect 1 1 answer ok.pdms "$unsafe_one"
 expect 1 1 distributed --at mit ok.pdms "$unsafe_join"

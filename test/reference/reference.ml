@@ -68,11 +68,10 @@ let brute ~trace ~limit entries query_toks =
   Obs.Trace.attr_i trace "hits" (List.length hits);
   hits
 
-let keyword_search ?(limit = 10) ?(exec = Pdms.Exec.default) ?network catalog
-    keywords =
+(* The reachable relations' entries, in the order Keyword.search ranks
+   them. *)
+let reachable_entries ?network catalog =
   let db = Pdms.Catalog.global_db catalog in
-  (* The same reachable relations, in the same order, as
-     Keyword.search ranks. *)
   let reachable rel_name =
     match network with
     | None -> true
@@ -81,14 +80,56 @@ let keyword_search ?(limit = 10) ?(exec = Pdms.Exec.default) ?network catalog
         | Some owner -> not (Pdms.Network.Fault.is_down net owner)
         | None -> true)
   in
-  let entries =
-    List.filter reachable (Relalg.Database.names db)
-    |> List.map (fun rel_name ->
-           fst
-             (Pdms.Kwindex.get ~rel_name (Relalg.Database.find db rel_name)))
+  List.filter reachable (Relalg.Database.names db)
+  |> List.map (fun rel_name ->
+         fst (Pdms.Kwindex.get ~rel_name (Relalg.Database.find db rel_name)))
+
+let query_tokens keywords =
+  List.map Util.Stemmer.stem (Util.Tokenize.words keywords)
+
+let keyword_search ?(limit = 10) ?(exec = Pdms.Exec.default) ?network catalog
+    keywords =
+  brute ~trace:exec.Pdms.Exec.trace ~limit
+    (reachable_entries ?network catalog)
+    (query_tokens keywords)
+
+(* Probe every entry into its own score array, then rank them in order:
+   a relation whose bound is not above the full heap's floor is skipped
+   (its candidates still counted), and a candidate not above the floor
+   builds no hit. *)
+let keyword_probe_every ?(limit = 10) ?network catalog keywords =
+  let entries = reachable_entries ?network catalog in
+  let stamp, corpus = Pdms.Kwindex.corpus entries in
+  let query_vec = Util.Tfidf.vectorize corpus (query_tokens keywords) in
+  let probes =
+    List.map (fun e -> Pdms.Kwindex.probe e ~stamp corpus query_vec) entries
   in
-  let query_toks = List.map Util.Stemmer.stem (Util.Tokenize.words keywords) in
-  brute ~trace:exec.Pdms.Exec.trace ~limit entries query_toks
+  let candidates = ref 0 and skipped = ref 0 in
+  let top = Util.Topk.create limit in
+  let floor = ref neg_infinity in
+  List.iter
+    (fun (pr : Pdms.Kwindex.probe) ->
+      candidates := !candidates + Array.length pr.candidates;
+      if pr.bound <= !floor then incr skipped
+      else
+        Array.iter
+          (fun id ->
+            let score = pr.scores.(id) in
+            if score > 0.0 && score > !floor then begin
+              Util.Topk.add top score
+                {
+                  Pdms.Keyword.peer = pr.source.Pdms.Kwindex.peer;
+                  stored_rel = pr.source.Pdms.Kwindex.rel_name;
+                  tuple = pr.source.Pdms.Kwindex.tuples.(id);
+                  score;
+                };
+              match Util.Topk.min_score top with
+              | Some f -> floor := f
+              | None -> ()
+            end)
+          pr.candidates)
+    probes;
+  (List.map snd (Util.Topk.to_list top), !candidates, !skipped)
 
 let stats_scan rel =
   let arity = Relalg.Schema.arity (Relalg.Relation.schema rel) in

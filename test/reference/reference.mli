@@ -33,6 +33,21 @@ val keyword_search :
     is bit-identical to the index's — scores, order and tie-breaks.
     Opens ["score"] and ["rank"] spans on [exec.trace]. *)
 
+val keyword_probe_every :
+  ?limit:int ->
+  ?network:Pdms.Network.t ->
+  Pdms.Catalog.t ->
+  string ->
+  Pdms.Keyword.hit list * int * int
+(** [keyword_probe_every catalog keywords] ranks as {!Pdms.Keyword.search}
+    did before it looked at bounds first: every reachable relation is
+    {!Pdms.Kwindex.probe}d into its own score array, then relations are
+    ranked in database order, one whose bound is not above a full
+    heap's floor being skipped.  Returns the hits, the candidates of
+    every relation (skipped ones included) and the relations skipped —
+    what [Keyword.search] adds to [pdms.kwindex.candidates] and
+    [pdms.kwindex.skipped_by_bound]. *)
+
 val keyword_slot_scores :
   Pdms.Kwindex.entry list -> string list -> (Pdms.Kwindex.entry * int * float) list
 (** [keyword_slot_scores entries query_toks] is the brute-force scan's

@@ -250,6 +250,25 @@ let test_schema_parser_roundtrip () =
         ((List.hd r.Sm.attributes).Sm.sample_values = [ "v1"; "v2" ])
   | None -> Alcotest.fail "relation a missing")
 
+(* Hostile input: mutated schema files parse or fail with [Error],
+   never raise. *)
+let prop_schema_parser_never_raises =
+  Fuzz.never_raises ~name:"parse never raises on mutations"
+    ~alphabet:"():,.=|# \nabcrsx"
+    [ "# a comment\n\
+       schema university\n\
+       relation course(code, title, instructor)\n\
+       relation person(name, email)\n\
+       values course.title: intro to db | ancient history\n\
+       join course.instructor = person.name\n";
+      Corpus.Schema_parser.render
+        (Sm.make
+           ~joins:[ ("a", "x", "b", "y") ]
+           ~name:"round"
+           [ Sm.relation "a" [ Sm.attribute ~values:[ "v1"; "v2" ] "x" ];
+             Sm.relation "b" [ Sm.attribute "y"; Sm.attribute "z" ] ]) ]
+    Corpus.Schema_parser.parse
+
 let () =
   Alcotest.run "corpus"
     [ ("schema_model",
@@ -269,7 +288,8 @@ let () =
       ("schema_parser",
        [ Alcotest.test_case "parse" `Quick test_schema_parser_parse;
          Alcotest.test_case "errors" `Quick test_schema_parser_errors;
-         Alcotest.test_case "roundtrip" `Quick test_schema_parser_roundtrip ]);
+         Alcotest.test_case "roundtrip" `Quick test_schema_parser_roundtrip;
+         QCheck_alcotest.to_alcotest prop_schema_parser_never_raises ]);
       ("composite",
        [ Alcotest.test_case "frequent itemsets" `Quick test_frequent_itemsets;
          Alcotest.test_case "support + same-relation" `Quick test_support_and_same_relation;

@@ -370,6 +370,27 @@ let test_parser_roundtrip () =
       "ans(A, B) :- course(A, 'db', B), teaches(B, A)";
       "p(X) :- a.b(X), c.d(X, X)" ]
 
+(* Hostile input: mutated queries and programs parse or fail with
+   [Error], never raise. *)
+let parser_alphabet = "():-,.!'#\n XYZabcr_0123456789e+-"
+
+let prop_parse_query_never_raises =
+  Fuzz.never_raises ~name:"parse_query never raises on mutations"
+    ~alphabet:parser_alphabet
+    [ "q(X, Y) :- r(X, Z), s(Z, Y)";
+      "q(X) :- course(X, 'intro to db', cs, 42, 1e+20, 'it''s')";
+      "ans(T) :- mit.subject!(T, E)";
+      "p(X, -3, 6.830) :- a.b(X), c.d(X, X, true)" ]
+    Parser.parse_query
+
+let prop_parse_program_never_raises =
+  Fuzz.never_raises ~name:"parse_program never raises on mutations"
+    ~alphabet:parser_alphabet
+    [ "# a comment\npath(X, Y) :- edge(X, Y)\n\npath(X, Z) :- edge(X, Y), \
+       path(Y, Z)";
+      "q(X) :- r(X, 'a''b')\n# end\n" ]
+    Parser.parse_program
+
 (* ------------------------------------------------------------------ *)
 (* Properties *)
 
@@ -788,7 +809,8 @@ let () =
          Alcotest.test_case "qualified preds" `Quick test_parser_qualified_preds;
          Alcotest.test_case "errors" `Quick test_parser_errors;
          Alcotest.test_case "program" `Quick test_parser_program;
-         Alcotest.test_case "roundtrip" `Quick test_parser_roundtrip ]);
+         Alcotest.test_case "roundtrip" `Quick test_parser_roundtrip ]
+       @ qc [ prop_parse_query_never_raises; prop_parse_program_never_raises ]);
       ("datalog",
        [ Alcotest.test_case "transitive closure" `Quick test_datalog_transitive_closure;
          Alcotest.test_case "unsafe rejected" `Quick test_datalog_unsafe_rule_rejected ]);

@@ -1251,48 +1251,100 @@ let prop_kwindex_n_unchanged_writes =
       && counter "pdms.kwindex.df_merges" = merges0
       && counter "pdms.kwindex.df_patches" > patches0)
 
-(* Kwindex.probe against a per-slot reference, through insert-one /
-   retract-oldest writes that tombstone and compact entries: every
-   entry's candidates are its live slots sharing a query token, in
-   ascending order; each candidate scores bit for bit what the
-   brute-force scan gives its tuple; an entry holding no query token
-   returns no candidates and no score array; the bound dominates every
-   candidate.  Unlike the hit-level property, this sees candidates that
-   rank below any top-k. *)
+(* A random catalog (three to six peers over a chain, star or Mesh-2
+   topology) put through 40 writes that insert one row and retract the
+   relation's oldest, the new row reusing stored values half the time.
+   [check ~catalog ~db ~names ~ops ~stored_tuple] runs before the first
+   write and after every fourth, drawing what it needs from [ops]; the
+   stream holds when every check does and the writes tombstoned some
+   entry and compacted some entry. *)
+let kwindex_write_stream seed check =
+  P.Kwindex.reset ();
+  let prng = Util.Prng.create (seed + 919) in
+  let kind =
+    match seed mod 3 with
+    | 0 -> P.Topology.Chain
+    | 1 -> P.Topology.Star
+    | _ -> P.Topology.Mesh 2
+  in
+  let topology = P.Topology.generate ~prng kind ~n:(3 + (seed mod 4)) in
+  let g =
+    Workload.Peers_gen.generate prng ~topology
+      ~tuples_per_peer:(4 + (seed mod 5))
+      ~with_join:(seed mod 2 = 0) ()
+  in
+  let catalog = g.Workload.Peers_gen.catalog in
+  let db = P.Catalog.global_db catalog in
+  let names =
+    Array.of_list (List.sort String.compare (Relalg.Database.names db))
+  in
+  let ops = Util.Prng.create (seed + 2718) in
+  let stored_tuple () =
+    match
+      Relalg.Relation.tuples
+        (Relalg.Database.find db (Util.Prng.pick_arr ops names))
+    with
+    | [] -> None
+    | rows -> Some (Util.Prng.pick ops rows)
+  in
+  let saw_tombstone = ref false and saw_compaction = ref false in
+  let last_slots = Hashtbl.create 16 in
+  let checked () =
+    let ok = check ~catalog ~db ~names ~ops ~stored_tuple in
+    Array.iter
+      (fun rel_name ->
+        let e, _ = P.Kwindex.get ~rel_name (Relalg.Database.find db rel_name) in
+        let n_slots = e.P.Kwindex.n_slots in
+        if n_slots > e.P.Kwindex.doc_count then saw_tombstone := true;
+        (match Hashtbl.find_opt last_slots rel_name with
+        | Some before when n_slots < before -> saw_compaction := true
+        | _ -> ());
+        Hashtbl.replace last_slots rel_name n_slots)
+      names;
+    ok
+  in
+  let ok = ref (checked ()) in
+  for i = 0 to 39 do
+    let rel = Relalg.Database.find db (Util.Prng.pick_arr ops names) in
+    let fresh =
+      Array.init
+        (Relalg.Schema.arity (Relalg.Relation.schema rel))
+        (fun c ->
+          match stored_tuple () with
+          | Some row when Util.Prng.bool ops -> row.(c mod Array.length row)
+          | _ -> vs (Printf.sprintf "w%d k%d" (Util.Prng.int ops 30) i))
+    in
+    Relalg.Relation.apply rel
+      (match Relalg.Relation.tuples rel with
+      | [] -> Relalg.Relation.Delta.add fresh
+      | oldest :: _ ->
+          Relalg.Relation.Delta.make ~adds:[ fresh ] ~dels:[ oldest ] ());
+    if i mod 4 = 3 then ok := checked () && !ok
+  done;
+  P.Kwindex.reset ();
+  !ok && !saw_tombstone && !saw_compaction
+
+(* Kwindex.probe against a per-slot reference, through the write
+   stream above: every entry's candidates are its live slots sharing a
+   query token, in ascending order; each candidate scores bit for bit
+   what the brute-force scan gives its tuple; an entry holding no query
+   token returns no candidates and no score array; the bound dominates
+   every candidate.  Unlike the hit-level property, this sees
+   candidates that rank below any top-k. *)
 let prop_probe_matches_slot_reference =
   QCheck.Test.make ~name:"probe = per-slot reference" ~count:25
     (QCheck.make QCheck.Gen.(int_bound 10_000) ~print:string_of_int)
     (fun seed ->
-      P.Kwindex.reset ();
-      let prng = Util.Prng.create (seed + 919) in
-      let kind =
-        match seed mod 3 with
-        | 0 -> P.Topology.Chain
-        | 1 -> P.Topology.Star
-        | _ -> P.Topology.Mesh 2
-      in
-      let topology = P.Topology.generate ~prng kind ~n:(3 + (seed mod 4)) in
-      let g =
-        Workload.Peers_gen.generate prng ~topology
-          ~tuples_per_peer:(4 + (seed mod 5))
-          ~with_join:(seed mod 2 = 0) ()
-      in
-      let db = P.Catalog.global_db g.Workload.Peers_gen.catalog in
-      let names =
-        Array.of_list (List.sort String.compare (Relalg.Database.names db))
-      in
-      let ops = Util.Prng.create (seed + 2718) in
-      let stored_tuple () =
-        match
-          Relalg.Relation.tuples
-            (Relalg.Database.find db (Util.Prng.pick_arr ops names))
-        with
-        | [] -> None
-        | rows -> Some (Util.Prng.pick ops rows)
+      kwindex_write_stream seed
+      @@ fun ~catalog:_ ~db ~names ~ops ~stored_tuple ->
+      let entries =
+        Array.to_list names
+        |> List.map (fun rel_name ->
+               fst (P.Kwindex.get ~rel_name (Relalg.Database.find db rel_name)))
       in
       (* A token of some stored tuple's text, stemmed as a search stems
          it; no relation holds "qzxjv". *)
-      let query_toks () =
+      let toks =
         List.init
           (1 + Util.Prng.int ops 4)
           (fun _ ->
@@ -1301,71 +1353,90 @@ let prop_probe_matches_slot_reference =
             | _ -> "empty")
         @ [ "qzxjv" ]
       in
-      let saw_tombstone = ref false and saw_compaction = ref false in
-      let last_slots = Hashtbl.create 16 in
-      let probe_matches () =
-        let entries =
-          Array.to_list names
-          |> List.map (fun rel_name ->
-                 fst (P.Kwindex.get ~rel_name (Relalg.Database.find db rel_name)))
-        in
-        let toks = query_toks () in
-        let stamp, corpus = P.Kwindex.corpus entries in
-        let query_vec = Util.Tfidf.vectorize corpus toks in
-        let scanned = Hashtbl.create 64 in
-        List.iter
-          (fun (e, id, s) -> Hashtbl.replace scanned (e.P.Kwindex.rel_name, id) s)
-          (Reference.keyword_slot_scores entries toks);
-        List.for_all
-          (fun e ->
-            let n_slots = e.P.Kwindex.n_slots in
-            if n_slots > e.P.Kwindex.doc_count then saw_tombstone := true;
-            (match Hashtbl.find_opt last_slots e.P.Kwindex.rel_name with
-            | Some before when n_slots < before -> saw_compaction := true
-            | _ -> ());
-            Hashtbl.replace last_slots e.P.Kwindex.rel_name n_slots;
-            let pr = P.Kwindex.probe e ~stamp corpus query_vec in
-            let expected =
-              List.filter
-                (fun id ->
-                  e.P.Kwindex.live.(id)
-                  && List.exists
-                       (fun (tok, _) -> List.mem tok toks)
-                       (P.Kwindex.slot_tokens e id))
-                (List.init n_slots Fun.id)
-            in
-            Array.to_list pr.P.Kwindex.candidates = expected
-            && (expected <> [] || pr.P.Kwindex.scores = [||])
-            && Array.for_all
-                 (fun id ->
-                   let score = pr.P.Kwindex.scores.(id) in
-                   Option.map Int64.bits_of_float
-                     (Hashtbl.find_opt scanned (e.P.Kwindex.rel_name, id))
-                   = Some (Int64.bits_of_float score)
-                   && score <= pr.P.Kwindex.bound)
-                 pr.P.Kwindex.candidates)
-          entries
+      let stamp, corpus = P.Kwindex.corpus entries in
+      let query_vec = Util.Tfidf.vectorize corpus toks in
+      let scanned = Hashtbl.create 64 in
+      List.iter
+        (fun (e, id, s) -> Hashtbl.replace scanned (e.P.Kwindex.rel_name, id) s)
+        (Reference.keyword_slot_scores entries toks);
+      List.for_all
+        (fun e ->
+          let n_slots = e.P.Kwindex.n_slots in
+          let pr = P.Kwindex.probe e ~stamp corpus query_vec in
+          let expected =
+            List.filter
+              (fun id ->
+                e.P.Kwindex.live.(id)
+                && List.exists
+                     (fun (tok, _) -> List.mem tok toks)
+                     (P.Kwindex.slot_tokens e id))
+              (List.init n_slots Fun.id)
+          in
+          Array.to_list pr.P.Kwindex.candidates = expected
+          && (expected <> [] || pr.P.Kwindex.scores = [||])
+          && Array.for_all
+               (fun id ->
+                 let score = pr.P.Kwindex.scores.(id) in
+                 Option.map Int64.bits_of_float
+                   (Hashtbl.find_opt scanned (e.P.Kwindex.rel_name, id))
+                 = Some (Int64.bits_of_float score)
+                 && score <= pr.P.Kwindex.bound)
+               pr.P.Kwindex.candidates)
+        entries)
+
+(* Keyword.search scores a relation only when its bound beats the
+   heap's floor, into one buffer per search; Reference.keyword_probe_every
+   probes every relation into its own array first and then ranks.
+   Through the write stream above, queries of one to four words from
+   stored tuples (sometimes two from one tuple, so postings overlap)
+   plus a word no relation holds, at limits 1-12, must give the same
+   hits bit for bit and the same [pdms.kwindex.candidates] and
+   [skipped_by_bound] counts — a skipped relation counts the union of
+   its postings, not their total length. *)
+let prop_bound_first_matches_probe_every =
+  QCheck.Test.make ~name:"bound-first ranking = probe-every-relation ranking"
+    ~count:25
+    (QCheck.make QCheck.Gen.(int_bound 10_000) ~print:string_of_int)
+    (fun seed ->
+      kwindex_write_stream seed
+      @@ fun ~catalog ~db:_ ~names:_ ~ops ~stored_tuple ->
+      let tuple_words () =
+        match stored_tuple () with
+        | None -> [ "empty" ]
+        | Some row -> (
+            match
+              List.concat_map
+                (fun v -> Util.Tokenize.words (Relalg.Value.to_string v))
+                (Array.to_list row)
+            with
+            | [] -> [ "empty" ]
+            | words -> words)
       in
-      let ok = ref (probe_matches ()) in
-      for i = 0 to 39 do
-        let rel = Relalg.Database.find db (Util.Prng.pick_arr ops names) in
-        let fresh =
-          Array.init
-            (Relalg.Schema.arity (Relalg.Relation.schema rel))
-            (fun c ->
-              match stored_tuple () with
-              | Some row when Util.Prng.bool ops -> row.(c mod Array.length row)
-              | _ -> vs (Printf.sprintf "w%d k%d" (Util.Prng.int ops 30) i))
-        in
-        Relalg.Relation.apply rel
-          (match Relalg.Relation.tuples rel with
-          | [] -> Relalg.Relation.Delta.add fresh
-          | oldest :: _ ->
-              Relalg.Relation.Delta.make ~adds:[ fresh ] ~dels:[ oldest ] ());
-        if i mod 4 = 3 then ok := probe_matches () && !ok
-      done;
-      P.Kwindex.reset ();
-      !ok && !saw_tombstone && !saw_compaction)
+      let rec draw k acc =
+        if k <= 0 then acc
+        else
+          let words = tuple_words () in
+          let take = if k >= 2 && Util.Prng.bool ops then 2 else 1 in
+          draw (k - take)
+            (List.init take (fun _ -> Util.Prng.pick ops words) @ acc)
+      in
+      List.for_all
+        (fun () ->
+          let query =
+            String.concat " " (draw (1 + Util.Prng.int ops 4) [] @ [ "qzxjv" ])
+          in
+          let limit = 1 + Util.Prng.int ops 12 in
+          let candidates0 = counter "pdms.kwindex.candidates"
+          and skipped0 = counter "pdms.kwindex.skipped_by_bound" in
+          let hits = P.Keyword.search ~limit catalog query in
+          let candidates = counter "pdms.kwindex.candidates" - candidates0
+          and skipped = counter "pdms.kwindex.skipped_by_bound" - skipped0 in
+          let ref_hits, ref_candidates, ref_skipped =
+            Reference.keyword_probe_every ~limit catalog query
+          in
+          List.map hit_key hits = List.map hit_key ref_hits
+          && candidates = ref_candidates && skipped = ref_skipped)
+        [ (); (); () ])
 
 (* Bounded tombstones: 400 insert-and-retract rounds through one small
    relation.  Compaction keeps dead slots within a quarter of the live
@@ -3535,6 +3606,7 @@ let () =
              prop_kwindex_incremental_matches_rebuild;
              prop_kwindex_n_unchanged_writes;
              prop_probe_matches_slot_reference;
+             prop_bound_first_matches_probe_every;
              prop_derived_patch_equals_rebuild ]);
       ("distributed",
        [ Alcotest.test_case "owner parsing" `Quick test_distributed_owner_parsing;

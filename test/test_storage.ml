@@ -598,6 +598,48 @@ let prop_bgp_reference =
       in
       got = expected)
 
+(* Hostile input: framed and bare delta payloads with bytes dropped,
+   inserted, cut or copied, and random strings, decode or raise
+   [Codec.Corrupt] — nothing else.  Frames are read from the start
+   until the input ends or tears. *)
+let codec_payloads =
+  let delta adds dels =
+    let buf = Buffer.create 64 in
+    Storage.Codec.add_delta buf (Relalg.Relation.Delta.make ~adds ~dels ());
+    Buffer.contents buf
+  in
+  let d1 =
+    delta
+      [ tup [ vs "a"; Relalg.Value.Int (-7); Relalg.Value.Float 2.5 ];
+        tup [ Relalg.Value.Null; Relalg.Value.Bool true ] ]
+      [ tup [ vs "with | pipe\nand newline"; Relalg.Value.Int max_int ] ]
+  and d2 = delta [] [ tup [ vs ""; Relalg.Value.Int min_int ] ] in
+  QCheck.oneof
+    [ Fuzz.mutations
+        ~alphabet:(String.init 256 Char.chr)
+        [ d1; d2; Storage.Codec.frame d1 ^ Storage.Codec.frame d2 ];
+      QCheck.string ]
+
+let prop_codec_raises_only_corrupt =
+  QCheck.Test.make ~name:"codec reads raise only Corrupt" ~count:1000
+    codec_payloads (fun bytes ->
+      let rec frames pos =
+        match Storage.Codec.read_frame bytes pos with
+        | Storage.Codec.Frame (payload, next) ->
+            ignore (Storage.Codec.read_delta (Storage.Codec.reader payload));
+            frames next
+        | Storage.Codec.End | Storage.Codec.Torn _ -> ()
+      in
+      let guarded f = try f () with Storage.Codec.Corrupt _ -> () in
+      match
+        guarded (fun () -> frames 0);
+        guarded (fun () ->
+            ignore (Storage.Codec.read_delta (Storage.Codec.reader bytes)))
+      with
+      | () -> true
+      | exception e ->
+          QCheck.Test.fail_reportf "raised %s" (Printexc.to_string e))
+
 let () =
   Alcotest.run "storage"
     [ ("triple_store",
@@ -624,7 +666,8 @@ let () =
        [ Alcotest.test_case "int round-trip" `Quick test_codec_int_roundtrip;
          Alcotest.test_case "varint negative" `Quick test_codec_varint_rejects_negative;
          Alcotest.test_case "value/tuple/delta" `Quick test_codec_value_tuple_delta;
-         Alcotest.test_case "framing" `Quick test_codec_frame ]);
+         Alcotest.test_case "framing" `Quick test_codec_frame;
+         QCheck_alcotest.to_alcotest prop_codec_raises_only_corrupt ]);
       ("wal",
        [ Alcotest.test_case "append and reopen" `Quick test_wal_append_reopen;
          Alcotest.test_case "torn tail" `Quick test_wal_torn_tail;

@@ -328,6 +328,39 @@ let test_parser_roundtrip_berkeley () =
       (Xml.equal inst (Xmlmodel.Xml_parser.roundtrip inst))
   done
 
+(* Open elements live on an explicit stack, not the call stack, so
+   depth costs time linear in the input. *)
+let test_parser_deep_nesting () =
+  let depth = 1_000_000 in
+  let buf = Buffer.create ((7 * depth) + 1) in
+  for _ = 1 to depth do
+    Buffer.add_string buf "<a>"
+  done;
+  Buffer.add_char buf 'x';
+  for _ = 1 to depth do
+    Buffer.add_string buf "</a>"
+  done;
+  let rec measure d = function
+    | Xml.Element ("a", [], [ child ]) -> measure (d + 1) child
+    | Xml.Text "x" -> d
+    | _ -> -1
+  in
+  check_i "depth" depth
+    (measure 0 (Xmlmodel.Xml_parser.parse_exn (Buffer.contents buf)))
+
+(* Hostile input: mutated documents parse or fail with [Error], never
+   raise. *)
+let prop_parser_never_raises =
+  Fuzz.never_raises ~name:"parse never raises on mutations"
+    ~alphabet:"<>/=!?-'\"&;# \nabx"
+    [ "<a x=\"1\"><b>hello</b><c/><b>bye &amp; more</b></a>";
+      "<?xml version=\"1.0\"?><!-- hi --><r><!-- inner --><x>1</x></r>";
+      "<!DOCTYPE r><r>\n  <k a='&quot;'>1 &lt; 2</k>\n  <k/>\n</r>\n";
+      Xml.to_string
+        (Workload.University.berkeley_instance (Util.Prng.create 9)
+           ~colleges:1 ~depts:2 ~courses:2) ]
+    Xmlmodel.Xml_parser.parse
+
 (* ------------------------------------------------------------------ *)
 (* Relational bridge *)
 
@@ -401,7 +434,9 @@ let () =
          Alcotest.test_case "declaration + comments" `Quick
            test_parser_declaration_and_comments;
          Alcotest.test_case "errors" `Quick test_parser_errors;
-         Alcotest.test_case "roundtrip" `Quick test_parser_roundtrip_berkeley ]);
+         Alcotest.test_case "roundtrip" `Quick test_parser_roundtrip_berkeley;
+         Alcotest.test_case "deep nesting" `Quick test_parser_deep_nesting;
+         QCheck_alcotest.to_alcotest prop_parser_never_raises ]);
       ("bridge",
        [ Alcotest.test_case "extract" `Quick test_bridge_extract;
          Alcotest.test_case "missing field" `Quick test_bridge_missing_field_null;
