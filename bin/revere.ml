@@ -363,17 +363,21 @@ let data_dir_arg =
            snapshot + write-ahead-log replay; see `revere init') instead \
            of reading a $(i,PDMS_FILE) argument.")
 
-let recover_catalog ~exec dir =
+(* A data directory that does not recover is one line and exit 1. *)
+let open_data_dir ~exec dir =
   match Pdms.Persist.open_dir ~exec dir with
-  | Ok t ->
-      let catalog = Pdms.Persist.catalog t in
-      (* The read-only commands never append; opening (which also
-         repairs any torn WAL tail) and closing is the whole story. *)
-      Pdms.Persist.close t;
-      catalog
+  | Ok t -> t
   | Error msg ->
       Printf.eprintf "error: %s\n" msg;
       exit 1
+
+let recover_catalog ~exec dir =
+  let t = open_data_dir ~exec dir in
+  let catalog = Pdms.Persist.catalog t in
+  (* The read-only commands never append; opening (which also repairs
+     any torn WAL tail) and closing is the whole story. *)
+  Pdms.Persist.close t;
+  catalog
 
 let source_catalog ~exec data_dir args =
   match (data_dir, args) with
@@ -625,13 +629,10 @@ let init_cmd =
       $ Arg.(required & pos 0 (some file) None
              & info [] ~docv:"PDMS_FILE" ~doc:"Pdms_file format"))
 
-let parse_row_arg s =
-  Pdms.Pdms_file.split_row s |> List.map String.trim
-  |> List.map Pdms.Pdms_file.parse_value
-  |> Array.of_list
+let parse_row_arg s = Array.of_list (Pdms.Pdms_file.parse_row s)
 
 let update_data_dir dir rel inserts deletes do_snapshot cli =
-  let t = Pdms.Persist.open_dir_exn ~exec:cli.exec dir in
+  let t = open_data_dir ~exec:cli.exec dir in
   let u =
     Pdms.Updategram.make ~rel
       ~inserts:(List.map parse_row_arg inserts)
@@ -678,7 +679,7 @@ let update_cmd =
       $ exec_term)
 
 let snapshot_data_dir dir cli =
-  let t = Pdms.Persist.open_dir_exn ~exec:cli.exec dir in
+  let t = open_data_dir ~exec:cli.exec dir in
   Printf.printf "snapshot %s (covers wal seq %d)\n" (Pdms.Persist.snapshot t)
     (Pdms.Persist.wal_seq t);
   Pdms.Persist.close t;

@@ -2,62 +2,69 @@ let strip = String.trim
 
 let split_prefix line prefix =
   let lp = String.length prefix in
-  if String.length line > lp && String.sub line 0 lp = prefix then
+  if String.length line > lp && String.starts_with ~prefix line then
     Some (strip (String.sub line lp (String.length line - lp)))
   else None
 
-(* One row value, already stripped of surrounding whitespace.  Single
+(* The characters [String.trim] strips. *)
+let is_blank = function ' ' | '\012' | '\n' | '\r' | '\t' -> true | _ -> false
+
+(* [s.[a .. b - 1]] without its leading and trailing blanks. *)
+let trim_range s a b =
+  let a = ref a and b = ref b in
+  while !a < !b && is_blank s.[!a] do incr a done;
+  while !b > !a && is_blank s.[!b - 1] do decr b done;
+  (!a, !b)
+
+(* The value of the field [s.[a .. b - 1]], already trimmed.  Single
    quotes force string interpretation (e.g. the course id '6.830');
    inside quotes, [''] is a literal quote and a backslash escapes a
    newline ([\n]), a carriage return ([\r]) or itself ([\\]), so a
    value never spills onto the next line.  Any other backslash is
    literal. *)
-let parse_value v =
-  let n = String.length v in
-  if n >= 2 && v.[0] = '\'' && v.[n - 1] = '\'' then begin
-    let inner = String.sub v 1 (n - 2) in
-    let m = String.length inner in
-    let b = Buffer.create m in
-    let i = ref 0 in
-    while !i < m do
+let field_value s a b =
+  if b - a >= 2 && s.[a] = '\'' && s.[b - 1] = '\'' then begin
+    let stop = b - 1 in
+    let buf = Buffer.create (stop - a - 1) in
+    let i = ref (a + 1) in
+    while !i < stop do
       (* NUL stands for "no next character": it starts no escape. *)
-      let next = if !i + 1 < m then inner.[!i + 1] else '\000' in
-      match (inner.[!i], next) with
+      let next = if !i + 1 < stop then s.[!i + 1] else '\000' in
+      match (s.[!i], next) with
       | ('\'' as c), '\'' | ('\\' as c), '\\' ->
-          Buffer.add_char b c;
+          Buffer.add_char buf c;
           i := !i + 2
       | '\\', 'n' ->
-          Buffer.add_char b '\n';
+          Buffer.add_char buf '\n';
           i := !i + 2
       | '\\', 'r' ->
-          Buffer.add_char b '\r';
+          Buffer.add_char buf '\r';
           i := !i + 2
       | c, _ ->
-          Buffer.add_char b c;
+          Buffer.add_char buf c;
           incr i
     done;
-    Relalg.Value.Str (Buffer.contents b)
+    Relalg.Value.Str (Buffer.contents buf)
   end
-  else Relalg.Value.of_string v
+  else Relalg.Value.of_string (String.sub s a (b - a))
 
-(* Split a row's value list on top-level ['|'] only: a field whose
-   first non-blank character is a quote runs (with [''] as a literal
-   quote) to its closing quote, and any ['|'] inside it is data, not a
-   separator.  Fields come back unstripped. *)
-let split_row s =
-  let n = String.length s in
-  let fields = ref [] in
-  let i = ref 0 in
-  while !i <= n do
-    let start = !i in
+let parse_value v = field_value v 0 (String.length v)
+
+(* The values of the row text [s.[pos .. stop - 1]], in one pass: it
+   splits on top-level ['|'] only (a field whose first non-blank
+   character is a quote runs, with [''] as a literal quote, to its
+   closing quote, and any ['|'] inside it is data), then trims and
+   reads each field where it lies. *)
+let row_values s pos stop =
+  let rec field start acc =
     let j = ref start in
-    while !j < n && (s.[!j] = ' ' || s.[!j] = '\t') do incr j done;
-    if !j < n && s.[!j] = '\'' then begin
+    while !j < stop && (s.[!j] = ' ' || s.[!j] = '\t') do incr j done;
+    if !j < stop && s.[!j] = '\'' then begin
       incr j;
       let closed = ref false in
-      while (not !closed) && !j < n do
+      while (not !closed) && !j < stop do
         if s.[!j] = '\'' then
-          if !j + 1 < n && s.[!j + 1] = '\'' then j := !j + 2
+          if !j + 1 < stop && s.[!j + 1] = '\'' then j := !j + 2
           else begin
             closed := true;
             incr j
@@ -65,11 +72,14 @@ let split_row s =
         else incr j
       done
     end;
-    while !j < n && s.[!j] <> '|' do incr j done;
-    fields := String.sub s start (!j - start) :: !fields;
-    i := !j + 1
-  done;
-  List.rev !fields
+    while !j < stop && s.[!j] <> '|' do incr j done;
+    let a, b = trim_range s start !j in
+    let acc = field_value s a b :: acc in
+    if !j < stop then field (!j + 1) acc else List.rev acc
+  in
+  field pos []
+
+let parse_row s = row_values s 0 (String.length s)
 
 (* Inverse of [parse_value] under the row scanner: a string value is
    single-quoted whenever writing it bare would re-parse differently —
@@ -121,6 +131,10 @@ type state = {
   catalog : Catalog.t;
   mutable current_peer : Peer.t option;
   mutable pending : pending_mapping option;
+  (* The name and stored relation of the last row line, forgotten at
+     every other line: consecutive rows of one relation find it
+     without building and hashing its stored predicate. *)
+  mutable last_row : (string * Relalg.Relation.t) option;
 }
 
 let ( let* ) = Result.bind
@@ -190,7 +204,55 @@ let parse_relation_decl rest =
             let* _ = checked (fun () -> Relalg.Schema.make name attrs) in
             Ok (name, attrs))
 
-let handle_line st line =
+(* [s.[a .. b - 1]] is [name]. *)
+let range_is s a b name =
+  let n = String.length name in
+  b - a = n
+  &&
+  let rec go k = k = n || (s.[a + k] = name.[k] && go (k + 1)) in
+  go 0
+
+(* A row line [s.[a .. b - 1]] (trimmed, starting ["row "]), read where
+   it lies in the text. *)
+let row_line st s a b =
+  let rec colon i =
+    if i >= b then None else if s.[i] = ':' then Some i else colon (i + 1)
+  in
+  match colon (a + 4) with
+  | None -> Error "row needs 'rel: v | v | ...'"
+  | Some i -> (
+      let ra, rb = trim_range s (a + 4) i in
+      let stored =
+        match (st.last_row, st.current_peer) with
+        | Some (rel, stored), _ when range_is s ra rb rel -> Ok stored
+        | _, None -> Error "row outside a peer section"
+        | _, Some peer -> (
+            let rel = String.sub s ra (rb - ra) in
+            match
+              Relalg.Database.find_opt (Peer.stored_db peer)
+                (Peer.stored_pred peer rel)
+            with
+            | None -> Error ("row before 'store " ^ rel ^ "'")
+            | Some stored ->
+                st.last_row <- Some (rel, stored);
+                Ok stored)
+      in
+      let* stored = stored in
+      let values = row_values s (i + 1) b in
+      let want = Relalg.Schema.arity (Relalg.Relation.schema stored)
+      and got = List.length values in
+      if got <> want then
+        Error
+          (Printf.sprintf "row %s: expected %d values, got %d"
+             (String.sub s ra (rb - ra)) want got)
+      else begin
+        Relalg.Relation.apply stored
+          (Relalg.Relation.Delta.add (Array.of_list values));
+        Ok ()
+      end)
+
+(* Any other line, trimmed. *)
+let other_line st line =
   match split_prefix line "peer " with
   | Some name ->
       let* () = finish_mapping st in
@@ -233,105 +295,82 @@ let handle_line st line =
                     Ok (ignore (Catalog.store_identity st.catalog peer ~rel))
                   else Error ("store of undeclared relation " ^ rel))
           | None -> (
-              match split_prefix line "row " with
-              | Some rest -> (
-                  match String.index_opt rest ':' with
-                  | None -> Error "row needs 'rel: v | v | ...'"
-                  | Some i -> (
-                      let rel = strip (String.sub rest 0 i) in
-                      let values =
-                        String.sub rest (i + 1) (String.length rest - i - 1)
-                        |> split_row |> List.map strip
-                        |> List.map parse_value
-                      in
-                      match st.current_peer with
-                      | None -> Error "row outside a peer section"
-                      | Some peer -> (
-                          match
-                            Relalg.Database.find_opt (Peer.stored_db peer)
-                              (Peer.stored_pred peer rel)
-                          with
-                          | None -> Error ("row before 'store " ^ rel ^ "'")
-                          | Some stored ->
-                              let want =
-                                Relalg.Schema.arity (Relalg.Relation.schema stored)
-                              and got = List.length values
-                              in
-                              if got <> want then
-                                Error
-                                  (Printf.sprintf
-                                     "row %s: expected %d values, got %d" rel
-                                     want got)
-                              else begin
-                                Relalg.Relation.apply stored
-                                  (Relalg.Relation.Delta.add
-                                     (Array.of_list values));
-                                Ok ()
-                              end)))
+              match split_prefix line "mapping " with
+              | Some kind_str ->
+                  let* () = finish_mapping st in
+                  flush_peer st;
+                  let* kind =
+                    match kind_str with
+                    | "equality" -> Ok `Equality
+                    | "inclusion" -> Ok `Inclusion
+                    | "definitional" -> Ok `Definitional
+                    | other -> Error ("unknown mapping kind " ^ other)
+                  in
+                  st.pending <- Some { kind; lhs = None; rhs = None; rules = [] };
+                  Ok ()
               | None -> (
-                  match split_prefix line "mapping " with
-                  | Some kind_str ->
-                      let* () = finish_mapping st in
-                      flush_peer st;
-                      let* kind =
-                        match kind_str with
-                        | "equality" -> Ok `Equality
-                        | "inclusion" -> Ok `Inclusion
-                        | "definitional" -> Ok `Definitional
-                        | other -> Error ("unknown mapping kind " ^ other)
-                      in
-                      st.pending <-
-                        Some { kind; lhs = None; rhs = None; rules = [] };
-                      Ok ()
-                  | None -> (
-                      let parse_side p setter rest =
-                        let* q = Cq.Parser.parse_query rest in
-                        setter q;
-                        Result.map ignore (mappings p)
-                      in
-                      match (split_prefix line "lhs ", st.pending) with
+                  let parse_side p setter rest =
+                    let* q = Cq.Parser.parse_query rest in
+                    setter q;
+                    Result.map ignore (mappings p)
+                  in
+                  match (split_prefix line "lhs ", st.pending) with
+                  | Some rest, Some p ->
+                      parse_side p (fun q -> p.lhs <- Some q) rest
+                  | Some _, None -> Error "lhs outside a mapping section"
+                  | None, _ -> (
+                      match (split_prefix line "rhs ", st.pending) with
                       | Some rest, Some p ->
-                          parse_side p (fun q -> p.lhs <- Some q) rest
-                      | Some _, None -> Error "lhs outside a mapping section"
+                          parse_side p (fun q -> p.rhs <- Some q) rest
+                      | Some _, None -> Error "rhs outside a mapping section"
                       | None, _ -> (
-                          match (split_prefix line "rhs ", st.pending) with
+                          match (split_prefix line "rule ", st.pending) with
                           | Some rest, Some p ->
-                              parse_side p (fun q -> p.rhs <- Some q) rest
-                          | Some _, None -> Error "rhs outside a mapping section"
-                          | None, _ -> (
-                              match (split_prefix line "rule ", st.pending) with
-                              | Some rest, Some p ->
-                                  parse_side p
-                                    (fun q -> p.rules <- p.rules @ [ q ])
-                                    rest
-                              | Some _, None ->
-                                  Error "rule outside a mapping section"
-                              | None, _ ->
-                                  Error ("unrecognised line: " ^ line))))))))
+                              parse_side p
+                                (fun q -> p.rules <- p.rules @ [ q ])
+                                rest
+                          | Some _, None -> Error "rule outside a mapping section"
+                          | None, _ -> Error ("unrecognised line: " ^ line)))))))
 
+(* A trimmed, non-empty line [s.[a .. b - 1]]: a row line is read where
+   it lies, any other is copied out first. *)
+let handle_line st s a b =
+  if b - a > 4 && range_is s a (a + 4) "row " then row_line st s a b
+  else begin
+    st.last_row <- None;
+    other_line st (String.sub s a (b - a))
+  end
+
+(* The lines are those of [String.split_on_char '\n' text], each
+   found where it lies. *)
 let parse text =
   let st =
-    { catalog = Catalog.create (); current_peer = None; pending = None }
+    {
+      catalog = Catalog.create ();
+      current_peer = None;
+      pending = None;
+      last_row = None;
+    }
   in
-  let lines = String.split_on_char '\n' text in
-  let rec go lineno = function
-    | [] ->
-        let* () =
-          Result.map_error
-            (Printf.sprintf "line %d: %s" (lineno - 1))
-            (finish_mapping st)
-        in
-        flush_peer st;
-        Ok st.catalog
-    | line :: rest -> (
-        let trimmed = strip line in
-        if trimmed = "" || trimmed.[0] = '#' then go (lineno + 1) rest
-        else
-          match handle_line st trimmed with
-          | Ok () -> go (lineno + 1) rest
-          | Error msg -> Error (Printf.sprintf "line %d: %s" lineno msg))
+  let n = String.length text in
+  let rec go lineno pos =
+    if pos > n then begin
+      let* () =
+        Result.map_error
+          (Printf.sprintf "line %d: %s" (lineno - 1))
+          (finish_mapping st)
+      in
+      flush_peer st;
+      Ok st.catalog
+    end
+    else
+      let eol = Option.value ~default:n (String.index_from_opt text pos '\n') in
+      let a, b = trim_range text pos eol in
+      match if a = b || text.[a] = '#' then Ok () else handle_line st text a b with
+      | Ok () -> go (lineno + 1) (eol + 1)
+      | Error msg -> Error (Printf.sprintf "line %d: %s" lineno msg)
   in
-  go 1 lines
+  go 1 0
 
 let parse_exn text =
   match parse text with

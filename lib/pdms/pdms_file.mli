@@ -51,9 +51,11 @@ val parse_value : string -> Relalg.Value.t
     quotes is a literal quote), everything else goes through
     {!Relalg.Value.of_string}. *)
 
-val split_row : string -> string list
-(** Split a row's value list on top-level ['|'] — separators inside a
-    single-quoted field are data.  Fields come back unstripped. *)
+val parse_row : string -> Relalg.Value.t list
+(** A row's value list ([v | v | ...]) as [parse] reads it: split on
+    top-level ['|'] (separators inside a single-quoted field are data),
+    each field stripped and read by {!parse_value}, in one pass that
+    copies no field but the value it becomes. *)
 
 val render_value : Relalg.Value.t -> string
 (** Inverse of {!parse_value} (quoting exactly the strings that need

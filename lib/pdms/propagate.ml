@@ -81,6 +81,9 @@ let push ?(exec = Exec.default) ?network ?prng ?tee t (u : Updategram.t) =
   | None -> []
   | Some rel ->
       Obs.Trace.span exec.Exec.trace "delta.push" @@ fun () ->
+      (* Taken before anything moves, so a row of the wrong arity is
+         refused before a replica queues the gram or the tee logs it. *)
+      let d = Updategram.effective_delta rel u in
       (* Decide deliverability first: a replica whose delta transfer
          fails cannot maintain its views around the mutation below, so
          it queues the gram and goes stale until {!reconcile}. *)
@@ -94,11 +97,9 @@ let push ?(exec = Exec.default) ?network ?prng ?tee t (u : Updategram.t) =
          so the durability tee records a single replayable write-ahead
          entry. *)
       (match tee with
-      | Some f ->
-          let d = Updategram.effective_delta rel u in
-          if not (Relalg.Relation.Delta.is_empty d) then
-            f ~rel:u.Updategram.rel d
-      | None -> ());
+      | Some f when not (Relalg.Relation.Delta.is_empty d) ->
+          f ~rel:u.Updategram.rel d
+      | Some _ | None -> ());
       (* The database is shared by every replica, so the mutation happens
          exactly once here, with each reachable dependent view maintained
          around it. *)

@@ -48,7 +48,9 @@ val push :
     maintained by derivation counting ({!View_maintenance}) around the
     one mutation, never recomputed.  [tee] (the durability hook)
     observes the single effective delta in write-ahead order, exactly
-    as {!Updategram.apply} would record it. *)
+    as {!Updategram.apply} would record it.  A row of the wrong arity
+    raises [Invalid_argument] before anything is shipped, queued or
+    teed. *)
 
 val lagging : t -> (string * int) list
 (** Replicas with undelivered updategrams, with their backlog length,

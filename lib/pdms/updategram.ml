@@ -14,6 +14,18 @@ let m_applied = Obs.Metrics.counter "pdms.delta.applied"
    the tuples that will actually land under insert-distinct semantics
    once the deletes have gone through. *)
 let effective_delta rel t =
+  (* A row of the wrong arity is refused here, before a durability tee
+     can log a delta that would never replay. *)
+  let want = Relalg.Schema.arity (Relalg.Relation.schema rel) in
+  List.iter
+    (fun row ->
+      if Array.length row <> want then
+        invalid_arg
+          (Printf.sprintf
+             "Updategram.effective_delta: arity mismatch for %s (got %d, \
+              want %d)"
+             t.rel (Array.length row) want))
+    (t.deletes @ t.inserts);
   let dels =
     List.fold_left
       (fun acc tuple ->

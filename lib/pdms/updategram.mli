@@ -22,7 +22,9 @@ val effective_delta : Relalg.Relation.t -> t -> Relalg.Relation.Delta.t
     deletes collapse to one removal (stored relations are distinct),
     and inserts that would be no-ops under insert-distinct semantics
     (already present and not deleted, or repeated within the gram) are
-    dropped.  This is the payload {!Propagate} ships to replicas. *)
+    dropped.  This is the payload {!Propagate} ships to replicas.
+    Raises [Invalid_argument] when a row's arity is not the
+    relation's. *)
 
 val apply :
   ?exec:Exec.t ->
@@ -35,7 +37,8 @@ val apply :
     relation's version bumps at most once and the retained delta log
     records the whole gram as a single entry.  Emits a [delta.apply]
     span on [exec.trace] and bumps [pdms.delta.applied].  Missing
-    relation raises [Not_found].
+    relation raises [Not_found]; a row of the wrong arity raises
+    [Invalid_argument] before [tee] sees anything.
 
     [tee] (the durability hook — see [Persist]) observes the non-empty
     effective delta {e before} the mutation, i.e. write-ahead order:

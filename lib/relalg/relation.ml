@@ -12,11 +12,17 @@ let tuple_equal a b = Array.length a = Array.length b && equal_from a b 0
 let tuple_hash (row : tuple) =
   Array.fold_left (fun acc v -> (acc * 31) + Value.hash v) 17 row
 
-module Tset = Hashtbl.Make (struct
-  type t = tuple
+(* A row with its [tuple_hash]: the membership table's key, so a row is
+   hashed once per append or lookup, not once per table probe. *)
+type key = { hash : int; row : tuple }
 
-  let equal = tuple_equal
-  let hash = tuple_hash
+let key row = { hash = tuple_hash row; row }
+
+module Tset = Hashtbl.Make (struct
+  type t = key
+
+  let equal a b = a.hash = b.hash && tuple_equal a.row b.row
+  let hash k = k.hash
 end)
 
 module Vtbl = Hashtbl.Make (Value)
@@ -79,6 +85,8 @@ type t = {
      Appends are amortised O(1); removal compacts in place preserving
      order, so derived structures can mirror slots stably. *)
   mutable rows_arr : tuple array;
+  (* [tuple_hash] of each slot's row, taken at append. *)
+  mutable hashes : int array;
   mutable count_slots : int;
   (* Memoised oldest-first list view of the rows, keyed by version. *)
   mutable rows_list : (int * tuple list) option;
@@ -113,6 +121,7 @@ let create schema =
     schema;
     version = 0;
     rows_arr = [||];
+    hashes = [||];
     count_slots = 0;
     rows_list = None;
     members = Tset.create 16;
@@ -151,18 +160,22 @@ let grow t =
   let cap = Array.length t.rows_arr in
   if t.count_slots >= cap then begin
     let cap' = max 8 (2 * cap) in
-    let arr = Array.make cap' [||] in
+    let arr = Array.make cap' [||] and hashes = Array.make cap' 0 in
     Array.blit t.rows_arr 0 arr 0 t.count_slots;
-    t.rows_arr <- arr
+    Array.blit t.hashes 0 hashes 0 t.count_slots;
+    t.rows_arr <- arr;
+    t.hashes <- hashes
   end
 
 let append_row t row =
   grow t;
+  let k = key row in
   t.rows_arr.(t.count_slots) <- row;
+  t.hashes.(t.count_slots) <- k.hash;
   t.count_slots <- t.count_slots + 1;
-  (match Tset.find t.members row with
-  | m -> Tset.replace t.members row (m + 1)
-  | exception Not_found -> Tset.add t.members row 1);
+  (match Tset.find_opt t.members k with
+  | Some m -> Tset.replace t.members k (m + 1)
+  | None -> Tset.add t.members k 1);
   (* Live indexes absorb the row instead of being invalidated. *)
   for col = 0 to Array.length t.indexes - 1 do
     match t.indexes.(col) with
@@ -176,20 +189,23 @@ let rec append_rows t = function
       append_row t row;
       append_rows t rows
 
-let mem t row = Tset.mem t.members row
+let mem t row = Tset.mem t.members (key row)
 
 (* Remove one copy per del occurrence (multiset subtraction), lowest
-   slot first, in a single order-preserving compaction pass.  Returns
-   the effective removals (absent tuples are dropped). *)
+   slot first, in a single order-preserving compaction pass.  A slot is
+   looked up in [wanted] by the hash it stored at append, so the pass
+   hashes the dels only, never a live row.  Returns the effective
+   removals (absent tuples are dropped). *)
 let remove_rows t dels =
   let wanted = Tset.create (max 4 (List.length dels)) in
   let effective = ref [] in
   List.iter
     (fun row ->
-      let have = Option.value ~default:0 (Tset.find_opt t.members row) in
-      let already = Option.value ~default:0 (Tset.find_opt wanted row) in
+      let k = key row in
+      let have = Option.value ~default:0 (Tset.find_opt t.members k) in
+      let already = Option.value ~default:0 (Tset.find_opt wanted k) in
       if already < have then begin
-        Tset.replace wanted row (already + 1);
+        Tset.replace wanted k (already + 1);
         effective := row :: !effective
       end)
     dels;
@@ -197,17 +213,18 @@ let remove_rows t dels =
   else begin
     let dst = ref 0 in
     for src = 0 to t.count_slots - 1 do
-      let row = t.rows_arr.(src) in
-      let pending = Option.value ~default:0 (Tset.find_opt wanted row) in
+      let k = { hash = t.hashes.(src); row = t.rows_arr.(src) } in
+      let pending = Option.value ~default:0 (Tset.find_opt wanted k) in
       if pending > 0 then begin
-        Tset.replace wanted row (pending - 1);
-        (match Tset.find_opt t.members row with
-        | Some 1 -> Tset.remove t.members row
-        | Some m -> Tset.replace t.members row (m - 1)
+        Tset.replace wanted k (pending - 1);
+        (match Tset.find_opt t.members k with
+        | Some 1 -> Tset.remove t.members k
+        | Some m -> Tset.replace t.members k (m - 1)
         | None -> ())
       end
       else begin
-        t.rows_arr.(!dst) <- row;
+        t.rows_arr.(!dst) <- k.row;
+        t.hashes.(!dst) <- k.hash;
         incr dst
       end
     done;
@@ -441,6 +458,7 @@ let copy t = of_tuples t.schema (tuples t)
 let clear t =
   t.version <- t.version + 1;
   t.rows_arr <- [||];
+  t.hashes <- [||];
   t.count_slots <- 0;
   t.rows_list <- None;
   Tset.reset t.members;

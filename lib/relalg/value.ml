@@ -53,14 +53,26 @@ let add_key buf = function
       Printf.bprintf buf "s%d:" (String.length s);
       Buffer.add_string buf s
 
+(* The conversions below raise and catch [Failure] on a field they do
+   not read, and none of them reads a field whose first character is a
+   letter other than [i], [I], [n], [N] (the float words [inf] and
+   [nan]), [t] or [f] (the booleans): such a field is a string without
+   trying them. *)
 let of_string s =
-  match int_of_string_opt s with
-  | Some i -> Int i
-  | None -> (
-      match float_of_string_opt s with
-      | Some f -> Float f
+  match if s = "" then '\000' else s.[0] with
+  | 'a' .. 'e' | 'g' | 'h' | 'j' .. 'm' | 'o' .. 's' | 'u' .. 'z'
+  | 'A' .. 'H' | 'J' .. 'M' | 'O' .. 'Z' ->
+      Str s
+  | _ -> (
+      match int_of_string_opt s with
+      | Some i -> Int i
       | None -> (
-          match bool_of_string_opt s with Some b -> Bool b | None -> Str s))
+          match float_of_string_opt s with
+          | Some f -> Float f
+          | None -> (
+              match bool_of_string_opt s with
+              | Some b -> Bool b
+              | None -> Str s)))
 
 let str s = Str s
 let int i = Int i

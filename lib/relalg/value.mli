@@ -31,7 +31,9 @@ val add_key : Buffer.t -> t -> unit
     cannot run into what follows it). *)
 
 val of_string : string -> t
-(** Best-effort parse: int, then float, then bool, else string. *)
+(** Best-effort parse: int, then float, then bool, else string.  A
+    string whose first character is a letter other than [i I n N t f]
+    is a [Str] without a conversion being tried. *)
 
 val str : string -> t
 val int : int -> t

@@ -2,28 +2,52 @@ exception Corrupt of string
 
 let corrupt fmt = Printf.ksprintf (fun msg -> raise (Corrupt msg)) fmt
 
-(* CRC-32, IEEE 802.3 polynomial (reflected: 0xEDB88320), table-driven. *)
-let crc_table =
-  lazy
-    (Array.init 256 (fun n ->
-         let c = ref (Int32.of_int n) in
-         for _ = 0 to 7 do
-           c :=
-             if Int32.logand !c 1l <> 0l then
-               Int32.logxor 0xEDB88320l (Int32.shift_right_logical !c 1)
-             else Int32.shift_right_logical !c 1
-         done;
-         !c))
+(* CRC-32, IEEE 802.3 polynomial (reflected: 0xEDB88320), over native
+   ints: a 32-bit value fits an OCaml int, so no step boxes an [Int32].
+   Table [k] (entries [256 * k ..]) advances a byte's remainder through
+   [k] more zero bytes, so one step folds four bytes in (slicing-by-4);
+   table 0 alone is the byte-at-a-time table. *)
+let crc_tables =
+  let t = Array.make 1024 0 in
+  for n = 0 to 255 do
+    let c = ref n in
+    for _ = 0 to 7 do
+      c := if !c land 1 <> 0 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
+    done;
+    t.(n) <- !c
+  done;
+  for n = 256 to 1023 do
+    let p = t.(n - 256) in
+    t.(n) <- (p lsr 8) lxor t.(p land 0xFF)
+  done;
+  t
 
-let crc32 s =
-  let table = Lazy.force crc_table in
-  let c = ref 0xFFFFFFFFl in
-  String.iter
-    (fun ch ->
-      let i = Int32.to_int (Int32.logand !c 0xFFl) lxor Char.code ch in
-      c := Int32.logxor table.(i) (Int32.shift_right_logical !c 8))
-    s;
-  Int32.logxor !c 0xFFFFFFFFl
+(* The checksum of [s.[pos .. pos + len - 1]]; callers keep the range
+   inside [s]. *)
+let crc_range s pos len =
+  let t = crc_tables and stop = pos + len in
+  let byte i = Char.code (String.unsafe_get s i) in
+  let c = ref 0xFFFFFFFF and i = ref pos in
+  while !i + 4 <= stop do
+    let j = !i in
+    let w =
+      !c
+      lxor (byte j lor (byte (j + 1) lsl 8) lor (byte (j + 2) lsl 16)
+           lor (byte (j + 3) lsl 24))
+    in
+    c :=
+      Array.unsafe_get t (768 + (w land 0xFF))
+      lxor Array.unsafe_get t (512 + ((w lsr 8) land 0xFF))
+      lxor Array.unsafe_get t (256 + ((w lsr 16) land 0xFF))
+      lxor Array.unsafe_get t (w lsr 24);
+    i := j + 4
+  done;
+  for j = !i to stop - 1 do
+    c := Array.unsafe_get t ((!c lxor byte j) land 0xFF) lxor (!c lsr 8)
+  done;
+  !c lxor 0xFFFFFFFF
+
+let crc32 s = crc_range s 0 (String.length s)
 
 (* ------------------------------------------------------------------ *)
 (* Writers *)
@@ -173,11 +197,12 @@ let get_le32 s pos =
   b 0 lor (b 1 lsl 8) lor (b 2 lsl 16) lor (b 3 lsl 24)
 
 let frame payload =
-  let crc = Int32.to_int (crc32 payload) land 0xFFFFFFFF in
-  le32 (String.length payload) ^ le32 crc ^ payload
+  le32 (String.length payload) ^ le32 (crc32 payload) ^ payload
 
 type frame_result = Frame of string * int | End | Torn of string
 
+(* The checksum is taken where the payload lies in [s]: only a frame
+   that checks out is copied. *)
 let read_frame s pos =
   let len = String.length s in
   if pos >= len then End
@@ -185,10 +210,8 @@ let read_frame s pos =
   else
     let plen = get_le32 s pos in
     let crc = get_le32 s (pos + 4) in
-    if plen < 0 || pos + frame_overhead + plen > len then
+    let start = pos + frame_overhead in
+    if plen < 0 || plen > len - start then
       Torn (Printf.sprintf "frame length %d runs past end of input" plen)
-    else
-      let payload = String.sub s (pos + frame_overhead) plen in
-      if Int32.to_int (crc32 payload) land 0xFFFFFFFF <> crc then
-        Torn "frame checksum mismatch"
-      else Frame (payload, pos + frame_overhead + plen)
+    else if crc_range s start plen <> crc then Torn "frame checksum mismatch"
+    else Frame (String.sub s start plen, start + plen)

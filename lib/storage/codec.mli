@@ -16,9 +16,10 @@
 exception Corrupt of string
 (** Raised by every [read_*] function on truncated or malformed input. *)
 
-val crc32 : string -> int32
+val crc32 : string -> int
 (** CRC-32 (the IEEE 802.3 polynomial, as used by zip/png) of a whole
-    string. *)
+    string, in [\[0, 0xFFFFFFFF\]]: [crc32 "123456789"] is
+    [0xCBF43926]. *)
 
 (** {2 Writers} *)
 

@@ -3,8 +3,11 @@
 # one line on stderr, starting with `error:`: a file argument that
 # cannot be read, a query that does not parse, an unsafe query (a head
 # variable missing from the body), a peer, drop probability or latency
-# `revere distributed` cannot use, and a data directory `revere init`
-# cannot create.  Faults on real peers still exit 0.
+# `revere distributed` cannot use, a data directory `revere init`
+# cannot create, a data directory `revere update` or `revere snapshot`
+# cannot recover, an update row of the wrong arity, and a schema file
+# that does not parse.  Faults on real peers still exit 0, and a refused
+# update leaves its data directory recoverable.
 #
 # usage: sh cli_errors.sh PATH/TO/revere.exe
 set -u
@@ -81,6 +84,28 @@ expect 1 1 init --data-dir afile ok.pdms
 expect 1 1 init --data-dir afile/sub ok.pdms
 expect 0 0 distributed --at mit ok.pdms "$query"
 expect 0 0 distributed --at mit --fail-peer uw --flaky 0.5 ok.pdms "$query"
+
+# A row of the wrong arity (an unterminated quote leaves one field) is
+# refused before the write-ahead log sees it: fsck still passes.
+"$revere" init --data-dir d ok.pdms > /dev/null
+expect 1 1 update --data-dir d 'uw.course!' --insert 'a | b | c'
+expect 1 1 update --data-dir d 'uw.course!' --insert "'x | y"
+expect 0 0 fsck --data-dir d
+
+# A directory whose only snapshot is junk does not recover.
+mkdir junk
+printf 'junk bytes' > junk/snapshot-0.snap
+expect 1 1 update --data-dir junk 'uw.course!' --insert 'a | b'
+expect 1 1 snapshot --data-dir junk
+
+# A schema file that does not parse, wherever a command reads one.
+printf 'schema broken\nrelation course(code\n' > bad.schema
+printf 'schema good\nrelation course(code, title)\n' > good.schema
+expect 1 1 match bad.schema good.schema
+expect 1 1 match good.schema good.schema --corpus bad.schema
+expect 1 1 advise bad.schema
+expect 1 1 critique good.schema --corpus bad.schema
+expect 1 1 stats course --corpus bad.schema
 
 if [ "$failures" -ne 0 ]; then
   echo "$failures CLI error case(s) failed"

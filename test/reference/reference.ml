@@ -141,3 +141,88 @@ let stats_scan rel =
     Relalg.Stats.cardinality = Relalg.Relation.cardinality rel;
     distinct = Array.map Hashtbl.length seen;
   }
+
+(* ------------------------------------------------------------------ *)
+(* Restart readers written the straightforward way: every conversion
+   tried in turn, fields cut into substrings, rows removed from a
+   list. *)
+
+let value_of_string s =
+  match int_of_string_opt s with
+  | Some i -> Relalg.Value.Int i
+  | None -> (
+      match float_of_string_opt s with
+      | Some f -> Relalg.Value.Float f
+      | None -> (
+          match bool_of_string_opt s with
+          | Some b -> Relalg.Value.Bool b
+          | None -> Relalg.Value.Str s))
+
+let parse_value v =
+  let n = String.length v in
+  if n >= 2 && v.[0] = '\'' && v.[n - 1] = '\'' then begin
+    let inner = String.sub v 1 (n - 2) in
+    let m = String.length inner in
+    let b = Buffer.create m in
+    let i = ref 0 in
+    while !i < m do
+      let next = if !i + 1 < m then inner.[!i + 1] else '\000' in
+      match (inner.[!i], next) with
+      | ('\'' as c), '\'' | ('\\' as c), '\\' ->
+          Buffer.add_char b c;
+          i := !i + 2
+      | '\\', 'n' ->
+          Buffer.add_char b '\n';
+          i := !i + 2
+      | '\\', 'r' ->
+          Buffer.add_char b '\r';
+          i := !i + 2
+      | c, _ ->
+          Buffer.add_char b c;
+          incr i
+    done;
+    Relalg.Value.Str (Buffer.contents b)
+  end
+  else value_of_string v
+
+let split_row s =
+  let n = String.length s in
+  let fields = ref [] in
+  let i = ref 0 in
+  while !i <= n do
+    let start = !i in
+    let j = ref start in
+    while !j < n && (s.[!j] = ' ' || s.[!j] = '\t') do incr j done;
+    if !j < n && s.[!j] = '\'' then begin
+      incr j;
+      let closed = ref false in
+      while (not !closed) && !j < n do
+        if s.[!j] = '\'' then
+          if !j + 1 < n && s.[!j + 1] = '\'' then j := !j + 2
+          else begin
+            closed := true;
+            incr j
+          end
+        else incr j
+      done
+    end;
+    while !j < n && s.[!j] <> '|' do incr j done;
+    fields := String.sub s start (!j - start) :: !fields;
+    i := !j + 1
+  done;
+  List.rev !fields
+
+let parse_row s = split_row s |> List.map String.trim |> List.map parse_value
+
+let apply_model rows d =
+  let rec remove_first row acc = function
+    | [] -> List.rev acc
+    | x :: rest ->
+        if Relalg.Relation.tuple_equal x row then List.rev_append acc rest
+        else remove_first row (x :: acc) rest
+  in
+  List.fold_left
+    (fun rows del -> remove_first del [] rows)
+    rows
+    (Relalg.Relation.Delta.dels d)
+  @ Relalg.Relation.Delta.adds d

@@ -1,12 +1,14 @@
 (** Reference implementations for tests and benchmarks.
 
     The library has one implementation each of union answering, keyword
-    search and derived-state maintenance.  This module keeps the
-    straightforward versions they are checked and timed against: each
-    rewriting evaluated on its own, every reachable tuple scored, and
-    statistics counted in one uncached scan.  Results are the same as
-    the library's — answer sets equal, hit lists bit-identical — only
-    the work differs.
+    search, derived-state maintenance and the restart readers.  This
+    module keeps the straightforward versions they are checked and
+    timed against: each rewriting evaluated on its own, every reachable
+    tuple scored, statistics counted in one uncached scan, and row
+    fields split, trimmed and classified one substring and one
+    conversion at a time.  Results are the same as the library's —
+    answer sets equal, hit lists bit-identical — only the work
+    differs.
 
     A from-scratch inverted index needs no code here: it is
     {!Pdms.Kwindex.reset} followed by {!Pdms.Kwindex.get}. *)
@@ -60,3 +62,24 @@ val stats_scan : Relalg.Relation.t -> Relalg.Stats.t
 (** Cardinality and per-column distinct-value counts from one scan of
     the relation, with no cache: what {!Relalg.Stats.of_relation}
     returns, recomputed every call. *)
+
+(** {2 Restart readers}
+
+    The library's versions read fields without raising, copying or
+    re-hashing, and must return the same values. *)
+
+val value_of_string : string -> Relalg.Value.t
+(** Int, then float, then bool, else string, each conversion tried in
+    turn (a failed one raises and catches [Failure]): what
+    {!Relalg.Value.of_string} returns. *)
+
+val parse_row : string -> Relalg.Value.t list
+(** A row's value list split on top-level ['|'] into substrings, each
+    trimmed with [String.trim], unquoted or classified by
+    {!value_of_string}: what {!Pdms.Pdms_file.parse_row} returns. *)
+
+val apply_model :
+  Relalg.Relation.tuple list -> Relalg.Relation.Delta.t -> Relalg.Relation.tuple list
+(** [apply_model rows d]: the rows, oldest first, after one copy per
+    del is removed (lowest position first, absent rows ignored) and the
+    adds are appended: what {!Relalg.Relation.apply} leaves. *)

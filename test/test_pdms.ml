@@ -3522,6 +3522,221 @@ let prop_catalog_incremental_matches_rebuild =
                     views)
            preds)
 
+(* ------------------------------------------------------------------ *)
+(* Restart readers: the one-pass row reader, wrong-arity updates and
+   hostile data directories. *)
+
+let same_value a b =
+  match (a, b) with
+  | Relalg.Value.Float x, Relalg.Value.Float y ->
+      Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+  | _ -> Relalg.Value.equal a b
+
+let print_values vs =
+  String.concat ", "
+    (List.map
+       (function
+         | Relalg.Value.Str s -> Printf.sprintf "Str %S" s
+         | v -> Relalg.Value.to_string v)
+       vs)
+
+(* Row text built from quotes, doubled quotes, separators inside and
+   outside quotes, blanks (those String.trim strips and those the
+   quote scan skips) and backslash escapes. *)
+let prop_parse_row_agrees =
+  let piece =
+    QCheck.Gen.oneofl
+      [ "'"; "''"; "|"; " | "; " "; "\t"; "\r"; "\012"; "\\"; "\\n";
+        "\\r"; "\\\\"; "a"; "cse533"; "6.830"; "42"; "nan"; "true"; "inf";
+        "x y"; "_1"; "'q'"; "'a | b'"; "'it''s'"; "'6.830'" ]
+  in
+  QCheck.Test.make ~name:"parse_row = split, trim, parse_value" ~count:2000
+    (QCheck.make ~print:(Printf.sprintf "%S")
+       QCheck.Gen.(map (String.concat "") (list_size (int_bound 8) piece)))
+    (fun text ->
+      let got = P.Pdms_file.parse_row text
+      and want = Reference.parse_row text in
+      List.equal same_value got want
+      || QCheck.Test.fail_reportf "got [%s], want [%s]" (print_values got)
+           (print_values want))
+
+(* A row of the wrong arity, inserted or deleted, is refused before the
+   write-ahead log or a push's tee sees it: the directory reopens as it
+   was and fsck passes. *)
+let test_persist_refuses_wrong_arity () =
+  let dir, t, _ = six_university_persist 13 in
+  let before = P.Pdms_file.render (P.Persist.catalog t) in
+  let rel = List.hd (Relalg.Database.names (P.Persist.db t)) in
+  let arity =
+    Relalg.Schema.arity
+      (Relalg.Relation.schema (Relalg.Database.find (P.Persist.db t) rel))
+  in
+  let wide = Array.make (arity + 1) (vs "x") and narrow = [| vs "x" |] in
+  let refused what u =
+    match P.Persist.apply ~sync:true t u with
+    | () -> Alcotest.failf "%s of the wrong arity was applied" what
+    | exception Invalid_argument _ -> ()
+  in
+  refused "an insert" (P.Updategram.make ~rel ~inserts:[ wide ] ());
+  refused "a delete" (P.Updategram.make ~rel ~deletes:[ narrow ] ());
+  check_b "nothing was logged" true (P.Persist.wal_seq t = 0);
+  let teed = ref 0 in
+  (match
+     P.Propagate.push
+       ~tee:(fun ~rel:_ _ -> incr teed)
+       (P.Propagate.create (P.Persist.catalog t))
+       (P.Updategram.make ~rel ~inserts:[ wide ] ())
+   with
+  | _ -> Alcotest.fail "push applied a row of the wrong arity"
+  | exception Invalid_argument _ -> ());
+  check_b "push teed nothing" true (!teed = 0);
+  P.Persist.close t;
+  let t' = P.Persist.open_dir_exn dir in
+  check_b "reopens with the same catalog" true
+    (P.Pdms_file.render (P.Persist.catalog t') = before);
+  P.Persist.close t';
+  check_b "fsck passes" true (P.Persist.fsck_ok (P.Persist.fsck dir))
+
+let remove_dir dir =
+  Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+  Unix.rmdir dir
+
+(* A small data directory's snapshot payload, and its WAL file's
+   records (one insert, one delete, one of each), each as a framed
+   payload. *)
+let durable_files =
+  lazy
+    (let dir = temp_dir () in
+     P.Persist.init ~dir
+       (P.Pdms_file.parse_exn
+          "peer a\nrelation r(x, y)\nstore r\nrow r: 1 | one\n\
+           row r: '6.830' | 'it''s | a\\nline'\npeer b\n\
+           relation s(x, y)\nstore s\nrow s: 2.5 | true\n\
+           mapping equality\nlhs m(X, Y) :- a.r(X, Y)\n\
+           rhs m(X, Y) :- b.s(X, Y)\n");
+     let t = P.Persist.open_dir_exn dir in
+     let row a b = [| vi a; vs b |] in
+     List.iter (P.Persist.apply t)
+       [ P.Updategram.make ~rel:"a.r!" ~inserts:[ row 3 "three" ] ();
+         P.Updategram.make ~rel:"a.r!" ~deletes:[ row 1 "one" ] ();
+         P.Updategram.make ~rel:"a.r!" ~inserts:[ row 4 "four" ]
+           ~deletes:[ row 3 "three" ] () ];
+     P.Persist.close t;
+     let _, payload = Option.get (Storage.Snapshot.load_latest ~dir) in
+     let wal = read_file (Storage.Wal.file ~dir) in
+     let rec frames pos =
+       match Storage.Codec.read_frame wal pos with
+       | Storage.Codec.Frame (p, next) -> p :: frames next
+       | Storage.Codec.End | Storage.Codec.Torn _ -> []
+     in
+     let records = frames (String.index wal '\n' + 1) in
+     let snapshot = read_file (Filename.concat dir "snapshot-0.snap") in
+     remove_dir dir;
+     (payload, records, snapshot, wal))
+
+(* A snapshot file of [payload] and a WAL file of [records], framed as
+   Snapshot.write and Wal.append frame them. *)
+let snapshot_file payload =
+  let buf = Buffer.create (String.length payload + 16) in
+  Storage.Codec.add_varint buf 0;
+  Storage.Codec.add_string buf payload;
+  "REVERE-SNAP 2\n" ^ Storage.Codec.frame (Buffer.contents buf)
+
+let wal_file records =
+  "REVERE-WAL 1\n" ^ String.concat "" (List.map Storage.Codec.frame records)
+
+(* WAL record payloads, encoded as Wal.append encodes them, that decode
+   but do not replay onto the seed directory: an unknown relation, a
+   row of the wrong arity, and the delete of an absent row (which
+   replays as a no-op). *)
+let odd_records =
+  List.map
+    (fun (seq, rel, adds, dels) ->
+      let buf = Buffer.create 64 in
+      Storage.Codec.add_varint buf seq;
+      Storage.Codec.add_string buf rel;
+      Storage.Codec.add_delta buf (Relalg.Relation.Delta.make ~adds ~dels ());
+      Buffer.contents buf)
+    [ (1, "a.q!", [ [| vi 1 |] ], []);
+      (2, "a.r!", [ [| vi 1; vs "x"; vs "y" |] ], []);
+      (3, "b.s!", [], [ [| vi 9; vs "absent" |] ]) ]
+
+(* Every durable reader on a directory holding these two files; [Ok]
+   when each answered, whatever it answered. *)
+let read_durable ~snapshot ~wal =
+  let dir = temp_dir () in
+  let snap_path = Filename.concat dir "snapshot-0.snap"
+  and wal_path = Storage.Wal.file ~dir in
+  write_file snap_path snapshot;
+  write_file wal_path wal;
+  Fun.protect
+    ~finally:(fun () -> remove_dir dir)
+    (fun () ->
+      ignore (Storage.Wal.read wal_path : (Storage.Wal.read_result, string) result);
+      ignore (Storage.Snapshot.load snap_path : (int * string, string) result);
+      ignore (P.Persist.fsck dir : P.Persist.fsck_report);
+      (match P.Persist.open_dir dir with
+      | Ok t -> P.Persist.close t
+      | Error _ -> ());
+      Ok ())
+
+(* The seeds are the files the library writes, and the odd records,
+   unmutated, are refused (or replayed, for the absent delete) without
+   an exception. *)
+let test_durable_seeds () =
+  let payload, records, snapshot, wal = Lazy.force durable_files in
+  check_b "snapshot file as written" true (snapshot_file payload = snapshot);
+  check_b "WAL file as written" true (wal_file records = wal);
+  check_b "three WAL records" true (List.length records = 3);
+  List.iter2
+    (fun record recovers ->
+      let dir = temp_dir () in
+      write_file (Filename.concat dir "snapshot-0.snap") snapshot;
+      write_file (Storage.Wal.file ~dir) (wal_file [ record ]);
+      Fun.protect
+        ~finally:(fun () -> remove_dir dir)
+        (fun () ->
+          check_b "fsck agrees" recovers (P.Persist.fsck_ok (P.Persist.fsck dir));
+          match P.Persist.open_dir dir with
+          | Ok t ->
+              P.Persist.close t;
+              check_b "recovers" recovers true
+          | Error _ -> check_b "refused" recovers false))
+    odd_records [ false; false; true ]
+
+(* Mutated files go through [Wal.read], [Snapshot.load], [Persist.fsck]
+   and [Persist.open_dir]: as they lie on disk (the checksum catches
+   most), and mutated inside a frame whose checksum holds, so the
+   decoders, the catalog parser and the replay see them (a mutated
+   record is the WAL's only one, so its sequence number, 1 to 3 in the
+   seeds, passes the check against the snapshot's 0). *)
+let props_durable_readers_never_raise =
+  let bytes = String.init 256 Char.chr in
+  let payload () =
+    let p, _, _, _ = Lazy.force durable_files in
+    p
+  and records () =
+    let _, r, _, _ = Lazy.force durable_files in
+    r
+  in
+  let good_snapshot () = snapshot_file (payload ())
+  and good_wal () = wal_file (records ()) in
+  [ Fuzz.never_raises ~name:"durable readers: mutated WAL file never raise"
+      ~alphabet:bytes [ good_wal () ] (fun wal ->
+        read_durable ~snapshot:(good_snapshot ()) ~wal);
+    Fuzz.never_raises
+      ~name:"durable readers: mutated snapshot file never raise"
+      ~alphabet:bytes [ good_snapshot () ] (fun snapshot ->
+        read_durable ~snapshot ~wal:(good_wal ()));
+    Fuzz.never_raises
+      ~name:"durable readers: mutated WAL records never raise"
+      ~alphabet:bytes (records () @ odd_records) (fun record ->
+        read_durable ~snapshot:(good_snapshot ()) ~wal:(wal_file [ record ]));
+    Fuzz.never_raises
+      ~name:"durable readers: mutated snapshot payload never raise"
+      ~alphabet:"abrsxy():|'\\\n 0123456789.!,-" [ payload () ] (fun text ->
+        read_durable ~snapshot:(snapshot_file text) ~wal:(good_wal ())) ]
+
 let () =
   let qc = List.map QCheck_alcotest.to_alcotest in
   Alcotest.run "pdms"
@@ -3644,6 +3859,7 @@ let () =
        @ qc
            [ prop_pdms_file_roundtrip;
              prop_pdms_value_roundtrip;
+             prop_parse_row_agrees;
              prop_pdms_file_mutations_never_raise ]);
       ("persist",
        [ Alcotest.test_case "init, apply, reopen" `Quick
@@ -3657,8 +3873,11 @@ let () =
          Alcotest.test_case "persist refuses format 1" `Quick
            test_persist_refuses_format_1;
          Alcotest.test_case "mapping constants keep their type" `Quick
-           test_persist_typed_mapping_constants ]
-       @ qc [ prop_persist_crash_recovery ]);
+           test_persist_typed_mapping_constants;
+         Alcotest.test_case "wrong arity is refused before the log" `Quick
+           test_persist_refuses_wrong_arity;
+         Alcotest.test_case "durable fuzz seeds" `Quick test_durable_seeds ]
+       @ qc (prop_persist_crash_recovery :: props_durable_readers_never_raise));
       ("propagate",
        [ Alcotest.test_case "remote replica" `Quick test_propagate_to_remote_replica;
          Alcotest.test_case "multiple replicas" `Quick

@@ -285,6 +285,95 @@ let prop_value_equal_agrees =
       Value.equal a b = (Value.compare a b = 0)
       && ((not (Value.equal a b)) || Value.hash a = Value.hash b))
 
+(* Fields weighted toward the ones the classifier's letter test must
+   leave to the conversions: float words, booleans and their prefixes,
+   signs, underscores, hex and leading blanks. *)
+let gen_field =
+  let edge =
+    [ "_1"; "+5"; ".5"; "nan"; "NaN"; "Nan"; "nan(1)"; "Inf"; "inf"; "iNf";
+      "infinity"; "INFINITY"; "-inf"; "+nan"; "0x1p3"; "0X1P3"; "true";
+      "tru"; "false"; "f"; "t"; "i"; "I"; "n"; "N"; "True"; "1_000"; "1__";
+      "-_1"; "_inf"; "\0115"; " 5"; "\t5"; "5 "; "0u5"; "0b101"; "0o17";
+      "1e5"; "e5"; "E5"; "x1"; "cse533"; "Zed"; ""; "_" ]
+  in
+  QCheck.Gen.(
+    frequency
+      [ (4, oneofl edge);
+        (2, map2 ( ^ ) (oneofl edge) (oneofl edge));
+        (2,
+         string_size
+           ~gen:(oneofl (List.of_seq (String.to_seq "aeinfNItx019_.+- \011")))
+           (int_bound 6));
+        (1, string_size ~gen:printable (int_bound 8)) ])
+
+let same_value a b =
+  match (a, b) with
+  | Value.Float x, Value.Float y ->
+      Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+  | _ -> Value.equal a b
+
+let prop_of_string_agrees =
+  QCheck.Test.make ~name:"Value.of_string = conversions tried in turn"
+    ~count:2000
+    (QCheck.make ~print:(Printf.sprintf "%S") gen_field)
+    (fun s ->
+      let got = Value.of_string s and want = Reference.value_of_string s in
+      same_value got want
+      || QCheck.Test.fail_reportf "got %s, want %s" (print_value got)
+           (print_value want))
+
+(* A pool of nine rows, so deltas repeat rows and name absent ones. *)
+let row_pool =
+  List.concat_map
+    (fun a -> List.map (fun b -> [| a; b |]) Value.[ Int 0; Str "a"; Null ])
+    Value.[ Int 1; Str "1"; Float nan ]
+
+let gen_row = QCheck.Gen.oneofl row_pool
+
+let print_row row =
+  "(" ^ String.concat ", " (Array.to_list (Array.map print_value row)) ^ ")"
+
+let prop_apply_agrees_with_model =
+  let gen_delta =
+    QCheck.Gen.(
+      map2
+        (fun adds dels -> Relation.Delta.make ~adds ~dels ())
+        (list_size (int_bound 4) gen_row)
+        (list_size (int_bound 6) gen_row))
+  in
+  let print_delta d =
+    Printf.sprintf "{adds = [%s]; dels = [%s]}"
+      (String.concat "; " (List.map print_row (Relation.Delta.adds d)))
+      (String.concat "; " (List.map print_row (Relation.Delta.dels d)))
+  in
+  QCheck.Test.make ~name:"Relation.apply = list model" ~count:500
+    (QCheck.make
+       ~print:QCheck.Print.(pair (list print_row) (list print_delta))
+       QCheck.Gen.(pair (list_size (int_bound 10) gen_row)
+                     (list_size (int_range 1 5) gen_delta)))
+    (fun (rows, deltas) ->
+      let r = Relation.of_tuples (Schema.make "r" [ "a"; "b" ]) rows in
+      let step model d =
+        Relation.apply r d;
+        let model = Reference.apply_model model d in
+        let agrees =
+          List.equal Relation.tuple_equal (Relation.tuples r) model
+          && Relation.cardinality r = List.length model
+          && List.for_all
+               (fun row ->
+                 Relation.mem r row = List.exists (Relation.tuple_equal row) model)
+               row_pool
+        in
+        if not agrees then
+          QCheck.Test.fail_reportf "after %s: rows [%s], model [%s]"
+            (print_delta d)
+            (String.concat "; " (List.map print_row (Relation.tuples r)))
+            (String.concat "; " (List.map print_row model));
+        model
+      in
+      ignore (List.fold_left step rows deltas);
+      true)
+
 let prop_union_commutative =
   QCheck.Test.make ~name:"union commutative (as sets)" ~count:200
     QCheck.(pair small_rel_gen small_rel_gen)
@@ -499,7 +588,8 @@ let () =
            test_stats_distinct_and_cache ]);
       ("properties",
        qc
-         [ prop_value_equal_agrees; prop_find_by_equals_filter;
+         [ prop_value_equal_agrees; prop_of_string_agrees;
+           prop_apply_agrees_with_model; prop_find_by_equals_filter;
            prop_union_commutative;
            prop_join_subset_of_product; prop_diff_disjoint;
            prop_stats_patch_equals_rescan; prop_deltas_since_replays ]) ]

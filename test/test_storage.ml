@@ -278,6 +278,20 @@ let test_codec_frame () =
   check_b "bad crc torn" true
     (torn (Storage.Codec.read_frame (Bytes.to_string corrupt) 0))
 
+(* Known answers pin the on-disk checksum, which a round trip cannot:
+   it would pass a checksum that changed on the write and the read side
+   together.  The frame of "revere" is one the boxed-[Int32] checksum
+   wrote. *)
+let test_codec_checksum_pinned () =
+  check_i "crc32 of the empty string" 0 (Storage.Codec.crc32 "");
+  check_i "crc32 check value" 0xCBF43926 (Storage.Codec.crc32 "123456789");
+  match Storage.Codec.read_frame "\006\000\000\000|\141c\134revere" 0 with
+  | Storage.Codec.Frame (p, next) ->
+      check_b "payload back" true (p = "revere");
+      check_i "next at end" 14 next
+  | Storage.Codec.End | Storage.Codec.Torn _ ->
+      Alcotest.fail "a frame written before no longer decodes"
+
 let gen_value =
   QCheck.Gen.(
     oneof
@@ -667,6 +681,7 @@ let () =
          Alcotest.test_case "varint negative" `Quick test_codec_varint_rejects_negative;
          Alcotest.test_case "value/tuple/delta" `Quick test_codec_value_tuple_delta;
          Alcotest.test_case "framing" `Quick test_codec_frame;
+         Alcotest.test_case "checksum pinned" `Quick test_codec_checksum_pinned;
          QCheck_alcotest.to_alcotest prop_codec_raises_only_corrupt ]);
       ("wal",
        [ Alcotest.test_case "append and reopen" `Quick test_wal_append_reopen;
