@@ -179,14 +179,14 @@ let e3 () =
         time_ms (fun () -> Rewrite.Minicon.rewrite ~views:vs q)
       in
       let bk_ms, (bk_rw, bk_stats) =
-        time_ms (fun () -> Rewrite.Bucket.rewrite ~max_candidates:50_000 ~views:vs q)
+        time_ms (fun () -> Reference.Bucket.rewrite ~max_candidates:50_000 ~views:vs q)
       in
       T.add_row table
         [ T.cell_i len; T.cell_i (List.length vs); T.cell_f mc_ms;
           T.cell_i (List.length mc_rw);
           T.cell_i mc_stats.Rewrite.Minicon.mcds_formed; T.cell_f bk_ms;
           T.cell_i (List.length bk_rw);
-          T.cell_i bk_stats.Rewrite.Bucket.candidates_tried ])
+          T.cell_i bk_stats.Reference.Bucket.candidates_tried ])
     [ (2, 0); (4, 0); (6, 0); (8, 0); (10, 0); (6, 40); (10, 40) ];
   T.print table
 

@@ -4,23 +4,22 @@
    {!Relalg.Relation.Derived} slot like {!Relalg.Stats}, so it lives
    and dies with the relation.
 
-   A stale entry is {e patched} from the relation's retained
-   {!Relalg.Relation.deltas_since} instead of rebuilt: removed tuples
-   are tombstoned (their slot stays, marked dead, their postings
-   spliced out) and inserted tuples take fresh ascending slots, so
-   postings stay id-ascending without renumbering.  Once tombstones
-   exceed a quarter of the live slots, the patch compacts the entry:
-   live slots move down in order, posting ids are renumbered through
-   the same monotone map, and dead tuples and token ids are dropped.
-   A full rebuild happens only on a cold entry or when the delta log
-   was truncated past the entry's version (counted in
-   [pdms.delta.rebuild_fallbacks]).
+   A stale entry is {e patched} from the effective deltas queued on its
+   slot instead of rebuilt: removed tuples are tombstoned (their slot
+   stays, marked dead, their postings spliced out) and inserted tuples
+   take fresh ascending slots, so postings stay id-ascending without
+   renumbering.  Once tombstones exceed a quarter of the live slots,
+   the patch compacts the entry: live slots move down in order, posting
+   ids are renumbered through the same monotone map, and dead tuples
+   and token ids are dropped.  A full rebuild happens only on a cold
+   entry, or on one dropped by a clear or by a queue that passed its
+   bounds (counted in [pdms.delta.rebuild_fallbacks]).
 
    A search after a write pays for the write, not the corpus.  Each
-   patch logs the tokens it touched, keyed by the version it started
-   from (the [deltas_since] discipline), so the one-slot corpus memo
-   can recount df for those tokens alone when the reachable entries
-   are the same objects; anything else is a full merge.  A patched
+   patch logs the tokens it touched, keyed by the entry version it
+   started from, so the one-slot corpus memo can recount df for those
+   tokens alone when the reachable entries are the same objects;
+   anything else is a full merge.  A patched
    corpus with an unchanged [n] remembers its parent stamp and changed
    tokens, and an entry whose weights were built at the parent, and
    which was not patched since, refreshes only the idf of those tokens

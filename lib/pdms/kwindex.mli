@@ -5,18 +5,18 @@
     lives and dies with the relation: postings lists
     [token -> (slot_id, tf)], per-slot term-frequency vectors over
     token ids in ascending token order, and lazily computed per-stamp
-    weights (idf per token id, norm per slot).  When the relation's
-    version moves, the entry is {e patched} from
-    {!Relalg.Relation.deltas_since} — removed tuples are tombstoned in
-    place (postings spliced, slot marked dead), inserted tuples take
+    weights (idf per token id, norm per slot).  When the relation
+    changed since the last {!get}, the entry is {e patched} from the
+    effective deltas queued on its slot — removed tuples are tombstoned
+    in place (postings spliced, slot marked dead), inserted tuples take
     fresh ascending slots — counted in [pdms.delta.patched_postings].
     Once tombstones exceed a quarter of the live slots the patch
     compacts the entry stably (live slots keep their relative order,
     posting ids are renumbered monotonically, dead tuples are dropped),
     so an entry never holds more than [live + live / 4] slots after
     {!get}.  A full reindex of the relation happens only on a cold
-    entry or when the delta log was truncated past the entry's version
-    ([pdms.delta.rebuild_fallbacks]); compaction is not one.  A
+    entry, or on one dropped by a [clear] or by a queue that passed its
+    bounds ([pdms.delta.rebuild_fallbacks]); compaction is not one.  A
     from-scratch index of a relation is {!reset} followed by {!get}, or
     {!get} on a {!Relalg.Relation.copy}.
 
@@ -116,12 +116,12 @@ val slot_tokens : entry -> int -> (string * float) list
 
 val get : rel_name:string -> Relalg.Relation.t -> entry * bool
 (** [get ~rel_name rel] returns the index entry for [rel].  An entry
-    at the current version is served as-is; a stale one is
-    delta-patched (and compacted when its tombstones pile up) under
-    the derived-state lock when the relation's delta log still reaches
-    back — otherwise it is rebuilt from scratch.  The flag is [true]
-    only when a full (re)build happened.  Thread-safe; concurrent
-    searches serialise their patching on that lock. *)
+    with no delta queued is served as-is; one with deltas queued is
+    patched from them (and compacted when its tombstones pile up) under
+    the derived-state lock; a cold or dropped one is built from
+    scratch.  The flag is [true] only when a full (re)build happened.
+    Thread-safe; concurrent searches serialise their patching on that
+    lock. *)
 
 val corpus : entry list -> int * Util.Tfidf.corpus
 (** [corpus entries] merges the per-relation df counts of the given

@@ -62,16 +62,18 @@ let recover_catalog ~dir records =
           | Error msg -> Error (dir ^ ": " ^ msg)
           | Ok replayed -> Ok (catalog, db, snap_seq, replayed)))
 
+(* The WAL is read once, and opened for appending (creating it, or
+   truncating a torn tail) only once the directory has recovered: a
+   refused directory keeps every file as it was. *)
 let open_dir ?(exec = Exec.default) dir =
   Obs.Trace.span exec.Exec.trace "recover" @@ fun () ->
-  match Storage.Wal.open_dir ~dir with
+  match Storage.Wal.read (Storage.Wal.file ~dir) with
   | Error msg -> Error msg
-  | Ok (wal, records) -> (
-      match recover_catalog ~dir records with
-      | Error _ as e ->
-          Storage.Wal.close wal;
-          e
+  | Ok read -> (
+      match recover_catalog ~dir read.Storage.Wal.records with
+      | Error _ as e -> e
       | Ok (catalog, db, snap_seq, replayed) ->
+          let wal = Storage.Wal.open_from ~dir read in
           (* If the newest snapshot covers sequences past the WAL's last
              surviving record (tail torn after the snapshot was cut),
              appending under a covered sequence would be shadowed on the

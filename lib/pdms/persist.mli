@@ -27,7 +27,8 @@ val init : dir:string -> Catalog.t -> unit
 
 val open_dir : ?exec:Exec.t -> string -> (t, string) result
 (** Recover the catalog from [dir] (snapshot + WAL replay, under a
-    [recover] span on [exec.trace]) and open the WAL for appending. *)
+    [recover] span on [exec.trace]) and open the WAL for appending.  On
+    [Error] no file in [dir] was created or written. *)
 
 val open_dir_exn : ?exec:Exec.t -> string -> t
 

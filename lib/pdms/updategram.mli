@@ -34,8 +34,8 @@ val apply :
   unit
 (** Deletes first, then distinct inserts — one
     {!Relalg.Relation.apply} of the {!effective_delta}, so the
-    relation's version bumps at most once and the retained delta log
-    records the whole gram as a single entry.  Emits a [delta.apply]
+    relation's version bumps at most once and each derived slot queues
+    the whole gram as a single delta.  Emits a [delta.apply]
     span on [exec.trace] and bumps [pdms.delta.applied].  Missing
     relation raises [Not_found]; a row of the wrong arity raises
     [Invalid_argument] before [tee] sees anything.

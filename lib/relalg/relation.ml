@@ -68,15 +68,28 @@ module Delta = struct
     { adds = adds @ b.adds; dels }
 end
 
-(* One kind's derived value ({!Derived}) with the epoch and version it
-   was computed at. *)
-type 'a cell = {
+(* One kind of derived value ({!Derived}): slots from an older [epoch]
+   are cold; the counts are since the kind was made or last reset. *)
+type 'a kind = {
+  id : 'a Type.Id.t;
   mutable epoch : int;
-  mutable version : int;
-  mutable value : 'a;
+  mutable served : int;
+  mutable patched : int;
+  mutable built : int;
 }
 
-type slot = Slot : 'a Type.Id.t * 'a cell -> slot
+(* One kind's derived value on one relation, computed at [epoch], with
+   the effective deltas applied since it was last read: [queue] newest
+   first, [queued] deltas of [queued_rows] rows in all. *)
+type 'a cell = {
+  mutable epoch : int;
+  mutable value : 'a;
+  mutable queue : Delta.t list;
+  mutable queued : int;
+  mutable queued_rows : int;
+}
+
+type slot = Slot : 'a kind * 'a cell -> slot
 
 type t = {
   schema : Schema.t;
@@ -96,25 +109,10 @@ type t = {
      maintained incrementally on insert; dropped wholesale on
      delete/clear. *)
   indexes : tuple list Vtbl.t option array;
-  (* Retained effective deltas, oldest first in [log_front], newest
-     first in [log_back] (two-stack queue).  Each entry is
-     [(version after applying, delta)].  [log_floor] is the oldest
-     version still reconstructible from the log. *)
-  mutable log_front : (int * Delta.t) list;
-  mutable log_back : (int * Delta.t) list;
-  mutable log_entries : int;
-  mutable log_tuples : int;
-  mutable log_floor : int;
   (* At most one slot per derived kind, read and written only under
      [Derived.lock]. *)
   mutable derived : slot list;
 }
-
-(* Retention caps for the delta log: beyond either, oldest entries are
-   truncated and consumers that saw a pre-truncation version must fall
-   back to a full rebuild. *)
-let log_max_entries = 512
-let log_max_tuples = 8192
 
 let create schema =
   {
@@ -126,18 +124,12 @@ let create schema =
     rows_list = None;
     members = Tset.create 16;
     indexes = Array.make (Schema.arity schema) None;
-    log_front = [];
-    log_back = [];
-    log_entries = 0;
-    log_tuples = 0;
-    log_floor = 0;
     derived = [];
   }
 
 let schema t = t.schema
 let version t = t.version
 let cardinality t = t.count_slots
-let delta_floor t = t.log_floor
 
 let drop_indexes t = Array.fill t.indexes 0 (Array.length t.indexes) None
 
@@ -236,75 +228,20 @@ let remove_rows t dels =
     List.rev !effective
   end
 
-let log_push t entry tuples =
-  t.log_back <- entry :: t.log_back;
-  t.log_entries <- t.log_entries + 1;
-  t.log_tuples <- t.log_tuples + tuples;
-  while
-    t.log_entries > log_max_entries || t.log_tuples > log_max_tuples
-  do
-    (match t.log_front with
-    | [] ->
-        t.log_front <- List.rev t.log_back;
-        t.log_back <- []
-    | _ -> ());
-    match t.log_front with
-    | (v, d) :: rest ->
-        t.log_front <- rest;
-        t.log_entries <- t.log_entries - 1;
-        t.log_tuples <- t.log_tuples - Delta.size d;
-        t.log_floor <- v
-    | [] -> assert false
-  done
-
-let apply t (d : Delta.t) =
-  check_arity "apply (del)" t d.Delta.dels;
-  check_arity "apply (add)" t d.Delta.adds;
-  (* Most deltas only add: skip the removal pass and its table. *)
-  let dels = match d.Delta.dels with [] -> [] | dels -> remove_rows t dels in
-  append_rows t d.Delta.adds;
-  match (dels, d.Delta.adds) with
-  | [], [] -> ()
-  | _ ->
-      t.version <- t.version + 1;
-      (* An add-only delta is its own effective delta. *)
-      let eff = if dels == d.Delta.dels then d else { d with Delta.dels } in
-      log_push t (t.version, eff) (Delta.size eff)
-
-(* Logged versions run consecutively up to [t.version], so the gap is the
-   newest [t.version - since] entries: take them from [log_back] (newest
-   first), and enter [log_front] only when the gap reaches past it. *)
-let deltas_since t since =
-  if since >= t.version then Some []
-  else if since < t.log_floor then None
-  else
-    let rec from_back acc = function
-      | (v, d) :: rest ->
-          if v = since + 1 then d :: acc else from_back (d :: acc) rest
-      | [] ->
-          let rec skip = function
-            | (v, _) :: rest when v <= since -> skip rest
-            | front -> front
-          in
-          List.map snd (skip t.log_front) @ acc
-    in
-    Some (from_back [] t.log_back)
-
 module Derived = struct
+  type nonrec 'a kind = 'a kind
   type counts = { hits : int; patches : int; builds : int }
 
-  type 'a kind = {
-    id : 'a Type.Id.t;
-    mutable epoch : int;  (* slots from an older epoch are cold *)
-    mutable served : int;
-    mutable patched : int;
-    mutable built : int;
-  }
-
-  (* One lock for every relation's slots: lookups, patches and installs
-     serialise here, builds run outside it. *)
+  (* One lock for every relation's slots: lookups, queues, patches and
+     installs serialise here, builds run outside it. *)
   let lock = Mutex.create ()
   let m_fallbacks = Obs.Metrics.counter "pdms.delta.rebuild_fallbacks"
+
+  (* Bounds on a slot's unread queue, so a relation written often and
+     read rarely keeps a bounded backlog: past either, the slot is
+     dropped and rebuilt on its next read. *)
+  let max_queued = 512
+  let max_queued_rows = 8192
 
   let kind () =
     { id = Type.Id.make (); epoch = 0; served = 0; patched = 0; built = 0 }
@@ -314,47 +251,83 @@ module Derived = struct
   let rec find : type a. a Type.Id.t -> slot list -> a cell =
    fun id -> function
     | [] -> raise_notrace Not_found
-    | Slot (id', c) :: slots -> (
-        match Type.Id.provably_equal id id' with
+    | Slot (k, c) :: slots -> (
+        match Type.Id.provably_equal id k.id with
         | Some Equal -> c
         | None -> find id slots)
 
-  (* Caller holds [lock].  [k]'s value on [rel] brought current, or
-     [Cold] when it must be built. *)
+  (* Caller holds [lock].  [slots] with [d] ([rows] rows) queued on each
+     warm one.  A cold slot is dropped, and so is one whose queue would
+     pass the bounds (counted as a fallback); with none dropped, the
+     list itself is returned. *)
+  let rec enqueue d rows = function
+    | [] -> []
+    | (Slot (k, c) as s) :: rest as slots ->
+        let rest' = enqueue d rows rest in
+        if c.epoch <> k.epoch then rest'
+        else if c.queued = max_queued || c.queued_rows + rows > max_queued_rows
+        then begin
+          Obs.Metrics.incr m_fallbacks;
+          rest'
+        end
+        else begin
+          c.queue <- d :: c.queue;
+          c.queued <- c.queued + 1;
+          c.queued_rows <- c.queued_rows + rows;
+          if rest' == rest then slots else s :: rest'
+        end
+
+  let push rel d =
+    Mutex.lock lock;
+    rel.derived <- enqueue d (Delta.size d) rel.derived;
+    Mutex.unlock lock
+
+  (* Every slot goes; a warm one counts as a fallback. *)
+  let drop_all rel =
+    Mutex.protect lock (fun () ->
+        List.iter
+          (fun (Slot (k, c)) ->
+            if c.epoch = k.epoch then Obs.Metrics.incr m_fallbacks)
+          rel.derived;
+        rel.derived <- [])
+
+  (* [c] holds [v] with nothing queued. *)
+  let settle c v =
+    c.value <- v;
+    c.queue <- [];
+    c.queued <- 0;
+    c.queued_rows <- 0
+
+  (* Caller holds [lock].  [k]'s value on [rel], its queue folded in
+     oldest first, or [Cold] when it must be built. *)
   let serve k patch rel =
     match find k.id rel.derived with
     | exception Not_found -> raise_notrace Cold
     | c when c.epoch <> k.epoch -> raise_notrace Cold
-    | c when c.version = rel.version ->
+    | { queue = []; value; _ } ->
         k.served <- k.served + 1;
-        c.value
-    | c -> (
-        match deltas_since rel c.version with
-        | Some ds ->
-            let v = patch rel c.value ds in
-            c.value <- v;
-            c.version <- rel.version;
-            k.patched <- k.patched + 1;
-            v
-        | None ->
-            Obs.Metrics.incr m_fallbacks;
-            raise_notrace Cold)
+        value
+    | c ->
+        let v = patch rel c.value (List.rev c.queue) in
+        settle c v;
+        k.patched <- k.patched + 1;
+        v
 
-  (* Caller holds [lock].  A cell already current at [version] was
-     installed by a racing build: keep it, so every caller shares one
-     value. *)
-  let install k rel version v =
+  (* Caller holds [lock].  A warm cell was installed by a racing build
+     of the same state: keep it, so every caller shares one value. *)
+  let install k rel v =
     k.built <- k.built + 1;
     match find k.id rel.derived with
-    | c when c.epoch = k.epoch && c.version = version -> c.value
+    | c when c.epoch = k.epoch -> c.value
     | c ->
         c.epoch <- k.epoch;
-        c.version <- version;
-        c.value <- v;
+        settle c v;
         v
     | exception Not_found ->
-        let c = { epoch = k.epoch; version; value = v } in
-        rel.derived <- Slot (k.id, c) :: rel.derived;
+        let c =
+          { epoch = k.epoch; value = v; queue = []; queued = 0; queued_rows = 0 }
+        in
+        rel.derived <- Slot (k, c) :: rel.derived;
         v
 
   (* Locked by hand rather than with [Mutex.protect], whose closure would
@@ -367,15 +340,14 @@ module Derived = struct
         v
     | exception Cold ->
         Mutex.unlock lock;
-        let version = rel.version in
         let v = build rel in
-        Mutex.protect lock (fun () -> install k rel version v)
+        Mutex.protect lock (fun () -> install k rel v)
     | exception e ->
         let bt = Printexc.get_raw_backtrace () in
         Mutex.unlock lock;
         Printexc.raise_with_backtrace e bt
 
-  let reset k =
+  let reset (k : _ kind) =
     Mutex.protect lock (fun () ->
         k.epoch <- k.epoch + 1;
         k.served <- 0;
@@ -386,6 +358,23 @@ module Derived = struct
     Mutex.protect lock (fun () ->
         { hits = k.served; patches = k.patched; builds = k.built })
 end
+
+let apply t (d : Delta.t) =
+  check_arity "apply (del)" t d.Delta.dels;
+  check_arity "apply (add)" t d.Delta.adds;
+  (* Most deltas only add: skip the removal pass and its table. *)
+  let dels = match d.Delta.dels with [] -> [] | dels -> remove_rows t dels in
+  append_rows t d.Delta.adds;
+  match (dels, d.Delta.adds) with
+  | [], [] -> ()
+  | _ -> (
+      t.version <- t.version + 1;
+      match t.derived with
+      | [] -> ()
+      | _ :: _ ->
+          (* An add-only delta is its own effective delta. *)
+          Derived.push t
+            (if dels == d.Delta.dels then d else { d with Delta.dels }))
 
 let tuples t =
   match t.rows_list with
@@ -463,13 +452,9 @@ let clear t =
   t.rows_list <- None;
   Tset.reset t.members;
   drop_indexes t;
-  (* The log cannot express "everything went away" compactly; truncate
-     it so consumers rebuild. *)
-  t.log_front <- [];
-  t.log_back <- [];
-  t.log_entries <- 0;
-  t.log_tuples <- 0;
-  t.log_floor <- t.version
+  (* No delta says "everything went away" compactly: derived state
+     rebuilds instead. *)
+  Derived.drop_all t
 
 let pp fmt t =
   Format.fprintf fmt "%a [%d rows]" Schema.pp t.schema t.count_slots;

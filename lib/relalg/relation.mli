@@ -5,12 +5,11 @@
 
     {b Mutation is unified}: every change goes through {!apply} with an
     explicit {!Delta.t} (a folded multiset of row insertions and
-    removals).  Each effective application bumps {!version} by one and
-    is retained in a bounded in-relation delta log, so derived
-    structures (indexes, statistics, caches, replicas) can ask
-    {!deltas_since} "what changed since the version I saw" and patch
-    themselves instead of rebuilding — falling back to a rebuild only
-    when the log was truncated. *)
+    removals).  Each effective application bumps {!version} by one.
+    Derived state kept on the relation ({!Derived}: planner statistics,
+    a keyword index entry) is patched from the effective deltas
+    instead of rebuilt: each is queued on the relation's live derived
+    slots, and a relation with none keeps nothing. *)
 
 type tuple = Value.t array
 type t
@@ -20,7 +19,7 @@ val tuple_equal : tuple -> tuple -> bool
     {!mem} and {!Delta.compose} use. *)
 
 (** First-class change descriptions: what {!apply} consumes and what
-    the retained log stores.  [adds] and [dels] are multisets (a tuple
+    a derived slot's queue holds.  [adds] and [dels] are multisets (a tuple
     may appear several times); applying means "remove one copy per
     [dels] occurrence, then append one copy per [adds] occurrence, in
     list order". *)
@@ -72,31 +71,24 @@ val apply : t -> Delta.t -> unit
     Raises [Invalid_argument] on arity mismatch.  An application with
     no effect (e.g. removals of absent tuples only) does not bump the
     version.  The {e effective} delta — what actually changed — is
-    retained in the delta log for {!deltas_since}. *)
-
-val deltas_since : t -> int -> Delta.t list option
-(** [deltas_since t v] is the chronological list of effective deltas
-    that lead from state [v] to the current state — [Some []] when
-    [v = version t] — or [None] when the log no longer reaches back to
-    [v] (capacity truncation, or a [clear]), in which case the caller
-    must rebuild from the current contents. *)
-
-val delta_floor : t -> int
-(** Oldest version still reconstructible from the delta log;
-    [deltas_since t v] is [None] exactly when [v < delta_floor t]. *)
+    queued on each live {!Derived} slot for its next read. *)
 
 (** Derived state kept on the relation itself, one slot per kind
     (planner statistics, a keyword index entry), so it lives and dies
-    with its relation.  A slot computed at the current version is served
-    as it is; when the version moved it is patched from {!deltas_since};
-    it is rebuilt when cold or when the log no longer reaches back (the
-    latter counted in [pdms.delta.rebuild_fallbacks]).
+    with its relation.  Each effective {!apply} queues its delta on
+    every live slot; a read folds the slot's queue, oldest first,
+    through the kind's [patch], and serves an empty queue's value as it
+    is.  A slot is rebuilt when cold; one whose unread queue passes 512
+    deltas or 8,192 rows is dropped at that {!apply}, and so is every
+    slot at a {!clear}, each counted in [pdms.delta.rebuild_fallbacks]
+    and rebuilt on its next read.
 
-    One process-wide lock covers every lookup, patch and install, so
-    domains sharing a relation may ask for its derived state at once:
-    its slot list is written only under that lock.  Builds run outside
-    it; racing builders of one state all get the value installed
-    first. *)
+    One process-wide lock covers every lookup, queue, patch and
+    install, so domains sharing a relation may ask for its derived
+    state at once: its slot list is written only under that lock.
+    Builds run outside it; racing builders of one state all get the
+    value installed first.  Writes to a relation are not concurrent
+    with reads of it. *)
 module Derived : sig
   type 'a kind
   (** One kind of derived value, with its hit/patch/build counts. *)
@@ -111,9 +103,10 @@ module Derived : sig
     'a
   (** [get k ~build ~patch rel] is [k]'s value for [rel]'s current
       state.  [patch rel v ds] brings [v] forward over the effective
-      deltas [ds] (called under the lock; it may update [v] in place);
-      [build rel] computes the value from scratch (outside the lock).
-      A hit takes the lock once and allocates nothing. *)
+      deltas [ds] queued since it was last read, oldest first (called
+      under the lock; it may update [v] in place); [build rel] computes
+      the value from scratch (outside the lock).  A hit takes the lock
+      once and allocates nothing. *)
 
   val reset : 'a kind -> unit
   (** Make every slot of this kind cold and zero its counts; other
@@ -122,7 +115,7 @@ module Derived : sig
   type counts = {
     hits : int;  (** served as they were *)
     patches : int;  (** served after a patch *)
-    builds : int;  (** built, cold or after a fallback *)
+    builds : int;  (** built, cold or after a drop *)
   }
 
   val counts : 'a kind -> counts
@@ -156,7 +149,7 @@ val copy : t -> t
 (** The same rows in a new relation, with no {!Derived} slots. *)
 
 val clear : t -> unit
-(** Empties the relation and truncates the delta log (consumers keyed
-    on an earlier version must rebuild). *)
+(** Empties the relation and drops its {!Derived} slots, which rebuild
+    on their next read. *)
 
 val pp : Format.formatter -> t -> unit

@@ -2,14 +2,14 @@
     distinct-value count per column.
 
     They are kept in the relation's own {!Relation.Derived} slot and
-    {e maintained} from {!Relation.deltas_since}: when the relation's
-    version has moved, the slot's per-column value-count tables are
-    patched with the retained deltas (O(changed rows x arity)) instead
-    of rescanned.  A full O(tuples x arity) rescan happens only on a
-    cold slot or when the delta log was truncated past the slot's
-    version (counted in [pdms.delta.rebuild_fallbacks]); a forced
-    rescan is {!reset_cache}, or [of_relation (Relation.copy rel)],
-    since a copy has no slots. *)
+    {e maintained} from the effective deltas queued on it: when the
+    relation changed since the last read, the slot's per-column
+    value-count tables are patched with those deltas (O(changed rows x
+    arity)) instead of rescanned.  A full O(tuples x arity) rescan
+    happens only on a cold slot, or on one dropped by a [clear] or by a
+    queue that passed its bounds (counted in
+    [pdms.delta.rebuild_fallbacks]); a forced rescan is {!reset_cache},
+    or [of_relation (Relation.copy rel)], since a copy has no slots. *)
 
 type t = {
   cardinality : int;  (** tuple count at the served version *)
@@ -37,7 +37,7 @@ val cache_misses : unit -> int
     A delta-patched serve counts as a hit (no rescan happened). *)
 
 val cache_patches : unit -> int
-(** How many serves were answered by folding retained deltas into a
+(** How many serves were answered by folding queued deltas into a
     stale slot rather than rescanning. *)
 
 val reset_cache : unit -> unit

@@ -53,26 +53,39 @@ let add_key buf = function
       Printf.bprintf buf "s%d:" (String.length s);
       Buffer.add_string buf s
 
-(* The conversions below raise and catch [Failure] on a field they do
-   not read, and none of them reads a field whose first character is a
-   letter other than [i], [I], [n], [N] (the float words [inf] and
-   [nan]), [t] or [f] (the booleans): such a field is a string without
-   trying them. *)
+(* Whether [s], lowercased and with every ['_'] dropped, starts with
+   [word]: how [float_of_string] reads [s] when it starts with a
+   letter. *)
+let starts_as word s =
+  let n = String.length s and m = String.length word in
+  let rec go i j =
+    j = m
+    || i < n
+       && (if s.[i] = '_' then go (i + 1) j
+           else Char.lowercase_ascii s.[i] = word.[j] && go (i + 1) (j + 1))
+  in
+  go 0 0
+
+(* [int_of_string_opt] and [float_of_string_opt] raise and catch
+   [Failure] on a field they do not read, so a field is only offered to
+   the conversions that can read it.  None reads a field starting with
+   a letter as an int; the only floats that do start with one are the
+   words [inf], [infinity] and [nan] (in any case, with [_] anywhere),
+   and the only booleans [true] and [false]. *)
 let of_string s =
   match if s = "" then '\000' else s.[0] with
-  | 'a' .. 'e' | 'g' | 'h' | 'j' .. 'm' | 'o' .. 's' | 'u' .. 'z'
-  | 'A' .. 'H' | 'J' .. 'M' | 'O' .. 'Z' ->
-      Str s
+  | 'i' | 'I' | 'n' | 'N' -> (
+      if not (starts_as "inf" s || starts_as "nan" s) then Str s
+      else
+        match float_of_string_opt s with Some f -> Float f | None -> Str s)
+  | 't' | 'f' -> (
+      match bool_of_string_opt s with Some b -> Bool b | None -> Str s)
+  | 'a' .. 'z' | 'A' .. 'Z' -> Str s
   | _ -> (
       match int_of_string_opt s with
       | Some i -> Int i
       | None -> (
-          match float_of_string_opt s with
-          | Some f -> Float f
-          | None -> (
-              match bool_of_string_opt s with
-              | Some b -> Bool b
-              | None -> Str s)))
+          match float_of_string_opt s with Some f -> Float f | None -> Str s))
 
 let str s = Str s
 let int i = Int i

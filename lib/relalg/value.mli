@@ -32,8 +32,11 @@ val add_key : Buffer.t -> t -> unit
 
 val of_string : string -> t
 (** Best-effort parse: int, then float, then bool, else string.  A
-    string whose first character is a letter other than [i I n N t f]
-    is a [Str] without a conversion being tried. *)
+    field starting with a letter is offered only to the conversions
+    that can read it: to [float_of_string] when it starts with
+    [i I n N] and, lowercased with every [_] dropped, with [inf] or
+    [nan]; to [bool_of_string] when it starts with [t] or [f].  Any
+    other is a [Str] without a conversion being tried. *)
 
 val str : string -> t
 val int : int -> t

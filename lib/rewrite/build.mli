@@ -1,9 +1,10 @@
 (** Assembling a candidate rewriting from per-view cover pieces.
 
-    Both Bucket and MiniCon end with the same construction problem: given
-    a set of views, each covering some query subgoals under a cover
-    state, emit a conjunctive query over the view predicates whose head
-    is the original query head. *)
+    MiniCon, like the Bucket baseline in the tests' reference library,
+    ends with the same construction problem: given a set of views, each
+    covering some query subgoals under a cover state, emit a
+    conjunctive query over the view predicates whose head is the
+    original query head. *)
 
 type piece = {
   view : Cq.Query.t;  (** freshened view (head predicate = view name) *)

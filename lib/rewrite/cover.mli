@@ -1,5 +1,6 @@
 (** Matching a query subgoal into a view body — the shared machinery of
-    the Bucket and MiniCon algorithms.
+    MiniCon and of the Bucket baseline in the tests' reference
+    library.
 
     A cover state is a single substitution over two disjoint variable
     namespaces: query variables map to view terms, and view variables map

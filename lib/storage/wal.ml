@@ -113,37 +113,38 @@ let read path =
       in
       go [] 0 mlen
 
-let open_dir ~dir =
+let open_from ~dir r =
   let path = file ~dir in
-  match read path with
+  let fd =
+    Unix.openfile path [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_CLOEXEC ] 0o644
+  in
+  let valid =
+    if r.valid_bytes = 0 then begin
+      (* Fresh file, or one whose magic line itself was torn:
+         (re)write the magic. *)
+      Unix.ftruncate fd 0;
+      let n = Unix.write_substring fd magic 0 (String.length magic) in
+      assert (n = String.length magic);
+      String.length magic
+    end
+    else begin
+      (* Drop the torn tail so appends land on a frame boundary. *)
+      if r.torn_bytes > 0 then Unix.ftruncate fd r.valid_bytes;
+      r.valid_bytes
+    end
+  in
+  ignore (Unix.lseek fd valid Unix.SEEK_SET);
+  let oc = Unix.out_channel_of_descr fd in
+  set_binary_mode_out oc true;
+  let next =
+    match List.rev r.records with [] -> 1 | last :: _ -> last.seq + 1
+  in
+  { path; oc; fd; next; bytes = valid }
+
+let open_dir ~dir =
+  match read (file ~dir) with
   | Error _ as e -> e
-  | Ok r ->
-      let fd =
-        Unix.openfile path [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_CLOEXEC ]
-          0o644
-      in
-      let valid =
-        if r.valid_bytes = 0 then begin
-          (* Fresh file, or one whose magic line itself was torn:
-             (re)write the magic. *)
-          Unix.ftruncate fd 0;
-          let n = Unix.write_substring fd magic 0 (String.length magic) in
-          assert (n = String.length magic);
-          String.length magic
-        end
-        else begin
-          (* Drop the torn tail so appends land on a frame boundary. *)
-          if r.torn_bytes > 0 then Unix.ftruncate fd r.valid_bytes;
-          r.valid_bytes
-        end
-      in
-      ignore (Unix.lseek fd valid Unix.SEEK_SET);
-      let oc = Unix.out_channel_of_descr fd in
-      set_binary_mode_out oc true;
-      let next =
-        match List.rev r.records with [] -> 1 | last :: _ -> last.seq + 1
-      in
-      Ok ({ path; oc; fd; next; bytes = valid }, r.records)
+  | Ok r -> Ok (open_from ~dir r, r.records)
 
 let append ?(trace = Obs.Trace.null) ?(sync = false) t ~rel delta =
   Obs.Trace.span trace "wal.append" @@ fun () ->

@@ -12,7 +12,7 @@
     record (payload: varint seq, string relation, delta).  Reads are
     torn-tail tolerant — a truncated or corrupt {e final} record is the
     normal residue of a crash mid-append and is discarded, not fatal;
-    {!open_dir} additionally truncates the file back to the valid
+    {!open_from} additionally truncates the file back to the valid
     prefix so the next append lands on a clean boundary.  A corrupt
     magic line, by contrast, means the file is not a WAL at all and is
     reported as an error.
@@ -46,10 +46,16 @@ val read : string -> (read_result, string) result
     [Error]; a torn tail is tolerated and reported in the result.
     Bumps [pdms.wal.torn_tail_drops] when a tail is dropped. *)
 
+val open_from : dir:string -> read_result -> t
+(** [open_from ~dir r] opens (creating if absent) the log in [dir] for
+    appending, where [r] is what {!read} just returned for it: any torn
+    tail [r] names is truncated away and the writer is positioned at
+    the end of the valid prefix.  The file is not read again, so a
+    caller can decide from [r] whether to write to it at all. *)
+
 val open_dir : dir:string -> (t * record list, string) result
-(** Open (creating if absent) the log in [dir] for appending: decode
-    the valid prefix, truncate any torn tail away, and position the
-    writer at the end.  Returns the writer and the replayable records. *)
+(** {!read} followed by {!open_from}: the writer and the replayable
+    records. *)
 
 val append :
   ?trace:Obs.Trace.t -> ?sync:bool -> t -> rel:string ->

@@ -6,14 +6,18 @@
 # `revere distributed` cannot use, a data directory `revere init`
 # cannot create, a data directory `revere update` or `revere snapshot`
 # cannot recover, an update row of the wrong arity, and a schema file
-# that does not parse.  Faults on real peers still exit 0, and a refused
-# update leaves its data directory recoverable.
+# that does not parse.  A refusal creates, changes and removes no file
+# or directory, so a refused update leaves its data directory
+# recoverable, and faults on real peers still exit 0.
 #
 # usage: sh cli_errors.sh PATH/TO/revere.exe
 set -u
 revere=$(cd "$(dirname "$1")" && pwd)/$(basename "$1")
 work=$(mktemp -d)
-trap 'rm -rf "$work"' EXIT
+# The command's output and the file listings live outside the work
+# directory, so they are not part of what a refusal must leave alone.
+tmp=$(mktemp -d)
+trap 'rm -rf "$work" "$tmp"' EXIT
 cd "$work" || exit 2
 mkdir adir
 : > afile
@@ -38,24 +42,40 @@ unsafe_one='q(X, Z) :- uw.course(X, Y)'
 unparsed='q(X :- '
 failures=0
 
+# listing FILE: the name of every directory, and the name and checksum
+# of every file, under the work directory, sorted into FILE.
+listing () {
+  { find . -type d; find . -type f -exec cksum {} +; } | sort > "$1"
+}
+
 # expect STATUS LINES ARG...: `revere ARG...` exits STATUS and writes
-# exactly LINES lines to stderr; a refusal's lines start with `error:`.
+# exactly LINES lines to stderr; a refusal's lines start with `error:`,
+# and a refusal leaves the work directory as it found it.
 expect () {
   want=$1
   lines=$2
   shift 2
-  "$revere" "$@" > out 2> err
+  listing "$tmp/before"
+  "$revere" "$@" > "$tmp/out" 2> "$tmp/err"
   got=$?
-  n=$(wc -l < err)
+  n=$(wc -l < "$tmp/err")
   unprefixed=0
   if [ "$want" -ne 0 ]; then
-    unprefixed=$(grep -cv '^error:' err)
+    unprefixed=$(grep -cv '^error:' "$tmp/err")
   fi
   if [ "$got" -ne "$want" ] || [ "$n" -ne "$lines" ] || [ "$unprefixed" -ne 0 ]
   then
     echo "FAIL revere $*: exit $got (want $want), $n stderr lines (want $lines), $unprefixed without the error: prefix"
-    sed 's/^/  | /' err
+    sed 's/^/  | /' "$tmp/err"
     failures=$((failures + 1))
+  fi
+  if [ "$want" -ne 0 ]; then
+    listing "$tmp/after"
+    if ! cmp -s "$tmp/before" "$tmp/after"; then
+      echo "FAIL revere $*: the refusal changed the files under its work directory"
+      diff "$tmp/before" "$tmp/after" | sed 's/^/  | /'
+      failures=$((failures + 1))
+    fi
   fi
 }
 

@@ -1,4 +1,5 @@
 open Cq
+open Rewrite
 
 type stats = {
   bucket_sizes : int list;

@@ -1,7 +1,10 @@
 (** The Bucket algorithm (Levy et al., from the Information Manifold
-    line of work) — the classic baseline MiniCon improves on. One bucket
-    per query subgoal; candidate rewritings are the cartesian product of
-    the buckets, each validated by an expansion containment check. *)
+    line of work) — the classic baseline MiniCon improves on, kept as
+    E3's baseline. One bucket per query subgoal; candidate rewritings
+    are the cartesian product of the buckets, each validated by an
+    expansion containment check.  It omits the classic algorithm's
+    equality-repair step, so it misses rewritings MiniCon finds (see
+    EXPERIMENTS.md, E3). *)
 
 type stats = {
   bucket_sizes : int list;

@@ -1,3 +1,5 @@
+module Bucket = Bucket
+
 let per_rewriting_union db = function
   | [] -> invalid_arg "Reference.per_rewriting_union: empty union"
   | q0 :: _ as qs ->

@@ -13,6 +13,10 @@
     A from-scratch inverted index needs no code here: it is
     {!Pdms.Kwindex.reset} followed by {!Pdms.Kwindex.get}. *)
 
+module Bucket = Bucket
+(** The Bucket rewriting algorithm, the baseline MiniCon is checked and
+    timed against (E3). *)
+
 val per_rewriting_union :
   Relalg.Database.t -> Cq.Query.t list -> Relalg.Relation.t
 (** [per_rewriting_union db qs] evaluates each rewriting separately

@@ -1075,7 +1075,7 @@ let delta_fallbacks () =
    inserts and deletes, with faults on or off.  The
    rebuild run resets the index store before every search, so each
    search indexes every relation from scratch.  The stream stays far
-   below the delta-log caps, so the incremental run must also never
+   below a slot queue's bounds, so the incremental run must also never
    fall back to a rebuild. *)
 let prop_kwindex_incremental_matches_rebuild =
   QCheck.Test.make
@@ -1146,9 +1146,9 @@ let prop_kwindex_incremental_matches_rebuild =
       P.Kwindex.reset ();
       incr = rebuilt && no_fallbacks)
 
-(* Exceeding the bounded delta log forces one honest rebuild, counted
-   in pdms.delta.rebuild_fallbacks; afterwards small deltas patch
-   again. *)
+(* Passing the bound on a slot's unread queue forces one honest
+   rebuild, counted once in pdms.delta.rebuild_fallbacks; afterwards
+   small deltas patch again. *)
 let test_kwindex_truncation_fallback () =
   P.Kwindex.reset ();
   let r = Relalg.Relation.create (Relalg.Schema.make "t" [ "x"; "y" ]) in
@@ -1159,11 +1159,9 @@ let test_kwindex_truncation_fallback () =
   for i = 0 to 599 do
     insert r [| vs (Printf.sprintf "w%d" i); vs "filler" |]
   done;
-  check_b "log truncated past the cached version" true
-    (Relalg.Relation.deltas_since r 1 = None);
   ignore (P.Kwindex.get ~rel_name:"t!" r);
   check_i "one full rebuild" (builds0 + 1) (kwindex_builds ());
-  check_b "fallback counted" true (delta_fallbacks () > f0);
+  check_i "fallback counted" (f0 + 1) (delta_fallbacks ());
   insert r [| vs "gamma"; vs "delta" |];
   ignore (P.Kwindex.get ~rel_name:"t!" r);
   check_i "small delta patches again" (builds0 + 1) (kwindex_builds ());
@@ -1484,12 +1482,15 @@ let test_kwindex_compaction_bound () =
   P.Kwindex.reset ()
 
 (* Both kinds of derived state sharing one relation's slots — planner
-   statistics and the keyword index — serve after every step what a
-   fresh build computes: through inserts (duplicates included),
-   deletes of present and absent rows, delete-then-reinsert, mixed
-   deltas, per-kind resets and clears.  A kind rebuilds only on its
-   first get, its own reset or a clear, so a reset of one kind leaves
-   the other warm. *)
+   statistics and the keyword index — serve at every read what a fresh
+   build computes, whatever ran since the last read: inserts
+   (duplicates included), deletes of present and absent rows,
+   delete-then-reinsert, mixed deltas, per-kind resets and clears, and
+   floods up to or past a queue's bounds, of 512 or 514 one-row deltas
+   or of two 4,096- or 4,097-row ones.  A kind rebuilds only on its
+   first get, its own reset, a clear or a flood that dropped its slot,
+   so a reset of one kind leaves the other warm; each slot a clear or a
+   flood dropped counts one fallback. *)
 let prop_derived_patch_equals_rebuild =
   let module R = Relalg.Relation in
   QCheck.Test.make ~name:"derived state: patch = rebuild for every kind"
@@ -1497,7 +1498,7 @@ let prop_derived_patch_equals_rebuild =
     (QCheck.make
        ~print:QCheck.Print.(list (pair int int))
        QCheck.Gen.(
-         list_size (int_range 1 50) (pair (int_bound 11) (int_bound 7))))
+         list_size (int_range 1 60) (pair (int_bound 13) (int_bound 7))))
     (fun steps ->
       let r = R.create (Relalg.Schema.make "d" [ "x"; "y" ]) in
       let rel_name = "pr.d!" in
@@ -1507,7 +1508,32 @@ let prop_derived_patch_equals_rebuild =
       in
       let stats_builds = ref (Relalg.Stats.cache_misses ())
       and kw_builds = ref (kwindex_builds ()) in
-      let stats_cold = ref true and kw_cold = ref true in
+      let f0 = delta_fallbacks () and fallbacks = ref 0 in
+      (* Per kind, [Some (deltas, rows)] queued on its live slot, or
+         [None] when it has none: never read, reset, cleared or
+         dropped. *)
+      let stats_q = ref None and kw_q = ref None in
+      let drop q =
+        if !q <> None then incr fallbacks;
+        q := None
+      in
+      let enqueue size q =
+        match !q with
+        | Some (n, rows) when n = 512 || rows + size > 8192 -> drop q
+        | Some (n, rows) -> q := Some (n + 1, rows + size)
+        | None -> ()
+      in
+      let apply d =
+        let version = R.version r and card = R.cardinality r in
+        R.apply r d;
+        if R.version r <> version then begin
+          (* Its adds and the dels that removed a row. *)
+          let adds = List.length (R.Delta.adds d) in
+          let size = card + (2 * adds) - R.cardinality r in
+          enqueue size stats_q;
+          enqueue size kw_q
+        end
+      in
       let live_docs e =
         List.filter_map
           (fun id ->
@@ -1524,11 +1550,11 @@ let prop_derived_patch_equals_rebuild =
       in
       let served_equals_fresh () =
         let s = Relalg.Stats.of_relation r in
-        if !stats_cold then incr stats_builds;
+        if !stats_q = None then incr stats_builds;
         let e, _ = P.Kwindex.get ~rel_name r in
-        if !kw_cold then incr kw_builds;
-        stats_cold := false;
-        kw_cold := false;
+        if !kw_q = None then incr kw_builds;
+        stats_q := Some (0, 0);
+        kw_q := Some (0, 0);
         let fresh, _ = P.Kwindex.get ~rel_name (R.copy r) in
         (* A copy has no slots, so the reference is a counted build. *)
         incr kw_builds;
@@ -1538,31 +1564,52 @@ let prop_derived_patch_equals_rebuild =
         && posting_lens e = posting_lens fresh
         && Relalg.Stats.cache_misses () = !stats_builds
         && kwindex_builds () = !kw_builds
+        && delta_fallbacks () - f0 = !fallbacks
       in
+      let flood =
+        List.init 4097 (fun i -> [| vs (Printf.sprintf "f%d" i); vs "flood" |])
+      in
+      let step op a =
+        match op with
+        | 0 | 1 | 2 -> apply (R.Delta.add (row a))
+        | 3 | 4 -> apply (R.Delta.remove (row a))
+        | 5 -> apply (R.Delta.make ~dels:[ row a ] ~adds:[ row a ] ())
+        | 6 ->
+            apply
+              (R.Delta.make ~dels:[ row a; row (a + 1) ]
+                 ~adds:[ row (a + 1); row (a + 2) ] ())
+        | 7 ->
+            Relalg.Stats.reset_cache ();
+            stats_builds := 0;
+            stats_q := None
+        | 8 ->
+            P.Kwindex.reset ();
+            kw_q := None
+        | 9 when a < 2 ->
+            R.clear r;
+            drop stats_q;
+            drop kw_q
+        | 10 when a < 2 ->
+            for _ = 1 to 256 + a do
+              apply (R.Delta.add (row 1));
+              apply (R.Delta.remove (row 1))
+            done
+        | 11 when a < 2 ->
+            let rows = List.filteri (fun i _ -> i < 4096 + a) flood in
+            apply (R.Delta.of_rows rows);
+            apply (R.Delta.removes rows)
+        | _ -> apply (R.Delta.add (row a))
+      in
+      (* Ops 12 and 13 read, and so does the end of every run. *)
       List.for_all
         (fun (op, a) ->
-          (match op with
-          | 0 | 1 | 2 -> R.apply r (R.Delta.add (row a))
-          | 3 | 4 -> R.apply r (R.Delta.remove (row a))
-          | 5 -> R.apply r (R.Delta.make ~dels:[ row a ] ~adds:[ row a ] ())
-          | 6 ->
-              R.apply r
-                (R.Delta.make ~dels:[ row a; row (a + 1) ]
-                   ~adds:[ row (a + 1); row (a + 2) ] ())
-          | 7 ->
-              Relalg.Stats.reset_cache ();
-              stats_builds := 0;
-              stats_cold := true
-          | 8 ->
-              P.Kwindex.reset ();
-              kw_cold := true
-          | _ when a < 2 ->
-              R.clear r;
-              stats_cold := true;
-              kw_cold := true
-          | _ -> R.apply r (R.Delta.add (row a)));
-          served_equals_fresh ())
-        steps)
+          if op >= 12 then served_equals_fresh ()
+          else begin
+            step op a;
+            true
+          end)
+        steps
+      && served_equals_fresh ())
 
 (* ------------------------------------------------------------------ *)
 (* Cache *)
@@ -2962,6 +3009,41 @@ let test_persist_refuses_format_1 () =
   check_b "fsck names the format" true
     (List.exists (fun e -> contains e "snapshot format 1") r.P.Persist.errors)
 
+(* A directory that does not recover is refused as it is: no WAL is
+   created beside a junk snapshot, and a torn WAL tail beside a
+   format-1 snapshot is not truncated. *)
+let test_persist_refusal_writes_nothing () =
+  let files dir =
+    List.map
+      (fun name -> (name, read_file (Filename.concat dir name)))
+      (List.sort compare (Array.to_list (Sys.readdir dir)))
+  in
+  let refused what dir =
+    let before = files dir in
+    (match P.Persist.open_dir dir with
+    | Ok _ -> Alcotest.failf "%s must not recover" what
+    | Error _ -> ());
+    check_b (what ^ ": every file kept") true (files dir = before)
+  in
+  let junk = temp_dir () in
+  write_file (Filename.concat junk "snapshot-0.snap") "junk bytes";
+  refused "a junk snapshot" junk;
+  let dir, t, prng = six_university_persist 17 in
+  for i = 1 to 3 do
+    P.Persist.apply t (random_gram prng (P.Persist.db t) i)
+  done;
+  P.Persist.close t;
+  let wal = Storage.Wal.file ~dir in
+  let log = read_file wal in
+  write_file wal (String.sub log 0 (String.length log - 3));
+  (match Storage.Wal.read wal with
+  | Ok r -> check_b "the tail is torn" true (r.Storage.Wal.torn_bytes > 0)
+  | Error msg -> Alcotest.fail msg);
+  let snap = Filename.concat dir "snapshot-0.snap" in
+  let s = read_file snap in
+  write_file snap ("REVERE-SNAP 1" ^ String.sub s 13 (String.length s - 13));
+  refused "a torn tail beside a format-1 snapshot" dir
+
 (* Mapping constants keep their type across a snapshot and reopen:
    Int 1, Str "1", Float 1e20 (rendered 1e+20, an exponent sign the
    parser must read) and Float (-0.0) each come back as themselves, so
@@ -3872,6 +3954,8 @@ let () =
            test_persist_line_break_values;
          Alcotest.test_case "persist refuses format 1" `Quick
            test_persist_refuses_format_1;
+         Alcotest.test_case "a refused directory keeps its files" `Quick
+           test_persist_refusal_writes_nothing;
          Alcotest.test_case "mapping constants keep their type" `Quick
            test_persist_typed_mapping_constants;
          Alcotest.test_case "wrong arity is refused before the log" `Quick

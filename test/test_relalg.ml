@@ -286,15 +286,29 @@ let prop_value_equal_agrees =
       && ((not (Value.equal a b)) || Value.hash a = Value.hash b))
 
 (* Fields weighted toward the ones the classifier's letter test must
-   leave to the conversions: float words, booleans and their prefixes,
-   signs, underscores, hex and leading blanks. *)
+   leave to the conversions: float words (with underscores and in any
+   case), booleans and their prefixes, words that start like them,
+   signs, underscores, hex and leading blanks, and strings that start
+   with [i I n N t f] and go on over those letters, [_ ( ) .] and
+   digits. *)
 let gen_field =
   let edge =
     [ "_1"; "+5"; ".5"; "nan"; "NaN"; "Nan"; "nan(1)"; "Inf"; "inf"; "iNf";
       "infinity"; "INFINITY"; "-inf"; "+nan"; "0x1p3"; "0X1P3"; "true";
       "tru"; "false"; "f"; "t"; "i"; "I"; "n"; "N"; "True"; "1_000"; "1__";
       "-_1"; "_inf"; "\0115"; " 5"; "\t5"; "5 "; "0u5"; "0b101"; "0o17";
-      "1e5"; "e5"; "E5"; "x1"; "cse533"; "Zed"; ""; "_" ]
+      "1e5"; "e5"; "E5"; "x1"; "cse533"; "Zed"; ""; "_"; "intermediate";
+      "topics"; "nadia"; "in_f"; "nAn(abc)"; "i_n_f_inity"; "n_a_n"; "nan()";
+      "info"; "nano"; "falsey" ]
+  in
+  let letter_led =
+    QCheck.Gen.(
+      map2
+        (fun c s -> String.make 1 c ^ s)
+        (oneofl [ 'i'; 'I'; 'n'; 'N'; 't'; 'f' ])
+        (string_size
+           ~gen:(oneofl (List.of_seq (String.to_seq "iInNtf_().0123456789")))
+           (int_bound 7)))
   in
   QCheck.Gen.(
     frequency
@@ -304,6 +318,7 @@ let gen_field =
          string_size
            ~gen:(oneofl (List.of_seq (String.to_seq "aeinfNItx019_.+- \011")))
            (int_bound 6));
+        (3, letter_led);
         (1, string_size ~gen:printable (int_bound 8)) ])
 
 let same_value a b =
@@ -354,10 +369,19 @@ let prop_apply_agrees_with_model =
     (fun (rows, deltas) ->
       let r = Relation.of_tuples (Schema.make "r" [ "a"; "b" ]) rows in
       let step model d =
+        let version = Relation.version r in
         Relation.apply r d;
+        (* Effective: it adds, or removes a row the relation holds. *)
+        let effective =
+          Relation.Delta.adds d <> []
+          || List.exists
+               (fun row -> List.exists (Relation.tuple_equal row) model)
+               (Relation.Delta.dels d)
+        in
         let model = Reference.apply_model model d in
         let agrees =
-          List.equal Relation.tuple_equal (Relation.tuples r) model
+          Relation.version r = (if effective then version + 1 else version)
+          && List.equal Relation.tuple_equal (Relation.tuples r) model
           && Relation.cardinality r = List.length model
           && List.for_all
                (fun row ->
@@ -365,8 +389,9 @@ let prop_apply_agrees_with_model =
                row_pool
         in
         if not agrees then
-          QCheck.Test.fail_reportf "after %s: rows [%s], model [%s]"
-            (print_delta d)
+          QCheck.Test.fail_reportf
+            "after %s: version %d (was %d), rows [%s], model [%s]"
+            (print_delta d) (Relation.version r) version
             (String.concat "; " (List.map print_row (Relation.tuples r)))
             (String.concat "; " (List.map print_row model));
         model
@@ -410,27 +435,30 @@ let prop_diff_disjoint =
       List.for_all (fun row -> not (Relation.mem b row)) (Relation.tuples d))
 
 (* ------------------------------------------------------------------ *)
-(* Delta log *)
+(* Versions and deltas *)
 
-let test_delta_log_basics () =
+(* An effective apply bumps the version once, whatever it holds; one
+   that changes nothing does not, and a clear does. *)
+let test_apply_version () =
   let r = Relation.create (Schema.make "r" [ "a" ]) in
-  let v0 = Relation.version r in
-  Relation.apply r (Relation.Delta.of_rows [ [| v_i 1 |]; [| v_i 2 |] ]);
-  Relation.apply r (Relation.Delta.remove [| v_i 1 |]);
-  check_i "cardinality" 1 (Relation.cardinality r);
-  (match Relation.deltas_since r v0 with
-  | Some [ d1; d2 ] ->
-      check_i "first adds" 2 (List.length (Relation.Delta.adds d1));
-      check_i "second dels" 1 (List.length (Relation.Delta.dels d2))
-  | _ -> Alcotest.fail "expected two log entries");
-  check_b "current version folds to empty" true
-    (Relation.deltas_since r (Relation.version r) = Some []);
-  (* A no-op application bumps nothing and logs nothing. *)
+  let step what effective d =
+    let v = Relation.version r in
+    Relation.apply r d;
+    check_i what (if effective then v + 1 else v) (Relation.version r)
+  in
+  step "two adds bump once" true
+    (Relation.Delta.of_rows [ [| v_i 1 |]; [| v_i 2 |] ]);
+  step "a removal bumps once" true (Relation.Delta.remove [| v_i 1 |]);
+  step "a mixed delta bumps once" true
+    (Relation.Delta.make ~dels:[ [| v_i 2 |]; [| v_i 9 |] ]
+       ~adds:[ [| v_i 3 |] ] ());
+  step "removing and re-adding a row bumps once" true
+    (Relation.Delta.make ~dels:[ [| v_i 3 |] ] ~adds:[ [| v_i 3 |] ] ());
+  step "an absent removal is a no-op" false (Relation.Delta.remove [| v_i 99 |]);
+  step "an empty delta is a no-op" false Relation.Delta.empty;
   let v = Relation.version r in
-  Relation.apply r (Relation.Delta.remove [| v_i 99 |]);
-  check_i "no-op keeps version" v (Relation.version r);
-  check_b "no-op logs nothing" true
-    (Relation.deltas_since r v = Some [])
+  Relation.clear r;
+  check_i "clear bumps once" (v + 1) (Relation.version r)
 
 let test_delta_compose () =
   let open Relation.Delta in
@@ -438,68 +466,6 @@ let test_delta_compose () =
     (is_empty (compose (of_rows [ [| v_i 1 |] ]) (remove [| v_i 1 |])));
   check_i "del-then-add keeps both" 2
     (size (compose (remove [| v_i 1 |]) (of_rows [ [| v_i 1 |] ])))
-
-let test_delta_log_truncation () =
-  let r = Relation.create (Schema.make "r" [ "a" ]) in
-  let v0 = Relation.version r in
-  (* Overflow the bounded log with single-row applies. *)
-  for i = 1 to 600 do
-    Relation.apply r (Relation.Delta.add [| v_i i |])
-  done;
-  check_b "origin out of reach" true (Relation.deltas_since r v0 = None);
-  check_b "floor still reachable" true
-    (Relation.deltas_since r (Relation.delta_floor r) <> None);
-  Relation.clear r;
-  check_b "clear truncates" true
-    (Relation.deltas_since r (Relation.version r - 1) = None);
-  check_b "clear leaves current reachable" true
-    (Relation.deltas_since r (Relation.version r) = Some [])
-
-(* Random apply/clear streams: one-row deltas overflow the log's entry
-   cap, forty-row ones its tuple cap. At the end, for every version from
-   one below the floor to the current one, [deltas_since] is [None]
-   exactly below the floor, and otherwise holds one delta per version
-   in the gap, which replayed on the rows saved at that version give
-   the current rows in order. *)
-let prop_deltas_since_replays =
-  QCheck.Test.make ~name:"deltas_since replays every retained version" ~count:8
-    (QCheck.make QCheck.Gen.(int_bound 100_000) ~print:string_of_int)
-    (fun seed ->
-      let prng = Util.Prng.create seed in
-      let schema = Schema.make "r" [ "a"; "b" ] in
-      let r = Relation.create schema in
-      let saved = Hashtbl.create 1024 in
-      let save () = Hashtbl.replace saved (Relation.version r) (Relation.tuples r) in
-      save ();
-      let width = if Util.Prng.bool prng then 1 else 40 in
-      let row () = [| v_i (Util.Prng.int prng 8); v_i (Util.Prng.int prng 8) |] in
-      for _ = 1 to Util.Prng.int_in prng 300 900 do
-        if Util.Prng.int prng 400 = 0 then Relation.clear r
-        else begin
-          let adds = List.init (1 + Util.Prng.int prng width) (fun _ -> row ()) in
-          let rows = Relation.tuples r in
-          let dels =
-            if List.length rows < 12 then []
-            else Util.Prng.sample prng (List.length adds) rows
-          in
-          Relation.apply r (Relation.Delta.make ~adds ~dels ())
-        end;
-        save ()
-      done;
-      let version = Relation.version r and floor = Relation.delta_floor r in
-      let current = Relation.tuples r in
-      List.for_all
-        (fun v ->
-          match Relation.deltas_since r v with
-          | None -> v < floor
-          | Some ds ->
-              v >= floor
-              && List.length ds = version - v
-              &&
-              let copy = Relation.of_tuples schema (Hashtbl.find saved v) in
-              List.iter (Relation.apply copy) ds;
-              Relation.tuples copy = current)
-        (List.init (version - floor + 2) (fun i -> floor - 1 + i)))
 
 (* ------------------------------------------------------------------ *)
 (* Stats: cached cardinality + distinct counts, patched by deltas *)
@@ -516,8 +482,8 @@ let test_stats_distinct_and_cache () =
   let s' = Stats.of_relation r in
   check_b "same stats" true (s = s');
   check_i "one hit" 1 (Stats.cache_hits ());
-  (* A mutation bumps the version; the stale entry is patched from the
-     retained delta instead of rescanned. *)
+  (* A mutation queues its delta on the slot; the next read patches the
+     entry from it instead of rescanning. *)
   insert r [| v_s "dan"; v_s "cs"; v_i 29 |];
   let s2 = Stats.of_relation r in
   check_i "patched cardinality" 4 s2.Stats.cardinality;
@@ -568,9 +534,9 @@ let () =
        [ Alcotest.test_case "insert and find" `Quick test_relation_insert_and_find;
          Alcotest.test_case "arity mismatch" `Quick test_relation_arity_mismatch;
          Alcotest.test_case "apply multiset" `Quick test_relation_apply_multiset;
-         Alcotest.test_case "delta log" `Quick test_delta_log_basics;
+         Alcotest.test_case "apply bumps the version once" `Quick
+           test_apply_version;
          Alcotest.test_case "delta compose" `Quick test_delta_compose;
-         Alcotest.test_case "delta log truncation" `Quick test_delta_log_truncation;
          Alcotest.test_case "bulk insert index" `Quick test_relation_bulk_insert_index;
          Alcotest.test_case "find_by_bound" `Quick test_relation_find_by_bound ]);
       ("ops",
@@ -592,4 +558,4 @@ let () =
            prop_apply_agrees_with_model; prop_find_by_equals_filter;
            prop_union_commutative;
            prop_join_subset_of_product; prop_diff_disjoint;
-           prop_stats_patch_equals_rescan; prop_deltas_since_replays ]) ]
+           prop_stats_patch_equals_rescan ]) ]

@@ -2,7 +2,7 @@
 
 open Cq
 module Minicon = Rewrite.Minicon
-module Bucket = Rewrite.Bucket
+module Bucket = Reference.Bucket
 
 let v = Term.v
 let s = Term.str
