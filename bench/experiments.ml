@@ -600,13 +600,16 @@ let e9 () =
       let r = Relalg.Database.create_relation db "r" [ "a"; "b" ] in
       let s = Relalg.Database.create_relation db "s" [ "b"; "c" ] in
       let domain = base_size / 2 in
+      let add rel =
+        ignore
+          (Relalg.Relation.add_distinct rel
+             [| Relalg.Value.Int (Util.Prng.int prng domain);
+                Relalg.Value.Int (Util.Prng.int prng domain) |]
+            : bool)
+      in
       for _ = 1 to base_size do
-        Cq.Eval.add_distinct r
-          [| Relalg.Value.Int (Util.Prng.int prng domain);
-             Relalg.Value.Int (Util.Prng.int prng domain) |];
-        Cq.Eval.add_distinct s
-          [| Relalg.Value.Int (Util.Prng.int prng domain);
-             Relalg.Value.Int (Util.Prng.int prng domain) |]
+        add r;
+        add s
       done;
       let v = Cq.Term.v in
       let view =
@@ -1728,16 +1731,7 @@ let e19 () =
    a function of the WAL suffix length (snapshotting resets the curve
    to near-zero). *)
 
-let e20_dir =
-  let n = ref 0 in
-  fun () ->
-    incr n;
-    let dir =
-      Filename.concat (Filename.get_temp_dir_name ())
-        (Printf.sprintf "revere-e20-%d-%d" (Unix.getpid ()) !n)
-    in
-    Unix.mkdir dir 0o755;
-    dir
+let with_e20_dir f = Tmpdir.with_dir ~prefix:"revere-e20" f
 
 let e20_configs ~rounds ~suffixes configs () =
   header "E20"
@@ -1793,28 +1787,30 @@ let e20_configs ~rounds ~suffixes configs () =
       Pdms.Kwindex.reset ();
       Relalg.Stats.reset_cache ();
       let g2, queries2, pinned2 = e19_world n tuples_per_peer in
-      let dir = e20_dir () in
-      Pdms.Persist.init ~dir g2.Workload.Peers_gen.catalog;
-      let t = Pdms.Persist.open_dir_exn dir in
-      let catalog2 = Pdms.Persist.catalog t and db2 = Pdms.Persist.db t in
-      let names2 = List.sort String.compare (Relalg.Database.names db2) in
-      let cache2 = Pdms.Cache.create catalog2 () in
-      warm catalog2 db2 queries2 pinned2 cache2 names2;
-      let before = Obs.Metrics.snapshot () in
-      let wal_ms, () =
-        wall_ms (fun () ->
-            for i = 0 to rounds - 1 do
-              round
-                (fun u -> Pdms.Persist.apply t u)
-                catalog2 db2 names2 cache2 pinned2 i
-            done)
-      in
-      let after = Obs.Metrics.snapshot () in
-      let wal_bytes = Pdms.Persist.wal_size t in
-      Pdms.Persist.close t;
-      let appends =
-        Obs.Metrics.counter_value after "pdms.wal.appends"
-        - Obs.Metrics.counter_value before "pdms.wal.appends"
+      let wal_ms, wal_bytes, appends =
+        with_e20_dir @@ fun dir ->
+        Pdms.Persist.init ~dir g2.Workload.Peers_gen.catalog;
+        let t = Pdms.Persist.open_dir_exn dir in
+        let catalog2 = Pdms.Persist.catalog t and db2 = Pdms.Persist.db t in
+        let names2 = List.sort String.compare (Relalg.Database.names db2) in
+        let cache2 = Pdms.Cache.create catalog2 () in
+        warm catalog2 db2 queries2 pinned2 cache2 names2;
+        let before = Obs.Metrics.snapshot () in
+        let wal_ms, () =
+          wall_ms (fun () ->
+              for i = 0 to rounds - 1 do
+                round
+                  (fun u -> Pdms.Persist.apply t u)
+                  catalog2 db2 names2 cache2 pinned2 i
+              done)
+        in
+        let after = Obs.Metrics.snapshot () in
+        let wal_bytes = Pdms.Persist.wal_size t in
+        Pdms.Persist.close t;
+        ( wal_ms,
+          wal_bytes,
+          Obs.Metrics.counter_value after "pdms.wal.appends"
+          - Obs.Metrics.counter_value before "pdms.wal.appends" )
       in
       let overhead = wal_ms /. Float.max 0.001 mem_ms in
       T.add_row table
@@ -1845,7 +1841,7 @@ let e20_configs ~rounds ~suffixes configs () =
       Pdms.Kwindex.reset ();
       Relalg.Stats.reset_cache ();
       let g, _, _ = e19_world 6 30 in
-      let dir = e20_dir () in
+      with_e20_dir @@ fun dir ->
       Pdms.Persist.init ~dir g.Workload.Peers_gen.catalog;
       let t = Pdms.Persist.open_dir_exn dir in
       let db = Pdms.Persist.db t in

@@ -68,13 +68,16 @@ let view_fixture =
   let db = Relalg.Database.create () in
   let r = Relalg.Database.create_relation db "r" [ "a"; "b" ] in
   let s = Relalg.Database.create_relation db "s" [ "b"; "c" ] in
+  let add rel =
+    ignore
+      (Relalg.Relation.add_distinct rel
+         [| Relalg.Value.Int (Util.Prng.int prng 500);
+            Relalg.Value.Int (Util.Prng.int prng 500) |]
+        : bool)
+  in
   for _ = 1 to 2000 do
-    Cq.Eval.add_distinct r
-      [| Relalg.Value.Int (Util.Prng.int prng 500);
-         Relalg.Value.Int (Util.Prng.int prng 500) |];
-    Cq.Eval.add_distinct s
-      [| Relalg.Value.Int (Util.Prng.int prng 500);
-         Relalg.Value.Int (Util.Prng.int prng 500) |]
+    add r;
+    add s
   done;
   let v = Cq.Term.v in
   let view =

@@ -38,10 +38,7 @@ let sync t ~catalog ~rel ~tag ~fields =
                | None -> Relalg.Value.Null)
              fields)
       in
-      if not (Relalg.Relation.mem stored tuple) then begin
-        Relalg.Relation.apply stored (Relalg.Relation.Delta.add tuple);
-        incr inserted
-      end)
+      if Relalg.Relation.add_distinct stored tuple then incr inserted)
     (Mangrove.Repository.entities t.repository ~tag);
   !inserted
 

@@ -6,7 +6,6 @@ type binding = Relalg.Value.t Smap.t
    {!Plan}: the same compiled steps the batch walk runs. *)
 
 let head_schema = Plan.head_schema
-let add_distinct = Plan.add_distinct
 
 let run_bindings db q =
   let acc = ref [] in

@@ -19,17 +19,13 @@ val run_bindings : Relalg.Database.t -> Query.t -> binding list
 (** All satisfying assignments of the body variables, in evaluation
     order. *)
 
-val add_distinct : Relalg.Relation.t -> Relalg.Relation.tuple -> unit
-(** Set-semantics append into a dedup accumulator: a {!Relalg.Relation.mem}
-    guard in front of a singleton {!Relalg.Relation.apply}. *)
-
 val run : Relalg.Database.t -> Query.t -> Relalg.Relation.t
 (** Distinct head tuples. Raises [Invalid_argument] on unsafe queries. *)
 
 val run_union_into : Relalg.Relation.t -> Relalg.Database.t -> Query.t list -> int
-(** Evaluate every member and {!add_distinct} its head tuples into
-    [out]: one shared hash-backed dedup set across the whole union,
-    instead of a per-member relation. Returns the number of head tuples
+(** Evaluate every member and {!Relalg.Relation.add_distinct} its head
+    tuples into [out]: one shared hash-backed dedup set across the
+    whole union, instead of a per-member relation. Returns the number of head tuples
     produced {e before} deduplication (the union's dedup rate is this
     minus the cardinality gained by [out]). *)
 

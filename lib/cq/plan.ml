@@ -16,6 +16,8 @@ let m_nodes = Obs.Metrics.counter "cq.plan.nodes"
 let m_shared = Obs.Metrics.counter "cq.plan.shared_prefix_atoms"
 let m_reused = Obs.Metrics.counter "cq.plan.bindings_reused"
 let m_duplicates = Obs.Metrics.counter "cq.plan.duplicate_queries"
+let m_fan_unions = Obs.Metrics.counter "cq.plan.fan_unions"
+let m_probes_shared = Obs.Metrics.counter "cq.plan.probes_shared"
 let h_depth = Obs.Metrics.histogram "cq.plan.depth"
 
 (* An atom whose arity disagrees with its stored relation matches
@@ -146,10 +148,6 @@ let head_schema (q : Query.t) =
   in
   Relalg.Schema.make q.Query.head.Atom.pred attrs
 
-let add_distinct out row =
-  if not (Relalg.Relation.mem out row) then
-    Relalg.Relation.apply out (Relalg.Relation.Delta.add row)
-
 (* One argument position of a compiled atom. *)
 type arg =
   | Const of Relalg.Value.t  (* filter: the column equals the constant *)
@@ -181,6 +179,17 @@ type node = {
   mutable children : node list;  (* reverse insertion order until [compile] finalises *)
   mutable emits : emit list;  (* reverse insertion order until [compile] finalises *)
   mutable through : int;  (* queries whose path passes through this node *)
+  mutable fans : fan list;  (* set by [compile] *)
+}
+
+(* Two or more children that probe one column each, on the same
+   ancestor-bound slot and nothing else, in insertion order. *)
+and fan = {
+  slot : int;
+  members : node array;
+  union : int;
+      (* the plan's id for the members' (relation, column, arity) list:
+         fans with equal lists share one union table per walk *)
 }
 
 type build_stats = {
@@ -196,6 +205,8 @@ type t = {
   root : node;  (* pseudo-node: children are the top-level branches,
                    emits are the empty-body queries *)
   slots : int;  (* environment size: the most variables of any query *)
+  unions : (string * int * int) array array;
+      (* by union id: each member's relation, probed column and arity *)
   stats : build_stats;
 }
 
@@ -226,6 +237,7 @@ let mk_node ~id ~depth ~bound pred args =
     children = [];
     emits = [];
     through = 0;
+    fans = [];
   }
 
 (* Compile [atom] (whose variables [slot_of] numbers) below a node that
@@ -261,6 +273,39 @@ let head_term_equal a b =
 
 let head_equal a b =
   Array.length a = Array.length b && Array.for_all2 head_term_equal a b
+
+(* The slot a child probes its relation on, when that is its only
+   probe: a fan member's key. *)
+let fan_slot n =
+  match n.probe with
+  | [| col |] -> ( match n.args.(col) with Bound s -> s | _ -> -1)
+  | _ -> -1
+
+(* [children] grouped by [fan_slot], groups and members in insertion
+   order, keeping the groups of two or more; [union_id] numbers their
+   (relation, column, arity) lists. *)
+let fans_of union_id children =
+  let slots =
+    List.fold_left
+      (fun slots n ->
+        let s = fan_slot n in
+        if s < 0 || List.mem s slots then slots else s :: slots)
+      [] children
+  in
+  List.filter_map
+    (fun slot ->
+      match List.filter (fun n -> fan_slot n = slot) children with
+      | [] | [ _ ] -> None
+      | members ->
+          let members = Array.of_list members in
+          let union =
+            union_id
+              (Array.map
+                 (fun n -> (n.pred, n.probe.(0), Array.length n.args))
+                 members)
+          in
+          Some { slot; members; union })
+    (List.rev slots)
 
 (* Fold the queries into a trie; records no metrics. [caller] names the
    entry point in the error an unsafe head raises. *)
@@ -354,11 +399,22 @@ let compile ~caller db qs =
       tip.emits <-
         { query = qi; head; vars = Array.sub !orig_names 0 !nvars } :: tip.emits)
     queries;
-  (* Finalise: restore insertion order so walks are deterministic. *)
+  (* Finalise: restore insertion order so walks are deterministic, and
+     group each node's children into fans. *)
   let shared = ref 0 in
+  let unions = Hashtbl.create 8 in
+  let union_id columns =
+    match Hashtbl.find_opt unions columns with
+    | Some id -> id
+    | None ->
+        let id = Hashtbl.length unions in
+        Hashtbl.replace unions columns id;
+        id
+  in
   let rec finalise n =
     n.children <- List.rev n.children;
     n.emits <- List.rev n.emits;
+    n.fans <- fans_of union_id n.children;
     if n != root && n.through > 1 then shared := !shared + (n.through - 1);
     List.iter finalise n.children
   in
@@ -372,7 +428,9 @@ let compile ~caller db qs =
       max_depth = !max_depth;
     }
   in
-  { queries; root; slots = !slots; stats }
+  let union_columns = Array.make (Hashtbl.length unions) [||] in
+  Hashtbl.iter (fun columns id -> union_columns.(id) <- columns) unions;
+  { queries; root; slots = !slots; unions = union_columns; stats }
 
 let rec iter_nodes f n =
   f n;
@@ -404,11 +462,79 @@ let of_query db q = compile ~caller:"Eval.run" db [ q ]
 (* ------------------------------------------------------------------ *)
 (* The walk *)
 
-(* What a node's atom reads, resolved once per run. *)
-type source = Missing | Mismatched | Rel of Relalg.Relation.t
+module Vtbl = Hashtbl.Make (Relalg.Value)
 
+(* One column of a union: a member's relation and probed column, or
+   nothing when the relation is missing or its arity is not the
+   member's (that member is visited on its own). *)
+type column = Absent | Column of Relalg.Relation.t * int
+
+(* A fan's union table for one walk, shared by every node whose fan
+   reads the same (relation, column, arity) list: each key value maps
+   to each column's [find_by] list.  Built once [probes] made without
+   it reach [keys], the number of keys it would hold. *)
+type union = {
+  columns : column array;
+  present : int;  (* the [Column]s *)
+  keys : int;  (* the sum of the columns' distinct values *)
+  mutable probes : int;
+  mutable table : Relalg.Relation.tuple list array Vtbl.t option;
+  none : Relalg.Relation.tuple list array;  (* a key no column holds *)
+}
+
+(* One node's fan in one walk: [rows] holds the current binding's
+   lists, when [shared] says the union answered it. *)
+type lookup = {
+  union : union;
+  slot : int;
+  mutable shared : bool;
+  mutable rows : Relalg.Relation.tuple list array;
+}
+
+(* What a node's atom reads, resolved once per run; a fan member reads
+   column [i] of its fan's lookup. *)
+type source =
+  | Missing
+  | Mismatched
+  | Rel of Relalg.Relation.t
+  | Member of Relalg.Relation.t * lookup * int
+
+let make_union db spec =
+  let columns =
+    Array.map
+      (fun (pred, col, arity) ->
+        match Relalg.Database.find_opt db pred with
+        | Some rel
+          when Relalg.Schema.arity (Relalg.Relation.schema rel) = arity ->
+            Column (rel, col)
+        | Some _ | None -> Absent)
+      spec
+  in
+  let present, keys =
+    Array.fold_left
+      (fun (present, keys) -> function
+        | Absent -> (present, keys)
+        | Column (rel, col) ->
+            ( present + 1,
+              keys + (Relalg.Stats.of_relation rel).Relalg.Stats.distinct.(col)
+            ))
+      (0, 0) columns
+  in
+  {
+    columns;
+    present;
+    keys;
+    probes = 0;
+    table = None;
+    none = Array.make (Array.length columns) [];
+  }
+
+(* What every node reads in this walk, and each node's fans as lookups:
+   a fan whose union has fewer than two present columns has none, and
+   its members probe on their own. *)
 let resolve db t =
   let sources = Array.make t.stats.nodes Missing in
+  let lookups = Array.make t.stats.nodes [] in
   iter_nodes
     (fun n ->
       if n.id >= 0 then
@@ -422,16 +548,45 @@ let resolve db t =
               then Rel rel
               else Mismatched))
     t.root;
-  sources
+  let unions = Array.make (Array.length t.unions) None in
+  let lookup (f : fan) =
+    let union =
+      match unions.(f.union) with
+      | Some u -> u
+      | None ->
+          let u = make_union db t.unions.(f.union) in
+          unions.(f.union) <- Some u;
+          u
+    in
+    if union.present < 2 then None
+    else begin
+      let l = { union; slot = f.slot; shared = false; rows = union.none } in
+      Array.iteri
+        (fun i m ->
+          match union.columns.(i) with
+          | Column (rel, _) -> sources.(m.id) <- Member (rel, l, i)
+          | Absent -> ())
+        f.members;
+      Some l
+    end
+  in
+  iter_nodes
+    (fun n -> if n.id >= 0 then lookups.(n.id) <- List.filter_map lookup n.fans)
+    t.root;
+  (sources, lookups)
 
 type walk = {
   env : Relalg.Value.t array;
   sources : source array;
+  lookups : lookup list array;  (* by node id: the node's fans *)
   emit : emit -> Relalg.Value.t array -> unit;
   mutable reused : int;
       (* the bindings shared nodes saved: each extension of a node
          would have been recomputed once more per additional query
          through it *)
+  mutable unions : int;  (* union tables built *)
+  mutable probes_shared : int;
+      (* member probes a union answered beyond the first per binding *)
 }
 
 let probe_value env = function
@@ -450,6 +605,52 @@ let candidates rel n env =
         (Array.fold_right
            (fun col acc -> (col, probe_value env n.args.(col)) :: acc)
            cols [])
+
+(* Every column's [find_by] lists, taken from its index. *)
+let build_union u =
+  let table = Vtbl.create u.keys in
+  let width = Array.length u.columns in
+  Array.iteri
+    (fun i -> function
+      | Absent -> ()
+      | Column (rel, col) ->
+          Relalg.Relation.fold_by rel col
+            (fun v rows () ->
+              let lists =
+                match Vtbl.find table v with
+                | lists -> lists
+                | exception Not_found ->
+                    let lists = Array.make width [] in
+                    Vtbl.add table v lists;
+                    lists
+              in
+              lists.(i) <- rows)
+            ())
+    u.columns;
+  u.table <- Some table
+
+(* Point each of a node's fans at the current binding's lists: one
+   lookup for all its members once the union is built, else none (the
+   members probe on their own, and count towards the build). *)
+let rec look_up w = function
+  | [] -> ()
+  | l :: ls ->
+      let u = l.union in
+      (match u.table with
+      | None when u.probes >= u.keys ->
+          w.unions <- w.unions + 1;
+          build_union u
+      | Some _ | None -> ());
+      (match u.table with
+      | Some table ->
+          l.shared <- true;
+          l.rows <-
+            (match Vtbl.find table w.env.(l.slot) with
+            | lists -> lists
+            | exception Not_found -> u.none);
+          w.probes_shared <- w.probes_shared + (u.present - 1)
+      | None -> l.shared <- false);
+      look_up w ls
 
 (* Does [row] match from column [i] on? Writes this atom's slots on the
    way; a failed row leaves them for the next candidate to overwrite. *)
@@ -470,6 +671,12 @@ let rec visit w n =
   | Missing -> ()
   | Mismatched -> Obs.Metrics.incr m_arity_mismatch
   | Rel rel -> extend w n (candidates rel n w.env)
+  | Member (rel, l, i) ->
+      if l.shared then extend w n l.rows.(i)
+      else begin
+        l.union.probes <- l.union.probes + 1;
+        extend w n (candidates rel n w.env)
+      end
 
 and extend w n = function
   | [] -> ()
@@ -477,6 +684,7 @@ and extend w n = function
       if matches n.args w.env row 0 then begin
         w.reused <- w.reused + (n.through - 1);
         emit_all w n.emits;
+        (match w.lookups.(n.id) with [] -> () | ls -> look_up w ls);
         visit_all w n.children
       end;
       extend w n rows
@@ -493,21 +701,35 @@ and visit_all w = function
       visit w n;
       visit_all w ns
 
-(* Walk the whole trie in one fresh environment; returns the bindings
-   reused. Empty-body queries emit once, with no bindings, before any
-   branch runs. *)
+(* Walk the whole trie in one fresh environment. Empty-body queries
+   emit once, with no bindings, before any branch runs. *)
 let walk t db emit =
   List.iter (fun e -> emit e [||]) t.root.emits;
+  let sources, lookups = resolve db t in
   let w =
     {
       env = Array.make t.slots Relalg.Value.Null;
-      sources = resolve db t;
+      sources;
+      lookups;
       emit;
       reused = 0;
+      unions = 0;
+      probes_shared = 0;
     }
   in
   visit_all w t.root.children;
-  w.reused
+  w
+
+(* The walk's counters, as metrics and as attributes of the caller's
+   [trie_eval] span. *)
+let record trace t w =
+  Obs.Metrics.add m_reused w.reused;
+  Obs.Metrics.add m_fan_unions w.unions;
+  Obs.Metrics.add m_probes_shared w.probes_shared;
+  Obs.Trace.attr_i trace "branches" (List.length t.root.children);
+  Obs.Trace.attr_i trace "bindings_reused" w.reused;
+  Obs.Trace.attr_i trace "fan_unions" w.unions;
+  Obs.Trace.attr_i trace "probes_shared" w.probes_shared
 
 let head_value env = function
   | Slot s -> env.(s)
@@ -529,14 +751,11 @@ let run_union_into ?(trace = Obs.Trace.null) out db t =
   let emit e env =
     let tuple = head_tuple e env in
     counts.(e.query) <- counts.(e.query) + 1;
-    add_distinct out tuple
+    ignore (Relalg.Relation.add_distinct out tuple : bool)
   in
-  let reused = walk t db emit in
-  Obs.Metrics.add m_reused reused;
-  let tuples = Array.fold_left ( + ) 0 counts in
-  Obs.Trace.attr_i trace "branches" (List.length t.root.children);
-  Obs.Trace.attr_i trace "tuples" tuples;
-  Obs.Trace.attr_i trace "bindings_reused" reused;
+  let w = walk t db emit in
+  record trace t w;
+  Obs.Trace.attr_i trace "tuples" (Array.fold_left ( + ) 0 counts);
   Array.to_list counts
 
 let run_each ?(trace = Obs.Trace.null) db t =
@@ -544,12 +763,10 @@ let run_each ?(trace = Obs.Trace.null) db t =
   let outs =
     Array.map (fun q -> Relalg.Relation.create (head_schema q)) t.queries
   in
-  let emit e env = add_distinct outs.(e.query) (head_tuple e env) in
-  let reused = walk t db emit in
-  Obs.Metrics.add m_reused reused;
-  Obs.Trace.attr_i trace "branches" (List.length t.root.children);
-  Obs.Trace.attr_i trace "bindings_reused" reused;
+  let emit e env =
+    ignore (Relalg.Relation.add_distinct outs.(e.query) (head_tuple e env) : bool)
+  in
+  record trace t (walk t db emit);
   Array.to_list outs
 
-let iter_assignments db t f =
-  ignore (walk t db (fun e env -> f e.vars env) : int)
+let iter_assignments db t f = ignore (walk t db (fun e env -> f e.vars env) : walk)

@@ -25,19 +25,43 @@
     nothing, and a matching row nothing but the head tuples it emits.
 
     Evaluation walks the trie once, depth-first, in the calling domain.
+    The database must not change during a walk.
+
+    {b Fans.} A node's children that probe their relation on exactly
+    one ancestor-bound slot (one such column, no constant) are grouped
+    by that slot; a group of two or more is a fan.  Sibling rewritings
+    of a product of unions make one: every member of the first goal
+    group's union has one child per member of the next, each probing
+    its own relation for the same join value.  Each walk gives a fan
+    one union table, shared by every node whose fan reads the same
+    (relation, column, arity) list, mapping a key value to each
+    member's candidate rows (the lists {!Relalg.Relation.find_by}
+    returns).  A
+    binding then makes one lookup for the whole fan; children are still
+    visited in insertion order, so rows, row order and counts are those
+    of per-child probing.  A member whose relation is missing or has
+    the wrong arity is visited on its own.  {e The guard:} a union is
+    built only once the member probes made without it in this walk
+    reach the number of keys it would hold (the sum of the members'
+    distinct values in the probed column, from {!Relalg.Stats}), so a
+    selective parent never pays for a table it would barely use.
+
+    Emits go into an accumulator through {!Relalg.Relation.add_distinct}:
+    one hash and one membership probe per head tuple.
 
     Instrumentation: [cq.plan.builds], [cq.plan.nodes],
     [cq.plan.shared_prefix_atoms] and [cq.plan.bindings_reused]
-    counters, a [cq.plan.depth] histogram of per-query path depths, and
-    [plan] / [trie_eval] spans on the caller's tracer. *)
+    counters; [cq.plan.fan_unions] (union tables built) and
+    [cq.plan.probes_shared] (member probes a union answered beyond the
+    first per binding), also set as [fan_unions] and [probes_shared]
+    attributes of the [trie_eval] span; a [cq.plan.depth] histogram of
+    per-query path depths; and [plan] / [trie_eval] spans on the
+    caller's tracer. *)
 
 type t
 
 val head_schema : Query.t -> Relalg.Schema.t
 (** The output schema of the query's head ({!Eval.head_schema}). *)
-
-val add_distinct : Relalg.Relation.t -> Relalg.Relation.tuple -> unit
-(** {!Eval.add_distinct}. *)
 
 type build_stats = {
   queries : int;  (** queries folded into the trie *)
@@ -67,8 +91,8 @@ val stats : t -> build_stats
 val run_union_into :
   ?trace:Obs.Trace.t -> Relalg.Relation.t -> Relalg.Database.t -> t ->
   int list
-(** Walk the trie once, {!add_distinct}-ing every head tuple into the
-    shared accumulator, with the same answer set as
+(** Walk the trie once, {!Relalg.Relation.add_distinct}-ing every head
+    tuple into the shared accumulator, with the same answer set as
     {!Eval.run_union_into} over the original list. Returns per-query
     pre-dedup tuple counts in input order — equal to
     [|Eval.run_bindings q|] per query. *)

@@ -51,9 +51,7 @@ let run ~tags repo (q : Cq.Query.t) =
                 (Cq.Eval.Smap.find_opt x binding))
             head_vars
         in
-        let row = Array.of_list row in
-        if not (Relalg.Relation.mem out row) then
-          Relalg.Relation.apply out (Relalg.Relation.Delta.add row))
+        ignore (Relalg.Relation.add_distinct out (Array.of_list row) : bool))
       bindings;
     Ok out
 

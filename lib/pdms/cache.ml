@@ -1,14 +1,24 @@
 (* Hash-backed LRU: a key -> entry hashtable for O(1) lookup, an
    intrusive doubly-linked recency list (head = most recent, tail =
    least) for O(1) touch/evict, and an inverted predicate -> entries
-   index so [invalidate] visits only the affected entries. The seed
+   index so [invalidate] visits only the affected entries; beside each
+   entry it keeps the argument patterns of the entry's atoms over that
+   predicate, compiled when the entry is added, so a probe tests each
+   distinct pattern once and allocates nothing. The seed
    stored entries in a list: O(n) lookup, O(n) eviction by minimum
    timestamp, O(n) invalidation. *)
+
+(* One argument position of a body atom, as an invalidation probe reads
+   it: a constant, a variable's first occurrence, or a repeat of the
+   column where the variable first occurred. *)
+type column = Equals of Relalg.Value.t | Any | Repeat of int
 
 type entry = {
   key : Cq.Query.t;  (* alpha-normalised query *)
   result : Answer.result;
-  reads : string list;  (* stored predicates the rewritings mention *)
+  reads : (string * column array list) list;
+      (* each stored predicate the rewritings mention, with the
+         distinct argument patterns of its atoms *)
   mutable prev : entry option;  (* towards the most recently used *)
   mutable next : entry option;  (* towards the least recently used *)
 }
@@ -17,8 +27,10 @@ type t = {
   catalog : Catalog.t;
   capacity : int;
   table : (Cq.Query.t, entry) Hashtbl.t;
-  (* pred -> (key -> entry): which live entries read each predicate. *)
-  by_pred : (string, (Cq.Query.t, entry) Hashtbl.t) Hashtbl.t;
+  (* pred -> (key -> (entry, the entry's patterns over pred)): which
+     live entries read each predicate, and how. *)
+  by_pred :
+    (string, (Cq.Query.t, entry * column array list) Hashtbl.t) Hashtbl.t;
   mutable mru : entry option;
   mutable lru : entry option;
   mutable hit_count : int;
@@ -69,9 +81,49 @@ let key_of (q : Cq.Query.t) =
   let head = Cq.Atom.map_terms rename q.Cq.Query.head in
   Cq.Query.make head (List.map (Cq.Atom.map_terms rename) q.Cq.Query.body)
 
+let pattern_of (atom : Cq.Atom.t) =
+  let args = Array.of_list atom.Cq.Atom.args in
+  Array.mapi
+    (fun i -> function
+      | Cq.Term.Const c -> Equals c
+      | Cq.Term.Var x ->
+          let rec first j =
+            if j = i then Any
+            else
+              match args.(j) with
+              | Cq.Term.Var y when String.equal x y -> Repeat j
+              | _ -> first (j + 1)
+          in
+          first 0)
+    args
+
+let column_equal a b =
+  match (a, b) with
+  | Equals u, Equals v -> Relalg.Value.equal u v
+  | Any, Any -> true
+  | Repeat i, Repeat j -> i = j
+  | (Equals _ | Any | Repeat _), _ -> false
+
+let pattern_equal a b =
+  Array.length a = Array.length b && Array.for_all2 column_equal a b
+
+(* Each stored predicate the rewritings read, in name order, with the
+   distinct patterns of its atoms. *)
 let reads_of (result : Answer.result) =
-  List.concat_map Cq.Query.body_preds result.Answer.outcome.Reformulate.rewritings
-  |> List.sort_uniq String.compare
+  let reads = Hashtbl.create 8 in
+  List.iter
+    (fun (q : Cq.Query.t) ->
+      List.iter
+        (fun (a : Cq.Atom.t) ->
+          let pred = a.Cq.Atom.pred in
+          let seen = Option.value ~default:[] (Hashtbl.find_opt reads pred) in
+          let p = pattern_of a in
+          if not (List.exists (pattern_equal p) seen) then
+            Hashtbl.replace reads pred (p :: seen))
+        q.Cq.Query.body)
+    result.Answer.outcome.Reformulate.rewritings;
+  Hashtbl.fold (fun pred patterns acc -> (pred, patterns) :: acc) reads []
+  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
 (* Recency-list surgery — all O(1). *)
 
@@ -103,7 +155,7 @@ let remove t e =
   unlink t e;
   Hashtbl.remove t.table e.key;
   List.iter
-    (fun pred ->
+    (fun (pred, _) ->
       match Hashtbl.find_opt t.by_pred pred with
       | None -> ()
       | Some bucket ->
@@ -115,7 +167,7 @@ let add t e =
   push_front t e;
   Hashtbl.replace t.table e.key e;
   List.iter
-    (fun pred ->
+    (fun (pred, patterns) ->
       let bucket =
         match Hashtbl.find_opt t.by_pred pred with
         | Some b -> b
@@ -124,7 +176,7 @@ let add t e =
             Hashtbl.replace t.by_pred pred b;
             b
       in
-      Hashtbl.replace bucket e.key e)
+      Hashtbl.replace bucket e.key (e, patterns))
     e.reads
 
 let answer ?(exec = Exec.default) t q =
@@ -156,39 +208,25 @@ let answer ?(exec = Exec.default) t q =
         | None -> ());
       result
 
-(* Can [tuple] ground [atom]'s argument pattern?  Constants must agree
-   and repeated variables must bind consistently — a cheap one-atom
-   unification. *)
-let atom_matches (atom : Cq.Atom.t) tuple =
-  List.length atom.Cq.Atom.args = Array.length tuple
-  && begin
-       let env = Hashtbl.create 4 in
-       let rec go i = function
-         | [] -> true
-         | Cq.Term.Const c :: rest ->
-             Relalg.Value.equal c tuple.(i) && go (i + 1) rest
-         | Cq.Term.Var x :: rest -> (
-             match Hashtbl.find_opt env x with
-             | Some v -> Relalg.Value.equal v tuple.(i) && go (i + 1) rest
-             | None ->
-                 Hashtbl.replace env x tuple.(i);
-                 go (i + 1) rest)
-       in
-       go 0 atom.Cq.Atom.args
-     end
+(* Can [tuple] ground the atom [pattern] was compiled from?  Constants
+   must agree and repeated variables must bind consistently — a cheap
+   one-atom unification. *)
+let rec unifies_from pattern (tuple : Relalg.Relation.tuple) i =
+  i >= Array.length pattern
+  || (match pattern.(i) with
+     | Equals c -> Relalg.Value.equal c tuple.(i)
+     | Any -> true
+     | Repeat j -> Relalg.Value.equal tuple.(j) tuple.(i))
+     && unifies_from pattern tuple (i + 1)
+
+let unifies pattern tuple =
+  Array.length pattern = Array.length tuple && unifies_from pattern tuple 0
 
 (* A cached answer can only change if some body atom over the touched
    relation unifies with some changed tuple; an entry where none does is
    provably unaffected and may be kept. *)
-let entry_affected rel_name changed e =
-  List.exists
-    (fun (q : Cq.Query.t) ->
-      List.exists
-        (fun (a : Cq.Atom.t) ->
-          String.equal a.Cq.Atom.pred rel_name
-          && List.exists (atom_matches a) changed)
-        q.Cq.Query.body)
-    e.result.Answer.outcome.Reformulate.rewritings
+let affected patterns changed =
+  List.exists (fun p -> List.exists (unifies p) changed) patterns
 
 let invalidate t (u : Updategram.t) =
   match Hashtbl.find_opt t.by_pred u.Updategram.rel with
@@ -202,11 +240,10 @@ let invalidate t (u : Updategram.t) =
            every reader. *)
         if changed <> [] then
           Hashtbl.fold
-            (fun _ e (vs, ks) ->
-              if entry_affected u.Updategram.rel changed e then (e :: vs, ks)
-              else (vs, ks + 1))
+            (fun _ (e, patterns) (vs, ks) ->
+              if affected patterns changed then (e :: vs, ks) else (vs, ks + 1))
             bucket ([], 0)
-        else (Hashtbl.fold (fun _ e acc -> e :: acc) bucket [], 0)
+        else (Hashtbl.fold (fun _ (e, _) acc -> e :: acc) bucket [], 0)
       in
       List.iter (remove t) victims;
       Obs.Metrics.add m_kept kept;

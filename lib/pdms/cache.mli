@@ -28,9 +28,14 @@ val invalidate : t -> Updategram.t -> int
     an entry survives when no body atom over the touched relation
     unifies with any changed tuple (constants must match, repeated
     variables must bind consistently) — its answers are provably
-    unaffected.  Survivors count into [pdms.delta.cache_kept].  An
-    {e empty} updategram carries nothing to probe and acts as a
-    wildcard: every reader of the relation is dropped. *)
+    unaffected.  The probe reads patterns compiled when the entry was
+    added: each distinct argument pattern of the entry's atoms over the
+    relation (per column a constant, a first occurrence, or a repeat of
+    an earlier column), so it costs one pass per distinct pattern and
+    changed tuple, and allocates nothing.  Survivors count into
+    [pdms.delta.cache_kept].  An {e empty} updategram carries nothing
+    to probe and acts as a wildcard: every reader of the relation is
+    dropped. *)
 
 val hits : t -> int
 val misses : t -> int

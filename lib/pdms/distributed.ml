@@ -226,7 +226,9 @@ let execute ?(exec = Exec.default) catalog network ~at query =
     let out = Relalg.Relation.create (Cq.Eval.head_schema shape) in
     List.iter
       (fun (_, result) ->
-        Relalg.Relation.iter (Cq.Eval.add_distinct out) result)
+        Relalg.Relation.iter
+          (fun row -> ignore (Relalg.Relation.add_distinct out row : bool))
+          result)
       survived;
     out
   in

@@ -134,10 +134,8 @@ let maintain views rel (u : Updategram.t) =
      the new tuple, which was absent before). *)
   List.iter
     (fun tuple ->
-      if not (Relalg.Relation.mem rel tuple) then begin
-        Relalg.Relation.apply rel (Relalg.Relation.Delta.add tuple);
-        List.iter (fun t -> maintain_insert t ~rel:name tuple) views
-      end)
+      if Relalg.Relation.add_distinct rel tuple then
+        List.iter (fun t -> maintain_insert t ~rel:name tuple) views)
     u.Updategram.inserts
 
 let apply ?exec t (u : Updategram.t) =

@@ -1,10 +1,10 @@
 type agg = Count | Sum of string | Min of string | Max of string | Avg of string
 
 (* Local conveniences over the unified mutation API: ops build their
-   output relation row by row, either as a bag ([add]) or with a
-   membership guard ([add_distinct]). *)
+   output relation row by row, either as a bag ([add]) or as a set
+   ([add_distinct]). *)
 let add out row = Relation.apply out (Relation.Delta.add row)
-let add_distinct out row = if not (Relation.mem out row) then add out row
+let add_distinct out row = ignore (Relation.add_distinct out row : bool)
 
 let select pred rel =
   let out = Relation.create (Relation.schema rel) in

@@ -133,14 +133,17 @@ let cardinality t = t.count_slots
 
 let drop_indexes t = Array.fill t.indexes 0 (Array.length t.indexes) None
 
+let check_row what t row =
+  if Array.length row <> Schema.arity t.schema then
+    invalid_arg
+      (Printf.sprintf "Relation.%s: arity mismatch for %s (got %d, want %d)"
+         what (Schema.name t.schema) (Array.length row)
+         (Schema.arity t.schema))
+
 let rec check_arity what t = function
   | [] -> ()
   | row :: rows ->
-      if Array.length row <> Schema.arity t.schema then
-        invalid_arg
-          (Printf.sprintf "Relation.%s: arity mismatch for %s (got %d, want %d)"
-             what (Schema.name t.schema) (Array.length row)
-             (Schema.arity t.schema));
+      check_row what t row;
       check_arity what t rows
 
 let lookup idx key =
@@ -159,21 +162,27 @@ let grow t =
     t.hashes <- hashes
   end
 
-let append_row t row =
+(* Append [k]'s row to the slots and the live indexes; membership is
+   the caller's. *)
+let store t k =
   grow t;
-  let k = key row in
+  let row = k.row in
   t.rows_arr.(t.count_slots) <- row;
   t.hashes.(t.count_slots) <- k.hash;
   t.count_slots <- t.count_slots + 1;
-  (match Tset.find_opt t.members k with
-  | Some m -> Tset.replace t.members k (m + 1)
-  | None -> Tset.add t.members k 1);
   (* Live indexes absorb the row instead of being invalidated. *)
   for col = 0 to Array.length t.indexes - 1 do
     match t.indexes.(col) with
     | Some idx -> index_push idx row.(col) row
     | None -> ()
   done
+
+let append_row t row =
+  let k = key row in
+  store t k;
+  match Tset.find_opt t.members k with
+  | Some m -> Tset.replace t.members k (m + 1)
+  | None -> Tset.add t.members k 1
 
 let rec append_rows t = function
   | [] -> ()
@@ -376,6 +385,20 @@ let apply t (d : Delta.t) =
           Derived.push t
             (if dels == d.Delta.dels then d else { d with Delta.dels }))
 
+let add_distinct t row =
+  check_row "add_distinct" t row;
+  let k = key row in
+  if Tset.mem t.members k then false
+  else begin
+    store t k;
+    Tset.add t.members k 1;
+    t.version <- t.version + 1;
+    (match t.derived with
+    | [] -> ()
+    | _ :: _ -> Derived.push t (Delta.add row));
+    true
+  end
+
 let tuples t =
   match t.rows_list with
   | Some (v, l) when v = t.version -> l
@@ -413,6 +436,14 @@ let find_by t col v =
   match t.indexes.(col) with
   | Some idx -> lookup idx v
   | None -> lookup (build_index t col) v
+
+let fold_by t col f init =
+  if col < 0 || col >= Schema.arity t.schema then
+    invalid_arg "Relation.fold_by: column out of range";
+  let idx =
+    match t.indexes.(col) with Some idx -> idx | None -> build_index t col
+  in
+  Vtbl.fold f idx init
 
 let find_by_bound t bound =
   match bound with

@@ -67,11 +67,21 @@ val apply : t -> Delta.t -> unit
 (** The single mutation entry point.  Removals first: one copy per
     [dels] occurrence (absent tuples are ignored), order-preserving.
     Then additions: one copy appended per [adds] occurrence (bag
-    semantics — callers wanting set semantics guard with {!mem}).
+    semantics — callers wanting set semantics use {!add_distinct}).
     Raises [Invalid_argument] on arity mismatch.  An application with
     no effect (e.g. removals of absent tuples only) does not bump the
     version.  The {e effective} delta — what actually changed — is
     queued on each live {!Derived} slot for its next read. *)
+
+val add_distinct : t -> tuple -> bool
+(** [add_distinct t row] appends [row] unless it is already present,
+    and says whether it did: the set-semantics insert of a dedup
+    accumulator.  It hashes [row] once and probes membership once.  An
+    insert has the effect of [apply t (Delta.add row)]: the version is
+    bumped and the one-row delta queued on each live {!Derived} slot
+    (a relation with none allocates no delta).  A present row changes
+    nothing, the version included.  Raises [Invalid_argument] on arity
+    mismatch. *)
 
 (** Derived state kept on the relation itself, one slot per kind
     (planner statistics, a keyword index entry), so it lives and dies
@@ -135,6 +145,12 @@ val fold : ('a -> tuple -> 'a) -> 'a -> t -> 'a
 val find_by : t -> int -> Value.t -> tuple list
 (** [find_by t col v] returns tuples whose [col]-th value equals [v],
     via a lazily built hash index. *)
+
+val fold_by : t -> int -> (Value.t -> tuple list -> 'a -> 'a) -> 'a -> 'a
+(** [fold_by t col f init] folds [f] over the distinct values of
+    column [col], each with the list [find_by t col] returns for it, in
+    no particular order.  Builds the column's index as [find_by]
+    would. *)
 
 val find_by_bound : t -> (int * Value.t) list -> tuple list
 (** Candidate tuples for a conjunction of column bindings: the two most

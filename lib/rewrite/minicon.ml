@@ -132,15 +132,3 @@ let rewrite ~views (q : Query.t) =
       combinations_tried = !combinations;
       rewritings_produced = List.length deduped;
     } )
-
-let expand ~views r = Unfold.expand views r
-
-let is_contained_rewriting ~views r q =
-  (* The target query's signature is loop-invariant; precompute it so
-     each expansion pays only its own signature + (if compatible) the
-     homomorphism search. *)
-  let super = Signature.of_query q in
-  List.for_all
-    (fun e ->
-      Containment.contained_in_with ~sub:(Signature.of_query e) ~super e q)
-    (expand ~views r)

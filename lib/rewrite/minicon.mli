@@ -18,11 +18,3 @@ val rewrite : views:Cq.Query.t list -> Cq.Query.t -> Cq.Query.t list * stats
 (** [rewrite ~views q] returns contained rewritings of [q] over the view
     predicates. View heads must use distinct predicate names from base
     relations. *)
-
-val expand : views:Cq.Query.t list -> Cq.Query.t -> Cq.Query.t list
-(** Expand a rewriting back to base predicates by unfolding view
-    definitions (used for verification and end-to-end evaluation). *)
-
-val is_contained_rewriting : views:Cq.Query.t list -> Cq.Query.t -> Cq.Query.t -> bool
-(** [is_contained_rewriting ~views r q]: does [r]'s expansion hold only
-    answers of [q]? *)

@@ -65,7 +65,7 @@ let rewrite ?(max_candidates = 200_000) ~views (q : Query.t) =
       match Build.assemble ~fresh q pieces with
       | None -> ()
       | Some candidate ->
-          if Minicon.is_contained_rewriting ~views candidate q then
+          if Expansion.is_contained_rewriting ~views candidate q then
             results := Minimize.remove_duplicate_atoms candidate :: !results
     end
     else List.iter (fun e -> product (i + 1) (e :: chosen)) buckets.(i)

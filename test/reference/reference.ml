@@ -1,4 +1,5 @@
 module Bucket = Bucket
+module Expansion = Expansion
 
 let per_rewriting_union db = function
   | [] -> invalid_arg "Reference.per_rewriting_union: empty union"

@@ -17,6 +17,10 @@ module Bucket = Bucket
 (** The Bucket rewriting algorithm, the baseline MiniCon is checked and
     timed against (E3). *)
 
+module Expansion = Expansion
+(** Containment of a rewriting over views, by expansion: the check
+    MiniCon's rewritings and Bucket's candidates are held to. *)
+
 val per_rewriting_union :
   Relalg.Database.t -> Cq.Query.t list -> Relalg.Relation.t
 (** [per_rewriting_union db qs] evaluates each rewriting separately

@@ -607,6 +607,103 @@ let test_arity_mismatch_counter () =
   in
   check_b "counter bumped" true (after > before)
 
+let counter name = Obs.Metrics.counter_value (Obs.Metrics.snapshot ()) name
+
+(* Two first-group relations r1, r2 and three second-group ones s1..s3,
+   as a product of unions: ans(B, C) :- ri(A, B), sj(A, C). Each ri is
+   as small as the smallest sj, so it comes first, and each ri node's
+   three children probe their sj on A: a fan, both nodes reading one
+   union table over (s1, s2, s3). *)
+let product_db ~second:(s1, s2, s3) =
+  let db = Relalg.Database.create () in
+  let rel name rows =
+    let r = Relalg.Database.create_relation db name [ "a"; "b" ] in
+    List.iter
+      (fun (a, b) -> insert r Relalg.Value.[| Int a; Str b |])
+      rows
+  in
+  rel "r1" [ (1, "x"); (2, "y") ];
+  rel "r2" [ (2, "u"); (3, "v") ];
+  rel "s1" s1;
+  rel "s2" s2;
+  rel "s3" s3;
+  db
+
+let product_union ?(first = fun i -> [ v "A"; v (Printf.sprintf "B%d" i) ]) () =
+  List.concat_map
+    (fun i ->
+      List.map
+        (fun j ->
+          q
+            (atom "ans" [ v (Printf.sprintf "B%d" i); v "C" ])
+            [ atom (Printf.sprintf "r%d" i) (first i);
+              atom (Printf.sprintf "s%d" j) [ v "A"; v "C" ] ])
+        [ 1; 2; 3 ])
+    [ 1; 2 ]
+
+let row_strings rel =
+  List.map
+    (fun row -> String.concat "," (Array.to_list (Array.map Relalg.Value.to_string row)))
+    (Relalg.Relation.tuples rel)
+
+(* The first node's two bindings probe s1..s3 on their own (6 probes);
+   that reaches the 5 keys a union would hold, so the second node's
+   bindings read one built table. Rows, their order and every count are
+   what per-child probing gives. *)
+let test_plan_fan_product () =
+  let db =
+    product_db
+      ~second:
+        ( [ (1, "a"); (2, "b") ],
+          [ (2, "c"); (2, "d") ],
+          [ (3, "e"); (9, "f") ] )
+  in
+  let qs = product_union () in
+  let plan = Plan.build db qs in
+  check_i "nodes" 8 (Plan.stats plan).Plan.nodes;
+  let unions0 = counter "cq.plan.fan_unions"
+  and shared0 = counter "cq.plan.probes_shared"
+  and reused0 = counter "cq.plan.bindings_reused" in
+  let out = Relalg.Relation.create (Eval.head_schema (List.hd qs)) in
+  let counts = Plan.run_union_into out db plan in
+  Alcotest.(check (list string))
+    "rows in walk order"
+    [ "x,a"; "y,b"; "y,d"; "y,c"; "u,b"; "u,d"; "u,c"; "v,e" ]
+    (row_strings out);
+  Alcotest.(check (list int)) "per-rewriting counts" [ 2; 2; 0; 1; 2; 1 ] counts;
+  check_i "one union built" 1 (counter "cq.plan.fan_unions" - unions0);
+  check_i "two bindings answered for three members each" 4
+    (counter "cq.plan.probes_shared" - shared0);
+  check_i "bindings reused" 8 (counter "cq.plan.bindings_reused" - reused0);
+  Alcotest.(check (list (list string)))
+    "run_each"
+    [ [ "x,a"; "y,b" ]; [ "y,d"; "y,c" ]; []; [ "u,b" ]; [ "u,d"; "u,c" ];
+      [ "v,e" ] ]
+    (List.map row_strings (Plan.run_each db plan));
+  check_i "run_each builds its own union" 2
+    (counter "cq.plan.fan_unions" - unions0)
+
+(* A selective parent binds too few values to pay for a table: the
+   members probe on their own, and the answers are the same. *)
+let test_plan_fan_guard () =
+  let many tag = List.init 40 (fun k -> (k, Printf.sprintf "%s%d" tag k)) in
+  let db = product_db ~second:(many "a", many "c", many "e") in
+  let title i = Relalg.Value.Str (if i = 1 then "x" else "u") in
+  let qs =
+    product_union ~first:(fun i -> [ v "A"; Term.c (title i) ]) ()
+    |> List.map (fun (qq : Query.t) ->
+           q (atom "ans" [ v "C" ]) qq.Query.body)
+  in
+  let unions0 = counter "cq.plan.fan_unions" in
+  let out = Relalg.Relation.create (Eval.head_schema (List.hd qs)) in
+  let counts = Plan.run_union_into out db (Plan.build db qs) in
+  check_i "no union built" 0 (counter "cq.plan.fan_unions" - unions0);
+  let alone = Relalg.Relation.create (Eval.head_schema (List.hd qs)) in
+  let counts' = List.map (fun qq -> Eval.run_union_into alone db [ qq ]) qs in
+  Alcotest.(check (list int)) "per-rewriting counts" counts' counts;
+  Alcotest.(check (list string))
+    "answers" [ "a1"; "c1"; "e1"; "a2"; "c2"; "e2" ] (row_strings out)
+
 (* Batch ≡ baseline on random unions: same union tuples, same
    per-query pre-dedup counts, same per-query answer relations. *)
 let prop_plan_matches_per_rewriting =
@@ -718,40 +815,46 @@ let gen_oracle_union =
     pair (oneofl qs) (oneofl qs) >|= fun (dup, alpha) ->
     qs @ [ dup; rename_vars alpha ])
 
+(* The engine's answers to [qs] against the oracle's: each member alone
+   through [Eval], the union through [Eval] and through one [Plan] walk,
+   with its per-member counts and [run_each]. *)
+let agrees_with_oracle db qs =
+  let assignments = List.map (Oracle.Nested_loop.assignments db) qs in
+  let counts = List.map List.length assignments in
+  let each =
+    List.map2
+      (fun qq bs -> tuple_set (List.map (Oracle.Nested_loop.head qq) bs))
+      qs assignments
+  in
+  let union = tuple_set (List.concat each) in
+  let fresh () = Relalg.Relation.create (Eval.head_schema (List.hd qs)) in
+  let eval_ok =
+    List.for_all2 (fun qq e -> holds e (Eval.run db qq)) qs each
+    && List.map (fun qq -> Eval.run_union_into (fresh ()) db [ qq ]) qs = counts
+    &&
+    let out = fresh () in
+    Eval.run_union_into out db qs = List.fold_left ( + ) 0 counts
+    && holds union out
+  in
+  let plan_ok =
+    let plan = Plan.build db qs in
+    let out = fresh () in
+    Plan.run_union_into out db plan = counts
+    && holds union out
+    && List.for_all2 holds each (Plan.run_each db plan)
+  in
+  eval_ok && plan_ok
+
+let mismatches () = counter "cq.eval.arity_mismatch"
+
 let prop_engine_matches_oracle =
   QCheck.Test.make ~name:"join engine = nested-loop oracle" ~count:300
     (QCheck.make
        ~print:(fun (_, qs) -> String.concat "\n" (List.map Query.to_string qs))
        QCheck.Gen.(pair gen_oracle_db gen_oracle_union))
     (fun (db, qs) ->
-      let mismatches () =
-        Obs.Metrics.counter_value (Obs.Metrics.snapshot ()) "cq.eval.arity_mismatch"
-      in
       let before = mismatches () in
-      let assignments = List.map (Oracle.Nested_loop.assignments db) qs in
-      let counts = List.map List.length assignments in
-      let each =
-        List.map2
-          (fun qq bs -> tuple_set (List.map (Oracle.Nested_loop.head qq) bs))
-          qs assignments
-      in
-      let union = tuple_set (List.concat each) in
-      let fresh () = Relalg.Relation.create (Eval.head_schema (List.hd qs)) in
-      let eval_ok =
-        List.for_all2 (fun qq e -> holds e (Eval.run db qq)) qs each
-        && List.map (fun qq -> Eval.run_union_into (fresh ()) db [ qq ]) qs = counts
-        &&
-        let out = fresh () in
-        Eval.run_union_into out db qs = List.fold_left ( + ) 0 counts
-        && holds union out
-      in
-      let plan_ok =
-        let plan = Plan.build db qs in
-        let out = fresh () in
-        Plan.run_union_into out db plan = counts
-        && holds union out
-        && List.for_all2 holds each (Plan.run_each db plan)
-      in
+      let agrees = agrees_with_oracle db qs in
       (* A body of wrong-arity atoms only visits one of them first. *)
       let mismatched (a : Atom.t) =
         match Relalg.Database.find_opt db a.Atom.pred with
@@ -765,8 +868,67 @@ let prop_engine_matches_oracle =
             qq.Query.body <> [] && List.for_all mismatched qq.Query.body)
           qs
       in
-      eval_ok && plan_ok
-      && ((not lone_mismatch) || mismatches () > before))
+      agrees && ((not lone_mismatch) || mismatches () > before))
+
+(* A product of unions over k first-group relations r<i> (0-4 rows) and
+   m second-group ones s<j> (5-8 rows), joined on A: every r<i> comes
+   first, so each r<i> node's children form a fan on A. The second group
+   may also hold a missing relation and an s0 atom of the wrong arity;
+   each r<i> row visits that atom once, fan or not. Returns the database,
+   the union and the visits [cq.eval.arity_mismatch] must count in one
+   walk. *)
+let gen_product =
+  QCheck.Gen.(
+    pair (int_range 1 3) (int_range 2 4) >>= fun (k, m) ->
+    let rows lo hi = list_size (int_range lo hi) (pair gen_value gen_value) in
+    quad (list_repeat k (rows 0 4)) (list_repeat m (rows 5 8)) bool bool
+    >>= fun (firsts, seconds, missing, mismatched) ->
+    let db = Relalg.Database.create () in
+    let fill prefix =
+      List.iteri (fun i rs ->
+          let r =
+            Relalg.Database.create_relation db (Printf.sprintf "%s%d" prefix i)
+              [ "a"; "b" ]
+          in
+          List.iter (fun (a, b) -> insert r [| a; b |]) rs)
+    in
+    fill "r" firsts;
+    fill "s" seconds;
+    let members =
+      List.init m (fun j -> atom (Printf.sprintf "s%d" j) [ v "A"; v "C" ])
+      @ (if missing then [ atom "nosuch" [ v "A"; v "C" ] ] else [])
+      @ if mismatched then [ atom "s0" [ v "A"; v "C"; v "C" ] ] else []
+    in
+    shuffle_l members >|= fun members ->
+    let qs =
+      List.concat
+        (List.init k (fun i ->
+             List.map
+               (fun s ->
+                 q (atom "ans" [ v "B"; v "C" ])
+                   [ atom (Printf.sprintf "r%d" i) [ v "A"; v "B" ]; s ])
+               members))
+    in
+    let visits =
+      if mismatched then List.fold_left (fun n rs -> n + List.length rs) 0 firsts
+      else 0
+    in
+    (db, qs, visits))
+
+let prop_product_matches_oracle =
+  QCheck.Test.make ~name:"fanned product union = nested-loop oracle" ~count:300
+    (QCheck.make
+       ~print:(fun (_, qs, _) -> String.concat "\n" (List.map Query.to_string qs))
+       gen_product)
+    (fun (db, qs, visits) ->
+      let plan = Plan.build db qs in
+      let before = mismatches () in
+      ignore
+        (Plan.run_union_into
+           (Relalg.Relation.create (Eval.head_schema (List.hd qs)))
+           db plan
+          : int list);
+      mismatches () - before = visits && agrees_with_oracle db qs)
 
 let () =
   let qc = List.map QCheck_alcotest.to_alcotest in
@@ -821,8 +983,14 @@ let () =
          Alcotest.test_case "bindings reused counter" `Quick
            test_plan_bindings_reused_counter;
          Alcotest.test_case "arity mismatch counter" `Quick
-           test_arity_mismatch_counter ]
-       @ qc [ prop_plan_matches_per_rewriting; prop_engine_matches_oracle ]);
+           test_arity_mismatch_counter;
+         Alcotest.test_case "fan over a product of unions" `Quick
+           test_plan_fan_product;
+         Alcotest.test_case "selective parent builds no union" `Quick
+           test_plan_fan_guard ]
+       @ qc
+           [ prop_plan_matches_per_rewriting; prop_engine_matches_oracle;
+             prop_product_matches_oracle ]);
       ("properties",
        qc
          [ prop_containment_sound; prop_minimize_preserves_answers;

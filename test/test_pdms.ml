@@ -1790,7 +1790,23 @@ let test_cache_delta_probe () =
   check_i "cache drained" 0 (P.Cache.entries cache);
   fill ();
   check_i "an empty updategram drops every reader" 2
-    (P.Cache.invalidate cache (P.Updategram.make ~rel:stored ()))
+    (P.Cache.invalidate cache (P.Updategram.make ~rel:stored ()));
+  (* A repeated variable binds one value: an entry reading course(X, X)
+     survives a changed row whose two fields differ, and a row whose
+     fields agree takes it. *)
+  let diagonal =
+    q (atom "ans" [ v "X" ]) [ P.Peer.atom uw "course" [ v "X"; v "X" ] ]
+  in
+  ignore (P.Cache.answer cache diagonal);
+  check_i "diagonal entry cached" 1 (P.Cache.entries cache);
+  let k1 = kept () in
+  let inserting row = P.Updategram.make ~rel:stored ~inserts:[ row ] () in
+  check_i "differing fields keep it" 0
+    (P.Cache.invalidate cache (inserting [| vs "6.001"; vs "sicp" |]));
+  check_i "diagonal entry survives" 1 (P.Cache.entries cache);
+  check_b "kept in pdms.delta.cache_kept" true (kept () > k1);
+  check_i "agreeing fields take it" 1
+    (P.Cache.invalidate cache (inserting [| vs "6.002"; vs "6.002" |]))
 
 (* When every mapping is an inclusion with single-atom sides, the PDMS
    semantics coincides with a datalog program; the reformulation answers
@@ -2092,16 +2108,7 @@ let test_pdms_file_tricky_rows () =
 (* ------------------------------------------------------------------ *)
 (* Durability: snapshot + WAL recovery (Persist). *)
 
-let temp_dir =
-  let n = ref 0 in
-  fun () ->
-    incr n;
-    let dir =
-      Filename.concat (Filename.get_temp_dir_name ())
-        (Printf.sprintf "revere-persist-%d-%d" (Unix.getpid ()) !n)
-    in
-    Unix.mkdir dir 0o755;
-    dir
+let with_temp_dir f = Tmpdir.with_dir ~prefix:"revere-persist" f
 
 let read_file path =
   let ic = open_in_bin path in
@@ -2114,11 +2121,10 @@ let write_file path s =
   output_string oc s;
   close_out oc
 
-(* Copy a data directory, truncating the WAL to [wal_bytes] — the
-   injected crash: everything the OS had by that point survives,
+(* Copy a data directory into [dst], truncating the WAL to [wal_bytes]
+   — the injected crash: everything the OS had by that point survives,
    nothing after does. *)
-let copy_dir_with_crash src wal_bytes =
-  let dst = temp_dir () in
+let copy_dir_with_crash src wal_bytes dst =
   Array.iter
     (fun name ->
       let s = read_file (Filename.concat src name) in
@@ -2128,8 +2134,7 @@ let copy_dir_with_crash src wal_bytes =
         else s
       in
       write_file (Filename.concat dst name) s)
-    (Sys.readdir src);
-  dst
+    (Sys.readdir src)
 
 (* A deterministic full-state transcript: every stored tuple in order,
    a ranked keyword search, and a reformulated answer.  Recovery is
@@ -2164,12 +2169,12 @@ let persist_transcript t =
        (P.Answer.answer catalog (Workload.University.course_query stanford)));
   Buffer.contents b
 
-let six_university_persist seed =
+(* The six-university catalog initialised in [dir], open. *)
+let six_university_persist dir seed =
   let prng = Util.Prng.create seed in
   let d = Workload.University.build_delearning prng ~courses_per_peer:2 in
-  let dir = temp_dir () in
   P.Persist.init ~dir d.Workload.University.catalog;
-  (dir, P.Persist.open_dir_exn dir, prng)
+  (P.Persist.open_dir_exn dir, prng)
 
 (* Random effective updategram against a random stored relation. *)
 let random_gram prng db gram_no =
@@ -2192,7 +2197,8 @@ let random_gram prng db gram_no =
   P.Updategram.make ~rel:rel_name ~inserts ~deletes ()
 
 let test_persist_init_apply_reopen () =
-  let dir, t, prng = six_university_persist 11 in
+  with_temp_dir @@ fun dir ->
+  let t, prng = six_university_persist dir 11 in
   for g = 1 to 5 do
     P.Persist.apply ~sync:(g mod 2 = 0) t (random_gram prng (P.Persist.db t) g)
   done;
@@ -2209,7 +2215,8 @@ let test_persist_init_apply_reopen () =
   check_b "fsck passes" true (P.Persist.fsck_ok (P.Persist.fsck dir))
 
 let test_persist_fsck_detects_damage () =
-  let dir, t, prng = six_university_persist 12 in
+  with_temp_dir @@ fun dir ->
+  let t, prng = six_university_persist dir 12 in
   P.Persist.apply ~sync:true t (random_gram prng (P.Persist.db t) 1);
   P.Persist.close t;
   check_b "intact dir is ok" true (P.Persist.fsck_ok (P.Persist.fsck dir));
@@ -2225,7 +2232,8 @@ let test_persist_fsck_detects_damage () =
   let r = P.Persist.fsck dir in
   check_b "unknown relation caught" false (P.Persist.fsck_ok r);
   (* Losing every snapshot is unrecoverable and must be reported. *)
-  let dir2, t2, _ = six_university_persist 13 in
+  with_temp_dir @@ fun dir2 ->
+  let t2, _ = six_university_persist dir2 13 in
   P.Persist.close t2;
   Array.iter
     (fun n ->
@@ -2238,7 +2246,8 @@ let test_persist_fsck_detects_damage () =
    of the WAL's tail record; recovery must land exactly on the state
    the surviving prefix described, and fsck must pass. *)
 let test_persist_kill_point_sweep () =
-  let dir, t, prng = six_university_persist 21 in
+  with_temp_dir @@ fun dir ->
+  let t, prng = six_university_persist dir 21 in
   (* Three effective grams; remember (wal size, transcript) after each. *)
   let states = ref [ (P.Persist.wal_size t, persist_transcript t) ] in
   for g = 1 to 3 do
@@ -2257,7 +2266,8 @@ let test_persist_kill_point_sweep () =
   let tail_end = List.nth sizes (List.length sizes - 1) in
   check_b "tail record is non-empty" true (tail_end > tail_start);
   for cut = tail_start to tail_end do
-    let crashed = copy_dir_with_crash dir cut in
+    with_temp_dir @@ fun crashed ->
+    copy_dir_with_crash dir cut crashed;
     let expected =
       (* The last state whose WAL prefix fully survived the crash. *)
       List.fold_left
@@ -2284,7 +2294,8 @@ let prop_persist_crash_recovery =
     ~count:20
     (QCheck.make QCheck.Gen.(int_bound 100_000) ~print:string_of_int)
     (fun seed ->
-      let dir, t, prng = six_university_persist seed in
+      with_temp_dir @@ fun dir ->
+      let t, prng = six_university_persist dir seed in
       (* (wal seq, wal size, transcript) after init and every apply;
          snapshots interleave at random points. *)
       let states = ref [ (0, P.Persist.wal_size t, persist_transcript t) ] in
@@ -2306,7 +2317,8 @@ let prop_persist_crash_recovery =
       let snap_max = List.fold_left max 0 !snap_seqs in
       (* Crash at a random byte offset across the whole log. *)
       let cut = Util.Prng.int prng (final_size + 1) in
-      let crashed = copy_dir_with_crash dir cut in
+      with_temp_dir @@ fun crashed ->
+      copy_dir_with_crash dir cut crashed;
       (* Expected: the newest snapshot always survives (snapshot files
          are not truncated), so recovery lands on the later of (newest
          snapshot, last fully-durable WAL record). *)
@@ -2739,7 +2751,7 @@ let test_one_metrics_switch () =
     let network = P.Distributed.network_of_catalog catalog ~latency_ms:1.0 in
     ignore (P.Distributed.execute catalog network ~at:"uw" query);
     ignore (P.Keyword.search catalog "databases");
-    let dir = temp_dir () in
+    with_temp_dir @@ fun dir ->
     P.Persist.init ~dir catalog;
     let t = P.Persist.open_dir_exn dir in
     let u =
@@ -2961,7 +2973,7 @@ let test_propagate_typed_tuples () =
 (* A value with a line break must not split its row in the snapshot. *)
 let test_persist_line_break_values () =
   let catalog, p = typed_catalog [] in
-  let dir = temp_dir () in
+  with_temp_dir @@ fun dir ->
   P.Persist.init ~dir catalog;
   let t = P.Persist.open_dir_exn dir in
   let rel = P.Peer.stored_pred p "r" in
@@ -2982,7 +2994,7 @@ let test_persist_line_break_values () =
    than read it with format 2's escapes. *)
 let test_persist_refuses_format_1 () =
   let catalog, _ = typed_catalog [ [| vs "'a\\nb'"; vs "1" |] ] in
-  let dir = temp_dir () in
+  with_temp_dir @@ fun dir ->
   P.Persist.init ~dir catalog;
   let snap = Filename.concat dir "snapshot-0.snap" in
   let s = read_file snap in
@@ -3025,10 +3037,11 @@ let test_persist_refusal_writes_nothing () =
     | Error _ -> ());
     check_b (what ^ ": every file kept") true (files dir = before)
   in
-  let junk = temp_dir () in
+  with_temp_dir @@ fun junk ->
   write_file (Filename.concat junk "snapshot-0.snap") "junk bytes";
   refused "a junk snapshot" junk;
-  let dir, t, prng = six_university_persist 17 in
+  with_temp_dir @@ fun dir ->
+  let t, prng = six_university_persist dir 17 in
   for i = 1 to 3 do
     P.Persist.apply t (random_gram prng (P.Persist.db t) i)
   done;
@@ -3111,7 +3124,7 @@ let test_persist_typed_mapping_constants () =
   let original = transcript catalog in
   let _, _, answers = original in
   check_i "one answer per constant" (List.length consts) (List.length answers);
-  let dir = temp_dir () in
+  with_temp_dir @@ fun dir ->
   P.Persist.init ~dir catalog;
   let t = P.Persist.open_dir_exn dir in
   ignore (P.Persist.snapshot t);
@@ -3646,7 +3659,8 @@ let prop_parse_row_agrees =
    write-ahead log or a push's tee sees it: the directory reopens as it
    was and fsck passes. *)
 let test_persist_refuses_wrong_arity () =
-  let dir, t, _ = six_university_persist 13 in
+  with_temp_dir @@ fun dir ->
+  let t, _ = six_university_persist dir 13 in
   let before = P.Pdms_file.render (P.Persist.catalog t) in
   let rel = List.hd (Relalg.Database.names (P.Persist.db t)) in
   let arity =
@@ -3679,16 +3693,12 @@ let test_persist_refuses_wrong_arity () =
   P.Persist.close t';
   check_b "fsck passes" true (P.Persist.fsck_ok (P.Persist.fsck dir))
 
-let remove_dir dir =
-  Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
-  Unix.rmdir dir
-
 (* A small data directory's snapshot payload, and its WAL file's
    records (one insert, one delete, one of each), each as a framed
    payload. *)
 let durable_files =
   lazy
-    (let dir = temp_dir () in
+    (with_temp_dir @@ fun dir ->
      P.Persist.init ~dir
        (P.Pdms_file.parse_exn
           "peer a\nrelation r(x, y)\nstore r\nrow r: 1 | one\n\
@@ -3713,7 +3723,6 @@ let durable_files =
      in
      let records = frames (String.index wal '\n' + 1) in
      let snapshot = read_file (Filename.concat dir "snapshot-0.snap") in
-     remove_dir dir;
      (payload, records, snapshot, wal))
 
 (* A snapshot file of [payload] and a WAL file of [records], framed as
@@ -3746,21 +3755,18 @@ let odd_records =
 (* Every durable reader on a directory holding these two files; [Ok]
    when each answered, whatever it answered. *)
 let read_durable ~snapshot ~wal =
-  let dir = temp_dir () in
+  with_temp_dir @@ fun dir ->
   let snap_path = Filename.concat dir "snapshot-0.snap"
   and wal_path = Storage.Wal.file ~dir in
   write_file snap_path snapshot;
   write_file wal_path wal;
-  Fun.protect
-    ~finally:(fun () -> remove_dir dir)
-    (fun () ->
-      ignore (Storage.Wal.read wal_path : (Storage.Wal.read_result, string) result);
-      ignore (Storage.Snapshot.load snap_path : (int * string, string) result);
-      ignore (P.Persist.fsck dir : P.Persist.fsck_report);
-      (match P.Persist.open_dir dir with
-      | Ok t -> P.Persist.close t
-      | Error _ -> ());
-      Ok ())
+  ignore (Storage.Wal.read wal_path : (Storage.Wal.read_result, string) result);
+  ignore (Storage.Snapshot.load snap_path : (int * string, string) result);
+  ignore (P.Persist.fsck dir : P.Persist.fsck_report);
+  (match P.Persist.open_dir dir with
+  | Ok t -> P.Persist.close t
+  | Error _ -> ());
+  Ok ()
 
 (* The seeds are the files the library writes, and the odd records,
    unmutated, are refused (or replayed, for the absent delete) without
@@ -3772,18 +3778,15 @@ let test_durable_seeds () =
   check_b "three WAL records" true (List.length records = 3);
   List.iter2
     (fun record recovers ->
-      let dir = temp_dir () in
+      with_temp_dir @@ fun dir ->
       write_file (Filename.concat dir "snapshot-0.snap") snapshot;
       write_file (Storage.Wal.file ~dir) (wal_file [ record ]);
-      Fun.protect
-        ~finally:(fun () -> remove_dir dir)
-        (fun () ->
-          check_b "fsck agrees" recovers (P.Persist.fsck_ok (P.Persist.fsck dir));
-          match P.Persist.open_dir dir with
-          | Ok t ->
-              P.Persist.close t;
-              check_b "recovers" recovers true
-          | Error _ -> check_b "refused" recovers false))
+      check_b "fsck agrees" recovers (P.Persist.fsck_ok (P.Persist.fsck dir));
+      match P.Persist.open_dir dir with
+      | Ok t ->
+          P.Persist.close t;
+          check_b "recovers" recovers true
+      | Error _ -> check_b "refused" recovers false)
     odd_records [ false; false; true ]
 
 (* Mutated files go through [Wal.read], [Snapshot.load], [Persist.fsck]

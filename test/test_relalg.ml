@@ -460,6 +460,55 @@ let test_apply_version () =
   Relation.clear r;
   check_i "clear bumps once" (v + 1) (Relation.version r)
 
+(* [add_distinct] is [apply (Delta.add row)] guarded by membership: a
+   present row changes nothing, not even the version; an absent one is
+   appended, bumps the version once and reaches a live derived slot as
+   the same one-row delta [apply] would queue. *)
+let test_add_distinct () =
+  let kind = Relation.Derived.kind () in
+  let queued = ref [] in
+  let read r =
+    ignore
+      (Relation.Derived.get kind
+         ~build:(fun _ -> ())
+         ~patch:(fun _ () ds -> queued := ds)
+         r)
+  in
+  let fresh () =
+    let r = Relation.create (Schema.make "r" [ "a"; "b" ]) in
+    insert r [| v_i 1; v_s "x" |];
+    read r;
+    queued := [];
+    r
+  in
+  let r = fresh () in
+  let v = Relation.version r in
+  check_b "a present row is refused" false
+    (Relation.add_distinct r [| v_i 1; v_s "x" |]);
+  check_i "and leaves the version" v (Relation.version r);
+  read r;
+  check_b "and queues nothing" true (!queued = []);
+  check_b "an absent row is added" true
+    (Relation.add_distinct r [| v_i 1; v_s "y" |]);
+  check_i "and bumps the version once" (v + 1) (Relation.version r);
+  check_b "it is a member" true (Relation.mem r [| v_i 1; v_s "y" |]);
+  read r;
+  let via_add_distinct = !queued in
+  let twin = fresh () in
+  Relation.apply twin (Relation.Delta.add [| v_i 1; v_s "y" |]);
+  read twin;
+  check_b "the slot sees what apply queues" true
+    (List.map Relation.Delta.adds via_add_distinct
+     = List.map Relation.Delta.adds !queued
+    && List.map Relation.Delta.dels via_add_distinct
+       = List.map Relation.Delta.dels !queued);
+  check_b "the rows are apply's" true
+    (Relation.tuples r = Relation.tuples twin);
+  Alcotest.check_raises "arity is checked"
+    (Invalid_argument
+       "Relation.add_distinct: arity mismatch for r (got 1, want 2)")
+    (fun () -> ignore (Relation.add_distinct r [| v_i 1 |] : bool))
+
 let test_delta_compose () =
   let open Relation.Delta in
   check_b "add-then-del cancels" true
@@ -537,6 +586,8 @@ let () =
          Alcotest.test_case "apply bumps the version once" `Quick
            test_apply_version;
          Alcotest.test_case "delta compose" `Quick test_delta_compose;
+         Alcotest.test_case "add_distinct is a guarded apply" `Quick
+           test_add_distinct;
          Alcotest.test_case "bulk insert index" `Quick test_relation_bulk_insert_index;
          Alcotest.test_case "find_by_bound" `Quick test_relation_find_by_bound ]);
       ("ops",

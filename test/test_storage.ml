@@ -326,21 +326,12 @@ let prop_codec_delta_roundtrip =
 
 (* WAL: append, reopen, torn-tail truncation. *)
 
-let temp_dir =
-  let n = ref 0 in
-  fun () ->
-    incr n;
-    let dir =
-      Filename.concat (Filename.get_temp_dir_name ())
-        (Printf.sprintf "revere-test-%d-%d" (Unix.getpid ()) !n)
-    in
-    Unix.mkdir dir 0o755;
-    dir
+let with_temp_dir f = Tmpdir.with_dir ~prefix:"revere-test" f
 
 let d1 tuples = Relalg.Relation.Delta.of_rows tuples
 
 let test_wal_append_reopen () =
-  let dir = temp_dir () in
+  with_temp_dir @@ fun dir ->
   (match Storage.Wal.open_dir ~dir with
   | Error msg -> Alcotest.fail msg
   | Ok (w, records) ->
@@ -370,7 +361,7 @@ let truncate_file path len =
   Unix.close fd
 
 let test_wal_torn_tail () =
-  let dir = temp_dir () in
+  with_temp_dir @@ fun dir ->
   let sizes =
     match Storage.Wal.open_dir ~dir with
     | Error msg -> Alcotest.fail msg
@@ -412,7 +403,7 @@ let test_wal_torn_tail () =
       check_b "no torn tail left" true (r.Storage.Wal.torn_reason = None)
 
 let test_wal_bad_magic () =
-  let dir = temp_dir () in
+  with_temp_dir @@ fun dir ->
   let path = Storage.Wal.file ~dir in
   let oc = open_out_bin path in
   output_string oc "NOT-A-WAL 9\njunk that is long enough";
@@ -421,7 +412,7 @@ let test_wal_bad_magic () =
     (Result.is_error (Storage.Wal.read path))
 
 let test_wal_reserve () =
-  let dir = temp_dir () in
+  with_temp_dir @@ fun dir ->
   match Storage.Wal.open_dir ~dir with
   | Error msg -> Alcotest.fail msg
   | Ok (w, _) ->
@@ -441,7 +432,7 @@ let test_wal_reserve () =
 (* Snapshots: atomic write, newest-first listing, corrupt fallback. *)
 
 let test_snapshot_roundtrip_and_fallback () =
-  let dir = temp_dir () in
+  with_temp_dir @@ fun dir ->
   let p1 = Storage.Snapshot.write ~dir ~seq:3 "state at three" in
   let p2 = Storage.Snapshot.write ~dir ~seq:7 "state at seven" in
   check_b "named by seq" true (Filename.basename p2 = "snapshot-7.snap");
@@ -487,7 +478,7 @@ let contains s sub =
   go 0
 
 let test_snapshot_refuses_other_formats () =
-  let dir = temp_dir () in
+  with_temp_dir @@ fun dir ->
   ignore (Storage.Snapshot.write ~dir ~seq:3 "state at three");
   let p7 = Storage.Snapshot.write ~dir ~seq:7 "state at seven" in
   let s = read_file p7 in
