@@ -4,7 +4,8 @@
    - Shows a student query answered across the whole coalition from any
      peer, in that peer's own vocabulary (including Italian at Roma).
    - Runs the Figure-4 XML mapping: Berkeley's nested schedule becomes
-     an MIT-shaped catalog, and a path query is translated through it.
+     an MIT-shaped catalog, and a path query posed at MIT is translated
+     through it and answered on Berkeley's document.
    - Has the University of Trento join the coalition: its mapping is
      proposed by the corpus-based MatchingAdvisor, and it maps to the
      semantically closest member (Roma), not to a global schema.
@@ -67,16 +68,23 @@ let () =
   (match Xmlmodel.Dtd.validate Workload.University.mit_dtd mit_catalog with
   | Ok () -> Printf.printf "the mapped catalog validates against MIT's DTD\n"
   | Error e -> Printf.printf "unexpected: %s\n" e);
+  (* The XML peers: MIT holds an empty catalog, and the Figure-4
+     mapping relates Berkeley's schedule to it. A path posed in MIT's
+     schema is translated through the mapping and answered on
+     Berkeley's document, with nothing materialised. *)
+  let xml_peers = Xmlmodel.Xml_pdms.create () in
+  Xmlmodel.Xml_pdms.add_peer xml_peers ~name:"berkeley"
+    ~dtd:Workload.University.berkeley_dtd berkeley_xml;
+  Xmlmodel.Xml_pdms.add_peer xml_peers ~name:"mit"
+    ~dtd:Workload.University.mit_dtd
+    (Xmlmodel.Xml.element "catalog" []);
+  Xmlmodel.Xml_pdms.add_mapping xml_peers ~source:"berkeley" ~target:"mit"
+    Workload.University.berkeley_to_mit;
   let target = Xmlmodel.Path.of_string "catalog/course/subject/title/text()" in
-  let resolutions =
-    Xmlmodel.Translate.resolve Workload.University.berkeley_to_mit target
-  in
-  List.iter
-    (fun (r : Xmlmodel.Translate.resolution) ->
-      Printf.printf "MIT path %s answers from %s at %s\n"
-        (Xmlmodel.Path.to_string target) r.Xmlmodel.Translate.doc
-        (Xmlmodel.Path.to_string r.Xmlmodel.Translate.path))
-    resolutions;
+  let titles = Xmlmodel.Xml_pdms.query xml_peers ~at:"mit" target in
+  Printf.printf "MIT path %s answers %d titles from Berkeley: %s\n"
+    (Xmlmodel.Path.to_string target) (List.length titles)
+    (String.concat ", " titles);
 
   section "Peer-based query processing";
   (* Execute the Roma query with the network in the loop: each rewriting

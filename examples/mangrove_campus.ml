@@ -1,7 +1,8 @@
 (* MANGROVE on a campus (Section 2): a whole department annotates its
-   existing pages; the instant-gratification applications come alive;
-   integrity constraints are deferred and cleaned per application; the
-   proactive inconsistency finder notifies authors.
+   existing pages; the instant-gratification applications and a
+   generated course summary come alive; integrity constraints are
+   deferred and cleaned per application; the proactive inconsistency
+   finder notifies authors.
 
    Run with: dune exec examples/mangrove_campus.exe *)
 
@@ -15,6 +16,11 @@ let () =
   (* Live views registered BEFORE publishing: they refresh on the spot. *)
   let calendar = Mangrove.Apps.live ~compute:Mangrove.Apps.calendar repo in
   let papers = Mangrove.Apps.live ~compute:Mangrove.Apps.paper_database repo in
+  (* A generated page (Section 2.3): the department-wide course
+     summary, rebuilt from the repository on every publish. *)
+  let summary =
+    Mangrove.Dynamic_page.live_course_summary ~url:"http://uw.edu/courses.html" repo
+  in
   let pages =
     Workload.Pages.publish_department prng ~repo ~host:"uw" ~people:5
       ~course_pages:3 ~courses_per_page:3
@@ -35,6 +41,11 @@ let () =
           r.Mangrove.Apps.course_title)
     (Mangrove.Apps.value calendar);
   Printf.printf "  ... %d rows total\n" (List.length (Mangrove.Apps.value calendar));
+  let summary_rows =
+    Xmlmodel.Xml.descendants_named (Mangrove.Apps.value summary).Mangrove.Html.body "tr"
+  in
+  Printf.printf "the generated course summary page lists %d courses\n"
+    (List.length summary_rows - 1 (* its header row *));
 
   section "Paper database and annotation-aware search";
   Printf.printf "%d publications on record\n"

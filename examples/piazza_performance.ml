@@ -6,7 +6,7 @@
    - distributed execution at the data sites vs. central shipping,
    - cooperative result caching with updategram invalidation,
    - materialised-view placement chosen by cost,
-   - incremental maintenance of the placed views.
+   - update propagation to the placed replicas.
 
    Run with: dune exec examples/piazza_performance.exe *)
 
@@ -87,26 +87,37 @@ let () =
     (String.concat ", " (List.assoc "coalition-calendar" placed));
   Printf.printf "workload cost %.1f -> %.1f\n" before after;
 
-  section "Incremental maintenance of the placed view";
-  let db = Pdms.Catalog.global_db catalog in
+  section "Update propagation to the placed replicas";
+  (* Every replica the placement chose materialises the calendar, posed
+     in p0's vocabulary and reformulated over the whole coalition. *)
   let p0 = g.Workload.Peers_gen.peers.(0) in
   let view =
     Cq.Query.make
       (Cq.Atom.make "calendar" [ Cq.Term.v "C"; Cq.Term.v "T" ])
-      [ Cq.Atom.make (Pdms.Peer.stored_pred p0 "course")
-          [ Cq.Term.v "C"; Cq.Term.v "T"; Cq.Term.v "I" ] ]
+      [ Pdms.Peer.atom p0 "course" [ Cq.Term.v "C"; Cq.Term.v "T"; Cq.Term.v "I" ] ]
   in
-  let vm = Pdms.View_maintenance.create db view in
-  Printf.printf "materialised %d rows at the replica\n"
-    (Pdms.View_maintenance.cardinality vm);
-  Pdms.View_maintenance.apply vm
-    (Pdms.Updategram.make
-       ~rel:(Pdms.Peer.stored_pred p0 "course")
-       ~inserts:
-         [ [| Relalg.Value.Str "late1"; Relalg.Value.Str "late addition";
-              Relalg.Value.Str "staff" |] ]
-       ());
-  Printf.printf "after one updategram: %d rows, %d delta bindings processed\n"
-    (Pdms.View_maintenance.cardinality vm)
-    (Pdms.View_maintenance.delta_bindings_processed vm);
+  let propagation = Pdms.Propagate.create catalog in
+  List.iter
+    (fun at ->
+      let rows =
+        Pdms.Propagate.materialise propagation ~name:("calendar@" ^ at) ~at view
+      in
+      Printf.printf "materialised %d rows at the replica on %s\n" rows at)
+    (List.assoc "coalition-calendar" placed);
+  (* One updategram at p0 travels over the network to each replica that
+     reads p0's courses; each is maintained by derivation counting. *)
+  let converged =
+    Pdms.Propagate.push ~network propagation
+      (Pdms.Updategram.make
+         ~rel:(Pdms.Peer.stored_pred p0 "course")
+         ~inserts:
+           [ [| Relalg.Value.Str "late1"; Relalg.Value.Str "late addition";
+                Relalg.Value.Str "staff" |] ]
+         ())
+  in
+  List.iter
+    (fun (name, at) ->
+      Printf.printf "after one updategram: the replica on %s holds %d rows\n" at
+        (Pdms.Propagate.cardinality propagation ~name))
+    converged;
   print_newline ()

@@ -44,6 +44,16 @@ let () =
     (Mangrove.Apps.value whos_who);
   Printf.printf "the app refreshed %d time(s) without being asked\n"
     (Mangrove.Apps.refresh_count whos_who);
+  (* The annotations live in the page itself (Section 2.1): embedded as
+     attributes a browser ignores, and read back from it. *)
+  let embedded = Mangrove.Embed.embed annotator in
+  let recovered =
+    Mangrove.Embed.extract ~schema:(Mangrove.Annotator.schema annotator)
+      ~url:page.Mangrove.Html.url embedded
+  in
+  Printf.printf "embedded %d annotations in the page; %d read back from it\n"
+    (List.length (Mangrove.Annotator.annotations annotator))
+    (List.length (Mangrove.Annotator.annotations recovered));
 
   section "2. Piazza: share through a peer mapping";
   let catalog = Pdms.Catalog.create () in

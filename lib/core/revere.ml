@@ -17,7 +17,6 @@ let create ~name ?(schema = Mangrove.Lightweight_schema.department) ~peer_schema
 let name t = t.name
 let repository t = t.repository
 let peer t = t.peer
-let mangrove_schema t = t.schema
 
 let annotator t doc = Mangrove.Annotator.start ~schema:t.schema doc
 let publish t annotator = Mangrove.Repository.publish t.repository annotator

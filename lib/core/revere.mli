@@ -17,7 +17,6 @@ val create :
 val name : t -> string
 val repository : t -> Mangrove.Repository.t
 val peer : t -> Pdms.Peer.t
-val mangrove_schema : t -> Mangrove.Lightweight_schema.t
 
 val annotator : t -> Mangrove.Html.t -> Mangrove.Annotator.t
 (** Start the annotation tool on a page, against this node's schema. *)

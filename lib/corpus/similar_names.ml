@@ -2,9 +2,6 @@ let normalize_vec vec =
   let norm = sqrt (List.fold_left (fun acc (_, w) -> acc +. (w *. w)) 0.0 vec) in
   if norm > 0.0 then List.map (fun (k, w) -> (k, w /. norm)) vec else vec
 
-let context_vector stats term =
-  normalize_vec (Basic_stats.cooccurring_attrs stats term)
-
 let strip term vec = List.filter (fun (k, _) -> not (String.equal k term)) vec
 
 let similarity stats a b =

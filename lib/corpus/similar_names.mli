@@ -4,9 +4,6 @@
     when they co-occur with similar sets of other attributes — even if
     lexically unrelated. *)
 
-val context_vector : Basic_stats.t -> string -> (string * float) list
-(** The attribute's co-occurrence profile, L2-normalised. *)
-
 val similarity : Basic_stats.t -> string -> string -> float
 (** Cosine of the two context vectors, excluding each other from the
     contexts (so synonymous attributes that never co-occur still score

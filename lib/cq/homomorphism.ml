@@ -8,14 +8,6 @@ let freeze_term = function
 
 let freeze_atom = Atom.map_terms freeze_term
 
-let unfreeze_term = function
-  | Term.Const (Relalg.Value.Str s)
-    when String.length s > String.length frozen_prefix
-         && String.sub s 0 (String.length frozen_prefix) = frozen_prefix ->
-      Term.Var (String.sub s (String.length frozen_prefix)
-                  (String.length s - String.length frozen_prefix))
-  | t -> t
-
 (* Backtracking search. Atoms of [from] are matched in order against any
    compatible frozen atom of [onto]; substitution consistency prunes. *)
 let find ?(init = Subst.empty) ~from onto =

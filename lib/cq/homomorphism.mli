@@ -4,13 +4,8 @@
     constants, so a homomorphism is a one-way matching from source
     variables to frozen target terms. *)
 
-val freeze_term : Term.t -> Term.t
-(** Variables become reserved constants; constants pass through. *)
-
 val freeze_atom : Atom.t -> Atom.t
-
-val unfreeze_term : Term.t -> Term.t
-(** Inverse of [freeze_term] on its image. *)
+(** Variables become reserved constants; constants pass through. *)
 
 val find : ?init:Subst.t -> from:Atom.t list -> Atom.t list -> Subst.t option
 (** [find ~from onto] searches for a substitution [h] of the variables

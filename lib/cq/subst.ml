@@ -14,7 +14,6 @@ let rec walk t term =
   | Term.Var x -> (
       match Smap.find_opt x t with None -> term | Some next -> walk t next)
 
-let apply_term t term = walk t term
 let apply_atom t atom = Atom.map_terms (walk t) atom
 
 let unify_term t a b =
@@ -39,9 +38,10 @@ let unify_atom t (a : Atom.t) (b : Atom.t) =
     fold_args unify_term t a.args b.args
   else None
 
-(* Callers must freeze the rigid side (replace its variables by unique
-   constants, cf. Homomorphism.freeze) so that pattern variables can never
-   collide with rigid variables through binding chains. *)
+(* One-way matching: only [pat]'s variables may be bound.  Callers must
+   freeze the rigid side (replace its variables by unique constants, cf.
+   Homomorphism.freeze) so that pattern variables can never collide with
+   rigid variables through binding chains. *)
 let match_term t pat rigid =
   match (walk t pat, rigid) with
   | Term.Const u, Term.Const v -> if Relalg.Value.equal u v then Some t else None

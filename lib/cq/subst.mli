@@ -14,7 +14,6 @@ val bind : t -> string -> Term.t -> t
 val walk : t -> Term.t -> Term.t
 (** Resolve a term through binding chains to its representative. *)
 
-val apply_term : t -> Term.t -> Term.t
 val apply_atom : t -> Atom.t -> Atom.t
 
 val unify_term : t -> Term.t -> Term.t -> t option
@@ -22,11 +21,6 @@ val unify_term : t -> Term.t -> Term.t -> t option
 
 val unify_atom : t -> Atom.t -> Atom.t -> t option
 (** Unify two atoms (same predicate and arity required). *)
-
-val match_term : t -> Term.t -> Term.t -> t option
-(** One-way matching: variables of the {e first} term may be bound, the
-    second term is treated as rigid (its variables behave like
-    constants). Used for homomorphism search. *)
 
 val match_atom : t -> Atom.t -> Atom.t -> t option
 val pp : Format.formatter -> t -> unit

@@ -8,8 +8,6 @@ let compare a b =
   | Const _, Var _ -> 1
 
 let equal a b = compare a b = 0
-let is_var = function Var _ -> true | Const _ -> false
-let var_name = function Var x -> Some x | Const _ -> None
 
 let to_string = function
   | Var x -> x

@@ -4,8 +4,6 @@ type t = Var of string | Const of Relalg.Value.t
 
 val compare : t -> t -> int
 val equal : t -> t -> bool
-val is_var : t -> bool
-val var_name : t -> string option
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string
 

@@ -22,6 +22,3 @@ val extract :
     page: the inverse of {!embed}. The stripped document (reserved
     attributes removed) becomes the annotator's page, so
     [embed (extract ~schema ~url (embed a))] is stable. *)
-
-val tag_attribute : string
-(** The reserved attribute name. *)

@@ -23,9 +23,6 @@ let nodes doc =
   in
   List.rev (go [] doc.body [])
 
-let find_nodes doc pred =
-  List.filter (fun (_, node) -> pred node) (nodes doc)
-
 let contains_ci haystack needle =
   let h = String.lowercase_ascii haystack and n = String.lowercase_ascii needle in
   let lh = String.length h and ln = String.length n in

@@ -14,8 +14,6 @@ val node_at : t -> int list -> Xmlmodel.Xml.t option
 val nodes : t -> (int list * Xmlmodel.Xml.t) list
 (** All nodes with their paths, document order. *)
 
-val find_nodes : t -> (Xmlmodel.Xml.t -> bool) -> (int list * Xmlmodel.Xml.t) list
-
 val find_text : t -> string -> (int list * string) list
 (** Nodes whose text content contains the given substring (case
     insensitive); the "highlight a portion of the page" gesture. *)

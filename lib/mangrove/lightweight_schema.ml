@@ -34,14 +34,6 @@ let instance_tags t =
     (fun (tag, parent) -> match parent with None -> Some tag | Some _ -> None)
     t.parents
 
-let fields_of t tag =
-  List.filter_map
-    (fun (child, parent) ->
-      match parent with
-      | Some p when String.equal p tag -> Some child
-      | Some _ | None -> None)
-    t.parents
-
 let parent_of t tag = Option.join (List.assoc_opt tag t.parents)
 let mem t tag = List.mem_assoc tag t.parents
 

@@ -13,7 +13,6 @@ val make : name:string -> (string * string option) list -> t
 val name : t -> string
 val tags : t -> string list
 val instance_tags : t -> string list
-val fields_of : t -> string -> string list
 val parent_of : t -> string -> string option
 val mem : t -> string -> bool
 

@@ -8,6 +8,8 @@ let create () = { store = Storage.Triple_store.create (); clock = 0; listeners =
 
 let store t = t.store
 
+(* Reserved predicates: an entity's instance tag, and the text of its
+   instance annotation. *)
 let type_pred = "mangrove:type"
 let label_pred = "mangrove:label"
 
@@ -58,5 +60,3 @@ let field_value t ~subject ~field =
   match field_values t ~subject ~field with
   | (v, _) :: _ -> Some v
   | [] -> None
-
-let query t patterns = Storage.Triple_store.query t.store patterns

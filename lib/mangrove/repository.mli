@@ -30,12 +30,3 @@ val field_values :
 
 val field_value : t -> subject:string -> field:string -> Relalg.Value.t option
 (** First value if any (no cleaning applied — see {!Cleaning}). *)
-
-val query :
-  t -> Storage.Triple_store.pattern list -> Storage.Triple_store.binding list
-
-val type_pred : string
-(** The reserved predicate naming an entity's instance tag. *)
-
-val label_pred : string
-(** The reserved predicate carrying the instance annotation's own text. *)

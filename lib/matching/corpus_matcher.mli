@@ -16,9 +16,6 @@ val build : ?synonyms:Util.Synonyms.t -> Corpus.Corpus_store.t -> t
 
 val concepts : t -> string list
 
-val concept_vector : t -> Column.t -> Learner.prediction
-(** The column's prediction profile over corpus concepts. *)
-
 val match_schemas :
   ?threshold:float ->
   t ->

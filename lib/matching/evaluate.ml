@@ -31,7 +31,3 @@ let of_assignment assignment =
     (fun (col, label) ->
       Option.map (fun dst -> { src = Column.key col; dst }) label)
     assignment
-
-let pp_scores fmt s =
-  Format.fprintf fmt "P=%.3f R=%.3f F1=%.3f acc=%.3f" s.precision s.recall s.f1
-    s.accuracy

@@ -19,5 +19,3 @@ val score : predicted:correspondence list -> truth:correspondence list -> scores
 val of_assignment :
   (Column.t * string option) list -> correspondence list
 (** Drop unassigned columns. *)
-
-val pp_scores : Format.formatter -> scores -> unit

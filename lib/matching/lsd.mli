@@ -16,9 +16,6 @@ val learner_weights : t -> (string * float) list
 val predict_column : t -> Column.t -> Learner.prediction
 (** Meta-learner scores per mediated label. *)
 
-val predict_column_with : t -> only:string list -> Column.t -> Learner.prediction
-(** Ablation: restrict to the named base learners. *)
-
 val match_schema :
   ?threshold:float ->
   ?one_to_one:bool ->

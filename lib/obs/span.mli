@@ -22,9 +22,6 @@ type t = {
   children : t list;  (** in start order *)
 }
 
-val value_to_string : value -> string
-(** [value_to_string v] renders an attribute value without quoting. *)
-
 val render : t -> string
 (** [render span] renders the span tree as an indented text tree, one span
     per line with its duration in milliseconds and [k=v] attributes, ending

@@ -16,6 +16,7 @@ type column = Equals of Relalg.Value.t | Any | Repeat of int
 type entry = {
   key : Cq.Query.t;  (* alpha-normalised query *)
   result : Answer.result;
+  version : int;  (* the catalog's version when it was answered *)
   reads : (string * column array list) list;
       (* each stored predicate the rewritings mention, with the
          distinct argument patterns of its atoms *)
@@ -183,20 +184,31 @@ let answer ?(exec = Exec.default) t q =
   let trace = exec.Exec.trace in
   Obs.Trace.span trace "cache.answer" @@ fun () ->
   let key = key_of q in
+  let version = Catalog.version t.catalog in
   match Hashtbl.find_opt t.table key with
-  | Some e ->
+  | Some e when e.version = version ->
       touch t e;
       t.hit_count <- t.hit_count + 1;
       Obs.Metrics.incr m_hits;
       Obs.Trace.attr_b trace "hit" true;
       e.result
-  | None ->
+  | stale ->
+      (* An entry answered before the catalog last changed may lack
+         what a new peer, mapping or storage description reaches. *)
+      Option.iter (remove t) stale;
       t.miss_count <- t.miss_count + 1;
       Obs.Metrics.incr m_misses;
       Obs.Trace.attr_b trace "hit" false;
       let result = Answer.answer ~exec t.catalog q in
       let entry =
-        { key; result; reads = reads_of result; prev = None; next = None }
+        {
+          key;
+          result;
+          version;
+          reads = reads_of result;
+          prev = None;
+          next = None;
+        }
       in
       add t entry;
       if Hashtbl.length t.table > t.capacity then (

@@ -13,10 +13,13 @@ val create : ?capacity:int -> Catalog.t -> unit -> t
 
 val answer : ?exec:Exec.t -> t -> Cq.Query.t -> Answer.result
 (** Like {!Answer.answer} but cached: a hit skips both reformulation and
-    evaluation. Queries are matched up to variable renaming. On
-    overflow the strictly least-recently-used entry is evicted. Opens a
-    ["cache.answer"] span (attribute [hit=true/false]; a miss nests the
-    full ["answer"] span) and counts [pdms.cache.*] metrics. *)
+    evaluation. Queries are matched up to variable renaming. An entry
+    answered at an older {!Catalog.version} (a peer, mapping or storage
+    description added since) is no hit: it is dropped and the query is
+    answered again as a miss. On overflow the strictly
+    least-recently-used entry is evicted. Opens a ["cache.answer"] span
+    (attribute [hit=true/false]; a miss nests the full ["answer"] span)
+    and counts [pdms.cache.*] metrics. *)
 
 val invalidate : t -> Updategram.t -> int
 (** Drop entries whose rewritings mention the updategram's relation;

@@ -1,7 +1,8 @@
 type mapping_id = int
 
 type t = {
-  mutable peers : Peer.t list;
+  mutable peers : Peer.t list;  (* newest first *)
+  by_name : (string, Peer.t) Hashtbl.t;
   mutable mappings : (mapping_id * Peer_mapping.t) list;
   mutable next_id : mapping_id;
   (* Reformulation artifacts, extended by each add with the new
@@ -16,11 +17,13 @@ type t = {
   viewed : (string, unit) Hashtbl.t;
   mutable distinguished_views : bool;
   stored : (string, unit) Hashtbl.t;
+  mutable version : int;
 }
 
 let create () =
   {
     peers = [];
+    by_name = Hashtbl.create 16;
     mappings = [];
     next_id = 0;
     rules = Hashtbl.create 64;
@@ -28,7 +31,11 @@ let create () =
     viewed = Hashtbl.create 64;
     distinguished_views = true;
     stored = Hashtbl.create 16;
+    version = 0;
   }
+
+let version t = t.version
+let bump t = t.version <- t.version + 1
 
 let mapping_pred id reversed =
   Printf.sprintf "~map%d%s" id (if reversed then "r" else "")
@@ -64,13 +71,17 @@ let artifacts_of_mapping (id, mapping) =
       (rules, views)
 
 let add_peer t peer =
-  if List.exists (fun p -> String.equal (Peer.name p) (Peer.name peer)) t.peers
-  then invalid_arg ("Catalog.add_peer: duplicate peer " ^ Peer.name peer);
+  if Hashtbl.mem t.by_name (Peer.name peer) then
+    invalid_arg ("Catalog.add_peer: duplicate peer " ^ Peer.name peer);
   t.peers <- peer :: t.peers;
-  List.iter (fun pred -> Hashtbl.replace t.stored pred ()) (Peer.stored_preds peer)
+  Hashtbl.replace t.by_name (Peer.name peer) peer;
+  List.iter (fun pred -> Hashtbl.replace t.stored pred ()) (Peer.stored_preds peer);
+  bump t
+
+let find_peer t name = Hashtbl.find_opt t.by_name name
 
 let peer t name =
-  match List.find_opt (fun p -> String.equal (Peer.name p) name) t.peers with
+  match find_peer t name with
   | Some p -> p
   | None -> invalid_arg ("Catalog.peer: unknown peer " ^ name)
 
@@ -85,16 +96,25 @@ let note_view t (view : Cq.Query.t) =
 let add_storage t desc =
   Hashtbl.replace t.stored (Storage_desc.stored_pred desc) ();
   note_view t desc.Storage_desc.view;
-  t.views <- (None, desc.Storage_desc.view) :: t.views
+  t.views <- (None, desc.Storage_desc.view) :: t.views;
+  bump t
 
 let store_identity t peer ~rel =
-  let attrs = List.assoc rel (Peer.schema peer) in
+  let attrs =
+    match Peer.attrs peer rel with
+    | Some attrs -> attrs
+    | None ->
+        invalid_arg
+          (Printf.sprintf "Catalog.store_identity: %s has no relation %s"
+             (Peer.name peer) rel)
+  in
   let relation =
     match Relalg.Database.find_opt (Peer.stored_db peer) (Peer.stored_pred peer rel) with
     | Some r -> r
     | None -> Peer.add_stored peer ~rel ~attrs
   in
   Hashtbl.replace t.stored (Peer.stored_pred peer rel) ();
+  (* [add_storage] bumps the version. *)
   add_storage t (Storage_desc.identity peer ~rel);
   relation
 
@@ -111,6 +131,7 @@ let add_mapping t mapping =
   (* Mapping views go last; the append copies the list's spine only. *)
   List.iter (fun (_, view) -> note_view t view) views;
   t.views <- t.views @ views;
+  bump t;
   id
 
 let mappings t = List.rev t.mappings

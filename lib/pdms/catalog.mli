@@ -14,13 +14,18 @@ val add_peer : t -> Peer.t -> unit
 (** Raises [Invalid_argument] on duplicate peer names. *)
 
 val peer : t -> string -> Peer.t
+(** Raises [Invalid_argument] on an unknown name. *)
+
+val find_peer : t -> string -> Peer.t option
 val peers : t -> Peer.t list
 
 val add_storage : t -> Storage_desc.t -> unit
 
 val store_identity : t -> Peer.t -> rel:string -> Relalg.Relation.t
 (** Shorthand: declare the stored relation, register the identity
-    storage description, and return the relation to load data into. *)
+    storage description, and return the relation to load data into.
+    Raises [Invalid_argument] for a relation not in the peer's
+    schema. *)
 
 val add_mapping : t -> Peer_mapping.t -> mapping_id
 
@@ -29,6 +34,11 @@ val mapping_count : t -> int
 
 val is_stored : t -> string -> bool
 (** Is the predicate a stored relation of some peer? *)
+
+val version : t -> int
+(** Moves with every {!add_peer}, {!add_storage}, {!store_identity} and
+    {!add_mapping}, and with nothing else: a reformulation made at one
+    version holds until it moves.  Data updates leave it alone. *)
 
 (** {2 Artifacts for reformulation} *)
 

@@ -68,11 +68,9 @@ type retry = {
   backoff : backoff;
 }
 
-val default_backoff : backoff
-(** 10 ms base, doubling, 50% jitter. *)
-
 val default_retry : retry
-(** 3 attempts, 10 s per-attempt deadline, {!default_backoff}. *)
+(** 3 attempts, 10 s per-attempt deadline, backoff from a 10 ms base,
+    doubling, with 50% jitter. *)
 
 type t = {
   pruning : pruning;

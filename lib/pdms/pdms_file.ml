@@ -127,9 +127,21 @@ type pending_mapping = {
   mutable rules : Cq.Query.t list;
 }
 
+(* A peer section: its relation declarations, checked against each
+   other at their own line, and its peer from its first [store] line
+   on.  That peer is the one registered under the section's name or,
+   if there is none, one created once from every declaration and
+   registered then (or at the section's end). *)
+type section = {
+  name : string;
+  mutable decls : (string * string list) list;  (* newest first *)
+  declared : (string, unit) Hashtbl.t;
+  mutable peer : Peer.t option;
+}
+
 type state = {
   catalog : Catalog.t;
-  mutable current_peer : Peer.t option;
+  mutable section : section option;
   mutable pending : pending_mapping option;
   (* The name and stored relation of the last row line, forgotten at
      every other line: consecutive rows of one relation find it
@@ -139,9 +151,9 @@ type state = {
 
 let ( let* ) = Result.bind
 
-(* Schemas, peers and mappings reject a duplicate attribute or relation,
-   an unsafe rule and heads of different arities with
-   [Invalid_argument]; read from a file, that is an error of the line. *)
+(* Schemas and mappings reject a duplicate attribute, an unsafe rule
+   and heads of different arities with [Invalid_argument]; read from a
+   file, that is an error of the line. *)
 let checked make = try Ok (make ()) with Invalid_argument msg -> Error msg
 
 (* The mappings the pending lines define so far ([[]] while a side is
@@ -173,17 +185,26 @@ let finish_mapping st =
           Error "equality/inclusion mapping needs exactly lhs and rhs lines"
       | Error _ as e -> e)
 
-let registered st name =
-  List.exists (fun p -> Peer.name p = name) (Catalog.peers st.catalog)
+(* The section's peer, found or created and registered on first need. *)
+let register st sec =
+  match sec.peer with
+  | Some peer -> peer
+  | None ->
+      let peer =
+        match Catalog.find_peer st.catalog sec.name with
+        | Some peer -> peer
+        | None ->
+            let peer = Peer.create ~name:sec.name ~schema:(List.rev sec.decls) in
+            Catalog.add_peer st.catalog peer;
+            peer
+      in
+      sec.peer <- Some peer;
+      peer
 
-(* Register the in-progress peer (a peer section ends at the next
-   [peer]/[mapping] line or EOF). *)
+(* A peer section ends at the next [peer]/[mapping] line or EOF. *)
 let flush_peer st =
-  (match st.current_peer with
-  | Some peer when not (registered st (Peer.name peer)) ->
-      Catalog.add_peer st.catalog peer
-  | Some _ | None -> ());
-  st.current_peer <- None
+  Option.iter (fun sec -> ignore (register st sec)) st.section;
+  st.section <- None
 
 let parse_relation_decl rest =
   match String.index_opt rest '(' with
@@ -223,14 +244,15 @@ let row_line st s a b =
   | Some i -> (
       let ra, rb = trim_range s (a + 4) i in
       let stored =
-        match (st.last_row, st.current_peer) with
+        match (st.last_row, st.section) with
         | Some (rel, stored), _ when range_is s ra rb rel -> Ok stored
         | _, None -> Error "row outside a peer section"
-        | _, Some peer -> (
+        | _, Some sec -> (
             let rel = String.sub s ra (rb - ra) in
             match
-              Relalg.Database.find_opt (Peer.stored_db peer)
-                (Peer.stored_pred peer rel)
+              Option.bind sec.peer (fun peer ->
+                  Relalg.Database.find_opt (Peer.stored_db peer)
+                    (Peer.stored_pred peer rel))
             with
             | None -> Error ("row before 'store " ^ rel ^ "'")
             | Some stored ->
@@ -257,41 +279,35 @@ let other_line st line =
   | Some name ->
       let* () = finish_mapping st in
       flush_peer st;
-      (* Relations accumulate on following lines; the peer object is
-         rebuilt per relation line and registered when the section ends
-         (or at the first [store] line, which needs the catalog). *)
-      st.current_peer <- Some (Peer.create ~name ~schema:[]);
+      st.section <-
+        Some { name; decls = []; declared = Hashtbl.create 8; peer = None };
       Ok ()
   | None -> (
       match split_prefix line "relation " with
       | Some rest -> (
-          match st.current_peer with
+          match st.section with
           | None -> Error "relation outside a peer section"
-          | Some peer when registered st (Peer.name peer) ->
+          | Some { name; _ } when Catalog.find_peer st.catalog name <> None ->
               (* A registered peer's schema is fixed. *)
-              Error
-                ("relation after peer " ^ Peer.name peer ^ " was registered")
-          | Some peer ->
-              let* name, attrs = parse_relation_decl rest in
-              let* peer =
-                checked (fun () ->
-                    Peer.create ~name:(Peer.name peer)
-                      ~schema:(Peer.schema peer @ [ (name, attrs) ]))
-              in
-              st.current_peer <- Some peer;
-              Ok ())
+              Error ("relation after peer " ^ name ^ " was registered")
+          | Some sec ->
+              let* rel, attrs = parse_relation_decl rest in
+              if Hashtbl.mem sec.declared rel then
+                Error ("relation " ^ rel ^ " declared twice in peer " ^ sec.name)
+              else begin
+                Hashtbl.replace sec.declared rel ();
+                sec.decls <- (rel, attrs) :: sec.decls;
+                Ok ()
+              end)
       | None -> (
           match split_prefix line "store " with
           | Some rel -> (
-              match st.current_peer with
+              match st.section with
               | None -> Error "store outside a peer section"
-              | Some peer ->
+              | Some sec ->
                   (* The peer must be registered before store_identity. *)
-                  if not (registered st (Peer.name peer)) then
-                    Catalog.add_peer st.catalog peer;
-                  let peer = Catalog.peer st.catalog (Peer.name peer) in
-                  st.current_peer <- Some peer;
-                  if List.mem_assoc rel (Peer.schema peer) then
+                  let peer = register st sec in
+                  if Peer.attrs peer rel <> None then
                     Ok (ignore (Catalog.store_identity st.catalog peer ~rel))
                   else Error ("store of undeclared relation " ^ rel))
           | None -> (
@@ -347,7 +363,7 @@ let parse text =
   let st =
     {
       catalog = Catalog.create ();
-      current_peer = None;
+      section = None;
       pending = None;
       last_row = None;
     }

@@ -1,26 +1,32 @@
 type t = {
   name : string;
   schema : (string * string list) list;
+  attrs : (string, string list) Hashtbl.t;  (* the schema by relation *)
   stored : Relalg.Database.t;
 }
 
 let create ~name ~schema =
-  let rels = List.map fst schema in
-  if List.length (List.sort_uniq String.compare rels) <> List.length rels then
-    invalid_arg ("Peer.create: duplicate relation in schema of " ^ name);
-  { name; schema; stored = Relalg.Database.create () }
+  let attrs = Hashtbl.create (List.length schema) in
+  List.iter
+    (fun (rel, rel_attrs) ->
+      if Hashtbl.mem attrs rel then
+        invalid_arg ("Peer.create: duplicate relation in schema of " ^ name);
+      Hashtbl.replace attrs rel rel_attrs)
+    schema;
+  { name; schema; attrs; stored = Relalg.Database.create () }
 
 let name t = t.name
 let schema t = t.schema
+let attrs t rel = Hashtbl.find_opt t.attrs rel
 let stored_db t = t.stored
 
 let pred t rel =
-  if not (List.mem_assoc rel t.schema) then
+  if not (Hashtbl.mem t.attrs rel) then
     invalid_arg (Printf.sprintf "Peer.pred: %s has no relation %s" t.name rel);
   t.name ^ "." ^ rel
 
 let atom t rel args =
-  let attrs = List.assoc rel t.schema in
+  let attrs = Hashtbl.find t.attrs rel in
   if List.length args <> List.length attrs then
     invalid_arg
       (Printf.sprintf "Peer.atom: %s.%s expects %d args, got %d" t.name rel

@@ -10,6 +10,11 @@ val create : name:string -> schema:(string * string list) list -> t
 
 val name : t -> string
 val schema : t -> (string * string list) list
+
+val attrs : t -> string -> string list option
+(** The attributes of a schema relation; [None] for a relation not in
+    the schema. *)
+
 val stored_db : t -> Relalg.Database.t
 
 val pred : t -> string -> string

@@ -9,7 +9,7 @@ let make kind view =
 
 let identity peer ~rel =
   let attrs =
-    match List.assoc_opt rel (Peer.schema peer) with
+    match Peer.attrs peer rel with
     | Some attrs -> attrs
     | None ->
         invalid_arg

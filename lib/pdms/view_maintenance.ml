@@ -8,7 +8,6 @@ type t = {
   exec : Exec.t;
   (* head tuple -> derivation count *)
   counts : (Relalg.Relation.tuple, int) Hashtbl.t;
-  mutable delta_bindings : int;
 }
 
 let head_tuple (view : Query.t) resolve =
@@ -38,7 +37,7 @@ let recompute_counts t =
 let create ?(exec = Exec.default) db view =
   if not (Query.is_safe view) then
     invalid_arg "View_maintenance.create: unsafe view";
-  let t = { view; db; exec; counts = Hashtbl.create 64; delta_bindings = 0 } in
+  let t = { view; db; exec; counts = Hashtbl.create 64 } in
   recompute_counts t;
   t
 
@@ -105,17 +104,13 @@ let mentions t rel =
 let maintain_insert t ~rel tuple =
   if mentions t rel then
     List.iter
-      (fun b ->
-        t.delta_bindings <- t.delta_bindings + 1;
-        bump t.counts (head_tuple t.view (resolve_with b)) 1)
+      (fun b -> bump t.counts (head_tuple t.view (resolve_with b)) 1)
       (derivations_using t rel tuple)
 
 let maintain_delete t ~rel tuple =
   if mentions t rel then
     List.iter
-      (fun b ->
-        t.delta_bindings <- t.delta_bindings + 1;
-        bump t.counts (head_tuple t.view (resolve_with b)) (-1))
+      (fun b -> bump t.counts (head_tuple t.view (resolve_with b)) (-1))
       (derivations_using t rel tuple)
 
 let refresh t = recompute_counts t
@@ -143,5 +138,3 @@ let apply ?exec t (u : Updategram.t) =
   let rel = Relalg.Database.find t.db u.Updategram.rel in
   Obs.Trace.span exec.Exec.trace "view.maintain" @@ fun () ->
   maintain [ t ] rel u
-
-let delta_bindings_processed t = t.delta_bindings

@@ -45,7 +45,3 @@ val maintain : t list -> Relalg.Relation.t -> Updategram.t -> unit
     [rel] equals one {!Relalg.Relation.apply} of
     {!Updategram.effective_delta}, rows in the same order.  {!apply} is
     [maintain [ t ]] under a [view.maintain] span. *)
-
-val delta_bindings_processed : t -> int
-(** Total satisfying assignments enumerated by incremental maintenance —
-    the work metric the E9 benchmark reports against recomputation. *)

@@ -12,7 +12,6 @@ val arity : t -> int
 val index_of : t -> string -> int
 (** Raises [Not_found] if the attribute is absent. *)
 
-val index_of_opt : t -> string -> int option
 val has_attr : t -> string -> bool
 val rename : t -> string -> t
 val pp : Format.formatter -> t -> unit

@@ -1,7 +1,5 @@
 type t = Null | Bool of bool | Int of int | Float of float | Str of string
 
-type ty = Tnull | Tbool | Tint | Tfloat | Tstr
-
 let compare (a : t) (b : t) = Stdlib.compare a b
 
 (* [compare a b = 0] without the polymorphic call: [Float.compare]
@@ -16,13 +14,6 @@ let equal (a : t) (b : t) =
   | (Null | Bool _ | Int _ | Float _ | Str _), _ -> false
 
 let hash (v : t) = Hashtbl.hash v
-
-let type_of = function
-  | Null -> Tnull
-  | Bool _ -> Tbool
-  | Int _ -> Tint
-  | Float _ -> Tfloat
-  | Str _ -> Tstr
 
 let to_string = function
   | Null -> "null"

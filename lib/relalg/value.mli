@@ -4,8 +4,6 @@
 
 type t = Null | Bool of bool | Int of int | Float of float | Str of string
 
-type ty = Tnull | Tbool | Tint | Tfloat | Tstr
-
 val compare : t -> t -> int
 
 val equal : t -> t -> bool
@@ -16,7 +14,6 @@ val equal : t -> t -> bool
 val hash : t -> int
 (** Equal values hash alike. *)
 
-val type_of : t -> ty
 val to_string : t -> string
 val pp : Format.formatter -> t -> unit
 

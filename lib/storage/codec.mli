@@ -31,7 +31,6 @@ val add_int : Buffer.t -> int -> unit
 
 val add_string : Buffer.t -> string -> unit
 val add_value : Buffer.t -> Relalg.Value.t -> unit
-val add_tuple : Buffer.t -> Relalg.Relation.tuple -> unit
 val add_delta : Buffer.t -> Relalg.Relation.Delta.t -> unit
 
 (** {2 Readers} *)
@@ -47,7 +46,6 @@ val read_varint : reader -> int
 val read_int : reader -> int
 val read_string : reader -> string
 val read_value : reader -> Relalg.Value.t
-val read_tuple : reader -> Relalg.Relation.tuple
 val read_delta : reader -> Relalg.Relation.Delta.t
 
 (** {2 Framing}

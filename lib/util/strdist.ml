@@ -21,6 +21,8 @@ let levenshtein_sim a b =
   if m = 0 then 1.0
   else 1.0 -. (float_of_int (levenshtein a b) /. float_of_int m)
 
+(* Character n-grams of the padded string; [ngrams 3 "ab"] pads so short
+   strings still produce grams. *)
 let ngrams n s =
   if n <= 0 then invalid_arg "Strdist.ngrams: n must be positive";
   let padded = String.make (n - 1) '#' ^ s ^ String.make (n - 1) '#' in
@@ -49,12 +51,3 @@ let dice xs ys =
     2.0 *. float_of_int inter /. float_of_int (cx + cy)
 
 let ngram_sim ?(n = 3) a b = dice (ngrams n a) (ngrams n b)
-
-let prefix_sim a b =
-  let la = String.length a and lb = String.length b in
-  let m = max la lb in
-  if m = 0 then 1.0
-  else begin
-    let rec common i = if i < la && i < lb && a.[i] = b.[i] then common (i + 1) else i in
-    float_of_int (common 0) /. float_of_int m
-  end

@@ -5,17 +5,8 @@ val levenshtein : string -> string -> int
 val levenshtein_sim : string -> string -> float
 (** [1 - dist / max-length], in [\[0, 1\]]; 1.0 for two empty strings. *)
 
-val ngrams : int -> string -> string list
-(** Character n-grams of the padded string; [ngrams 3 "ab"] pads so short
-    strings still produce grams. *)
-
 val jaccard : string list -> string list -> float
 (** Jaccard similarity of two token multisets (treated as sets). *)
 
-val dice : string list -> string list -> float
-
 val ngram_sim : ?n:int -> string -> string -> float
 (** Dice coefficient over character n-grams (default [n = 3]). *)
-
-val prefix_sim : string -> string -> float
-(** Length of common prefix over max length. *)

@@ -14,8 +14,6 @@ val of_groups : string list list -> t
 (** [of_groups groups] builds a table where all words within one group are
     mutual synonyms. Words are lowercased. *)
 
-val add_group : t -> string list -> t
-
 val canonical : t -> string -> string
 (** [canonical t w] is the representative of [w]'s group ([w] itself if
     unknown). *)

@@ -11,13 +11,6 @@ type annotated_page = {
 val course_page :
   Util.Prng.t -> host:string -> page_id:int -> courses:int -> annotated_page
 
-val person_page : Util.Prng.t -> host:string -> person_id:int -> annotated_page
-
-val talk_page : Util.Prng.t -> host:string -> talks:int -> annotated_page
-
-val publication_page :
-  Util.Prng.t -> host:string -> author:string -> papers:int -> annotated_page
-
 val department :
   Util.Prng.t ->
   host:string ->

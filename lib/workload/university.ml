@@ -106,6 +106,10 @@ let peer_course_schema = function
   | "berkeley" -> ("course", [ "title"; "size" ])
   | other -> invalid_arg ("University.peer_course_schema: unknown " ^ other)
 
+(* The second relation every university carries: who teaches what, e.g.
+   mit -> teacher(name, subject_title), roma -> docente(persona,
+   titolo_corso). The second attribute joins with the course relation's
+   title attribute. *)
 let peer_instructor_schema = function
   | "stanford" -> ("faculty", [ "prof"; "class_name" ])
   | "oxford" -> ("tutor", [ "don"; "unit_title" ])

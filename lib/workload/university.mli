@@ -47,12 +47,6 @@ val peer_course_schema : string -> string * string list
     e.g. mit -> subject(title, enrollment), roma -> corso(titolo,
     iscritti). *)
 
-val peer_instructor_schema : string -> string * string list
-(** The second relation every university carries: who teaches what,
-    e.g. mit -> teacher(name, subject_title), roma -> docente(persona,
-    titolo_corso). The second attribute joins with the course relation's
-    title attribute. *)
-
 val build_delearning : Util.Prng.t -> courses_per_peer:int -> delearning
 (** Builds the peers, stores [courses_per_peer] courses at each (plus
     one instructor row per course, referencing the course's title), and

@@ -1,11 +1,6 @@
 (** Deterministic vocabulary pools for the university domain. *)
 
-val first_names : string array
-val last_names : string array
-val course_topics : string array
-val course_levels : string array
 val departments : string array
-val buildings : string array
 val days : string array
 val times : string array
 val venues : string array

@@ -19,9 +19,6 @@ let children_named t tag =
     (function Element (n, _, _) -> String.equal n tag | Text _ -> false)
     (children t)
 
-let child_named t tag =
-  match children_named t tag with [] -> None | c :: _ -> Some c
-
 let rec text_content = function
   | Text s -> s
   | Element (_, _, cs) -> String.concat "" (List.map text_content cs)

@@ -16,14 +16,8 @@ val attr : t -> string -> string option
 val children : t -> t list
 val children_named : t -> string -> t list
 
-val child_named : t -> string -> t option
-(** First child element with the tag. *)
-
 val text_content : t -> string
 (** Concatenated text of all descendant text nodes. *)
-
-val descendants : t -> t list
-(** All descendant-or-self element nodes, document order. *)
 
 val descendants_named : t -> string -> t list
 val equal : t -> t -> bool

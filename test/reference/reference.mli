@@ -18,8 +18,9 @@ module Bucket = Bucket
     timed against (E3). *)
 
 module Expansion = Expansion
-(** Containment of a rewriting over views, by expansion: the check
-    MiniCon's rewritings and Bucket's candidates are held to. *)
+(** GAV unfolding, and containment of a rewriting over views by
+    expansion: the check MiniCon's rewritings and Bucket's candidates
+    are held to. *)
 
 val per_rewriting_union :
   Relalg.Database.t -> Cq.Query.t list -> Relalg.Relation.t

@@ -157,47 +157,6 @@ let test_minimize_duplicates () =
   check_i "exact duplicate dropped" 1 (Query.size (Minimize.remove_duplicate_atoms query))
 
 (* ------------------------------------------------------------------ *)
-(* Unfold *)
-
-let test_unfold_simple () =
-  (* cs_course(C) :- course(C, T, 'cs'); query over cs_course unfolds. *)
-  let rule =
-    q (atom "cs_course" [ v "C" ]) [ atom "course" [ v "C"; v "T"; s "cs" ] ]
-  in
-  let query = q (atom "ans" [ v "X" ]) [ atom "cs_course" [ v "X" ] ] in
-  match Unfold.expand [ rule ] query with
-  | [ expanded ] ->
-      check_i "one atom" 1 (Query.size expanded);
-      let db = edb () in
-      check_i "two cs courses" 2 (Relalg.Relation.cardinality (Eval.run db expanded))
-  | other -> Alcotest.fail (Printf.sprintf "expected 1 expansion, got %d" (List.length other))
-
-let test_unfold_union () =
-  (* Two rules for the same predicate: expansion is a UCQ. *)
-  let r1 = q (atom "p" [ v "X" ]) [ atom "r" [ v "X" ] ] in
-  let r2 = q (atom "p" [ v "X" ]) [ atom "t" [ v "X" ] ] in
-  let query = q (atom "ans" [ v "X" ]) [ atom "p" [ v "X" ] ] in
-  check_i "two expansions" 2 (List.length (Unfold.expand [ r1; r2 ] query))
-
-let test_unfold_two_defined_atoms () =
-  let r1 = q (atom "p" [ v "X" ]) [ atom "r" [ v "X" ] ] in
-  let r2 = q (atom "p" [ v "X" ]) [ atom "t" [ v "X" ] ] in
-  let query =
-    q (atom "ans" [ v "X"; v "Y" ]) [ atom "p" [ v "X" ]; atom "p" [ v "Y" ] ]
-  in
-  check_i "cross product of choices" 4 (List.length (Unfold.expand [ r1; r2 ] query))
-
-let test_unfold_depth_cutoff () =
-  (* Recursive rule: expansion terminates (and yields nothing since the
-     base case is absent). *)
-  let rec_rule =
-    q (atom "p" [ v "X" ]) [ atom "e" [ v "X"; v "Y" ]; atom "p" [ v "Y" ] ]
-  in
-  let query = q (atom "ans" [ v "X" ]) [ atom "p" [ v "X" ] ] in
-  check_i "no base case, no expansion" 0
-    (List.length (Unfold.expand ~max_depth:5 [ rec_rule ] query))
-
-(* ------------------------------------------------------------------ *)
 (* Datalog *)
 
 let test_datalog_transitive_closure () =
@@ -950,11 +909,6 @@ let () =
        [ Alcotest.test_case "redundant atom" `Quick test_minimize_redundant_atom;
          Alcotest.test_case "keeps necessary" `Quick test_minimize_keeps_necessary;
          Alcotest.test_case "duplicates" `Quick test_minimize_duplicates ]);
-      ("unfold",
-       [ Alcotest.test_case "simple" `Quick test_unfold_simple;
-         Alcotest.test_case "union" `Quick test_unfold_union;
-         Alcotest.test_case "two defined atoms" `Quick test_unfold_two_defined_atoms;
-         Alcotest.test_case "depth cutoff" `Quick test_unfold_depth_cutoff ]);
       ("query-helpers",
        [ Alcotest.test_case "helpers" `Quick test_query_helpers;
          Alcotest.test_case "unsafe detected" `Quick test_unsafe_query_detected ]);

@@ -200,95 +200,6 @@ let test_live_view_instant_gratification () =
   check_i "one refresh" 1 (M.Apps.refresh_count live)
 
 (* ------------------------------------------------------------------ *)
-(* CQ queries over the repository *)
-
-let test_cq_query_single_atom () =
-  let repo = M.Repository.create () in
-  ignore (M.Repository.publish repo (annotate_alice ()));
-  let q =
-    Cq.Parser.parse_query_exn
-      "ans(N, P) :- person(N, P, Office, Email, Homepage)"
-  in
-  (* person fields in schema order: name, phone, email, office, homepage *)
-  let q2 = Cq.Parser.parse_query_exn "ans(N, P) :- person(N, P, E, O, H)" in
-  ignore q;
-  match M.Cq_query.run ~tags:M.Cq_query.department_tags repo q2 with
-  | Ok rel ->
-      (* alice has no homepage annotation: join semantics exclude her. *)
-      check_i "no full match" 0 (Relalg.Relation.cardinality rel)
-  | Error msg -> Alcotest.fail msg
-
-let test_cq_query_projection_tag () =
-  let repo = M.Repository.create () in
-  ignore (M.Repository.publish repo (annotate_alice ()));
-  (* Query through a narrower virtual relation: just name and phone. *)
-  let tags = [ ("person", [ "name"; "phone" ]) ] in
-  let q = Cq.Parser.parse_query_exn "ans(N, P) :- person(N, P)" in
-  (match M.Cq_query.run ~tags repo q with
-  | Ok rel ->
-      check_i "alice found" 1 (Relalg.Relation.cardinality rel);
-      (match Relalg.Relation.tuples rel with
-      | [ row ] ->
-          check_s "name" "alice anderson" (Relalg.Value.to_string row.(0))
-      | _ -> Alcotest.fail "expected one row")
-  | Error msg -> Alcotest.fail msg);
-  (* Constants filter. *)
-  let q_const =
-    Cq.Parser.parse_query_exn "ans(N) :- person(N, '206-543-1695')"
-  in
-  (match M.Cq_query.run ~tags repo q_const with
-  | Ok rel -> check_i "constant match" 1 (Relalg.Relation.cardinality rel)
-  | Error msg -> Alcotest.fail msg);
-  let q_miss = Cq.Parser.parse_query_exn "ans(N) :- person(N, '999')" in
-  match M.Cq_query.run ~tags repo q_miss with
-  | Ok rel -> check_i "no match" 0 (Relalg.Relation.cardinality rel)
-  | Error msg -> Alcotest.fail msg
-
-let test_cq_query_join_two_entities () =
-  let repo = M.Repository.create () in
-  ignore (M.Repository.publish repo (annotate_alice ()));
-  (* A course taught by alice links the two virtual relations. *)
-  let leaf tag value = Xml.element tag [ Xml.text value ] in
-  let body =
-    Xml.element "html"
-      [ Xml.element "h1" [ Xml.text "courses" ];
-        Xml.element "div"
-          [ leaf "span" "cse444"; leaf "span" "alice anderson" ] ]
-  in
-  let page = M.Html.make ~url:"http://u/courses.html" ~title:"c" body in
-  let a = M.Annotator.start ~schema:M.Lightweight_schema.department page in
-  M.Annotator.annotate_exn a ~node:[ 1 ] ~tag:"course";
-  M.Annotator.annotate_exn a ~node:[ 1; 0 ] ~tag:"code";
-  M.Annotator.annotate_exn a ~node:[ 1; 1 ] ~tag:"instructor";
-  ignore (M.Repository.publish repo a);
-  let tags =
-    [ ("person", [ "name"; "phone" ]); ("course", [ "code"; "instructor" ]) ]
-  in
-  let q =
-    Cq.Parser.parse_query_exn "ans(Code, Phone) :- course(Code, N), person(N, Phone)"
-  in
-  match M.Cq_query.run ~tags repo q with
-  | Ok rel -> (
-      check_i "joined" 1 (Relalg.Relation.cardinality rel);
-      match Relalg.Relation.tuples rel with
-      | [ row ] -> check_s "phone via join" "206-543-1695" (Relalg.Value.to_string row.(1))
-      | _ -> Alcotest.fail "one row expected")
-  | Error msg -> Alcotest.fail msg
-
-let test_cq_query_errors () =
-  let repo = M.Repository.create () in
-  let bad_tag = Cq.Parser.parse_query_exn "ans(X) :- zebra(X)" in
-  check_b "unknown tag" true
-    (Result.is_error (M.Cq_query.run ~tags:M.Cq_query.department_tags repo bad_tag));
-  let bad_arity = Cq.Parser.parse_query_exn "ans(X) :- person(X)" in
-  check_b "arity" true
-    (Result.is_error (M.Cq_query.run ~tags:M.Cq_query.department_tags repo bad_arity));
-  let unsafe = Cq.Parser.parse_query_exn "ans(Z) :- person(X, Y)" in
-  check_b "unsafe" true
-    (Result.is_error
-       (M.Cq_query.run ~tags:[ ("person", [ "name"; "phone" ]) ] repo unsafe))
-
-(* ------------------------------------------------------------------ *)
 (* Embedded annotations (Section 2.1) *)
 
 let test_embed_roundtrip () =
@@ -415,11 +326,6 @@ let () =
          Alcotest.test_case "paper database" `Quick test_paper_database;
          Alcotest.test_case "search" `Quick test_search_app;
          Alcotest.test_case "live view" `Quick test_live_view_instant_gratification ]);
-      ("cq_query",
-       [ Alcotest.test_case "single atom" `Quick test_cq_query_single_atom;
-         Alcotest.test_case "projection tag" `Quick test_cq_query_projection_tag;
-         Alcotest.test_case "join" `Quick test_cq_query_join_two_entities;
-         Alcotest.test_case "errors" `Quick test_cq_query_errors ]);
       ("embed",
        [ Alcotest.test_case "roundtrip" `Quick test_embed_roundtrip;
          Alcotest.test_case "survives serialisation" `Quick

@@ -1652,6 +1652,42 @@ let test_cache_reflects_updates_after_invalidation () =
   check_i "fresh after invalidation" 3
     (Relalg.Relation.cardinality (P.Cache.answer cache query).P.Answer.answers)
 
+(* A mapping added after a query was cached reaches rows the cached
+   answer lacks: the entry must not be served as it stands. *)
+let test_cache_follows_catalog_changes () =
+  let catalog =
+    P.Pdms_file.parse_exn
+      "peer uw\nrelation course(code, title)\nstore course\n\
+       row course: cse444 | databases\n\
+       peer mit\nrelation subject(id, name)\nstore subject\n\
+       row subject: 'x6.033' | systems"
+  in
+  let cache = P.Cache.create catalog () in
+  let query = Cq.Parser.parse_query_exn "ans(C, T) :- uw.course(C, T)" in
+  let cached () =
+    Relalg.Relation.cardinality (P.Cache.answer cache query).P.Answer.answers
+  in
+  check_i "cached with uw's row" 1 (cached ());
+  check_i "a hit while nothing changes" 1 (cached ());
+  check_i "one hit" 1 (P.Cache.hits cache);
+  ignore
+    (P.Catalog.add_mapping catalog
+       (P.Peer_mapping.definitional
+          (Cq.Parser.parse_query_exn "uw.course(C, T) :- mit.subject(C, T)")));
+  check_i "the new mapping's row too" 2 (cached ());
+  check_i "= answering afresh" 2
+    (Relalg.Relation.cardinality (P.Answer.answer catalog query).P.Answer.answers);
+  check_i "answered as a miss" 2 (P.Cache.misses cache);
+  check_i "the stale entry replaced" 1 (P.Cache.entries cache);
+  (* A data update leaves the catalog's version, and so the entry,
+     alone. *)
+  let version = P.Catalog.version catalog in
+  P.Updategram.apply (P.Catalog.global_db catalog)
+    (P.Updategram.make ~rel:"uw.course!" ~inserts:[ [| vs "cse544"; vs "dbms" |] ] ());
+  check_i "version unmoved by data" version (P.Catalog.version catalog);
+  check_i "still a hit" 2 (cached ());
+  check_i "two hits" 2 (P.Cache.hits cache)
+
 let test_cache_lru_eviction () =
   let catalog, uw, _ = two_peer_catalog `Equality in
   let cache = P.Cache.create ~capacity:2 catalog () in
@@ -2370,6 +2406,44 @@ let test_pdms_file_errors () =
     (a ^ b ^ "mapping equality\nlhs m(X) :- a.r(X)\nrhs m(X, Y) :- b.s(X, Y)");
   rejected_at 9 "unsafe GLAV side"
     (a ^ b ^ "mapping inclusion\nlhs m(X, Y) :- a.r(X)\nrhs m(X, Y) :- b.s(X, Y)")
+
+(* Reading a catalog file is linear in its declarations: a 16x longer
+   file of either shape may take at most 64x as long.  A linear reader
+   reads about 16x; one that rebuilds the peer or rescans the catalog at
+   each line reads about 250x.  Best of 3 runs each, so one slow run on
+   a shared machine does not decide. *)
+let test_pdms_file_linear () =
+  let one_peer n =
+    let b = Buffer.create (n * 32) in
+    Buffer.add_string b "peer a\n";
+    for i = 1 to n do Printf.bprintf b "relation r%d(x, y)\n" i done;
+    for i = 1 to n do Printf.bprintf b "store r%d\n" i done;
+    Buffer.contents b
+  and many_peers n =
+    let b = Buffer.create (n * 48) in
+    for i = 1 to n do
+      Printf.bprintf b "peer p%d\nrelation r(x, y)\nstore r\nrow r: a | b\n" i
+    done;
+    Buffer.contents b
+  in
+  let best_ms text =
+    let run () =
+      let t0 = Unix.gettimeofday () in
+      ignore (P.Pdms_file.parse_exn text : P.Catalog.t);
+      Unix.gettimeofday () -. t0
+    in
+    1000. *. List.fold_left Float.min infinity (List.init 3 (fun _ -> run ()))
+  in
+  List.iter
+    (fun (shape, make) ->
+      let small = best_ms (make 500) and large = best_ms (make 8000) in
+      check_b
+        (Printf.sprintf "%s: 16x the input took %.1fx the time (%.2f -> %.2f ms)"
+           shape (large /. small) small large)
+        true
+        (large <= 64. *. small))
+    [ ("one peer, N relations", one_peer);
+      ("N peers, one relation each", many_peers) ]
 
 (* No mutation of a catalog's lines (dropped, duplicated or moved lines,
    one identifier swapped for another of the file's) makes [parse] raise:
@@ -3922,6 +3996,8 @@ let () =
       ("cache",
        [ Alcotest.test_case "hit and invalidate" `Quick test_cache_hit_and_invalidate;
          Alcotest.test_case "freshness" `Quick test_cache_reflects_updates_after_invalidation;
+         Alcotest.test_case "follows catalog changes" `Quick
+           test_cache_follows_catalog_changes;
          Alcotest.test_case "lru eviction" `Quick test_cache_lru_eviction;
          Alcotest.test_case "lru touch protects" `Quick
            test_cache_lru_touch_protects;
@@ -3940,7 +4016,9 @@ let () =
        [ Alcotest.test_case "parse and answer" `Quick test_pdms_file_parse_and_answer;
          Alcotest.test_case "roundtrip" `Quick test_pdms_file_roundtrip;
          Alcotest.test_case "tricky rows" `Quick test_pdms_file_tricky_rows;
-         Alcotest.test_case "errors" `Quick test_pdms_file_errors ]
+         Alcotest.test_case "errors" `Quick test_pdms_file_errors;
+         Alcotest.test_case "linear in declarations" `Quick
+           test_pdms_file_linear ]
        @ qc
            [ prop_pdms_file_roundtrip;
              prop_pdms_value_roundtrip;

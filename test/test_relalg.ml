@@ -131,89 +131,6 @@ let test_relation_find_by_bound () =
        hits3)
 
 (* ------------------------------------------------------------------ *)
-(* Ops *)
-
-let test_select_project () =
-  let r = people () in
-  let cs = Ops.select_eq "dept" (v_s "cs") r in
-  check_i "select" 2 (Relation.cardinality cs);
-  let depts_only = Ops.project [ "dept" ] r in
-  check_i "project dedupes" 2 (Relation.cardinality depts_only)
-
-let test_natural_join () =
-  let j = Ops.natural_join (people ()) (depts ()) in
-  check_i "join cardinality" 3 (Relation.cardinality j);
-  let s = Relation.schema j in
-  check_i "join arity" 4 (Schema.arity s);
-  check_b "has building" true (Schema.has_attr s "building");
-  let ada =
-    List.filter
-      (fun row -> Value.equal row.(Schema.index_of s "name") (v_s "ada"))
-      (Relation.tuples j)
-  in
-  (match ada with
-  | [ row ] ->
-      check_b "ada in allen" true
-        (Value.equal row.(Schema.index_of s "building") (v_s "allen"))
-  | _ -> Alcotest.fail "expected exactly one ada row")
-
-let test_set_ops () =
-  let a = Relation.of_tuples (Schema.make "a" [ "x" ]) [ [| v_i 1 |]; [| v_i 2 |] ] in
-  let b = Relation.of_tuples (Schema.make "b" [ "x" ]) [ [| v_i 2 |]; [| v_i 3 |] ] in
-  check_i "union" 3 (Relation.cardinality (Ops.union a b));
-  check_i "diff" 1 (Relation.cardinality (Ops.diff a b));
-  check_i "intersect" 1 (Relation.cardinality (Ops.intersect a b))
-
-let test_group_by () =
-  let g = Ops.group_by [ "dept" ] [ Ops.Count; Ops.Avg "age" ] (people ()) in
-  check_i "two groups" 2 (Relation.cardinality g);
-  let s = Relation.schema g in
-  let cs_row =
-    List.find
-      (fun row -> Value.equal row.(Schema.index_of s "dept") (v_s "cs"))
-      (Relation.tuples g)
-  in
-  check_b "count 2" true (Value.equal cs_row.(Schema.index_of s "count") (v_i 2));
-  check_b "avg 38.5" true
-    (Value.equal cs_row.(Schema.index_of s "avg_age") (Value.Float 38.5))
-
-let test_product_shared_attr_rejected () =
-  check_b "raises" true
-    (try
-       ignore (Ops.product (people ()) (people ()));
-       false
-     with Invalid_argument _ -> true)
-
-let test_rename_and_sort () =
-  let r = people () in
-  let renamed = Ops.rename_attrs [ ("age", "years") ] r in
-  check_b "attr renamed" true (Schema.has_attr (Relation.schema renamed) "years");
-  check_b "others kept" true (Schema.has_attr (Relation.schema renamed) "name");
-  let sorted = Ops.sort_by "age" r in
-  (match Relation.tuples sorted with
-  | first :: _ ->
-      check_b "youngest first" true (Value.equal first.(2) (v_i 29))
-  | [] -> Alcotest.fail "empty");
-  let r2 = Ops.rename "staff" r in
-  Alcotest.(check string) "relation renamed" "staff" (Schema.name (Relation.schema r2))
-
-let test_group_by_min_max () =
-  let g = Ops.group_by [ "dept" ] [ Ops.Min "age"; Ops.Max "age" ] (people ()) in
-  let s = Relation.schema g in
-  let cs =
-    List.find
-      (fun row -> Value.equal row.(Schema.index_of s "dept") (v_s "cs"))
-      (Relation.tuples g)
-  in
-  check_b "min 36" true (Value.equal cs.(Schema.index_of s "min_age") (v_i 36));
-  check_b "max 41" true (Value.equal cs.(Schema.index_of s "max_age") (v_i 41))
-
-let test_product_disjoint () =
-  let a = Relation.of_tuples (Schema.make "a" [ "x" ]) [ [| v_i 1 |]; [| v_i 2 |] ] in
-  let b = Relation.of_tuples (Schema.make "b" [ "y" ]) [ [| v_i 3 |] ] in
-  check_i "2x1" 2 (Relation.cardinality (Ops.product a b))
-
-(* ------------------------------------------------------------------ *)
 (* Database *)
 
 let test_database () =
@@ -399,41 +316,6 @@ let prop_apply_agrees_with_model =
       ignore (List.fold_left step rows deltas);
       true)
 
-let prop_union_commutative =
-  QCheck.Test.make ~name:"union commutative (as sets)" ~count:200
-    QCheck.(pair small_rel_gen small_rel_gen)
-    (fun (xs, ys) ->
-      let a = rel_of xs "a" and b = rel_of ys "b" in
-      let u1 = Ops.union a b and u2 = Ops.union b a in
-      Relation.cardinality u1 = Relation.cardinality u2
-      && List.for_all (Relation.mem u2) (Relation.tuples u1))
-
-let prop_join_subset_of_product =
-  QCheck.Test.make ~name:"join tuples satisfy key equality" ~count:200
-    QCheck.(pair small_rel_gen small_rel_gen)
-    (fun (xs, ys) ->
-      let a = rel_of xs "a" in
-      let b =
-        Relation.of_tuples
-          (Schema.make "b" [ "b"; "c" ])
-          (List.map (fun (x, y) -> [| v_i x; v_i y |]) ys)
-      in
-      let j = Ops.natural_join a b in
-      (* Every joined tuple's b-value must appear on both sides. *)
-      List.for_all
-        (fun row ->
-          List.exists (fun (_, bb) -> Value.equal row.(1) (v_i bb)) xs
-          && List.exists (fun (bb, _) -> Value.equal row.(1) (v_i bb)) ys)
-        (Relation.tuples j))
-
-let prop_diff_disjoint =
-  QCheck.Test.make ~name:"diff result disjoint from subtrahend" ~count:200
-    QCheck.(pair small_rel_gen small_rel_gen)
-    (fun (xs, ys) ->
-      let a = rel_of xs "a" and b = rel_of ys "b" in
-      let d = Ops.diff a b in
-      List.for_all (fun row -> not (Relation.mem b row)) (Relation.tuples d))
-
 (* ------------------------------------------------------------------ *)
 (* Versions and deltas *)
 
@@ -590,15 +472,6 @@ let () =
            test_add_distinct;
          Alcotest.test_case "bulk insert index" `Quick test_relation_bulk_insert_index;
          Alcotest.test_case "find_by_bound" `Quick test_relation_find_by_bound ]);
-      ("ops",
-       [ Alcotest.test_case "select/project" `Quick test_select_project;
-         Alcotest.test_case "natural join" `Quick test_natural_join;
-         Alcotest.test_case "set ops" `Quick test_set_ops;
-         Alcotest.test_case "group by" `Quick test_group_by;
-         Alcotest.test_case "product guard" `Quick test_product_shared_attr_rejected;
-         Alcotest.test_case "rename and sort" `Quick test_rename_and_sort;
-         Alcotest.test_case "group min/max" `Quick test_group_by_min_max;
-         Alcotest.test_case "product" `Quick test_product_disjoint ]);
       ("database", [ Alcotest.test_case "basics" `Quick test_database ]);
       ("stats",
        [ Alcotest.test_case "distinct and cache" `Quick
@@ -607,6 +480,4 @@ let () =
        qc
          [ prop_value_equal_agrees; prop_of_string_agrees;
            prop_apply_agrees_with_model; prop_find_by_equals_filter;
-           prop_union_commutative;
-           prop_join_subset_of_product; prop_diff_disjoint;
            prop_stats_patch_equals_rescan ]) ]

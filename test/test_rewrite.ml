@@ -125,6 +125,57 @@ let test_bucket_rejects_invalid_combination () =
   check_b "but candidates were tried" true (bstats.Bucket.candidates_tried > 0)
 
 (* ------------------------------------------------------------------ *)
+(* Unfolding: the expansion a rewriting's containment is checked by *)
+
+let test_unfold_simple () =
+  (* cs_course(C) :- course(C, T, 'cs'); query over cs_course unfolds. *)
+  let rule =
+    q (atom "cs_course" [ v "C" ]) [ atom "course" [ v "C"; v "T"; s "cs" ] ]
+  in
+  let query = q (atom "ans" [ v "X" ]) [ atom "cs_course" [ v "X" ] ] in
+  match Expansion.expand ~views:[ rule ] query with
+  | [ expanded ] ->
+      check_i "one atom" 1 (Query.size expanded);
+      let db = Relalg.Database.create () in
+      let course =
+        Relalg.Database.create_relation db "course" [ "id"; "title"; "dept" ]
+      in
+      let vs x = Relalg.Value.Str x in
+      List.iter
+        (fun row -> ignore (Relalg.Relation.add_distinct course row : bool))
+        [ [| vs "cse444"; vs "databases"; vs "cs" |];
+          [| vs "cse446"; vs "ml"; vs "cs" |];
+          [| vs "hist101"; vs "ancient history"; vs "history" |] ];
+      check_i "two cs courses" 2 (Relalg.Relation.cardinality (Eval.run db expanded))
+  | other -> Alcotest.fail (Printf.sprintf "expected 1 expansion, got %d" (List.length other))
+
+let test_unfold_union () =
+  (* Two rules for the same predicate: expansion is a UCQ. *)
+  let r1 = q (atom "p" [ v "X" ]) [ atom "r" [ v "X" ] ] in
+  let r2 = q (atom "p" [ v "X" ]) [ atom "t" [ v "X" ] ] in
+  let query = q (atom "ans" [ v "X" ]) [ atom "p" [ v "X" ] ] in
+  check_i "two expansions" 2 (List.length (Expansion.expand ~views:[ r1; r2 ] query))
+
+let test_unfold_two_defined_atoms () =
+  let r1 = q (atom "p" [ v "X" ]) [ atom "r" [ v "X" ] ] in
+  let r2 = q (atom "p" [ v "X" ]) [ atom "t" [ v "X" ] ] in
+  let query =
+    q (atom "ans" [ v "X"; v "Y" ]) [ atom "p" [ v "X" ]; atom "p" [ v "Y" ] ]
+  in
+  check_i "cross product of choices" 4
+    (List.length (Expansion.expand ~views:[ r1; r2 ] query))
+
+let test_unfold_depth_cutoff () =
+  (* Recursive rule: expansion terminates (and yields nothing since the
+     base case is absent). *)
+  let rec_rule =
+    q (atom "p" [ v "X" ]) [ atom "e" [ v "X"; v "Y" ]; atom "p" [ v "Y" ] ]
+  in
+  let query = q (atom "ans" [ v "X" ]) [ atom "p" [ v "X" ] ] in
+  check_i "no base case, no expansion" 0
+    (List.length (Expansion.expand ~max_depth:5 ~views:[ rec_rule ] query))
+
+(* ------------------------------------------------------------------ *)
 (* End-to-end soundness: evaluate rewritings over view extensions. *)
 
 let base_db prng n =
@@ -386,6 +437,11 @@ let () =
        [ Alcotest.test_case "agrees on simple case" `Quick test_bucket_agrees_on_simple_case;
          Alcotest.test_case "rejects invalid combos" `Quick
            test_bucket_rejects_invalid_combination ]);
+      ("unfold",
+       [ Alcotest.test_case "simple" `Quick test_unfold_simple;
+         Alcotest.test_case "union" `Quick test_unfold_union;
+         Alcotest.test_case "two defined atoms" `Quick test_unfold_two_defined_atoms;
+         Alcotest.test_case "depth cutoff" `Quick test_unfold_depth_cutoff ]);
       ("end-to-end", [ Alcotest.test_case "soundness" `Quick test_end_to_end_soundness ]);
       ("glav",
        [ Alcotest.test_case "split" `Quick test_glav_split;

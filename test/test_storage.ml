@@ -141,72 +141,6 @@ let test_provenance_scope () =
   check_b "in scope" true (Storage.Provenance.in_scope p "http://u/alice");
   check_b "out of scope" false (Storage.Provenance.in_scope p "http://u/bob")
 
-(* N-Triples export/import *)
-
-let test_ntriples_roundtrip () =
-  let t = store_with_data () in
-  Storage.Triple_store.add t ~subj:"tricky" ~pred:"note"
-    ~obj:(vs "has \"quotes\" and\nnewlines \\ too")
-    ~prov:(Storage.Provenance.make ~author:"bob smith" ~source_url:"http://x" ~timestamp:9 ());
-  let text = Storage.Ntriples.export t in
-  let t' = Storage.Ntriples.import_exn text in
-  check_i "same size" (Storage.Triple_store.size t) (Storage.Triple_store.size t');
-  check_b "same content" true (Storage.Ntriples.export t' = text);
-  (* Provenance survives. *)
-  (match Storage.Triple_store.select ~subj:"tricky" t' with
-  | [ tr ] ->
-      check_b "author" true (tr.Storage.Triple_store.prov.Storage.Provenance.author = Some "bob smith");
-      check_i "timestamp" 9 tr.Storage.Triple_store.prov.Storage.Provenance.timestamp
-  | _ -> Alcotest.fail "tricky triple lost")
-
-(* Objects keep their type: a string is a plain literal, anything else
-   carries a datatype IRI, so numeric-looking strings stay strings. *)
-let test_ntriples_typed_objects () =
-  let objects =
-    Relalg.Value.
-      [ Str "5."; Str "\n6"; Int 5; Float 5.; Float 0.1; Bool true; Null ]
-  in
-  let t = Storage.Triple_store.create () in
-  List.iteri
-    (fun i obj ->
-      Storage.Triple_store.add t ~subj:(Printf.sprintf "s%d" i) ~pred:"p" ~obj
-        ~prov:(prov "http://x" 1))
-    objects;
-  let text = Storage.Ntriples.export t in
-  let xsd = "http://www.w3.org/2001/XMLSchema#" in
-  Alcotest.(check string)
-    "rendering"
-    (String.concat ""
-       [ "<s0> <p> \"5.\" . # <http://x> 1\n";
-         "<s1> <p> \"\\n6\" . # <http://x> 1\n";
-         "<s2> <p> \"5\"^^<" ^ xsd ^ "integer> . # <http://x> 1\n";
-         "<s3> <p> \"5.0\"^^<" ^ xsd ^ "double> . # <http://x> 1\n";
-         "<s4> <p> \"0.1\"^^<" ^ xsd ^ "double> . # <http://x> 1\n";
-         "<s5> <p> \"true\"^^<" ^ xsd ^ "boolean> . # <http://x> 1\n";
-         "<s6> <p> \"\"^^<http://www.w3.org/1999/02/22-rdf-syntax-ns#nil> . # \
-          <http://x> 1\n" ])
-    text;
-  let t' = Storage.Ntriples.import_exn text in
-  List.iteri
-    (fun i obj ->
-      match Storage.Triple_store.select ~subj:(Printf.sprintf "s%d" i) t' with
-      | [ tr ] ->
-          check_b (Relalg.Value.to_string obj) true
-            (Relalg.Value.compare tr.Storage.Triple_store.obj obj = 0)
-      | _ -> Alcotest.fail "triple lost")
-    objects;
-  check_b "unknown datatype rejected" true
-    (Result.is_error
-       (Storage.Ntriples.import "<s> <p> \"1\"^^<http://x/nope> . # <http://x> 1"))
-
-let test_ntriples_import_errors () =
-  check_b "garbage rejected" true
-    (Result.is_error (Storage.Ntriples.import "not a triple"));
-  check_b "missing provenance rejected" true
-    (Result.is_error (Storage.Ntriples.import "<s> <p> \"o\" ."));
-  (* Blank and comment lines are fine. *)
-  check_b "comments ok" true (Result.is_ok (Storage.Ntriples.import "\n# hi\n\n"))
-
 (* Codec: binary round-trips and frame integrity. *)
 
 let tup l = Array.of_list l
@@ -503,48 +437,6 @@ let test_snapshot_refuses_other_formats () =
   check_b "load_latest finds nothing" true
     (Storage.Snapshot.load_latest ~dir = None)
 
-(* Property: N-Triples export/import round-trips arbitrary strings —
-   the '>' and '\r' escaping regression. *)
-
-let gen_tricky_string =
-  (* Weighted towards the characters the escaper must handle. *)
-  QCheck.Gen.(
-    string_size ~gen:
-      (frequency
-         [ (6, printable); (1, return '>'); (1, return '\r');
-           (1, return '\n'); (1, return '\\'); (1, return '"');
-           (1, return '<'); (1, return '#') ])
-      (int_bound 20))
-
-let prop_ntriples_roundtrip =
-  QCheck.Test.make ~name:"ntriples export/import round-trip" ~count:1000
-    (QCheck.make
-       QCheck.Gen.(
-         let nonempty g =
-           map (fun s -> if s = "" then "x" else s) g
-         in
-         tup4 (nonempty gen_tricky_string) (nonempty gen_tricky_string)
-           gen_tricky_string (nonempty gen_tricky_string)))
-    (fun (subj, pred, obj, url) ->
-      let t = Storage.Triple_store.create () in
-      Storage.Triple_store.add t ~subj ~pred ~obj:(vs obj)
-        ~prov:(Storage.Provenance.make ~source_url:url ~timestamp:5 ());
-      Storage.Triple_store.add t ~subj:(subj ^ ">tail") ~pred:"p\rq"
-        ~obj:(vs "o")
-        ~prov:
-          (Storage.Provenance.make ~author:"ann marie" ~source_url:"http://x"
-             ~timestamp:6 ());
-      let text = Storage.Ntriples.export t in
-      match Storage.Ntriples.import text with
-      | Error _ -> false
-      | Ok t' ->
-          (* Text-level fixpoint: the object goes through
-             Value.of_string, so compare renderings, which also covers
-             subjects, predicates and provenance byte-for-byte. *)
-          Storage.Ntriples.export t' = text
-          && Storage.Triple_store.size t' = Storage.Triple_store.size t
-          && List.length (Storage.Triple_store.select ~subj t') = 1)
-
 (* Property: BGP matching agrees with a naive nested-loop reference. *)
 
 let prop_bgp_reference =
@@ -659,14 +551,9 @@ let () =
          Alcotest.test_case "repeated variable" `Quick test_query_repeated_var;
          Alcotest.test_case "constant types" `Quick test_query_constant_types ]);
       ("provenance", [ Alcotest.test_case "scope" `Quick test_provenance_scope ]);
-      ("ntriples",
-       [ Alcotest.test_case "roundtrip" `Quick test_ntriples_roundtrip;
-         Alcotest.test_case "import errors" `Quick test_ntriples_import_errors;
-         Alcotest.test_case "typed objects" `Quick test_ntriples_typed_objects ]);
       ("properties",
        List.map QCheck_alcotest.to_alcotest
-         [ prop_bgp_reference; prop_codec_delta_roundtrip;
-           prop_ntriples_roundtrip ]);
+         [ prop_bgp_reference; prop_codec_delta_roundtrip ]);
       ("codec",
        [ Alcotest.test_case "int round-trip" `Quick test_codec_int_roundtrip;
          Alcotest.test_case "varint negative" `Quick test_codec_varint_rejects_negative;

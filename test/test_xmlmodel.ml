@@ -361,47 +361,6 @@ let prop_parser_never_raises =
            ~colleges:1 ~depts:2 ~courses:2) ]
     Xmlmodel.Xml_parser.parse
 
-(* ------------------------------------------------------------------ *)
-(* Relational bridge *)
-
-let test_bridge_extract () =
-  let rel =
-    Xmlmodel.Relational_bridge.relation_of berkeley ~name:"course" ~tag:"course"
-      ~fields:[ "title"; "size" ]
-  in
-  check_i "three rows" 3 (Relalg.Relation.cardinality rel);
-  let sizes =
-    List.map (fun row -> row.(1)) (Relalg.Relation.tuples rel)
-    |> List.map Relalg.Value.to_string
-    |> List.sort compare
-  in
-  check_sl "sizes parsed" [ "120"; "60"; "80" ] sizes
-
-let test_bridge_missing_field_null () =
-  let doc = Xml.element "r" [ Xml.element "row" [ leaf "a" "1" ] ] in
-  match Xmlmodel.Relational_bridge.extract doc ~tag:"row" ~fields:[ "a"; "b" ] with
-  | [ [| a; b |] ] ->
-      check_b "a parsed" true (Relalg.Value.equal a (Relalg.Value.Int 1));
-      check_b "b null" true (Relalg.Value.equal b Relalg.Value.Null)
-  | _ -> Alcotest.fail "expected one row"
-
-let test_bridge_shred () =
-  let db = Xmlmodel.Relational_bridge.shred berkeley in
-  check_i "node count matches" (Xml.count_nodes berkeley)
-    (Relalg.Relation.cardinality (Relalg.Database.find db "node"));
-  check_i "edges = nodes - 1" (Xml.count_nodes berkeley - 1)
-    (Relalg.Relation.cardinality (Relalg.Database.find db "edge"))
-
-let test_bridge_to_xml () =
-  let rel =
-    Relalg.Relation.of_tuples
-      (Relalg.Schema.make "course" [ "title"; "size" ])
-      [ [| Relalg.Value.Str "db"; Relalg.Value.Int 10 |] ]
-  in
-  let xml = Xmlmodel.Relational_bridge.to_xml rel ~root:"courses" ~row_tag:"course" in
-  check_sl "roundtrip title" [ "db" ]
-    (Path.select_text xml (Path.of_string "course/title"))
-
 let () =
   Alcotest.run "xmlmodel"
     [ ("xml",
@@ -436,9 +395,4 @@ let () =
          Alcotest.test_case "errors" `Quick test_parser_errors;
          Alcotest.test_case "roundtrip" `Quick test_parser_roundtrip_berkeley;
          Alcotest.test_case "deep nesting" `Quick test_parser_deep_nesting;
-         QCheck_alcotest.to_alcotest prop_parser_never_raises ]);
-      ("bridge",
-       [ Alcotest.test_case "extract" `Quick test_bridge_extract;
-         Alcotest.test_case "missing field" `Quick test_bridge_missing_field_null;
-         Alcotest.test_case "shred" `Quick test_bridge_shred;
-         Alcotest.test_case "to_xml" `Quick test_bridge_to_xml ]) ]
+         QCheck_alcotest.to_alcotest prop_parser_never_raises ]) ]
