@@ -25,7 +25,10 @@ let header id claim =
    for a single-atom query, the two-atom join and the three-atom chain.
    A join's search runs once per goal, so its nodes grow with the sum of
    the goals' alternatives; its rewritings (the product of the goals'
-   unions) grow with their product. *)
+   unions) grow with their product. After the table, one
+   [BENCH_e1_digest] line digests every point's rewritings, rendered in
+   order, and its sorted answers: two builds that agree on it agree at
+   every point. *)
 
 let e1_sized sizes () =
   header "E1" "PDMS reformulation cost vs. #peers and topology";
@@ -35,6 +38,7 @@ let e1_sized sizes () =
         "rewritings"; "nodes"; "answers" ]
   in
   let prng = Util.Prng.create 1 in
+  let digest = Buffer.create 65536 and points = ref 0 in
   List.iter
     (fun kind ->
       List.iter
@@ -52,6 +56,14 @@ let e1_sized sizes () =
               in
               let ms, result = time_ms (fun () -> Pdms.Answer.answer catalog query) in
               let stats = result.Pdms.Answer.outcome.Pdms.Reformulate.stats in
+              incr points;
+              Printf.bprintf digest "%s %d %s\n" (Pdms.Topology.kind_name kind) n name;
+              List.iter
+                (fun r -> Printf.bprintf digest "%s\n" (Cq.Query.to_string r))
+                result.Pdms.Answer.outcome.Pdms.Reformulate.rewritings;
+              List.iter
+                (fun row -> Printf.bprintf digest "| %s\n" (String.concat " | " row))
+                (Pdms.Answer.answers_list result);
               T.add_row table
                 [ Pdms.Topology.kind_name kind; T.cell_i n;
                   T.cell_i (Pdms.Catalog.mapping_count catalog); name;
@@ -64,7 +76,9 @@ let e1_sized sizes () =
               ("chain", Workload.Peers_gen.chain_query g ~at:0) ])
         sizes)
     [ Pdms.Topology.Chain; Pdms.Topology.Binary_tree; Pdms.Topology.Mesh 1 ];
-  T.print table
+  T.print table;
+  Printf.printf "BENCH_e1_digest {\"points\":%d,\"digest\":\"%s\"}\n" !points
+    (Digest.to_hex (Digest.string (Buffer.contents digest)))
 
 let e1 () = e1_sized [ 4; 8; 16; 32; 48 ] ()
 

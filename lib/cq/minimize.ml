@@ -1,11 +1,18 @@
+(* A body without repeats is returned as it is. *)
 let remove_duplicate_atoms (q : Query.t) =
-  let rec dedupe seen = function
-    | [] -> List.rev seen
-    | a :: rest ->
-        if List.exists (Atom.equal a) seen then dedupe seen rest
-        else dedupe (a :: seen) rest
+  let rec repeats = function
+    | [] -> false
+    | a :: rest -> List.exists (Atom.equal a) rest || repeats rest
   in
-  { q with Query.body = dedupe [] q.Query.body }
+  if not (repeats q.Query.body) then q
+  else
+    let rec dedupe seen = function
+      | [] -> List.rev seen
+      | a :: rest ->
+          if List.exists (Atom.equal a) seen then dedupe seen rest
+          else dedupe (a :: seen) rest
+    in
+    { q with Query.body = dedupe [] q.Query.body }
 
 (* Dropping an atom can only generalise the query, so the removal is
    legal iff the smaller query is still contained in the original. *)

@@ -16,11 +16,6 @@ let existential_vars t =
   let hv = head_vars t in
   List.filter (fun x -> not (List.mem x hv)) (body_vars t)
 
-let is_distinguished t x =
-  List.exists
-    (function Term.Var y -> String.equal x y | Term.Const _ -> false)
-    t.head.Atom.args
-
 let is_safe t =
   let bv = body_vars t in
   List.for_all (fun x -> List.mem x bv) (head_vars t)

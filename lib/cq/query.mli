@@ -16,8 +16,6 @@ val body_vars : t -> string list
 val existential_vars : t -> string list
 (** Body variables not appearing in the head. *)
 
-val is_distinguished : t -> string -> bool
-
 val is_safe : t -> bool
 (** Every head variable appears in the body. *)
 

@@ -3,18 +3,21 @@ type t = {
   preds : (string * int) list;  (* sorted by predicate name *)
 }
 
+(* The body's predicate names sorted, then counted run by run. *)
 let of_query (q : Query.t) =
-  let counts = Hashtbl.create 8 in
-  List.iter
-    (fun (a : Atom.t) ->
-      Hashtbl.replace counts a.Atom.pred
-        (1 + Option.value ~default:0 (Hashtbl.find_opt counts a.Atom.pred)))
-    q.Query.body;
+  let rec count = function
+    | [] -> []
+    | p :: rest -> (
+        match count rest with
+        | (p', c) :: counted when String.equal p p' -> (p, c + 1) :: counted
+        | counted -> (p, 1) :: counted)
+  in
   {
     head_arity = Atom.arity q.Query.head;
     preds =
-      Hashtbl.fold (fun p c acc -> (p, c) :: acc) counts []
-      |> List.sort (fun (a, _) (b, _) -> String.compare a b);
+      count
+        (List.sort String.compare
+           (List.map (fun (a : Atom.t) -> a.Atom.pred) q.Query.body));
   }
 
 (* Every predicate name of [smaller] occurs in [larger]; both sorted. *)

@@ -2,7 +2,8 @@
     Exposes the derived artifacts reformulation consumes — GAV rules
     (definitional mappings plus the lhs-side of each GLAV mapping
     through its mapping predicate) and LAV views (storage descriptions
-    plus the rhs-side of each GLAV mapping). *)
+    plus the rhs-side of each GLAV mapping), compiled once as they are
+    added. *)
 
 type mapping_id = int
 
@@ -40,17 +41,45 @@ val version : t -> int
     {!add_mapping}, and with nothing else: a reformulation made at one
     version holds until it moves.  Data updates leave it alone. *)
 
-(** {2 Artifacts for reformulation} *)
+(** {2 Artifacts for reformulation}
 
-val rules_for : t -> string -> (mapping_id option * Cq.Query.t) list
-(** GAV rules whose head predicate is the given one. The id is the
-    mapping the rule derives from ([None] for none — currently unused). *)
+    The catalog keeps the artifacts reformulation consumes compiled: each
+    add extends them with its own mapping's or description's in O(1)
+    amortised time, and lookups only read them, so reformulations of one
+    catalog never refresh anything and never race. Every rule and view
+    is compiled once, into a {!Rewrite.Cover.template} whose variables
+    are numbered slots: a LAV step hands MiniCon the views' templates as
+    they stand, and a GAV step instantiates a rule's template without
+    renaming the rule. *)
+
+type artifact = {
+  id : mapping_id option;
+      (** the mapping it derives from; [None] for a storage description *)
+  template : Rewrite.Cover.template;  (** the rule or view, compiled *)
+}
+
+val iter_rules : t -> string -> (artifact -> unit) -> unit
+(** The GAV rules whose head predicate is the given one, oldest mapping
+    first. *)
 
 val has_rules : t -> string -> bool
 
-val views : t -> (mapping_id option * Cq.Query.t) list
-(** All LAV views: storage-description views (id [None]) and GLAV
-    mapping-predicate views (their mapping id). *)
+val views_reading : t -> string list -> artifact list
+(** The LAV views whose body reads one of the predicates, each once, in
+    catalog order: storage-description views (newest first), then GLAV
+    mapping-predicate views (oldest mapping first, a mapping's reversed
+    direction before its forward one). *)
+
+val view_count : t -> mapping_id -> int
+(** How many views the mapping contributes (0 for a definitional rule,
+    1 for an inclusion, 2 for an equality). Raises [Invalid_argument]
+    on an id this catalog did not issue. *)
+
+val identity_view : t -> string -> arity:int -> Rewrite.Cover.template
+(** The identity view [p(I0, ..) :- p(I0, ..)] of a predicate, which
+    carries a stored atom through MiniCon unchanged: compiled when the
+    predicate became stored, at its declared arity, and compiled for
+    the call at any other. *)
 
 val in_view_body : t -> string -> bool
 (** Does the predicate occur in the body of some view? Then a GAV rule

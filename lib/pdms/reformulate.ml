@@ -49,116 +49,227 @@ module Iset = Set.Make (Int)
 
 (* A body atom of a rule-goal tree node: the set of mapping ids on its
    own derivation path (the per-goal path of the rule-goal tree —
-   sibling subgoals may legally traverse the same mapping), and whether
-   it skips GAV unfolding to wait for the LAV step. *)
-type goal = { atom : Atom.t; hist : Iset.t; lav_only : bool }
+   sibling subgoals may legally traverse the same mapping), whether it
+   skips GAV unfolding to wait for the LAV step, and whether its
+   predicate is not stored (so reformulation must still replace it). *)
+type goal = { atom : Atom.t; hist : Iset.t; lav_only : bool; pending : bool }
 
 (* A node of the rule-goal tree: a partial reformulation. *)
 type node = { head : Atom.t; body : goal list }
 
 let plain node = Query.make node.head (List.map (fun g -> g.atom) node.body)
 
-(* Canonical variable names, memoized: the first 256 are shared strings
-   so alpha-normalisation allocates no name for typical node widths. *)
-let canon_names = Array.init 256 (fun i -> "v" ^ string_of_int i)
+let goal_of catalog hist (atom : Atom.t) =
+  let pending = not (Catalog.is_stored catalog atom.Atom.pred) in
+  { atom; hist; lav_only = false; pending }
 
-let canon_name i = if i < 256 then canon_names.(i) else "v" ^ string_of_int i
+(* The goal-memo key of a node: its atoms with variables numbered in
+   first-occurrence order (head first, then the body in order), the
+   body atoms sorted. Two nodes share a key iff they are equal up to
+   variable renaming and body order. Constants compare type-exactly and
+   floats by their bits (every NaN of one sign alike), so goals
+   differing only in a constant's type or a zero's sign keep distinct
+   keys; an atom waiting for the LAV step never shares a key with the
+   same atom still open to GAV unfolding. *)
+module Key = struct
+  type term = Var of int | Const of Relalg.Value.t
+  type atom = { pred : string; lav : bool; args : term list }
+  type t = { head : atom; body : atom list }
 
-(* The goal-memo key of a node: variables renamed in first-occurrence
-   order (head first), then the rendered body atoms sorted. Constants
-   render type-exactly ({!Relalg.Value.add_key}), so goals differing
-   only in a constant's type keep distinct keys; an atom waiting for the
-   LAV step renders with a leading ['^'], so it never shares a key with
-   the same atom still open to GAV unfolding. All rendering goes through
-   one scratch [Buffer]. *)
-let canonical node =
-  let mapping = Hashtbl.create 16 in
-  let canon_var x =
-    match Hashtbl.find_opt mapping x with
-    | Some x' -> x'
-    | None ->
-        let x' = canon_name (Hashtbl.length mapping) in
-        Hashtbl.replace mapping x x';
-        x'
+  let compare_const a b =
+    match (a, b) with
+    | Relalg.Value.Float x, Relalg.Value.Float y when Float.is_nan x && Float.is_nan y ->
+        Bool.compare (Float.sign_bit x) (Float.sign_bit y)
+    | Relalg.Value.Float x, Relalg.Value.Float y ->
+        Int64.compare (Int64.bits_of_float x) (Int64.bits_of_float y)
+    | _ -> Relalg.Value.compare a b
+
+  let compare_term a b =
+    match (a, b) with
+    | Var i, Var j -> Int.compare i j
+    | Const c, Const c' -> compare_const c c'
+    | Var _, Const _ -> -1
+    | Const _, Var _ -> 1
+
+  let compare_atom a b =
+    match String.compare a.pred b.pred with
+    | 0 -> (
+        match Bool.compare a.lav b.lav with
+        | 0 -> List.compare compare_term a.args b.args
+        | c -> c)
+    | c -> c
+
+  let equal a b =
+    compare_atom a.head b.head = 0
+    && List.equal (fun x y -> compare_atom x y = 0) a.body b.body
+
+  let hash k =
+    let mix h x = (h * 65599) + x in
+    let atom h a =
+      List.fold_left
+        (fun h -> function Var i -> mix h i | Const c -> mix h (Hashtbl.hash c))
+        (mix (mix h (Hashtbl.hash a.pred)) (Bool.to_int a.lav))
+        a.args
+    in
+    List.fold_left atom (atom 0 k.head) k.body land max_int
+
+  let of_node (node : node) =
+    let names = ref [] and next = ref 0 in
+    let rec number x = function
+      | [] ->
+          names := (x, !next) :: !names;
+          incr next;
+          !next - 1
+      | (y, i) :: _ when String.equal x y -> i
+      | _ :: rest -> number x rest
+    in
+    let atom lav (a : Cq.Atom.t) =
+      {
+        pred = a.Cq.Atom.pred;
+        lav;
+        args =
+          List.map
+            (function
+              | Term.Var x -> Var (number x !names) | Term.Const c -> Const c)
+            a.Cq.Atom.args;
+      }
+    in
+    let head = atom false node.head in
+    let body = List.map (fun (g : goal) -> atom g.lav_only g.atom) node.body in
+    { head; body = List.sort compare_atom body }
+end
+
+module Memo = Hashtbl.Make (Key)
+
+(* A term of one unfolding: a goal variable, a rule slot or a
+   constant. *)
+type side = Goal of string | Slot of int | Value of Relalg.Value.t
+
+(* One unfolding's unifier: each rule slot's binding, each bound goal
+   variable's (newest first), and the variables named for free slots. *)
+type unifier = {
+  tpl : Rewrite.Cover.template;
+  suffix : string;
+  slots : side option array;
+  mutable goals : (string * side) list;
+  named : Term.t option array;
+}
+
+let rec bound x = function
+  | [] -> None
+  | (y, s) :: rest -> if String.equal x y then Some s else bound x rest
+
+let rec resolve u = function
+  | Slot i as s -> ( match u.slots.(i) with None -> s | Some t -> resolve u t)
+  | Goal x as s -> ( match bound x u.goals with None -> s | Some t -> resolve u t)
+  | Value _ as s -> s
+
+(* Unify goal term [a] with rule argument [b], binding the goal side
+   first as {!Cq.Subst.unify_term} would. *)
+let unify u (a : Term.t) b =
+  let left = resolve u (match a with Term.Var x -> Goal x | Term.Const c -> Value c) in
+  let right =
+    resolve u
+      (match b with Rewrite.Cover.Slot i -> Slot i | Rewrite.Cover.Lit c -> Value c)
   in
-  let buf = Buffer.create 128 in
-  let render_atom (a : Atom.t) =
-    Buffer.add_string buf a.Atom.pred;
-    Buffer.add_char buf '(';
-    List.iteri
-      (fun i t ->
-        if i > 0 then Buffer.add_string buf ", ";
-        match t with
-        | Term.Var x -> Buffer.add_string buf (canon_var x)
-        | Term.Const v ->
-            Buffer.add_char buf '\'';
-            Relalg.Value.add_key buf v)
-      a.Atom.args;
-    Buffer.add_char buf ')'
+  match (left, right) with
+  | Value c, Value c' -> Relalg.Value.equal c c'
+  | Slot i, Slot j when i = j -> true
+  | Goal x, other ->
+      u.goals <- (x, other) :: u.goals;
+      true
+  | Slot i, other | other, Slot i ->
+      u.slots.(i) <- Some other;
+      true
+  | Value _, _ -> false
+
+let rec unify_args u (args : Rewrite.Cover.arg array) i = function
+  | [] -> true
+  | a :: rest -> unify u a args.(i) && unify_args u args (i + 1) rest
+
+let term_of u = function
+  | Slot i -> (
+      match u.named.(i) with
+      | Some t -> t
+      | None ->
+          let t = Term.Var (Rewrite.Cover.name u.tpl i ^ u.suffix) in
+          u.named.(i) <- Some t;
+          t)
+  | Value c -> Term.Const c
+  | Goal x -> Term.Var x
+
+let apply_term u = function
+  | Term.Var x as t -> (
+      match bound x u.goals with None -> t | Some s -> term_of u (resolve u s))
+  | Term.Const _ as t -> t
+
+let apply_atom u (a : Atom.t) =
+  if u.goals = [] then a else Atom.map_terms (apply_term u) a
+
+let instantiate u (b : Rewrite.Cover.catom) =
+  let args = ref [] in
+  for k = Array.length b.Rewrite.Cover.args - 1 downto 0 do
+    args :=
+      (match b.Rewrite.Cover.args.(k) with
+      | Rewrite.Cover.Slot i -> term_of u (resolve u (Slot i))
+      | Rewrite.Cover.Lit c -> Term.Const c)
+      :: !args
+  done;
+  Atom.make b.Rewrite.Cover.pred !args
+
+(* Unfold one goal with a rule, instantiating the rule's template: the
+   goal's atom is unified with the template's head, goal variables
+   binding to rule slots or constants and slots to slots or constants
+   (as {!Cq.Subst.unify_atom} would bind them, goal side first), and a
+   slot left free becomes the variable [x ^ suffix], [x] its name in the
+   rule. Rule-body atoms inherit the goal's history extended with the
+   rule's mapping id. *)
+let expand_goal catalog ~suffix node goal (rule : Catalog.artifact) =
+  let tpl = rule.Catalog.template in
+  let args = tpl.Rewrite.Cover.head.Rewrite.Cover.args in
+  let n = Array.length tpl.Rewrite.Cover.vars in
+  let u =
+    { tpl; suffix; slots = Array.make n None; goals = []; named = Array.make n None }
   in
-  render_atom node.head;
-  let head_len = Buffer.length buf in
-  let body =
-    List.map
-      (fun g ->
-        let start = Buffer.length buf in
-        if g.lav_only then Buffer.add_char buf '^';
-        render_atom g.atom;
-        Buffer.sub buf start (Buffer.length buf - start))
-      node.body
-    |> List.sort String.compare
-  in
-  Buffer.truncate buf head_len;
-  Buffer.add_string buf " :- ";
-  List.iteri
-    (fun i s ->
-      if i > 0 then Buffer.add_char buf ';';
-      Buffer.add_string buf s)
-    body;
-  Buffer.contents buf
+  if
+    Array.length args <> Atom.arity goal.atom
+    || not (unify_args u args 0 goal.atom.Atom.args)
+  then None
+  else begin
+    let hist =
+      match rule.Catalog.id with Some id -> Iset.add id goal.hist | None -> goal.hist
+    in
+    let rec body = function
+      | [] -> []
+      | g :: rest when g == goal ->
+          let tail = body rest in
+          Array.fold_right
+            (fun b acc -> goal_of catalog hist (instantiate u b) :: acc)
+            tpl.Rewrite.Cover.body tail
+      | g :: rest ->
+          let atom = apply_atom u g.atom in
+          (if atom == g.atom then g else { g with atom }) :: body rest
+    in
+    Some { head = apply_atom u node.head; body = body node.body }
+  end
 
-let identity_view pred arity =
-  let args = List.init arity (fun i -> Term.v (Printf.sprintf "I%d" i)) in
-  Query.make (Atom.make pred args) [ Atom.make pred args ]
-
-(* Unfold one goal with a rule; rule-body atoms inherit the goal's
-   history extended with the rule's mapping id. *)
-let expand_goal ~fresh node goal extra (rule : Query.t) =
-  let rule = Query.freshen ~suffix:(fresh ()) rule in
-  match Subst.unify_atom Subst.empty goal.atom rule.Query.head with
-  | None -> None
-  | Some mgu ->
-      let hist =
-        match extra with Some id -> Iset.add id goal.hist | None -> goal.hist
-      in
-      let body =
-        List.concat_map
-          (fun g ->
-            if g == goal then
-              List.map
-                (fun b -> { atom = Subst.apply_atom mgu b; hist; lav_only = false })
-                rule.Query.body
-            else [ { g with atom = Subst.apply_atom mgu g.atom } ])
-          node.body
-      in
-      Some { head = Subst.apply_atom mgu node.head; body }
-
-(* Drop repeated body atoms, keeping the first occurrence in order.
-   Hash-set membership on the atom itself — the seed's [List.exists]
-   over the seen-prefix was quadratic in body length. *)
+(* Drop repeated body atoms, keeping the first occurrence in order. A
+   body without repeats (every MiniCon child, most unfoldings) is
+   returned as it is. *)
 let dedupe_body node =
-  let seen = Hashtbl.create 16 in
-  let body =
-    List.filter
-      (fun g ->
-        if Hashtbl.mem seen g.atom then false
-        else begin
-          Hashtbl.replace seen g.atom ();
-          true
-        end)
-      node.body
+  let rec repeats = function
+    | [] -> false
+    | g :: rest -> List.exists (fun g' -> Atom.equal g.atom g'.atom) rest || repeats rest
   in
-  { node with body }
+  if not (repeats node.body) then node
+  else
+    let rec keep kept = function
+      | [] -> List.rev kept
+      | g :: rest ->
+          if List.exists (fun k -> Atom.equal k.atom g.atom) kept then keep kept rest
+          else keep (g :: kept) rest
+    in
+    { node with body = keep [] node.body }
 
 (* The all-pairs subsumption sweep, the one subsumption step (exposed
    for benchmarking): it drops every rewriting contained in another, and
@@ -230,27 +341,24 @@ let search exec catalog (q : Query.t) =
      histories). Breadth-first order makes the first visit the
      shortest-path one, so its history is the most permissive in
      practice — this is the aggressive Piazza heuristic. *)
-  let goal_memo : (string, unit) Hashtbl.t = Hashtbl.create 256 in
+  let goal_memo = Memo.create 256 in
   let seen node =
-    let key = canonical node in
-    Hashtbl.mem goal_memo key
+    let key = Key.of_node node in
+    Memo.mem goal_memo key
     || begin
-         Hashtbl.replace goal_memo key ();
+         Memo.add goal_memo key ();
          false
        end
   in
-  let fresh_counter = ref 0 in
-  let fresh () =
-    incr fresh_counter;
-    Printf.sprintf "~g%d" !fresh_counter
-  in
+  (* Each unfolding names its free rule variables with the next
+     [~g<n>] suffix, whether or not the rule's head unifies. *)
+  let unfoldings = ref 0 in
   let emit c =
     let c = Minimize.remove_duplicate_atoms c in
     let c = if pruning.Exec.use_minimize then Minimize.minimize c else c in
     emitted := c :: !emitted;
     incr emitted_count
   in
-  let is_pending g = not (Catalog.is_stored catalog g.atom.Atom.pred) in
   let queue : (node * int) Queue.t = Queue.create () in
   (* A complete node is queued for emission without a memo check. *)
   let push node depth =
@@ -258,14 +366,14 @@ let search exec catalog (q : Query.t) =
     if depth > pruning.Exec.max_depth then incr pruned_depth
     else if
       pruning.Exec.use_goal_memo
-      && List.exists is_pending node.body
+      && List.exists (fun g -> g.pending) node.body
       && seen node
     then incr pruned_visited
     else Queue.add (node, depth) queue
   in
   let process node depth =
     incr nodes_expanded;
-    let pending = List.filter is_pending node.body in
+    let pending = List.filter (fun g -> g.pending) node.body in
     if pending = [] then emit (plain node)
     else begin
       (* Step 1: GAV — unfold the first pending atom that has rules
@@ -279,19 +387,22 @@ let search exec catalog (q : Query.t) =
       in
       match gav with
       | Some goal ->
-          List.iter
-            (fun (mid, rule) ->
+          Catalog.iter_rules catalog goal.atom.Atom.pred (fun rule ->
               let blocked =
                 pruning.Exec.use_history
                 &&
-                match mid with Some id -> Iset.mem id goal.hist | None -> false
+                match rule.Catalog.id with
+                | Some id -> Iset.mem id goal.hist
+                | None -> false
               in
               if blocked then incr pruned_history
-              else
-                match expand_goal ~fresh node goal mid rule with
+              else begin
+                incr unfoldings;
+                let suffix = "~g" ^ string_of_int !unfoldings in
+                match expand_goal catalog ~suffix node goal rule with
                 | None -> ()
-                | Some node' -> push node' (depth + 1))
-            (Catalog.rules_for catalog goal.atom.Atom.pred);
+                | Some node' -> push node' (depth + 1)
+              end);
           (* The rules define the atom's relation only in part when some
              view reads it too (its own storage, an inclusion or equality
              into it): one more child leaves the atom to MiniCon. *)
@@ -307,57 +418,55 @@ let search exec catalog (q : Query.t) =
               (depth + 1)
       | None ->
           (* Step 2: LAV — answer the whole query with the catalog's
-             views (MiniCon); identity views carry stored atoms through
-             unchanged. View atoms inherit the union of the pending
-             atoms' histories (conservative). *)
+             views that read one of its predicates (MiniCon); identity
+             views carry stored atoms through unchanged. View atoms
+             inherit the union of the pending atoms' histories
+             (conservative). History skips every view of a mapping
+             already on that path: [pruned_history] counts them all,
+             read or not. *)
           incr lav_invocations;
           let union_hist =
             List.fold_left (fun acc g -> Iset.union acc g.hist) Iset.empty pending
           in
-          let usable_views =
+          let blocked id = pruning.Exec.use_history && Iset.mem id union_hist in
+          if pruning.Exec.use_history then
+            Iset.iter
+              (fun id ->
+                pruned_history := !pruned_history + Catalog.view_count catalog id)
+              union_hist;
+          let query = plain node in
+          let views =
             List.filter_map
-              (fun (mid, view) ->
-                match mid with
-                | Some id
-                  when pruning.Exec.use_history && Iset.mem id union_hist ->
-                    incr pruned_history;
-                    None
-                | Some _ | None -> Some view)
-              (Catalog.views catalog)
+              (fun (v : Catalog.artifact) ->
+                match v.Catalog.id with
+                | Some id when blocked id -> None
+                | Some _ | None -> Some v.Catalog.template)
+              (Catalog.views_reading catalog (Query.body_preds query))
           in
           let id_views =
             node.body
             |> List.filter_map (fun g ->
-                   if is_pending g then None
+                   if g.pending then None
                    else Some (g.atom.Atom.pred, Atom.arity g.atom))
             |> List.sort_uniq compare
-            |> List.map (fun (p, n) -> identity_view p n)
+            |> List.map (fun (p, arity) -> Catalog.identity_view catalog p ~arity)
           in
           let rewritings, _ =
-            Rewrite.Minicon.rewrite ~views:(usable_views @ id_views) (plain node)
+            Rewrite.Minicon.rewrite_prepared ~views:(views @ id_views) query
           in
           List.iter
             (fun (r : Query.t) ->
               push
                 {
                   head = r.Query.head;
-                  body =
-                    List.map
-                      (fun atom -> { atom; hist = union_hist; lav_only = false })
-                      r.Query.body;
+                  body = List.map (goal_of catalog union_hist) r.Query.body;
                 }
                 (depth + 1))
             rewritings
     end
   in
   push
-    {
-      head = q.Query.head;
-      body =
-        List.map
-          (fun atom -> { atom; hist = Iset.empty; lav_only = false })
-          q.Query.body;
-    }
+    { head = q.Query.head; body = List.map (goal_of catalog Iset.empty) q.Query.body }
     0;
   while
     (not (Queue.is_empty queue)) && !emitted_count < pruning.Exec.max_rewritings

@@ -31,6 +31,13 @@ type stats = {
   nodes_expanded : int;
   emitted : int;  (** the length of [rewritings] *)
   pruned_history : int;
+      (** rules and views a mapping already on the derivation path
+          blocks: each GAV rule skipped, and at each LAV step every
+          catalog view of every mapping in the pending atoms' union
+          history. A LAV step reads only the views indexed under its
+          node's predicates, but still counts each blocked mapping's
+          full view count ({!Catalog.view_count}), so the count is the
+          one a scan of every view would make. *)
   pruned_visited : int;  (** nodes the goal memo dropped *)
   pruned_subsumed : int;
       (** rewritings the sweep dropped: emissions minus survivors *)

@@ -33,17 +33,6 @@ let float_literal f =
     let s = Printf.sprintf "%.15g" f in
     if float_of_string s = f then s else Printf.sprintf "%.17g" f
 
-let add_key buf = function
-  | Null -> Buffer.add_char buf 'n'
-  | Bool b -> Buffer.add_string buf (if b then "bt" else "bf")
-  | Int i ->
-      Buffer.add_char buf 'i';
-      Buffer.add_string buf (string_of_int i)
-  | Float f -> Printf.bprintf buf "f%h" f
-  | Str s ->
-      Printf.bprintf buf "s%d:" (String.length s);
-      Buffer.add_string buf s
-
 (* Whether [s], lowercased and with every ['_'] dropped, starts with
    [word]: how [float_of_string] reads [s] when it starts with a
    letter. *)

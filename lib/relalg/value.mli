@@ -21,12 +21,6 @@ val float_literal : float -> string
 (** A rendering of the float that {!of_string} reads back as the same
     [Float] (bit for bit, except that every NaN reads back as NaN). *)
 
-val add_key : Buffer.t -> t -> unit
-(** Append a type-exact rendering for string keys: unlike {!to_string}
-    it tags the type (so [Int 1], [Float 1.] and [Str "1"] differ),
-    writes floats exactly, and length-prefixes strings (so a string
-    cannot run into what follows it). *)
-
 val of_string : string -> t
 (** Best-effort parse: int, then float, then bool, else string.  A
     field starting with a letter is offered only to the conversions

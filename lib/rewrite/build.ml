@@ -1,129 +1,164 @@
 open Cq
 
+(* A view head argument in the rewriting: a constant, the query slot
+   that exposes it, or a fresh variable. *)
+type out = Fixed of Term.t | Exposed of int | Fresh
+
 type piece = {
-  view : Query.t;
-  state : Cover.state;
-  images : (string * Term.t) list;
-  equated : (string * string list) list;
+  view : Cover.template;
+  images : (int * Cover.bound) list;
+      (* the query slots occurring in the covered subgoals, sorted by
+         name, each with its image under the state *)
+  equated : (int * int list) list;  (* see [equated_of] *)
+  args : out list;  (* the view head's arguments *)
 }
 
-(* Query variables mapped to the same distinguished view variable by
-   one piece are equated in the rewriting: each group as its first
-   member and the rest it is united with. The unions run in this
-   (hashtable) order, which picks each class's representative, i.e.
-   the variable name the rewriting uses. *)
+(* Query slots mapped to the same view slot by one piece are equated in
+   the rewriting: each group as its last member by name and the others,
+   groups in the order their view slots first occur. The unions run in
+   this order, which picks each class's representative, i.e. the
+   variable name the rewriting uses. Most pieces equate nothing, which
+   the first scan finds without allocating. *)
 let equated_of images =
-  let by_image = Hashtbl.create 8 in
-  List.iter
-    (fun (x, image) ->
-      match image with
-      | Term.Var v when not (String.equal v x) ->
-          let group = Option.value ~default:[] (Hashtbl.find_opt by_image v) in
-          Hashtbl.replace by_image v (x :: group)
-      | Term.Var _ | Term.Const _ -> ())
-    images;
-  Hashtbl.fold
-    (fun _ group acc ->
-      match group with [] | [ _ ] -> acc | x :: rest -> (x, rest) :: acc)
-    by_image []
-  |> List.rev
-
-let piece ~view ~state ~covered ~query =
-  let body = Array.of_list query.Query.body in
-  let qvars =
-    List.concat_map (fun i -> Atom.vars body.(i)) covered
-    |> List.sort_uniq String.compare
+  let rec shares = function
+    | [] -> false
+    | (_, Cover.To v) :: rest ->
+        List.exists (function _, Cover.To w -> v = w | _ -> false) rest
+        || shares rest
+    | _ :: rest -> shares rest
   in
-  let images = List.map (fun x -> (x, Cover.image state x)) qvars in
-  { view; state; images; equated = equated_of images }
+  if not (shares images) then []
+  else
+    List.fold_left
+      (fun groups (x, image) ->
+        match image with
+        | Cover.To v when List.mem_assoc v groups ->
+            List.map (fun (w, xs) -> if v = w then (w, x :: xs) else (w, xs)) groups
+        | Cover.To v -> groups @ [ (v, [ x ]) ]
+        | Cover.Free | Cover.Is _ -> groups)
+      [] images
+    |> List.filter_map (function
+         | _, x :: (_ :: _ as rest) -> Some (x, rest)
+         | _ -> None)
+
+let rec occurs_in (args : Cover.arg array) x k =
+  k < Array.length args
+  && ((match args.(k) with Cover.Slot y -> x = y | Cover.Lit _ -> false)
+     || occurs_in args x (k + 1))
+
+(* The covered query slot exposing view slot [v]: the first one whose
+   image it is. *)
+let rec exposing v = function
+  | [] -> Fresh
+  | (x, Cover.To v') :: _ when v = v' -> Exposed x
+  | _ :: rest -> exposing v rest
+
+let piece ~(view : Cover.template) ~state ~covered ~(query : Cover.template) =
+  let by_name = query.Cover.by_name in
+  let images = ref [] in
+  for k = Array.length by_name - 1 downto 0 do
+    let x = by_name.(k) in
+    if List.exists (fun i -> occurs_in query.Cover.body.(i).Cover.args x 0) covered
+    then images := (x, Cover.image state x) :: !images
+  done;
+  let images = !images in
+  let head = view.Cover.head.Cover.args in
+  let args = ref [] in
+  for k = Array.length head - 1 downto 0 do
+    let arg =
+      match Cover.resolve state head.(k) with
+      | Cover.Is c -> Fixed (Term.Const c)
+      | Cover.To v -> exposing v images
+      | Cover.Free -> assert false
+    in
+    args := arg :: !args
+  done;
+  { view; images; equated = equated_of images; args = !args }
 
 exception Conflict
 
-let assemble ~fresh (q : Query.t) pieces =
-  (* A union-find only when some piece equates variables; otherwise
-     every variable is its own representative. *)
-  let repr =
-    if List.for_all (fun p -> p.equated = []) pieces then Fun.id
+(* The representative of each query slot once every piece's equated
+   groups are united: union by rank, the first argument's root winning
+   a tie. *)
+let representatives n pieces =
+  let parent = Array.init n Fun.id and rank = Array.make n 0 in
+  let rec find x =
+    if parent.(x) = x then x
     else begin
-      let uf = Util.Union_find.create () in
-      List.iter
-        (fun p ->
-          List.iter
-            (fun (x, rest) -> List.iter (Util.Union_find.union uf x) rest)
-            p.equated)
-        pieces;
-      Util.Union_find.find uf
+      let root = find parent.(x) in
+      parent.(x) <- root;
+      root
     end
   in
-  (* Rewriting-side term for each (representative) query variable, as
-     an association list (a later binding shadows an earlier one): it
-     holds a handful of variables. *)
-  let global = ref [] in
-  let lookup key =
-    List.find_map
-      (fun (k, t) -> if String.equal k key then Some t else None)
-      !global
+  let union a b =
+    let ra = find a and rb = find b in
+    if ra <> rb then
+      if rank.(ra) < rank.(rb) then parent.(ra) <- rb
+      else if rank.(ra) > rank.(rb) then parent.(rb) <- ra
+      else begin
+        parent.(rb) <- ra;
+        rank.(ra) <- rank.(ra) + 1
+      end
+  in
+  List.iter
+    (fun p -> List.iter (fun (x, rest) -> List.iter (union x) rest) p.equated)
+    pieces;
+  find
+
+(* Fill [global], the rewriting-side term of each (representative)
+   query slot, from the pieces' images: a constant, or the slot's own
+   variable when it maps to a distinguished view variable. Raises
+   [Conflict] on two constants for one slot. *)
+let rec bind_images (q : Cover.template) repr global (p : piece) = function
+  | [] -> ()
+  | (x, image) :: rest ->
+      let key = repr x in
+      (match image with
+      | Cover.Is c -> (
+          match global.(key) with
+          | Some (Term.Const c') when not (Relalg.Value.equal c c') -> raise Conflict
+          | Some (Term.Const _) -> ()
+          | Some (Term.Var _) | None -> global.(key) <- Some (Term.Const c))
+      | Cover.To v ->
+          if p.view.Cover.distinguished.(v) && Option.is_none global.(key) then
+            global.(key) <- Some q.Cover.vars.(key)
+      | Cover.Free -> ());
+      bind_images q repr global p rest
+
+let assemble ~fresh (q : Cover.template) pieces =
+  let n = Array.length q.Cover.vars in
+  (* Representatives only when some piece equates slots; otherwise
+     every slot is its own. *)
+  let repr =
+    if List.for_all (fun p -> p.equated = []) pieces then Fun.id
+    else representatives n pieces
+  in
+  let global = Array.make n None in
+  let term_of = function
+    | Fixed t -> t
+    | Exposed x -> (
+        let x = repr x in
+        match global.(x) with Some t -> t | None -> q.Cover.vars.(x))
+    | Fresh -> Term.Var (fresh ())
   in
   try
-    List.iter
-      (fun p ->
-        List.iter
-          (fun (x, image) ->
-            let key = repr x in
-            match image with
-            | Term.Const c -> (
-                match lookup key with
-                | Some (Term.Const c') when not (Relalg.Value.equal c c') ->
-                    raise Conflict
-                | Some (Term.Const _) -> ()
-                | Some (Term.Var _) | None ->
-                    global := (key, Term.Const c) :: !global)
-            | Term.Var v ->
-                if
-                  (not (String.equal v x))
-                  && Query.is_distinguished p.view v
-                  && Option.is_none (lookup key)
-                then global := (key, Term.Var key) :: !global)
-          p.images)
-      pieces;
-    let atom_of_piece p =
-      (* The covered query variable exposing distinguished view var [v]:
-         the first one whose image it is. *)
-      let exposing v =
-        List.find_map
-          (fun (x, image) ->
-            match image with
-            | Term.Var v' when String.equal v' v && not (String.equal v x) -> Some x
-            | Term.Var _ | Term.Const _ -> None)
-          p.images
-      in
-      let args =
-        List.map
-          (fun head_arg ->
-            match Subst.walk p.state head_arg with
-            | Term.Const c -> Term.Const c
-            | Term.Var v -> (
-                match exposing v with
-                | Some x -> (
-                    match lookup (repr x) with
-                    | Some t -> t
-                    | None -> Term.Var (repr x))
-                | None -> Term.Var (fresh ())))
-          p.view.Query.head.Atom.args
-      in
-      Atom.make p.view.Query.head.Atom.pred args
-    in
-    let body = List.map atom_of_piece pieces in
-    let head_args =
+    List.iter (fun p -> bind_images q repr global p p.images) pieces;
+    let body =
       List.map
-        (fun t ->
-          match t with
-          | Term.Const _ -> t
-          | Term.Var x -> (
-              match lookup (repr x) with
+        (fun p -> Atom.make p.view.Cover.head.Cover.pred (List.map term_of p.args))
+        pieces
+    in
+    let source = q.Cover.query.Query.head in
+    let head_args =
+      List.mapi
+        (fun i t ->
+          match q.Cover.head.Cover.args.(i) with
+          | Cover.Lit _ -> t
+          | Cover.Slot x -> (
+              match global.(repr x) with
               | Some t -> t
               | None -> raise Conflict (* head variable not exposed *)))
-        q.Query.head.Atom.args
+        source.Atom.args
     in
-    Some { Query.head = Atom.make q.Query.head.Atom.pred head_args; body }
+    Some { Query.head = Atom.make source.Atom.pred head_args; body }
   with Conflict -> None

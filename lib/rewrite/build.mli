@@ -6,24 +6,17 @@
     conjunctive query over the view predicates whose head is the
     original query head. *)
 
-type piece = {
-  view : Cq.Query.t;  (** freshened view (head predicate = view name) *)
-  state : Cover.state;
-  images : (string * Cq.Term.t) list;
-      (** the query variables occurring in the covered subgoals, sorted,
-          each with its {!Cover.image} under [state] *)
-  equated : (string * string list) list;
-      (** query variables the rewriting must equate, because [state]
-          maps them to one distinguished view variable: each group as
-          its first member and the rest *)
-}
+type piece
+(** One view's cover of some subgoals: the view, the images of the
+    covered query slots, the slots the rewriting must equate (because
+    the state maps them to one view slot), and the view head's
+    arguments as the rewriting will write them. *)
 
-val piece : view:Cq.Query.t -> state:Cover.state -> covered:int list
-  -> query:Cq.Query.t -> piece
-(** The piece covering subgoals [covered] (indices into [query]'s body);
-    computes [images] and [equated]. *)
+val piece : view:Cover.template -> state:Cover.state -> covered:int list
+  -> query:Cover.template -> piece
+(** The piece covering subgoals [covered] (indices into [query]'s body). *)
 
-val assemble : fresh:(unit -> string) -> Cq.Query.t -> piece list -> Cq.Query.t option
+val assemble : fresh:(unit -> string) -> Cover.template -> piece list -> Cq.Query.t option
 (** [assemble ~fresh q pieces] builds the rewriting, or [None] when the
     pieces impose conflicting constant constraints or fail to expose a
     distinguished variable of [q]. *)

@@ -2,32 +2,58 @@
     MiniCon and of the Bucket baseline in the tests' reference
     library.
 
-    A cover state is a single substitution over two disjoint variable
-    namespaces: query variables map to view terms, and view variables map
+    Both sides are {!template}s: conjunctive queries compiled once, with
+    each variable numbered as a slot. A view is compiled when it enters
+    a catalog, a query once per rewriting call. Since the two sides
+    number their variables apart, no view needs renaming away from the
+    query. A cover state binds query slots to view terms, and view slots
     to view terms or constants (recording head-homomorphism equalities
-    and constant constraints). Callers must ensure the namespaces are
-    disjoint, e.g. via {!prepare_views}. *)
+    and constant constraints). *)
 
-type state = Cq.Subst.t
+type arg = Slot of int | Lit of Relalg.Value.t
 
-val empty : state
+type catom = { pred : string; args : arg array }
 
-val prepare_views : query:Cq.Query.t -> Cq.Query.t list -> Cq.Query.t list
-(** The views sharing a body predicate with [query], each freshened with
-    a suffix unique to its position in the input list, so its variables
-    cannot collide with query variables or other views'. A dropped view
-    could cover no subgoal of [query]. *)
+(** What a term is bound to: nothing yet, a view slot (walked to its
+    representative by {!image}), or a constant. *)
+type bound = Free | To of int | Is of Relalg.Value.t
 
-val match_subgoal :
-  view:Cq.Query.t -> state -> Cq.Atom.t -> Cq.Atom.t -> state option
-(** [match_subgoal ~view st g b] extends [st] so that query subgoal [g]
-    is covered by view body atom [b]. Fails when it would require
-    equating existential view variables or binding an existential view
-    variable to a constant. *)
+type template = {
+  query : Cq.Query.t;  (** the query as compiled *)
+  head : catom;
+  body : catom array;
+  vars : Cq.Term.t array;
+      (** slot [i]'s variable, as it occurs in [query]; slots are
+          numbered in first-occurrence order, head first *)
+  distinguished : bool array;  (** does slot [i] occur in the head? *)
+  by_name : int array;  (** the slots, sorted by variable name *)
+}
 
-val image : state -> string -> Cq.Term.t
-(** [image st x] is the (walked) view-side image of query variable [x];
-    [Var x] itself if unbound. *)
+val compile : Cq.Query.t -> template
 
-val maps_to_existential : view:Cq.Query.t -> state -> string -> bool
-(** Does query variable [x] map to an existential variable of [view]? *)
+val name : template -> int -> string
+(** The variable name of a slot. *)
+
+type state
+
+val start : query:template -> view:template -> state
+(** The empty cover state of [query] against [view]. *)
+
+val match_subgoal : view:template -> state -> catom -> catom -> state option
+(** [match_subgoal ~view st g b] extends a copy of [st] so that query
+    subgoal [g] is covered by view body atom [b] ([st] itself is left
+    as it was). Fails when it would require equating existential view
+    variables or binding an existential view variable to a constant. *)
+
+val image : state -> int -> bound
+(** The walked view-side image of a query slot: [Free] if unbound. *)
+
+val maps_to_existential : view:template -> state -> int -> bool
+(** Does the query slot map to an existential slot of [view]? *)
+
+val same : state -> state -> bool
+(** Do the two states bind the same slots to the same walked terms? *)
+
+val resolve : state -> arg -> bound
+(** A view term under the state: a slot walked to its representative,
+    or the constant. *)

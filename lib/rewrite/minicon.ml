@@ -12,82 +12,112 @@ module Iset = Set.Make (Int)
    subgoals it covers. *)
 type mcd = { piece : Build.piece; cover : Iset.t }
 
-(* All MCDs of [view] for query [q], whose body atoms and their
-   variables are [body] and [body_vars]. Each MCD starts from one
-   (subgoal, view-atom) seed and is closed under the forced-coverage
-   rule: a query variable mapped to an existential view variable drags
-   every subgoal mentioning it into the MCD. *)
-let mcds_of_view (q : Query.t) ~body ~body_vars view =
-  let n = Array.length body in
-  let head_vars = Query.head_vars q in
-  let subgoals_with x =
-    List.filter (fun j -> List.mem x body_vars.(j)) (List.init n Fun.id)
-  in
-  let results = ref [] in
-  (* Returns the subgoals forced by the variables of subgoal [j], or None
-     when a distinguished query variable maps to an existential view
-     variable (condition C1 of MiniCon). *)
-  let forced_by st j =
-    List.fold_left
-      (fun acc x ->
-        match acc with
-        | None -> None
-        | Some forced ->
-            if Cover.maps_to_existential ~view st x then
-              if List.mem x head_vars then None
-              else Some (subgoals_with x @ forced)
-            else Some forced)
-      (Some []) body_vars.(j)
-  in
-  let rec close st covered = function
-    | [] -> results := (st, covered) :: !results
-    | j :: rest when Iset.mem j covered -> close st covered rest
-    | j :: rest ->
-        List.iter
-          (fun b ->
-            match Cover.match_subgoal ~view st body.(j) b with
-            | None -> ()
-            | Some st' -> (
-                match forced_by st' j with
-                | None -> ()
-                | Some forced -> close st' (Iset.add j covered) (forced @ rest)))
-          view.Query.body
-  in
-  (* Seed from every subgoal; dedupe solutions afterwards. *)
-  for i = 0 to n - 1 do
-    close Cover.empty Iset.empty [ i ]
-  done;
-  (* Structural key: the covered subgoals plus every binding resolved
-     to its final term (constants compare by type and value). *)
-  let canonical (st, covered) =
-    ( Iset.elements covered,
-      List.map (fun (x, t) -> (x, Subst.walk st t)) (Subst.bindings st) )
-  in
-  let seen = Hashtbl.create 16 in
-  List.filter_map
-    (fun (st, covered) ->
-      let key = canonical (st, covered) in
-      if Hashtbl.mem seen key then None
-      else begin
-        Hashtbl.replace seen key ();
-        let piece =
-          Build.piece ~view ~state:st ~covered:(Iset.elements covered) ~query:q
-        in
-        Some { piece; cover = covered }
-      end)
-    !results
+(* The distinct slots of an atom, in first-occurrence order. *)
+let atom_slots (a : Cover.catom) =
+  Array.fold_left
+    (fun acc -> function
+      | Cover.Slot x when not (List.mem x acc) -> x :: acc
+      | Cover.Slot _ | Cover.Lit _ -> acc)
+    [] a.Cover.args
+  |> List.rev
 
-let rewrite ~views (q : Query.t) =
-  let views = Cover.prepare_views ~query:q views in
-  let body = Array.of_list q.Query.body in
-  let body_vars = Array.map Atom.vars body in
-  let mcds = List.concat_map (mcds_of_view q ~body ~body_vars) views in
+(* The subgoals mentioning query slot [x], in order. *)
+let subgoals_with atom_vars x =
+  let acc = ref [] in
+  for j = Array.length atom_vars - 1 downto 0 do
+    if List.mem x atom_vars.(j) then acc := j :: !acc
+  done;
+  !acc
+
+(* The subgoals forced by slots [xs] under [st], consed onto [acc]
+   (each slot's in front of the previous ones'); raises [Exit] when a
+   distinguished query variable maps to an existential view variable
+   (condition C1 of MiniCon). *)
+let rec forced ~view (q : Cover.template) atom_vars st acc = function
+  | [] -> acc
+  | x :: xs ->
+      if Cover.maps_to_existential ~view st x then
+        if q.Cover.distinguished.(x) then raise Exit
+        else forced ~view q atom_vars st (subgoals_with atom_vars x @ acc) xs
+      else forced ~view q atom_vars st acc xs
+
+(* Close a partial MCD under the forced-coverage rule: a query variable
+   mapped to an existential view variable drags every subgoal
+   mentioning it into the MCD. Each complete solution is consed onto
+   [results], in search order. *)
+let rec close ~view (q : Cover.template) atom_vars results st covered = function
+  | [] -> (st, covered) :: results
+  | j :: rest when Iset.mem j covered -> close ~view q atom_vars results st covered rest
+  | j :: rest ->
+      let results = ref results in
+      Array.iter
+        (fun b ->
+          match Cover.match_subgoal ~view st q.Cover.body.(j) b with
+          | None -> ()
+          | Some st' -> (
+              match forced ~view q atom_vars st' [] atom_vars.(j) @ rest with
+              | exception Exit -> ()
+              | pending ->
+                  results :=
+                    close ~view q atom_vars !results st' (Iset.add j covered) pending))
+        view.Cover.body;
+      !results
+
+(* Two solutions are one MCD when they cover the same subgoals and bind
+   every slot alike (constants compare by type and value); the first in
+   [results] order stands. *)
+let rec distinct kept = function
+  | [] -> List.rev kept
+  | ((st, covered) as r) :: rest ->
+      if
+        List.exists
+          (fun (st', covered') -> Iset.equal covered covered' && Cover.same st st')
+          kept
+      then distinct kept rest
+      else distinct (r :: kept) rest
+
+(* The MCDs of [view] for query [q], whose subgoals' slots are
+   [atom_vars], consed in front of [acc]. Each MCD starts from one
+   (subgoal, view-atom) seed, newest solution first. *)
+let mcds_of_view (q : Cover.template) atom_vars (view : Cover.template) acc =
+  let empty = Cover.start ~query:q ~view in
+  let results = ref [] in
+  for i = 0 to Array.length q.Cover.body - 1 do
+    results := close ~view q atom_vars !results empty Iset.empty [ i ]
+  done;
+  let solutions =
+    match !results with ([] | [ _ ]) as one -> one | all -> distinct [] all
+  in
+  List.fold_right
+    (fun (st, covered) acc ->
+      let piece =
+        Build.piece ~view ~state:st ~covered:(Iset.elements covered) ~query:q
+      in
+      { piece; cover = covered } :: acc)
+    solutions acc
+
+(* The largest [n] of a variable named [~f<n>] in [q]: the query of a
+   later search step can hold names an earlier step made. *)
+let fresh_floor (q : Cover.template) =
+  Array.fold_left
+    (fun acc -> function
+      | Term.Var x when String.length x > 2 && x.[0] = '~' && x.[1] = 'f' -> (
+          match int_of_string_opt (String.sub x 2 (String.length x - 2)) with
+          | Some k when k > acc -> k
+          | Some _ | None -> acc)
+      | Term.Var _ | Term.Const _ -> acc)
+    0 q.Cover.vars
+
+let rewrite_prepared ~views (q : Query.t) =
+  let cq = Cover.compile q in
+  let atom_vars = Array.map atom_slots cq.Cover.body in
+  let mcds = List.fold_right (mcds_of_view cq atom_vars) views [] in
   let n = Query.size q in
   let full = Iset.of_list (List.init n Fun.id) in
-  let counter = ref 0 in
+  let counter = ref (fresh_floor cq) in
   let fresh () =
     incr counter;
-    Printf.sprintf "~f%d" !counter
+    "~f" ^ string_of_int !counter
   in
   let combinations = ref 0 in
   let rewritings = ref [] in
@@ -95,7 +125,7 @@ let rewrite ~views (q : Query.t) =
   let rec combine covered chosen =
     if Iset.equal covered full then begin
       incr combinations;
-      match Build.assemble ~fresh q (List.rev chosen) with
+      match Build.assemble ~fresh cq (List.rev chosen) with
       | Some r -> rewritings := Minimize.remove_duplicate_atoms r :: !rewritings
       | None -> ()
     end
@@ -108,23 +138,30 @@ let rewrite ~views (q : Query.t) =
         mcds
   in
   if n > 0 then combine Iset.empty [];
-  (* Syntactic dedupe on sorted bodies, hash-set backed on the queries
-     themselves: first occurrence wins, linear in the number of
-     rewritings. *)
-  let normalize (r : Query.t) =
-    { r with Query.body = List.sort Atom.compare r.Query.body }
-  in
-  let seen_rewriting = Hashtbl.create 32 in
+  (* Syntactic dedupe on sorted bodies: first occurrence wins. The
+     rewritings are sorted stably by body, then head, so each run of
+     equal ones starts with its first occurrence: O(r log r)
+     comparisons, no hashing. *)
   let deduped =
-    List.filter
-      (fun r ->
-        let nkey = normalize r in
-        if Hashtbl.mem seen_rewriting nkey then false
-        else begin
-          Hashtbl.replace seen_rewriting nkey ();
-          true
-        end)
-      !rewritings
+    match !rewritings with
+    | ([] | [ _ ]) as one -> one
+    | all ->
+        let arr = Array.of_list all in
+        let bodies =
+          Array.map (fun (r : Query.t) -> List.sort Atom.compare r.Query.body) arr
+        in
+        let compare i j =
+          match List.compare Atom.compare bodies.(i) bodies.(j) with
+          | 0 -> Atom.compare arr.(i).Query.head arr.(j).Query.head
+          | c -> c
+        in
+        let order = Array.init (Array.length arr) Fun.id in
+        Array.stable_sort compare order;
+        let repeat = Array.make (Array.length arr) false in
+        for k = 1 to Array.length order - 1 do
+          if compare order.(k - 1) order.(k) = 0 then repeat.(order.(k)) <- true
+        done;
+        List.filteri (fun i _ -> not repeat.(i)) all
   in
   ( deduped,
     {
@@ -132,3 +169,16 @@ let rewrite ~views (q : Query.t) =
       combinations_tried = !combinations;
       rewritings_produced = List.length deduped;
     } )
+
+(* Only views sharing a body predicate with [q] can cover a subgoal. *)
+let rewrite ~views (q : Query.t) =
+  let preds = Query.body_preds q in
+  let relevant (v : Query.t) =
+    List.exists (fun (b : Atom.t) -> List.mem b.Atom.pred preds) v.Query.body
+  in
+  rewrite_prepared
+    ~views:
+      (List.filter_map
+         (fun v -> if relevant v then Some (Cover.compile v) else None)
+         views)
+    q

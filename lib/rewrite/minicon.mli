@@ -16,5 +16,14 @@ type stats = {
 
 val rewrite : views:Cq.Query.t list -> Cq.Query.t -> Cq.Query.t list * stats
 (** [rewrite ~views q] returns contained rewritings of [q] over the view
-    predicates. View heads must use distinct predicate names from base
-    relations. *)
+    predicates: {!rewrite_prepared} over the views that share a body
+    predicate with [q], each compiled for the call. View heads must use
+    distinct predicate names from base relations. *)
+
+val rewrite_prepared :
+  views:Cover.template list -> Cq.Query.t -> Cq.Query.t list * stats
+(** The same over views compiled once ({!Cover.compile}), in order. A
+    view sharing no body predicate with [q] forms no MCD. Fresh
+    variables are named [~f<n>], numbered past every [~f<n>] already in
+    [q], so a rewriting of a query that itself came from MiniCon never
+    equates an old existential with a new one. *)

@@ -8,38 +8,48 @@ type stats = {
   truncated : bool;
 }
 
-type entry = { view : Query.t; state : Cover.state }
+type entry = { view : Cover.template; state : Cover.state }
 
-(* A view enters subgoal [g]'s bucket when some view body atom matches
-   [g] and every distinguished query variable of [g] maps to a
+(* A view enters subgoal [i]'s bucket when some view body atom matches
+   it and every distinguished query variable of the subgoal maps to a
    distinguished view variable or a constant. Unlike MiniCon, no
    closure over existential variables is performed — that laxity is
    exactly what the validation step later pays for. *)
-let bucket_for (q : Query.t) views (g : Atom.t) =
-  let head_vars = Query.head_vars q in
+let bucket_for (q : Cover.template) views i =
+  let g = q.Cover.body.(i) in
   List.concat_map
-    (fun view ->
+    (fun (view : Cover.template) ->
+      let empty = Cover.start ~query:q ~view in
       List.filter_map
         (fun b ->
-          match Cover.match_subgoal ~view Cover.empty g b with
+          match Cover.match_subgoal ~view empty g b with
           | None -> None
           | Some st ->
               let ok =
-                List.for_all
-                  (fun x ->
-                    (not (List.mem x head_vars))
-                    || not (Cover.maps_to_existential ~view st x))
-                  (Atom.vars g)
+                Array.for_all
+                  (function
+                    | Cover.Slot x ->
+                        (not q.Cover.distinguished.(x))
+                        || not (Cover.maps_to_existential ~view st x)
+                    | Cover.Lit _ -> true)
+                  g.Cover.args
               in
               if ok then Some { view; state = st } else None)
-        view.Query.body)
+        (Array.to_list view.Cover.body))
     views
 
 let rewrite ?(max_candidates = 200_000) ~views (q : Query.t) =
-  let views = Cover.prepare_views ~query:q views in
-  let body = Array.of_list q.Query.body in
-  let n = Array.length body in
-  let buckets = Array.init n (fun i -> bucket_for q views body.(i)) in
+  let preds = Query.body_preds q in
+  let views =
+    List.filter
+      (fun (v : Query.t) ->
+        List.exists (fun (b : Atom.t) -> List.mem b.Atom.pred preds) v.Query.body)
+      views
+  in
+  let cq = Cover.compile q in
+  let templates = List.map Cover.compile views in
+  let n = Array.length cq.Cover.body in
+  let buckets = Array.init n (bucket_for cq templates) in
   let bucket_sizes = Array.to_list (Array.map List.length buckets) in
   let counter = ref 0 in
   let fresh () =
@@ -59,10 +69,10 @@ let rewrite ?(max_candidates = 200_000) ~views (q : Query.t) =
           (List.mapi
              (fun k e ->
                Build.piece ~view:e.view ~state:e.state
-                 ~covered:[ n - 1 - k ] ~query:q)
+                 ~covered:[ n - 1 - k ] ~query:cq)
              chosen)
       in
-      match Build.assemble ~fresh q pieces with
+      match Build.assemble ~fresh cq pieces with
       | None -> ()
       | Some candidate ->
           if Expansion.is_contained_rewriting ~views candidate q then

@@ -145,6 +145,17 @@ let stats_scan rel =
     distinct = Array.map Hashtbl.length seen;
   }
 
+let add_value_key buf = function
+  | Relalg.Value.Null -> Buffer.add_char buf 'n'
+  | Relalg.Value.Bool b -> Buffer.add_string buf (if b then "bt" else "bf")
+  | Relalg.Value.Int i ->
+      Buffer.add_char buf 'i';
+      Buffer.add_string buf (string_of_int i)
+  | Relalg.Value.Float f -> Printf.bprintf buf "f%h" f
+  | Relalg.Value.Str s ->
+      Printf.bprintf buf "s%d:" (String.length s);
+      Buffer.add_string buf s
+
 (* ------------------------------------------------------------------ *)
 (* Restart readers written the straightforward way: every conversion
    tried in turn, fields cut into substrings, rows removed from a

@@ -72,6 +72,12 @@ val stats_scan : Relalg.Relation.t -> Relalg.Stats.t
     the relation, with no cache: what {!Relalg.Stats.of_relation}
     returns, recomputed every call. *)
 
+val add_value_key : Buffer.t -> Relalg.Value.t -> unit
+(** Append a type-exact rendering of the value, for digests: unlike
+    {!Relalg.Value.to_string} it tags the type (so [Int 1], [Float 1.]
+    and [Str "1"] differ), writes floats exactly, and length-prefixes
+    strings (so a string cannot run into what follows it). *)
+
 (** {2 Restart readers}
 
     The library's versions read fields without raising, copying or

@@ -126,6 +126,53 @@ let test_definitional_keeps_other_sources () =
     (P.Answer.answers_list
        (P.Answer.answer catalog (q (atom "ans" xy) [ P.Peer.atom b "rel" xy ])))
 
+(* Two LAV steps on one path, each leaving an existential: the second
+   step's fresh name must not reuse the first's [~f1], or the rewriting
+   equates two unrelated variables (here [s.z]'s and [s.y]'s) and finds
+   no answer. *)
+let test_fresh_names_across_lav_steps () =
+  let catalog = P.Catalog.create () in
+  let peer name schema =
+    let p = P.Peer.create ~name ~schema in
+    P.Catalog.add_peer catalog p;
+    p
+  in
+  let a = peer "a" [ ("r", [ "x" ]) ] in
+  let b = peer "b" [ ("t", [ "x"; "y" ]); ("u", [ "z" ]) ] in
+  let k = peer "k" [ ("k", [ "x" ]) ] in
+  let s = peer "s" [ ("z", [ "q" ]); ("y", [ "q" ]) ] in
+  let vi i = Relalg.Value.Int i in
+  let store p rel attrs head body row =
+    let stored = P.Peer.add_stored p ~rel ~attrs in
+    P.Catalog.add_storage catalog
+      (P.Storage_desc.make P.Storage_desc.Containment
+         (q (atom (P.Peer.stored_pred p rel) head) body));
+    insert stored row
+  in
+  ignore
+    (P.Catalog.add_mapping catalog
+       (P.Peer_mapping.definitional
+          (q (P.Peer.atom a "r" [ v "X" ])
+             [ P.Peer.atom b "t" [ v "X"; v "Y" ]; P.Peer.atom b "u" [ v "Y" ] ])));
+  store b "t2" [ "p"; "r"; "q" ] [ v "P"; v "R"; v "Q" ]
+    [ P.Peer.atom b "t" [ v "P"; v "R" ]; P.Peer.atom s "z" [ v "Q" ] ]
+    [| vi 1; vi 5; vi 7 |];
+  ignore
+    (P.Catalog.add_mapping catalog
+       (P.Peer_mapping.inclusion
+          ~lhs:(q (atom "m" [ v "A" ]) [ P.Peer.atom k "k" [ v "A" ] ])
+          ~rhs:(q (atom "m" [ v "A" ]) [ P.Peer.atom b "u" [ v "A" ] ])));
+  store k "kk" [ "d"; "e" ] [ v "D"; v "E" ]
+    [ P.Peer.atom k "k" [ v "D" ]; P.Peer.atom s "y" [ v "E" ] ]
+    [| vi 5; vi 9 |];
+  let result = P.Answer.answer catalog (q (atom "q" [ v "X" ]) [ P.Peer.atom a "r" [ v "X" ] ]) in
+  Alcotest.(check (list string))
+    "the two existentials stay apart"
+    [ "q(X~g1) :- b.t2!(X~g1, A~g2, ~f1), k.kk!(A~g2, ~f2)" ]
+    (List.map Query.to_string result.P.Answer.outcome.P.Reformulate.rewritings);
+  Alcotest.(check (list (list string))) "the certain answer" [ [ "1" ] ]
+    (P.Answer.answers_list result)
+
 (* Chain of equalities: peer0 - peer1 - ... - peer_{n-1}; data lives at
    the last peer; query at peer0 must traverse the transitive closure. *)
 let chain_catalog n =
@@ -2425,6 +2472,17 @@ let test_pdms_file_linear () =
       Printf.bprintf b "peer p%d\nrelation r(x, y)\nstore r\nrow r: a | b\n" i
     done;
     Buffer.contents b
+  and mappings shape n =
+    let b = Buffer.create (n * 64) in
+    Buffer.add_string b "peer a\nrelation r(x, y)\npeer b\nrelation s(x, y)\n";
+    for _ = 1 to n do
+      Buffer.add_string b
+        (match shape with
+        | `Inclusion ->
+            "mapping inclusion\nlhs m(X, Y) :- a.r(X, Y)\nrhs m(X, Y) :- b.s(X, Y)\n"
+        | `Definitional -> "mapping definitional\nrule b.s(X, Y) :- a.r(X, Y)\n")
+    done;
+    Buffer.contents b
   in
   let best_ms text =
     let run () =
@@ -2443,7 +2501,9 @@ let test_pdms_file_linear () =
         true
         (large <= 64. *. small))
     [ ("one peer, N relations", one_peer);
-      ("N peers, one relation each", many_peers) ]
+      ("N peers, one relation each", many_peers);
+      ("N inclusions between two peers", mappings `Inclusion);
+      ("N definitional rules with one head", mappings `Definitional) ]
 
 (* No mutation of a catalog's lines (dropped, duplicated or moved lines,
    one identifier swapped for another of the file's) makes [parse] raise:
@@ -3165,7 +3225,7 @@ let test_persist_typed_mapping_constants () =
           ~lhs:(q (atom "e" [ v "X"; v "Y" ]) [ atom "u.d" [ v "X"; v "Y" ] ])
           ~rhs:
             (q (atom "e" [ v "X"; v "Y" ]) [ atom "m.s" [ v "X"; v "Y" ] ])));
-  (* Value.add_key tells Int 1 from Str "1" and -0.0 from 0.0. *)
+  (* Reference.add_value_key tells Int 1 from Str "1" and -0.0 from 0.0. *)
   let typed_key (r : Query.t) =
     let b = Buffer.create 64 in
     List.iter
@@ -3176,7 +3236,7 @@ let test_persist_typed_mapping_constants () =
             | Term.Var x -> Buffer.add_string b (" " ^ x)
             | Term.Const c ->
                 Buffer.add_char b ' ';
-                Relalg.Value.add_key b c)
+                Reference.add_value_key b c)
           a.args;
         Buffer.add_char b ';')
       (r.head :: r.body);
@@ -3290,6 +3350,87 @@ let test_single_atom_identity () =
   check "binary tree, 12 peers"
     (course_queries P.Topology.Binary_tree ~graph_seed:1102 ~n:12)
     "713067f7d9797610848d3e63653e7b59"
+
+(* The catalogs where the view index skips the most views: 24-peer
+   Mesh-1 (220 views; joins and course queries) and the 48-peer Mesh-2
+   joins (636 views). Recorded before the catalog kept its artifacts
+   compiled and indexed by predicate, so they pin that the index, the
+   templates and the structural memo key change no byte, stats lines
+   included. *)
+let test_indexed_catalog_identity () =
+  let check name (catalog, queries) digest =
+    Alcotest.(check string) name digest (reformulation_digest catalog queries)
+  in
+  let g = generated_peers (P.Topology.Mesh 1) ~graph_seed:1104 ~n:24 in
+  let catalog = g.Workload.Peers_gen.catalog in
+  check "Mesh-1, 24 peers, joins"
+    (catalog, List.init 24 (fun at -> Workload.Peers_gen.join_query g ~at))
+    "2b70f86c23ccbfe800ddae0b5d319a95";
+  check "Mesh-1, 24 peers, courses"
+    (catalog, List.init 24 (fun at -> Workload.Peers_gen.course_query g ~at))
+    "ae7e5622be6f761b3a348a637b3c442f";
+  check "Mesh-2, 48 peers, joins"
+    (generated_join_catalog (P.Topology.Mesh 2) ~graph_seed:1 ~n:48)
+    "751774b1fbd7c9598b848630041911ec"
+
+(* Every kind of add extends the compiled artifacts alike whatever ran
+   before it: a catalog that reformulated before each add
+   reformulates, stats included, as one given the same adds with no
+   reformulation between them. The adds bring a new peer, its storage
+   (an identity and a containment description), a definitional rule,
+   an inclusion, an equality and a projecting inclusion (so not every
+   view variable is distinguished any more). *)
+let test_compiled_catalog_follows_adds () =
+  let build between =
+    let g = generated_peers (P.Topology.Mesh 1) ~graph_seed:1101 ~n:6 in
+    let catalog = g.Workload.Peers_gen.catalog in
+    let p i = g.Workload.Peers_gen.peers.(i) in
+    let x =
+      P.Peer.create ~name:"x"
+        ~schema:[ ("course", [ "code"; "title"; "instructor" ]); ("instr", [ "code"; "person" ]) ]
+    in
+    let course peer = P.Peer.atom peer "course" [ v "C"; v "T"; v "I" ] in
+    let instr peer = P.Peer.atom peer "instr" [ v "C"; v "P" ] in
+    let queries =
+      q (atom "ans" [ v "T"; v "P" ]) [ course x; instr x ]
+      :: q (atom "ans" [ v "C"; v "T"; v "I" ]) [ course x ]
+      :: List.init 6 (fun at -> Workload.Peers_gen.join_query g ~at)
+    in
+    let mapping m () = ignore (P.Catalog.add_mapping catalog m) in
+    let adds =
+      [ (fun () -> P.Catalog.add_peer catalog x);
+        (fun () -> ignore (P.Catalog.store_identity catalog x ~rel:"instr"));
+        (fun () ->
+          ignore (P.Peer.add_stored x ~rel:"course" ~attrs:[ "code"; "title" ]);
+          P.Catalog.add_storage catalog
+            (P.Storage_desc.make P.Storage_desc.Containment
+               (q (atom (P.Peer.stored_pred x "course") [ v "C"; v "T" ]) [ course x ])));
+        mapping (P.Peer_mapping.definitional (q (course x) [ course (p 0) ]));
+        mapping
+          (P.Peer_mapping.inclusion
+             ~lhs:(q (atom "m" [ v "C"; v "P" ]) [ instr x ])
+             ~rhs:(q (atom "m" [ v "C"; v "P" ]) [ instr (p 1) ]));
+        mapping
+          (P.Peer_mapping.equality
+             ~lhs:(q (atom "m" [ v "C"; v "T"; v "I" ]) [ course x ])
+             ~rhs:(q (atom "m" [ v "C"; v "T"; v "I" ]) [ course (p 2) ]));
+        mapping
+          (P.Peer_mapping.inclusion
+             ~lhs:(q (atom "m" [ v "T" ]) [ course (p 3) ])
+             ~rhs:(q (atom "m" [ v "T" ]) [ course x ])) ]
+    in
+    let before = reformulation_digest catalog queries in
+    List.iter
+      (fun add ->
+        between catalog queries;
+        add ())
+      adds;
+    (before, reformulation_digest catalog queries)
+  in
+  let before, reformulated = build (fun catalog queries -> ignore (reformulation_digest catalog queries)) in
+  let _, untouched = build (fun _ _ -> ()) in
+  check_b "the adds change the reformulations" true (before <> untouched);
+  Alcotest.(check string) "reformulating between adds changes nothing" untouched reformulated
 
 (* The 48-peer Mesh-2 join: each goal has 48 rewritings, so the product
    holds 48 x 48 = 2,304, all found under the default cap (a search over
@@ -3520,7 +3661,7 @@ let answer_order_digest catalog queries =
   let add_rows rel =
     List.iter
       (fun row ->
-        Array.iter (Relalg.Value.add_key b) row;
+        Array.iter (Reference.add_value_key b) row;
         Buffer.add_char b '\n')
       (Relalg.Relation.tuples rel)
   in
@@ -3675,20 +3816,44 @@ let prop_catalog_incremental_matches_rebuild =
             (fun peer -> [ P.Peer.name peer ^ ".a"; P.Peer.name peer ^ ".b" ])
             (Array.to_list peers)
       in
-      P.Catalog.views catalog = views
+      let plain = List.map (fun (a : P.Catalog.artifact) -> (a.id, a.template.Rewrite.Cover.query)) in
+      let reading ps =
+        List.filter
+          (fun (_, view) -> List.exists (fun p -> List.mem p ps) (Query.body_preds view))
+          views
+      in
+      let rules_for pred =
+        let acc = ref [] in
+        P.Catalog.iter_rules catalog pred (fun a -> acc := (a.id, a.template.Rewrite.Cover.query) :: !acc);
+        List.rev !acc
+      in
+      plain (P.Catalog.views_reading catalog preds) = views
       && P.Catalog.distinguished_views catalog
          = List.for_all (fun (_, view) -> Query.existential_vars view = []) views
+      && List.for_all
+           (fun (id, _) ->
+             P.Catalog.view_count catalog id
+             = List.length (List.filter (fun (id', _) -> id' = Some id) views))
+           (P.Catalog.mappings catalog)
+      && (match P.Catalog.view_count catalog (P.Catalog.mapping_count catalog) with
+         | _ -> false
+         | exception Invalid_argument _ -> true)
       && List.for_all
            (fun pred ->
              let expected =
                List.filter_map (fun (p, r) -> if p = pred then Some r else None) rules
              in
-             P.Catalog.rules_for catalog pred = expected
+             rules_for pred = expected
              && P.Catalog.has_rules catalog pred = (expected <> [])
-             && P.Catalog.in_view_body catalog pred
-                = List.exists
-                    (fun (_, view) -> List.mem pred (Query.body_preds view))
-                    views)
+             && P.Catalog.in_view_body catalog pred = (reading [ pred ] <> [])
+             (* The index by body predicate keeps catalog order, alone
+                and merged with another predicate's. *)
+             && plain (P.Catalog.views_reading catalog [ pred ]) = reading [ pred ]
+             && List.for_all
+                  (fun other ->
+                    plain (P.Catalog.views_reading catalog [ pred; other ])
+                    = reading [ pred; other ])
+                  preds)
            preds)
 
 (* ------------------------------------------------------------------ *)
@@ -3935,10 +4100,16 @@ let () =
            test_single_atom_identity;
          Alcotest.test_case "48-peer Mesh-2 join is complete" `Quick
            test_mesh2_join_complete;
+         Alcotest.test_case "rewritings pinned on indexed catalogs" `Quick
+           test_indexed_catalog_identity;
+         Alcotest.test_case "compiled catalog follows every add" `Quick
+           test_compiled_catalog_follows_adds;
          Alcotest.test_case "existential join stays one group" `Quick
            test_existential_join_stays_grouped;
          Alcotest.test_case "goal bindings join across groups" `Quick
            test_goal_bindings_join;
+         Alcotest.test_case "fresh names across LAV steps" `Quick
+           test_fresh_names_across_lav_steps;
          Alcotest.test_case "definitional keeps other sources" `Quick
            test_definitional_keeps_other_sources ]);
       ("catalog", qc [ prop_catalog_incremental_matches_rebuild ]);
